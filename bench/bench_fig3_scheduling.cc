@@ -76,14 +76,14 @@ void DatasetScheduling(benchmark::State& state, const Target& target) {
   for (auto _ : state) {
     PeelStats cd_stats;
     const CdResult cd = ReceiptCd(g, options, &cd_stats);
-    // Wall-clock FD with and without WaS.
+    // Wall-clock FD with and without WaS (LPT vs round-robin placement).
     std::vector<Count> tips(g.num_u());
     PeelStats fd_stats_was;
-    options.workload_aware_scheduling = true;
+    options.fd_assignment = engine::PlacementAssign::kCostLpt;
     ReceiptFd(g, cd, options, tips, &fd_stats_was);
     row.fd_was = fd_stats_was.seconds_fd;
     PeelStats fd_stats_naive;
-    options.workload_aware_scheduling = false;
+    options.fd_assignment = engine::PlacementAssign::kRoundRobin;
     ReceiptFd(g, cd, options, tips, &fd_stats_naive);
     row.fd_naive = fd_stats_naive.seconds_fd;
     // Deterministic makespan model on the real subset workloads (immune to

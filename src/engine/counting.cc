@@ -10,9 +10,17 @@ namespace {
 /// Body of Alg. 1 for one start point `sp`: the vertex-priority algorithm
 /// of Chiba–Nishizeki with the cache-efficient degree-descending relabeling
 /// of Wang et al. and the batch-aggregation parallelization of ParButterfly.
+///
+/// A wedge (sp, mp, ep) has its end points on sp's side and its mid point
+/// on the other, so under CountScope::kUOnly a U start point credits only
+/// the end points (same-side pass) and a V start point only the mid points
+/// (opposite-side pass). The wedges traversed are the same either way.
 void CountFromStartPoint(const DynamicGraph& graph, PeelWorkspace& ws,
-                         VertexId sp, std::span<Count> support) {
+                         VertexId sp, CountScope scope,
+                         std::span<Count> support) {
   if (!graph.IsAlive(sp)) return;
+  const bool credit_ends = scope == CountScope::kBothSides || graph.IsU(sp);
+  const bool credit_mids = scope == CountScope::kBothSides || !graph.IsU(sp);
   const VertexId sp_rank = graph.Rank(sp);
   ws.touched.clear();
   ws.wedge_pairs.clear();
@@ -28,21 +36,23 @@ void CountFromStartPoint(const DynamicGraph& graph, PeelWorkspace& ws,
       ++ws.wedges_traversed;
       if (!graph.IsAlive(ep)) continue;  // uncompacted dead entry
       if (ws.wedge_count[ep]++ == 0) ws.touched.push_back(ep);
-      ws.wedge_pairs.emplace_back(mp, ep);
+      if (credit_mids) ws.wedge_pairs.emplace_back(mp, ep);
     }
   }
 
   // Same-side contribution: every pair of wedges with endpoints (sp, ep)
   // closes one butterfly; it belongs to both endpoints.
-  Count sp_total = 0;
-  for (const VertexId ep : ws.touched) {
-    const Count bcnt = Choose2(ws.wedge_count[ep]);
-    if (bcnt > 0) {
-      AtomicAdd(&support[ep], bcnt);
-      sp_total += bcnt;
+  if (credit_ends) {
+    Count sp_total = 0;
+    for (const VertexId ep : ws.touched) {
+      const Count bcnt = Choose2(ws.wedge_count[ep]);
+      if (bcnt > 0) {
+        AtomicAdd(&support[ep], bcnt);
+        sp_total += bcnt;
+      }
     }
+    if (sp_total > 0) AtomicAdd(&support[sp], sp_total);
   }
-  if (sp_total > 0) AtomicAdd(&support[sp], sp_total);
 
   // Opposite-side contribution: a wedge (sp, mp, ep) participates in
   // (wedge_count[ep] - 1) butterflies, all incident on its mid point.
@@ -62,27 +72,30 @@ void CountFromStartPoint(const DynamicGraph& graph, PeelWorkspace& ws,
 }  // namespace
 
 uint64_t CountVertexButterflies(const DynamicGraph& graph, WorkspacePool& pool,
-                                int num_threads, std::span<Count> support) {
+                                int num_threads, std::span<Count> support,
+                                CountScope scope) {
   const VertexId n = graph.num_vertices();
   pool.Prepare(std::max(1, num_threads), n);
   ParallelFor(n, num_threads, [&support](size_t w) { support[w] = 0; });
   const uint64_t wedges_before = pool.TotalWedges();
   ParallelForWithContext(
       n, num_threads, pool.workspaces(), [&](PeelWorkspace& ws, size_t sp) {
-        CountFromStartPoint(graph, ws, static_cast<VertexId>(sp), support);
+        CountFromStartPoint(graph, ws, static_cast<VertexId>(sp), scope,
+                            support);
       });
   return pool.TotalWedges() - wedges_before;
 }
 
 uint64_t CountVertexButterfliesSeq(const DynamicGraph& graph,
                                    PeelWorkspace& ws,
-                                   std::span<Count> support) {
+                                   std::span<Count> support,
+                                   CountScope scope) {
   const VertexId n = graph.num_vertices();
   ws.EnsureVertexCapacity(n);
   const uint64_t wedges_before = ws.wedges_traversed;
   for (VertexId w = 0; w < n; ++w) support[w] = 0;
   for (VertexId sp = 0; sp < n; ++sp) {
-    CountFromStartPoint(graph, ws, sp, support);
+    CountFromStartPoint(graph, ws, sp, scope, support);
   }
   return ws.wedges_traversed - wedges_before;
 }

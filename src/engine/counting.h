@@ -11,21 +11,34 @@
 
 namespace receipt::engine {
 
+/// Which vertices a per-vertex count credits.
+enum class CountScope : uint8_t {
+  /// Every vertex of both sides (the public counting API, BUP, ParB).
+  kBothSides,
+  /// U vertices only; V entries stay 0. Tip peeling reads U supports
+  /// only, so RECEIPT's counts skip the V-side atomic adds (and, for U
+  /// start points, the wedge list) while traversing the same wedges.
+  kUOnly,
+};
+
 /// Parallel per-vertex butterfly counting (Alg. 1, pvBcnt) over the live
 /// vertices of `graph`, using the pool's per-thread workspaces for the
 /// dense wedge-aggregation arrays — no allocation when the pool is warm.
 ///
-/// Writes the number of butterflies incident on every vertex w to
-/// `support[w]` (size num_vertices; dead vertices get 0) and returns the
-/// number of wedges traversed. Prepare()s the pool defensively.
+/// Writes the number of butterflies incident on every vertex w in `scope`
+/// to `support[w]` (size num_vertices; dead and out-of-scope vertices get
+/// 0) and returns the number of wedges traversed. Prepare()s the pool
+/// defensively.
 uint64_t CountVertexButterflies(const DynamicGraph& graph, WorkspacePool& pool,
-                                int num_threads, std::span<Count> support);
+                                int num_threads, std::span<Count> support,
+                                CountScope scope = CountScope::kBothSides);
 
 /// Single-workspace variant used inside RECEIPT FD tasks (each task is
 /// sequential; its thread re-counts its own induced subgraph for HUC).
 uint64_t CountVertexButterfliesSeq(const DynamicGraph& graph,
                                    PeelWorkspace& ws,
-                                   std::span<Count> support);
+                                   std::span<Count> support,
+                                   CountScope scope = CountScope::kBothSides);
 
 /// Parallel per-edge butterfly counting for wing decomposition:
 /// bcnt(u,v) = Σ_{u'∈N(v)\{u}} (|N(u) ∩ N(u')| − 1), written to

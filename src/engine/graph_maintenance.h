@@ -24,9 +24,10 @@ namespace receipt::engine {
 class GraphMaintenance {
  public:
   /// `wedge_budget` is the DGM trigger threshold — the paper uses m, the
-  /// number of edges of the peeled graph.
+  /// number of edges of the peeled graph. Compactions and re-count bounds
+  /// run on `num_threads` threads.
   GraphMaintenance(DynamicGraph& live, bool use_huc, bool use_dgm,
-                   uint64_t wedge_budget);
+                   uint64_t wedge_budget, int num_threads = 1);
 
   /// HUC (§4.1): should a round with this static peel cost be replaced by a
   /// full re-count? Always false when HUC is disabled.
@@ -36,14 +37,14 @@ class GraphMaintenance {
 
   /// Compacts the graph ahead of a re-count (the re-count runs on the
   /// compacted structure) and resets the wedge accumulator.
-  void BeginRecount(int num_threads);
+  void BeginRecount();
 
   /// Refreshes the re-counting cost bound after the re-count finished.
   void EndRecount();
 
   /// Accounts `wedges` traversed by a peel-update round and performs a DGM
   /// compaction when the accumulated mass exceeds the budget.
-  void OnPeelWedges(uint64_t wedges, int num_threads);
+  void OnPeelWedges(uint64_t wedges);
 
   /// Total compaction passes (re-count preludes + DGM triggers), for
   /// stats.dgm_compactions.
@@ -54,6 +55,7 @@ class GraphMaintenance {
   bool use_huc_;
   bool use_dgm_;
   uint64_t wedge_budget_;
+  int num_threads_;
   uint64_t wedges_since_compact_ = 0;
   Count recount_bound_ = 0;
   uint64_t compactions_ = 0;

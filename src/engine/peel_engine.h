@@ -70,8 +70,9 @@ class TipPeelGraph {
   }
 
   /// HUC re-count (§4.1): re-derives every live support by a fresh parallel
-  /// count, clamped from below at the range bound `lo` (Lemma 1). Returns
-  /// wedges traversed. `scratch.count_buffer` holds the fresh counts.
+  /// U-side count, clamped from below at the range bound `lo` (Lemma 1).
+  /// Returns wedges traversed. `scratch.count_buffer` holds the fresh
+  /// counts.
   uint64_t RecountSupports(Count lo, WorkspacePool& pool, int num_threads,
                            PeelWorkspace& scratch) {
     const VertexId n = live_->num_vertices();
@@ -80,8 +81,8 @@ class TipPeelGraph {
       ++scratch.growths;
     }
     std::span<Count> fresh(scratch.count_buffer.data(), n);
-    const uint64_t wedges =
-        CountVertexButterflies(*live_, pool, num_threads, fresh);
+    const uint64_t wedges = CountVertexButterflies(*live_, pool, num_threads,
+                                                   fresh, CountScope::kUOnly);
     const VertexId num_u = live_->num_u();
     ParallelFor(num_u, num_threads, [&](size_t u) {
       if (live_->IsAlive(static_cast<VertexId>(u))) {
@@ -165,6 +166,23 @@ class WingPeelGraph {
 // — the scan fallback (use_support_index = false: per-range alive filter +
 // selection, per-range ⊲⊳init snapshot) is retained and bit-identical.
 // ===========================================================================
+
+/// Round dispatch cutoff, in predicted wedges (Σ static peel cost over the
+/// round's active set). A round below it peels inline on the calling
+/// thread; a larger one forks with per-entity scheduling. Measured over the
+/// twelve analogue tip targets at P=150 on 4 threads (4-vCPU VM): of the
+/// ~3.7k coarse rounds per sweep, 34% predict fewer than 2^12 wedges yet
+/// carry 1.5% of the predicted work, 65% predict fewer than 2^14 (7.7%);
+/// cutoffs from 0 to 2^13 gave the same CD time, and 2^14 and above were
+/// slower, because forked rounds of 2^13-2^17 wedges do get faster with
+/// threads.
+inline constexpr Count kInlineRoundCost = Count{1} << 12;
+
+/// Wall time above which a coarse round emits an "engine.cd.round" span
+/// (arg: the round's predicted wedges). Typical rounds take 10 us - 2 ms;
+/// a round past this threshold is an outlier worth attributing, and rare
+/// enough not to flood the span ring.
+inline constexpr uint64_t kSlowRoundSpanNs = 10'000'000;
 
 /// Per-range record of the ⊲⊳init boundary patches a coarse run applied:
 /// `ranges[i]` lists (entity, support at the close of range i) for every
@@ -250,7 +268,8 @@ struct CoarseOptions {
   /// the legacy per-range O(n) scan path.
   bool use_support_index = true;
   /// Span sink (null by default): the decomposer emits one
-  /// "engine.cd.range" span per produced subset.
+  /// "engine.cd.range" span per produced subset and one "engine.cd.round"
+  /// span per round slower than kSlowRoundSpanNs.
   obs::TraceContext trace;
 };
 
@@ -297,10 +316,11 @@ class RangeDecomposer {
 
   /// Peels every entity, producing subsets with non-overlapping peel-number
   /// ranges. Contributes wedges_cd, sync_rounds, peel_iterations,
-  /// huc_recounts, frontier/scan round counters, the SupportIndex counters
-  /// (bound_walk_buckets, histogram_refines, init_patch_elements,
-  /// index_rebuild_elements) and num_subsets to `*stats` (dgm_compactions
-  /// are read off the GraphMaintenance by the caller).
+  /// huc_recounts, cd_inline_rounds, frontier/scan round counters, the
+  /// SupportIndex counters (bound_walk_buckets, histogram_refines,
+  /// init_patch_elements, index_rebuild_elements) and num_subsets to
+  /// `*stats` (dgm_compactions are read off the GraphMaintenance by the
+  /// caller).
   RangeResult<Id> Run(PeelStats* stats) {
     return RunImpl(nullptr, nullptr, stats);
   }
@@ -423,8 +443,9 @@ class RangeDecomposer {
       const uint32_t subset_index =
           static_cast<uint32_t>(result.subsets.size());
       // One span per produced subset: boundary patch + bound determination
-      // + the whole range peel. Per-round spans would flood the flight
-      // recorder on large graphs; per-range matches the paper's unit of
+      // + the whole range peel. A span for every round would flood the
+      // flight recorder on large graphs, so rounds only emit one when they
+      // are slow (kSlowRoundSpanNs); per-range matches the paper's unit of
       // coarse work.
       obs::ScopedSpan range_span(opts_.trace, "engine.cd.range",
                                  subset_index);
@@ -875,12 +896,18 @@ class RangeDecomposer {
     while (!active_.empty()) {
       ++stats->sync_rounds;
       ++stats->peel_iterations;
+      const uint64_t round_start_ns =
+          opts_.trace.enabled() ? obs::TraceRecorder::NowNs() : 0;
 
       // Assign and claim the whole round first so no update flows
       // between two entities peeled together (Lemma 2 / priority rule).
+      // The same pass sums the round's predicted work, which picks both
+      // HUC vs peel and inline vs forked peeling.
+      Count round_cost = 0;
       for (const Id e : active_) {
         result.subset_of[e] = subset_index;
         pg_->BeginPeel(e);
+        round_cost += static_cost_[e];
         if (index_ != nullptr) {
           index_->Remove(static_cast<uint64_t>(e), static_cost_[e]);
         }
@@ -891,27 +918,24 @@ class RangeDecomposer {
       bool need_full_scan = false;
       bool recounted = false;
       if constexpr (PeelGraph::kSupportsRecount) {
-        if (maintenance_ != nullptr && alive_count > 0) {
-          Count peel_cost = 0;
-          for (const Id e : active_) peel_cost += static_cost_[e];
-          if (maintenance_->ShouldRecount(peel_cost)) {
-            // Hybrid Update Computation (§4.1): this round's peeling
-            // would traverse more wedges than a full re-count.
-            ++stats->huc_recounts;
-            maintenance_->BeginRecount(num_threads_);
-            stats->wedges_cd += pg_->RecountSupports(
-                lo, *pool_, num_threads_, pool_->Get(0));
-            maintenance_->EndRecount();
-            need_full_scan = true;  // re-count invalidated the tracking
-            recounted = true;
-            if (index_ != nullptr) {
-              // The re-count rewrote every alive support behind the delta
-              // tracking's back: rebuild the histogram now (later rounds
-              // still Remove() against it) and fall back to one full
-              // ⊲⊳init snapshot at the next boundary.
-              RebuildIndex(n, stats);
-              full_patch_needed_ = true;
-            }
+        if (maintenance_ != nullptr && alive_count > 0 &&
+            maintenance_->ShouldRecount(round_cost)) {
+          // Hybrid Update Computation (§4.1): this round's peeling would
+          // traverse more wedges than a full re-count.
+          ++stats->huc_recounts;
+          maintenance_->BeginRecount();
+          stats->wedges_cd +=
+              pg_->RecountSupports(lo, *pool_, num_threads_, pool_->Get(0));
+          maintenance_->EndRecount();
+          need_full_scan = true;  // re-count invalidated the tracking
+          recounted = true;
+          if (index_ != nullptr) {
+            // The re-count rewrote every alive support behind the delta
+            // tracking's back: rebuild the histogram now (later rounds
+            // still Remove() against it) and fall back to one full
+            // ⊲⊳init snapshot at the next boundary.
+            RebuildIndex(n, stats);
+            full_patch_needed_ = true;
           }
         }
       }
@@ -920,27 +944,37 @@ class RangeDecomposer {
         epochs_->NextRound();
         const bool track_deltas = index_ != nullptr;
         const uint64_t wedges_before = pool_->TotalWedges();
-        ParallelForWithContext(
-            active_.size(), num_threads_, pool_->workspaces(),
-            [&](PeelWorkspace& ws, size_t i) {
-              ws.wedges_traversed += pg_->PeelOneAtomic(
-                  active_[i], lo, ws, [&](Id x, Count new_support) {
-                    const uint64_t xid = static_cast<uint64_t>(x);
-                    if (track_deltas && index_->ClaimDelta(xid)) {
-                      ws.support_delta.push_back(xid);
-                    }
-                    if (new_support < hi && epochs_->Claim(xid)) {
-                      ws.frontier.push_back(xid);
-                    }
-                  });
-            });
+        const auto peel_one = [&](PeelWorkspace& ws, size_t i) {
+          ws.wedges_traversed += pg_->PeelOneAtomic(
+              active_[i], lo, ws, [&](Id x, Count new_support) {
+                const uint64_t xid = static_cast<uint64_t>(x);
+                if (track_deltas && index_->ClaimDelta(xid)) {
+                  ws.support_delta.push_back(xid);
+                }
+                if (new_support < hi && epochs_->Claim(xid)) {
+                  ws.frontier.push_back(xid);
+                }
+              });
+        };
+        // Small rounds (about a third of them) cost less than a fork/join,
+        // so they run on the calling thread; larger ones fork with a grain
+        // of one entity because per-entity wedge work is heavily skewed.
+        // The choice depends on the active set only, so it is identical
+        // for every thread count.
+        if (round_cost < kInlineRoundCost) {
+          ++stats->cd_inline_rounds;
+          PeelWorkspace& ws = pool_->Get(0);
+          for (size_t i = 0; i < active_.size(); ++i) peel_one(ws, i);
+        } else {
+          ParallelForWithContext(active_.size(), num_threads_,
+                                 pool_->workspaces(), peel_one,
+                                 /*chunk=*/1);
+        }
         const uint64_t round_wedges = pool_->TotalWedges() - wedges_before;
         stats->wedges_cd += round_wedges;
         // Dynamic Graph Maintenance (§4.2): compact adjacency once ≥ m
         // wedges were traversed since the last compaction.
-        if (maintenance_ != nullptr) {
-          maintenance_->OnPeelWedges(round_wedges, num_threads_);
-        }
+        if (maintenance_ != nullptr) maintenance_->OnPeelWedges(round_wedges);
         // Drain the per-thread frontier and support-delta buffers every
         // round (the workspace invariant), whichever direction rebuilds
         // the active set. Bucket moves stay deferred until the next range
@@ -993,6 +1027,13 @@ class RangeDecomposer {
         }
         UpdateEwma(&frontier_cost_ewma_, merge_timer.Seconds(),
                    merged_frontier_.size());
+      }
+      if (opts_.trace.enabled()) {
+        const uint64_t round_ns = obs::TraceRecorder::NowNs() - round_start_ns;
+        if (round_ns >= kSlowRoundSpanNs) {
+          opts_.trace.Emit("engine.cd.round", round_start_ns, round_ns,
+                           round_cost);
+        }
       }
     }
     return alive_count;
@@ -1089,7 +1130,8 @@ SequentialPeelOutcome SequentialTipPeel(const BipartiteGraph& graph,
       ++ws.growths;
     }
     fresh = std::span<Count>(ws.count_buffer.data(), n);
-    out.wedges += CountVertexButterfliesSeq(live, ws, fresh);
+    out.wedges +=
+        CountVertexButterfliesSeq(live, ws, fresh, CountScope::kUOnly);
     ws.external.assign(num_peel, 0);
     ws.static_cost.assign(num_peel, 0);
     for (VertexId lu = 0; lu < num_peel; ++lu) {
@@ -1121,8 +1163,9 @@ SequentialPeelOutcome SequentialTipPeel(const BipartiteGraph& graph,
       // Re-counting this (small, induced) graph is cheaper than exploring
       // the peeled vertex's wedges.
       ++out.huc_recounts;
-      maintenance.BeginRecount(/*num_threads=*/1);
-      out.wedges += CountVertexButterfliesSeq(live, ws, fresh);
+      maintenance.BeginRecount();
+      out.wedges +=
+          CountVertexButterfliesSeq(live, ws, fresh, CountScope::kUOnly);
       for (VertexId lu = 0; lu < num_peel; ++lu) {
         if (!live.IsAlive(lu)) continue;
         support[lu] = std::max(theta, fresh[lu] + ws.external[lu]);
@@ -1136,7 +1179,7 @@ SequentialPeelOutcome SequentialTipPeel(const BipartiteGraph& graph,
             extractor.NotifyUpdate(u2, new_support);
           });
       out.wedges += wedges;
-      maintenance.OnPeelWedges(wedges, /*num_threads=*/1);
+      maintenance.OnPeelWedges(wedges);
     }
   }
 

@@ -55,16 +55,16 @@ uint64_t DynamicGraph::LiveEdgeSlots() const {
   return total;
 }
 
-Count DynamicGraph::RecountCostBound() const {
-  Count total = 0;
-  for (VertexId u = 0; u < num_u_; ++u) {
-    if (!alive_[u]) continue;
+Count DynamicGraph::RecountCostBound(int num_threads) const {
+  return ParallelReduceSum<Count>(num_u_, num_threads, [this](size_t u) {
+    Count total = 0;
+    if (!alive_[u]) return total;
     const uint64_t du = degree_[u];
-    for (VertexId v : Neighbors(u)) {
+    for (VertexId v : Neighbors(static_cast<VertexId>(u))) {
       if (alive_[v]) total += std::min<Count>(du, degree_[v]);
     }
-  }
-  return total;
+    return total;
+  });
 }
 
 Count DynamicGraph::LiveWedgeCount(VertexId w) const {

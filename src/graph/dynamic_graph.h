@@ -78,8 +78,9 @@ class DynamicGraph {
   /// Σ_{(u,v) live} min(d_u, d_v) with current degrees — the re-counting
   /// cost bound C_rcnt of §4.1. Exact after a Compact(), an overestimate
   /// between compactions (safe: HUC then triggers less often, never
-  /// wrongly).
-  Count RecountCostBound() const;
+  /// wrongly). An integer reduction over `num_threads` threads whose value
+  /// does not depend on the thread count.
+  Count RecountCostBound(int num_threads = 1) const;
 
   /// Σ_{x ∈ N(w), alive} (d_x − 1) with current degrees: the live wedge
   /// count of `w`, i.e. the cost of peeling it now.

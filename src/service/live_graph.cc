@@ -95,6 +95,9 @@ void LiveGraphManager::RegisterInstruments() {
                    {{"state", "repeeled"}});
   updates_total_ = m.GetCounter("receipt_live_updates_total",
                                 "Edge updates buffered into live graphs.");
+  baselines_total_ =
+      m.GetCounter("receipt_live_baselines_total",
+                   "Baseline decompositions run to start or refresh tracking.");
   pending_gauge_ =
       m.GetGauge("receipt_live_pending_edges",
                  "Edge updates currently buffered across live graphs.");
@@ -215,12 +218,31 @@ Status LiveGraphManager::TrackLocked(LiveGraphState& state,
     payload->numbers = b.numbers;
   }
   payload->stats = stats;
+  baselines_total_->Increment();
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    ++stats_.baselines_built;
+  }
   // A tracked configuration is always answerable from cache on the sealed
   // epoch — starting with the one its baseline was just built on.
   cache_->Put(CacheKey{state.name, state.handle.epoch(), config.kind,
                        algorithm, config.partitions},
               std::move(payload));
   return Status::kOk;
+}
+
+bool LiveGraphManager::HasCurrentBaselineLocked(
+    const LiveGraphState& state, const LiveConfig& config) const {
+  // A re-registration under this name obsoletes every baseline; TrackLocked
+  // resyncs to it.
+  const GraphHandle current = registry_->Acquire(state.name);
+  if (!current || current.epoch() != state.handle.epoch()) return false;
+  if (config.kind == RequestKind::kWing) {
+    const auto it = state.wing.find(config);
+    return it != state.wing.end() && it->second.valid;
+  }
+  const auto it = state.tip.find(config);
+  return it != state.tip.end() && it->second.valid;
 }
 
 ApplyResult LiveGraphManager::ApplyEdges(const std::string& name,
@@ -237,6 +259,7 @@ ApplyResult LiveGraphManager::ApplyEdges(const std::string& name,
   std::lock_guard<std::mutex> lock(state->mu);
 
   for (const LiveConfig& config : track) {
+    if (HasCurrentBaselineLocked(*state, config)) continue;
     const Status status = TrackLocked(*state, config, threads, &result.error);
     if (status != Status::kOk) {
       result.status = status;

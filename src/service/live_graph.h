@@ -121,8 +121,9 @@ class LiveGraphManager {
   /// Buffers `updates` against `name`, then seals when the policy says so
   /// (`force_seal`, buffer ≥ max_pending_edges, or the oldest pending
   /// update exceeded max_staleness_ms). `track` configs are tracked first
-  /// (baselines built on the pre-batch graph when missing, so the seal
-  /// itself already runs incrementally). Updates whose endpoints fall
+  /// (baselines built on the pre-batch graph only when no valid baseline
+  /// exists on the current epoch, so the seal itself already runs
+  /// incrementally; Track() always rebuilds). Updates whose endpoints fall
   /// outside the registered shape are rejected as kBadRequest with the
   /// whole batch — growing the shape requires re-registration.
   ApplyResult ApplyEdges(const std::string& name,
@@ -211,6 +212,7 @@ class LiveGraphManager {
     uint64_t runs_full = 0;         ///< per-config seal runs, full fallback
     uint64_t ranges_reused = 0;
     uint64_t ranges_repeeled = 0;
+    uint64_t baselines_built = 0;  ///< baseline decompositions (tracking)
     size_t pending_edges = 0;     ///< buffered updates across all graphs
   };
   Stats stats() const;
@@ -252,6 +254,11 @@ class LiveGraphManager {
   /// current graph. Caller holds the state mutex.
   Status TrackLocked(LiveGraphState& state, const LiveConfig& config,
                      int threads, std::string* error);
+
+  /// True when `config` has a valid baseline on the graph's current
+  /// registration (no re-registration since). Caller holds the state mutex.
+  bool HasCurrentBaselineLocked(const LiveGraphState& state,
+                                const LiveConfig& config) const;
 
   /// Folds the pending buffer into a new graph + epoch, running every
   /// tracked configuration incrementally. Caller holds the state mutex.
@@ -303,6 +310,7 @@ class LiveGraphManager {
   obs::Counter* ranges_reused_total_ = nullptr;
   obs::Counter* ranges_repeeled_total_ = nullptr;
   obs::Counter* updates_total_ = nullptr;
+  obs::Counter* baselines_total_ = nullptr;
   obs::Gauge* pending_gauge_ = nullptr;
   obs::Gauge* dirty_permille_ = nullptr;
   obs::Histogram* seal_seconds_ = nullptr;

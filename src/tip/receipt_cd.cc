@@ -41,8 +41,10 @@ CdResult ReceiptCd(const BipartiteGraph& graph, const TipOptions& options,
                                       : 0;
   WallTimer count_timer;
   std::vector<Count> support(graph.num_vertices(), 0);
-  stats->wedges_counting +=
-      engine::CountVertexButterflies(live, pool, num_threads, support);
+  // CD and FD read U supports only (the engine peels U), so the count
+  // credits U alone; BUP and ParB keep the both-sides kernel.
+  stats->wedges_counting += engine::CountVertexButterflies(
+      live, pool, num_threads, support, engine::CountScope::kUOnly);
   stats->seconds_counting = count_timer.Seconds();
   options.trace.EmitSince("engine.count", count_start_ns,
                           stats->wedges_counting);
@@ -62,7 +64,8 @@ CdResult ReceiptCd(const BipartiteGraph& graph, const TipOptions& options,
   });
 
   engine::GraphMaintenance maintenance(live, options.use_huc,
-                                       options.use_dgm, graph.num_edges());
+                                       options.use_dgm, graph.num_edges(),
+                                       num_threads);
   engine::TipPeelGraph peel_graph(live, support);
   engine::RangeDecomposer<engine::TipPeelGraph> decomposer(
       peel_graph, wedge_static,

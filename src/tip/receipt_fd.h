@@ -22,8 +22,8 @@ std::vector<Count> ComputeSubsetWedgeCounts(const BipartiteGraph& graph,
 
 /// RECEIPT FD (Alg. 4): computes exact tip numbers by peeling each CD subset
 /// independently. Subsets are placed onto nodes up front by the cost-model
-/// plan (LPT over cd.predicted_costs when workload_aware_scheduling is on,
-/// round-robin otherwise — see TipOptions::fd_assignment /
+/// plan (LPT over cd.predicted_costs by default, round-robin under
+/// fd_assignment = kRoundRobin — see TipOptions::fd_assignment /
 /// placement_nodes / pin_numa); worker threads then pop from their own
 /// node's queue first and steal from other nodes' queues only when theirs
 /// runs dry, so hot task state stays node-local. Each popped subset is

@@ -38,18 +38,13 @@ struct TipOptions {
   /// this yields the paper's RECEIPT- configuration.
   bool use_dgm = true;
 
-  /// RECEIPT FD only: cost-model-driven scheduling — partitions are placed
-  /// onto nodes by the Longest-Processing-Time rule over their predicted
-  /// peel costs (§3.2.1 / Fig. 3, lifted to a node assignment), and each
-  /// node's queue pops highest cost first. Disabling deals partitions
-  /// round-robin in creation order (equivalent to fd_assignment =
-  /// kRoundRobin). Results are bit-identical either way.
-  bool workload_aware_scheduling = true;
-
-  /// RECEIPT FD only: how partitions are assigned to nodes when
-  /// workload_aware_scheduling is on. kCostLpt (default) is the
-  /// cost-guided placement; kRoundRobin is the baseline the placement
-  /// micro-bench gates against. Results are bit-identical either way.
+  /// RECEIPT FD only: how partitions are assigned to nodes. kCostLpt
+  /// (default) is the cost-model-driven scheduling of §3.2.1 / Fig. 3,
+  /// lifted to a node assignment: the Longest-Processing-Time rule over
+  /// the predicted peel costs, each node's queue popping highest cost
+  /// first. kRoundRobin deals partitions in creation order — the paper's
+  /// unscheduled baseline, which the Fig. 3 bench and the placement
+  /// micro-bench compare against. Results are bit-identical either way.
   engine::PlacementAssign fd_assignment = engine::PlacementAssign::kCostLpt;
 
   /// RECEIPT FD only: schedule against this many virtual nodes instead of

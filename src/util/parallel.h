@@ -34,9 +34,12 @@ void ParallelFor(size_t n, int num_threads, Fn&& fn) {
 
 /// ParallelFor with a per-thread context object: `fn(ctx[tid], i)`. Used to
 /// hand each thread its own wedge-aggregation scratch array (Alg. 1 line 5).
+/// `chunk` is the dynamic-schedule grain: 64 amortizes the dispatch over
+/// many cheap items; 1 spreads a few heavy, skewed items (a coarse peel
+/// round's vertices) over every thread.
 template <typename Ctx, typename Fn>
 void ParallelForWithContext(size_t n, int num_threads, std::vector<Ctx>& ctxs,
-                            Fn&& fn) {
+                            Fn&& fn, int chunk = 64) {
   if (num_threads <= 1) {
     for (size_t i = 0; i < n; ++i) fn(ctxs[0], i);
     return;
@@ -44,7 +47,7 @@ void ParallelForWithContext(size_t n, int num_threads, std::vector<Ctx>& ctxs,
 #pragma omp parallel num_threads(num_threads)
   {
     Ctx& ctx = ctxs[omp_get_thread_num()];
-#pragma omp for schedule(dynamic, 64)
+#pragma omp for schedule(dynamic, chunk)
     for (size_t i = 0; i < n; ++i) {
       fn(ctx, i);
     }

@@ -1,7 +1,7 @@
 // Tests for the vertex-priority butterfly counting kernel (Alg. 1):
 // cross-validation against the brute-force reference on parameterized
-// random-graph sweeps, closed forms, live-subgraph counting, and the
-// traversal bound.
+// random-graph sweeps, closed forms, live-subgraph counting, the traversal
+// bound, and the U-only scope RECEIPT counts with.
 
 #include "butterfly/butterfly_count.h"
 
@@ -9,7 +9,11 @@
 
 #include <string>
 #include <tuple>
+#include <vector>
 
+#include "engine/counting.h"
+#include "engine/workspace.h"
+#include "graph/dynamic_graph.h"
 #include "graph/generators.h"
 
 namespace receipt {
@@ -117,6 +121,60 @@ TEST(ButterflyCountTest, SharedButterfliesReference) {
   EXPECT_EQ(SharedButterflies(g, 0, 4), 1u);
   // u0 and u7 share nothing.
   EXPECT_EQ(SharedButterflies(g, 0, 7), 0u);
+}
+
+// -- U-only scope ------------------------------------------------------------
+
+/// Counts the live view of `g` in both scopes with the parallel kernel on
+/// `threads` threads and with the Seq variant, and checks that the U-only
+/// supports equal the both-sides kernel's U part and `brute`, that V
+/// entries stay 0, and that every variant traverses the same wedges.
+void ExpectUOnlyMatches(const BipartiteGraph& g,
+                        const std::vector<Count>& brute, int threads) {
+  const DynamicGraph live(g, g.DegreeDescendingRanks());
+  const VertexId n = g.num_vertices();
+  engine::WorkspacePool pool;
+  engine::PeelWorkspace ws;
+  std::vector<Count> both(n), u_only(n), seq_both(n), seq_u_only(n);
+  const uint64_t wedges =
+      engine::CountVertexButterflies(live, pool, threads, both);
+  EXPECT_EQ(engine::CountVertexButterflies(live, pool, threads, u_only,
+                                           engine::CountScope::kUOnly),
+            wedges);
+  EXPECT_EQ(engine::CountVertexButterfliesSeq(live, ws, seq_both), wedges);
+  EXPECT_EQ(engine::CountVertexButterfliesSeq(live, ws, seq_u_only,
+                                              engine::CountScope::kUOnly),
+            wedges);
+  for (VertexId w = 0; w < n; ++w) {
+    ASSERT_EQ(both[w], brute[w]) << "vertex " << w;
+    ASSERT_EQ(seq_both[w], brute[w]) << "vertex " << w;
+    const Count expected = g.IsU(w) ? brute[w] : 0;
+    ASSERT_EQ(u_only[w], expected) << "vertex " << w;
+    ASSERT_EQ(seq_u_only[w], expected) << "vertex " << w;
+  }
+}
+
+TEST(ButterflyCountTest, UOnlyScopeMatchesOnRandomGraphs) {
+  const std::vector<BipartiteGraph> graphs = {
+      ChungLuBipartite(60, 40, 450, 0.0, 0.0, 61),
+      ChungLuBipartite(80, 30, 500, 0.6, 0.9, 62),
+      ChungLuBipartite(30, 90, 500, 0.9, 0.2, 63)};
+  for (size_t i = 0; i < graphs.size(); ++i) {
+    const std::vector<Count> brute = BruteForceButterflyCount(graphs[i]);
+    for (const int threads : {1, 2, 4}) {
+      SCOPED_TRACE("graph " + std::to_string(i) + " threads " +
+                   std::to_string(threads));
+      ExpectUOnlyMatches(graphs[i], brute, threads);
+    }
+  }
+}
+
+TEST(ButterflyCountTest, UOnlyScopeMatchesOnAnalogues) {
+  for (const char* name : {"lj", "de"}) {
+    const BipartiteGraph g = MakePaperAnalogue(name);
+    SCOPED_TRACE(name);
+    ExpectUOnlyMatches(g, BruteForceButterflyCount(g), 4);
+  }
 }
 
 // -- parameterized kernel-vs-brute-force sweep -----------------------------

@@ -5,9 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "graph/generators.h"
 #include "tip/parb.h"
 #include "tip/receipt.h"
+#include "tip/receipt_cd.h"
+#include "tip/receipt_fd.h"
 #include "wing/receipt_wing.h"
 #include "wing/wing_decomposition.h"
 
@@ -35,6 +40,47 @@ TEST(DeterminismTest, ReceiptCountersInvariantAcrossThreads) {
     EXPECT_EQ(r.stats.num_subsets, reference.stats.num_subsets) << threads;
     EXPECT_EQ(r.range_bounds, reference.range_bounds) << threads;
     EXPECT_EQ(r.subset_of, reference.subset_of) << threads;
+  }
+}
+
+// The coarse round loop peels small rounds inline and forks large ones; the
+// choice depends on the active set only, so the coarse artifacts, the work
+// counters and the dispatch split itself are identical for every thread
+// count — on paper analogues big enough to take both paths.
+TEST(DeterminismTest, CoarseDispatchInvariantAcrossThreadsOnAnalogues) {
+  for (const char* name : {"or", "de"}) {
+    SCOPED_TRACE(name);
+    const BipartiteGraph g = MakePaperAnalogue(name);
+    TipOptions options;
+    options.num_partitions = 150;
+    options.num_threads = 1;
+    PeelStats reference_stats;  // CD only: FD adds its own re-counts
+    const CdResult reference = ReceiptCd(g, options, &reference_stats);
+    std::vector<Count> reference_tips(g.num_u(), 0);
+    PeelStats fd_stats;
+    ReceiptFd(g, reference, options, reference_tips, &fd_stats);
+    EXPECT_GT(reference_stats.cd_inline_rounds, 0u);
+    EXPECT_GT(reference_stats.sync_rounds, reference_stats.huc_recounts +
+                                               reference_stats.cd_inline_rounds)
+        << "no round forked";
+    for (const int threads : {2, 4}) {
+      SCOPED_TRACE("threads " + std::to_string(threads));
+      options.num_threads = threads;
+      PeelStats stats;
+      const CdResult cd = ReceiptCd(g, options, &stats);
+      std::vector<Count> tips(g.num_u(), 0);
+      ReceiptFd(g, cd, options, tips, &fd_stats);
+      EXPECT_EQ(cd.subsets, reference.subsets);
+      EXPECT_EQ(cd.subset_of, reference.subset_of);
+      EXPECT_EQ(cd.bounds, reference.bounds);
+      EXPECT_EQ(cd.init_support, reference.init_support);
+      EXPECT_EQ(cd.predicted_costs, reference.predicted_costs);
+      EXPECT_EQ(tips, reference_tips);
+      EXPECT_EQ(stats.sync_rounds, reference_stats.sync_rounds);
+      EXPECT_EQ(stats.wedges_cd, reference_stats.wedges_cd);
+      EXPECT_EQ(stats.huc_recounts, reference_stats.huc_recounts);
+      EXPECT_EQ(stats.cd_inline_rounds, reference_stats.cd_inline_rounds);
+    }
   }
 }
 

@@ -221,7 +221,7 @@ TEST(GraphMaintenanceTest, RecountDisabledWithoutHuc) {
   engine::GraphMaintenance maintenance(live, /*use_huc=*/false,
                                        /*use_dgm=*/false, g.num_edges());
   EXPECT_FALSE(maintenance.ShouldRecount(kInvalidCount - 1));
-  maintenance.OnPeelWedges(1u << 30, 1);
+  maintenance.OnPeelWedges(1u << 30);
   EXPECT_EQ(maintenance.compactions(), 0u);
 }
 
@@ -231,12 +231,12 @@ TEST(GraphMaintenanceTest, DgmCompactsWhenBudgetExceeded) {
   engine::GraphMaintenance maintenance(live, /*use_huc=*/true,
                                        /*use_dgm=*/true,
                                        /*wedge_budget=*/100);
-  maintenance.OnPeelWedges(100, 1);  // exactly the budget: no trigger
+  maintenance.OnPeelWedges(100);  // exactly the budget: no trigger
   EXPECT_EQ(maintenance.compactions(), 0u);
-  maintenance.OnPeelWedges(1, 1);  // crosses it
+  maintenance.OnPeelWedges(1);  // crosses it
   EXPECT_EQ(maintenance.compactions(), 1u);
   // Accumulator reset: the next wedge does not trigger again.
-  maintenance.OnPeelWedges(1, 1);
+  maintenance.OnPeelWedges(1);
   EXPECT_EQ(maintenance.compactions(), 1u);
 }
 

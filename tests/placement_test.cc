@@ -23,6 +23,8 @@
 #include "service/decomposition_service.h"
 #include "service/graph_registry.h"
 #include "tip/receipt.h"
+#include "tip/receipt_cd.h"
+#include "tip/receipt_fd.h"
 #include "util/parallel.h"
 
 namespace receipt {
@@ -315,15 +317,20 @@ TEST(PlacementDeterminismTest, ResultsInvariantAcrossPlacementKnobs) {
     }
   }
 
-  // Turning the workload-aware scheduler off entirely is also invariant.
-  TipOptions unscheduled;
-  unscheduled.num_threads = 4;
-  unscheduled.num_partitions = 8;
-  unscheduled.placement_nodes = 4;
-  unscheduled.workload_aware_scheduling = false;
-  const TipResult result = ReceiptDecompose(graph, unscheduled);
-  EXPECT_EQ(result.tip_numbers, reference.tip_numbers);
-  EXPECT_EQ(result.subsets, reference.subsets);
+  // FD handed a CD result without predicted costs places partitions by the
+  // induced wedge-count pass instead, and is invariant too.
+  TipOptions fallback;
+  fallback.num_threads = 4;
+  fallback.num_partitions = 8;
+  fallback.placement_nodes = 4;
+  PeelStats stats;
+  CdResult cd = ReceiptCd(graph, fallback, &stats);
+  EXPECT_EQ(cd.subsets, reference.subsets);
+  cd.predicted_costs.clear();
+  std::vector<Count> tips(graph.num_u(), 0);
+  ReceiptFd(graph, cd, fallback, tips, &stats);
+  EXPECT_EQ(tips, reference.tip_numbers);
+  EXPECT_GT(stats.makespan_predicted, 0u);
 }
 
 TEST(PlacementDeterminismTest, ForcedNodesPopulatePlacementStats) {

@@ -14,14 +14,15 @@
 namespace receipt {
 namespace {
 
-TipOptions Options(int partitions, int threads, bool huc = true,
-                   bool dgm = true, bool was = true) {
+TipOptions Options(
+    int partitions, int threads, bool huc = true, bool dgm = true,
+    engine::PlacementAssign assign = engine::PlacementAssign::kCostLpt) {
   TipOptions options;
   options.num_partitions = partitions;
   options.num_threads = threads;
   options.use_huc = huc;
   options.use_dgm = dgm;
-  options.workload_aware_scheduling = was;
+  options.fd_assignment = assign;
   return options;
 }
 
@@ -45,11 +46,13 @@ TEST(ReceiptFdTest, ExactTipNumbers) {
 TEST(ReceiptFdTest, SchedulingFlagDoesNotChangeResults) {
   const BipartiteGraph g = ChungLuBipartite(200, 120, 900, 0.7, 0.5, 113);
   PeelStats s1, s2;
-  const std::vector<Count> with_was = RunFd(g, Options(10, 3, true, true,
-                                                       true), &s1);
-  const std::vector<Count> without_was = RunFd(g, Options(10, 3, true, true,
-                                                          false), &s2);
-  EXPECT_EQ(with_was, without_was);
+  const std::vector<Count> lpt =
+      RunFd(g, Options(10, 3, true, true, engine::PlacementAssign::kCostLpt),
+            &s1);
+  const std::vector<Count> round_robin = RunFd(
+      g, Options(10, 3, true, true, engine::PlacementAssign::kRoundRobin),
+      &s2);
+  EXPECT_EQ(lpt, round_robin);
 }
 
 TEST(ReceiptFdTest, OptimizationFlagsDoNotChangeResults) {

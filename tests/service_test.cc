@@ -1,7 +1,7 @@
 // Tests for the decomposition service layer: registry epochs and handle
 // lifetimes, request execution correctness under concurrency, result
 // caching, coalescing, same-graph batching, cross-request workspace reuse,
-// cancellation, and shutdown semantics.
+// cancellation, shutdown semantics, and live-tracking baseline reuse.
 
 #include <gtest/gtest.h>
 
@@ -15,8 +15,10 @@
 #include "engine/peel_control.h"
 #include "graph/generators.h"
 #include "graph/graph_io.h"
+#include "obs/observability.h"
 #include "service/decomposition_service.h"
 #include "service/graph_registry.h"
+#include "service/live_graph.h"
 #include "service/result_cache.h"
 #include "tip/bup.h"
 #include "tip/receipt.h"
@@ -450,6 +452,41 @@ TEST(DecompositionServiceTest, NonDrainingShutdownCancelsQueuedWork) {
   const Response late = service.Execute(
       MakeRequest("g1", RequestKind::kTipU, Algorithm::kReceipt, 8));
   EXPECT_EQ(late.status, Status::kShutdown);
+}
+
+// A batch that names a tracked configuration builds its baseline only when
+// none is valid on the current epoch: the second batch and the batch after
+// a seal reuse it (the seal refreshed it); an explicit Track() rebuilds.
+TEST(LiveTrackingTest, TrackedBatchesReuseTheBaseline) {
+  GraphRegistry registry;
+  ResultCache cache(size_t{16} << 20);
+  obs::Observability obs;
+  LiveOptions options;
+  options.max_pending_edges = size_t{1} << 30;  // seal only when forced
+  LiveGraphManager live(registry, cache, options, obs);
+  registry.Register("g", ChungLuBipartite(400, 300, 2000, 0.6, 0.6, 7));
+  const std::vector<LiveConfig> track = {{RequestKind::kTipU, 10}};
+  const std::vector<BipartiteGraph::Edge> edges =
+      registry.Acquire("g").graph().ToEdges();
+
+  const auto apply = [&](size_t edge, bool seal) {
+    const std::vector<EdgeUpdate> batch = {
+        {false, edges[edge].u, edges[edge].v}};
+    const ApplyResult result = live.ApplyEdges("g", batch, seal, 2, track);
+    ASSERT_EQ(result.status, Status::kOk) << result.error;
+  };
+  apply(42, /*seal=*/false);
+  EXPECT_EQ(live.stats().baselines_built, 1u);
+  apply(43, /*seal=*/false);
+  EXPECT_EQ(live.stats().baselines_built, 1u);
+  apply(44, /*seal=*/true);
+  EXPECT_EQ(live.stats().baselines_built, 1u);
+  apply(45, /*seal=*/false);
+  EXPECT_EQ(live.stats().baselines_built, 1u);
+
+  std::string error;
+  ASSERT_EQ(live.Track("g", track[0], 2, &error), Status::kOk) << error;
+  EXPECT_EQ(live.stats().baselines_built, 2u);
 }
 
 TEST(PeelControlTest, PreCancelledRunsReturnImmediatelyIncomplete) {
