@@ -145,7 +145,6 @@ void AppendPeelStats(const PeelStats& stats, JsonRecord* record) {
   record->counters.emplace_back("peel_iterations", stats.peel_iterations);
   record->counters.emplace_back("huc_recounts", stats.huc_recounts);
   record->counters.emplace_back("dgm_compactions", stats.dgm_compactions);
-  record->counters.emplace_back("cd_inline_rounds", stats.cd_inline_rounds);
   record->counters.emplace_back("frontier_rounds", stats.frontier_rounds);
   record->counters.emplace_back("scan_rounds", stats.scan_rounds);
   record->counters.emplace_back("index_build_rounds",

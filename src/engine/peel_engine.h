@@ -167,17 +167,6 @@ class WingPeelGraph {
 // selection, per-range ⊲⊳init snapshot) is retained and bit-identical.
 // ===========================================================================
 
-/// Round dispatch cutoff, in predicted wedges (Σ static peel cost over the
-/// round's active set). A round below it peels inline on the calling
-/// thread; a larger one forks with per-entity scheduling. Measured over the
-/// twelve analogue tip targets at P=150 on 4 threads (4-vCPU VM): of the
-/// ~3.7k coarse rounds per sweep, 34% predict fewer than 2^12 wedges yet
-/// carry 1.5% of the predicted work, 65% predict fewer than 2^14 (7.7%);
-/// cutoffs from 0 to 2^13 gave the same CD time, and 2^14 and above were
-/// slower, because forked rounds of 2^13-2^17 wedges do get faster with
-/// threads.
-inline constexpr Count kInlineRoundCost = Count{1} << 12;
-
 /// Wall time above which a coarse round emits an "engine.cd.round" span
 /// (arg: the round's predicted wedges). Typical rounds take 10 us - 2 ms;
 /// a round past this threshold is an outlier worth attributing, and rare
@@ -316,11 +305,10 @@ class RangeDecomposer {
 
   /// Peels every entity, producing subsets with non-overlapping peel-number
   /// ranges. Contributes wedges_cd, sync_rounds, peel_iterations,
-  /// huc_recounts, cd_inline_rounds, frontier/scan round counters, the
-  /// SupportIndex counters (bound_walk_buckets, histogram_refines,
-  /// init_patch_elements, index_rebuild_elements) and num_subsets to
-  /// `*stats` (dgm_compactions are read off the GraphMaintenance by the
-  /// caller).
+  /// huc_recounts, frontier/scan round counters, the SupportIndex counters
+  /// (bound_walk_buckets, histogram_refines, init_patch_elements,
+  /// index_rebuild_elements) and num_subsets to `*stats` (dgm_compactions
+  /// are read off the GraphMaintenance by the caller).
   RangeResult<Id> Run(PeelStats* stats) {
     return RunImpl(nullptr, nullptr, stats);
   }
@@ -901,8 +889,7 @@ class RangeDecomposer {
 
       // Assign and claim the whole round first so no update flows
       // between two entities peeled together (Lemma 2 / priority rule).
-      // The same pass sums the round's predicted work, which picks both
-      // HUC vs peel and inline vs forked peeling.
+      // The same pass sums the round's predicted work for the HUC check.
       Count round_cost = 0;
       for (const Id e : active_) {
         result.subset_of[e] = subset_index;
@@ -944,32 +931,24 @@ class RangeDecomposer {
         epochs_->NextRound();
         const bool track_deltas = index_ != nullptr;
         const uint64_t wedges_before = pool_->TotalWedges();
-        const auto peel_one = [&](PeelWorkspace& ws, size_t i) {
-          ws.wedges_traversed += pg_->PeelOneAtomic(
-              active_[i], lo, ws, [&](Id x, Count new_support) {
-                const uint64_t xid = static_cast<uint64_t>(x);
-                if (track_deltas && index_->ClaimDelta(xid)) {
-                  ws.support_delta.push_back(xid);
-                }
-                if (new_support < hi && epochs_->Claim(xid)) {
-                  ws.frontier.push_back(xid);
-                }
-              });
-        };
-        // Small rounds (about a third of them) cost less than a fork/join,
-        // so they run on the calling thread; larger ones fork with a grain
-        // of one entity because per-entity wedge work is heavily skewed.
-        // The choice depends on the active set only, so it is identical
-        // for every thread count.
-        if (round_cost < kInlineRoundCost) {
-          ++stats->cd_inline_rounds;
-          PeelWorkspace& ws = pool_->Get(0);
-          for (size_t i = 0; i < active_.size(); ++i) peel_one(ws, i);
-        } else {
-          ParallelForWithContext(active_.size(), num_threads_,
-                                 pool_->workspaces(), peel_one,
-                                 /*chunk=*/1);
-        }
+        // A grain of one entity: most rounds hold only a few entities and
+        // per-entity wedge work is heavily skewed, so a coarser grain would
+        // leave all but one thread waiting at the barrier.
+        ParallelForWithContext(
+            active_.size(), num_threads_, pool_->workspaces(),
+            [&](PeelWorkspace& ws, size_t i) {
+              ws.wedges_traversed += pg_->PeelOneAtomic(
+                  active_[i], lo, ws, [&](Id x, Count new_support) {
+                    const uint64_t xid = static_cast<uint64_t>(x);
+                    if (track_deltas && index_->ClaimDelta(xid)) {
+                      ws.support_delta.push_back(xid);
+                    }
+                    if (new_support < hi && epochs_->Claim(xid)) {
+                      ws.frontier.push_back(xid);
+                    }
+                  });
+            },
+            /*chunk=*/1);
         const uint64_t round_wedges = pool_->TotalWedges() - wedges_before;
         stats->wedges_cd += round_wedges;
         // Dynamic Graph Maintenance (§4.2): compact adjacency once ≥ m

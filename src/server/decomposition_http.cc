@@ -668,7 +668,6 @@ HttpResponse DecompositionHttpFrontend::HandleStatz(const HttpRequest&) {
       .Key("runs_full").Uint(live.runs_full)
       .Key("ranges_reused").Uint(live.ranges_reused)
       .Key("ranges_repeeled").Uint(live.ranges_repeeled)
-      .Key("baselines_built").Uint(live.baselines_built)
       .EndObject();
   writer.Key("durability").BeginObject();
   writer.Key("enabled").Bool(service_->durable());

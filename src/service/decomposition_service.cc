@@ -146,8 +146,6 @@ void DecompositionService::RegisterInstruments() {
                               {{"kind", "scan"}});
   rounds_index_ = m.GetCounter("receipt_engine_rounds_total", rounds_help,
                                {{"kind", "index_build"}});
-  rounds_inline_ = m.GetCounter("receipt_engine_rounds_total", rounds_help,
-                                {{"kind", "cd_inline"}});
   huc_recounts_total_ =
       m.GetCounter("receipt_engine_huc_recounts_total",
                    "Hybrid Update Computation re-counts across runs.");
@@ -177,7 +175,6 @@ void DecompositionService::BridgePeelStats(const PeelStats& stats) {
   rounds_frontier_->Increment(stats.frontier_rounds);
   rounds_scan_->Increment(stats.scan_rounds);
   rounds_index_->Increment(stats.index_build_rounds);
-  rounds_inline_->Increment(stats.cd_inline_rounds);
   huc_recounts_total_->Increment(stats.huc_recounts);
   dgm_compactions_total_->Increment(stats.dgm_compactions);
   fd_local_pops_total_->Increment(stats.placement_local_pops);

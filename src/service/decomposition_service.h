@@ -424,7 +424,6 @@ class DecompositionService {
   obs::Counter* rounds_frontier_ = nullptr;
   obs::Counter* rounds_scan_ = nullptr;
   obs::Counter* rounds_index_ = nullptr;
-  obs::Counter* rounds_inline_ = nullptr;
   obs::Counter* huc_recounts_total_ = nullptr;
   obs::Counter* dgm_compactions_total_ = nullptr;
   obs::Counter* fd_local_pops_total_ = nullptr;

@@ -95,9 +95,6 @@ void LiveGraphManager::RegisterInstruments() {
                    {{"state", "repeeled"}});
   updates_total_ = m.GetCounter("receipt_live_updates_total",
                                 "Edge updates buffered into live graphs.");
-  baselines_total_ =
-      m.GetCounter("receipt_live_baselines_total",
-                   "Baseline decompositions run to start or refresh tracking.");
   pending_gauge_ =
       m.GetGauge("receipt_live_pending_edges",
                  "Edge updates currently buffered across live graphs.");
@@ -218,7 +215,6 @@ Status LiveGraphManager::TrackLocked(LiveGraphState& state,
     payload->numbers = b.numbers;
   }
   payload->stats = stats;
-  baselines_total_->Increment();
   {
     std::lock_guard<std::mutex> lock(mu_);
     ++stats_.baselines_built;

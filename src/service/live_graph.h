@@ -310,7 +310,6 @@ class LiveGraphManager {
   obs::Counter* ranges_reused_total_ = nullptr;
   obs::Counter* ranges_repeeled_total_ = nullptr;
   obs::Counter* updates_total_ = nullptr;
-  obs::Counter* baselines_total_ = nullptr;
   obs::Gauge* pending_gauge_ = nullptr;
   obs::Gauge* dirty_permille_ = nullptr;
   obs::Histogram* seal_seconds_ = nullptr;

@@ -96,7 +96,6 @@ void WritePeelStatsJson(const PeelStats& stats, util::JsonWriter* writer) {
       .Key("peel_iterations").Uint(stats.peel_iterations)
       .Key("huc_recounts").Uint(stats.huc_recounts)
       .Key("dgm_compactions").Uint(stats.dgm_compactions)
-      .Key("cd_inline_rounds").Uint(stats.cd_inline_rounds)
       .Key("frontier_rounds").Uint(stats.frontier_rounds)
       .Key("scan_rounds").Uint(stats.scan_rounds)
       .Key("index_build_rounds").Uint(stats.index_build_rounds)

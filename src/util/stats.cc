@@ -14,7 +14,6 @@ void PeelStats::Merge(const PeelStats& other) {
   peel_iterations += other.peel_iterations;
   huc_recounts += other.huc_recounts;
   dgm_compactions += other.dgm_compactions;
-  cd_inline_rounds += other.cd_inline_rounds;
   frontier_rounds += other.frontier_rounds;
   scan_rounds += other.scan_rounds;
   index_build_rounds += other.index_build_rounds;
@@ -57,7 +56,6 @@ std::string PeelStats::ToString() const {
      << " peel_iterations=" << peel_iterations << "\n"
      << "  huc_recounts=" << huc_recounts
      << " dgm_compactions=" << dgm_compactions
-     << " cd_inline_rounds=" << cd_inline_rounds
      << " num_subsets=" << num_subsets << "\n"
      << "  frontier_rounds=" << frontier_rounds
      << " scan_rounds=" << scan_rounds

@@ -36,12 +36,6 @@ struct PeelStats {
   // -- optimization activity ----------------------------------------------
   uint64_t huc_recounts = 0;      ///< # iterations where HUC chose re-count.
   uint64_t dgm_compactions = 0;   ///< # dynamic-graph compaction passes.
-  /// Coarse peel rounds (CD and RECEIPT-W coarse) whose predicted work was
-  /// below the engine's inline cutoff, so they peeled on the calling
-  /// thread without a fork/join. The choice depends on the active set
-  /// only, so this is identical across thread counts; the other peel
-  /// rounds (sync_rounds − huc_recounts − this) take the forked path.
-  uint64_t cd_inline_rounds = 0;
 
   // -- frontier scheduling: what ran ---------------------------------------
   // Per-direction build counts and elements examined. These report the

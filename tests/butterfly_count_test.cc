@@ -127,10 +127,11 @@ TEST(ButterflyCountTest, SharedButterfliesReference) {
 
 /// Counts the live view of `g` in both scopes with the parallel kernel on
 /// `threads` threads and with the Seq variant, and checks that the U-only
-/// supports equal the both-sides kernel's U part and `brute`, that V
-/// entries stay 0, and that every variant traverses the same wedges.
+/// supports equal the both-sides kernel's U part, that V entries stay 0,
+/// and that every variant traverses the same wedges. A non-null `brute`
+/// is the reference both-sides answer.
 void ExpectUOnlyMatches(const BipartiteGraph& g,
-                        const std::vector<Count>& brute, int threads) {
+                        const std::vector<Count>* brute, int threads) {
   const DynamicGraph live(g, g.DegreeDescendingRanks());
   const VertexId n = g.num_vertices();
   engine::WorkspacePool pool;
@@ -145,10 +146,10 @@ void ExpectUOnlyMatches(const BipartiteGraph& g,
   EXPECT_EQ(engine::CountVertexButterfliesSeq(live, ws, seq_u_only,
                                               engine::CountScope::kUOnly),
             wedges);
+  if (brute != nullptr) EXPECT_EQ(both, *brute);
+  EXPECT_EQ(seq_both, both);
   for (VertexId w = 0; w < n; ++w) {
-    ASSERT_EQ(both[w], brute[w]) << "vertex " << w;
-    ASSERT_EQ(seq_both[w], brute[w]) << "vertex " << w;
-    const Count expected = g.IsU(w) ? brute[w] : 0;
+    const Count expected = g.IsU(w) ? both[w] : 0;
     ASSERT_EQ(u_only[w], expected) << "vertex " << w;
     ASSERT_EQ(seq_u_only[w], expected) << "vertex " << w;
   }
@@ -164,16 +165,18 @@ TEST(ButterflyCountTest, UOnlyScopeMatchesOnRandomGraphs) {
     for (const int threads : {1, 2, 4}) {
       SCOPED_TRACE("graph " + std::to_string(i) + " threads " +
                    std::to_string(threads));
-      ExpectUOnlyMatches(graphs[i], brute, threads);
+      ExpectUOnlyMatches(graphs[i], &brute, threads);
     }
   }
 }
 
+// The analogues are too large for the brute-force reference; the random
+// sweeps above and below already tie the both-sides kernel to it.
 TEST(ButterflyCountTest, UOnlyScopeMatchesOnAnalogues) {
   for (const char* name : {"lj", "de"}) {
     const BipartiteGraph g = MakePaperAnalogue(name);
     SCOPED_TRACE(name);
-    ExpectUOnlyMatches(g, BruteForceButterflyCount(g), 4);
+    ExpectUOnlyMatches(g, nullptr, 4);
   }
 }
 

@@ -43,10 +43,10 @@ TEST(DeterminismTest, ReceiptCountersInvariantAcrossThreads) {
   }
 }
 
-// The coarse round loop peels small rounds inline and forks large ones; the
-// choice depends on the active set only, so the coarse artifacts, the work
-// counters and the dispatch split itself are identical for every thread
-// count — on paper analogues big enough to take both paths.
+// The coarse round loop forks every peel round with a grain of one entity,
+// so how the round's entities land on threads varies from run to run; the
+// coarse artifacts and the work counters must not — checked on paper
+// analogues whose rounds range from one vertex to thousands.
 TEST(DeterminismTest, CoarseDispatchInvariantAcrossThreadsOnAnalogues) {
   for (const char* name : {"or", "de"}) {
     SCOPED_TRACE(name);
@@ -59,10 +59,6 @@ TEST(DeterminismTest, CoarseDispatchInvariantAcrossThreadsOnAnalogues) {
     std::vector<Count> reference_tips(g.num_u(), 0);
     PeelStats fd_stats;
     ReceiptFd(g, reference, options, reference_tips, &fd_stats);
-    EXPECT_GT(reference_stats.cd_inline_rounds, 0u);
-    EXPECT_GT(reference_stats.sync_rounds, reference_stats.huc_recounts +
-                                               reference_stats.cd_inline_rounds)
-        << "no round forked";
     for (const int threads : {2, 4}) {
       SCOPED_TRACE("threads " + std::to_string(threads));
       options.num_threads = threads;
@@ -79,7 +75,6 @@ TEST(DeterminismTest, CoarseDispatchInvariantAcrossThreadsOnAnalogues) {
       EXPECT_EQ(stats.sync_rounds, reference_stats.sync_rounds);
       EXPECT_EQ(stats.wedges_cd, reference_stats.wedges_cd);
       EXPECT_EQ(stats.huc_recounts, reference_stats.huc_recounts);
-      EXPECT_EQ(stats.cd_inline_rounds, reference_stats.cd_inline_rounds);
     }
   }
 }
