@@ -174,10 +174,6 @@ void AppendPeelStats(const PeelStats& stats, JsonRecord* record) {
   record->counters.emplace_back("makespan_measured",
                                 stats.makespan_measured);
   record->counters.emplace_back("num_subsets", stats.num_subsets);
-  record->values.emplace_back("scan_cost_per_element",
-                              stats.scan_cost_per_element);
-  record->values.emplace_back("frontier_cost_per_element",
-                              stats.frontier_cost_per_element);
   record->values.emplace_back("seconds_counting", stats.seconds_counting);
   record->values.emplace_back("seconds_cd", stats.seconds_cd);
   record->values.emplace_back("seconds_fd", stats.seconds_fd);

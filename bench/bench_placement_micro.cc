@@ -50,10 +50,6 @@ TipOptions BaseOptions() {
   TipOptions options;
   options.num_threads = DefaultThreads();
   options.num_partitions = DefaultPartitions();
-  // Deterministic direction decisions, as in the other gated micro-benches:
-  // the counters are the gate, and the measured-cost default is
-  // timing-dependent.
-  options.frontier_switch = FrontierSwitch::kFixedDensity;
   return options;
 }
 

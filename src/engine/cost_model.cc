@@ -69,13 +69,4 @@ PlacementPlan AssignRoundRobin(std::span<const Count> costs,
   return plan;
 }
 
-Count CostMassBelow(std::span<const std::pair<Count, Count>> support_and_cost,
-                    Count hi) {
-  Count mass = 0;
-  for (const auto& [support, cost] : support_and_cost) {
-    if (support < hi) mass += cost;
-  }
-  return mass;
-}
-
 }  // namespace receipt::engine

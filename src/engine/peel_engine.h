@@ -7,7 +7,6 @@
 #include <utility>
 #include <vector>
 
-#include "engine/cost_model.h"
 #include "engine/counting.h"
 #include "engine/extraction.h"
 #include "engine/graph_maintenance.h"
@@ -22,7 +21,6 @@
 #include "obs/trace.h"
 #include "util/parallel.h"
 #include "util/stats.h"
-#include "util/timer.h"
 #include "util/types.h"
 #include "wing/edge_topology.h"
 
@@ -147,24 +145,26 @@ class WingPeelGraph {
 // (TipPeelGraph, with HUC + DGM through GraphMaintenance) and the RECEIPT-W
 // coarse step (WingPeelGraph, maintenance-free).
 //
-// Scheduling is frontier-driven (Julienne-style direction optimization):
-// peel kernels emit newly-in-range entities into per-thread workspace
-// frontier buffers, deduplicated through the pool's per-round epoch bitmap,
-// and the next active set is the order-preserving merge of those buffers —
-// unless the frontier is dense relative to the surviving population (or a
-// HUC re-count invalidated the tracking), in which case the engine falls
-// back to the full parallel scan. Both directions produce bit-identical
-// active sets: every entity alive and in range at the start of round r+1
-// must have received its below-`hi` update during round r (all of round r's
-// active set was peeled), so the claimed set equals the scan set, and
-// sorting the merge restores the scan's ascending-id order.
+// Per range the engine finds the bound, peels the range, then patches
+// ⊲⊳init. The per-range work is output-sensitive through the pool's
+// SupportIndex: range bounds come from a histogram prefix walk plus a
+// bounded one-bucket refine, ⊲⊳init is written once up front and then
+// patched at each boundary from the entities whose support actually
+// changed, and each range's first active set is collected from the
+// histogram's member lists.
 //
-// The per-range work is output-sensitive through the pool's SupportIndex
-// (default on): range bounds come from a histogram prefix walk plus a
-// bounded one-bucket refine, and ⊲⊳init is written once up front and then
-// patched at each boundary from the entities whose support actually changed
-// — the scan fallback (use_support_index = false: per-range alive filter +
-// selection, per-range ⊲⊳init snapshot) is retained and bit-identical.
+// Later active sets are frontier-driven (Julienne-style direction
+// optimization): peel kernels emit newly-in-range entities into per-thread
+// workspace frontier buffers, deduplicated through the pool's per-round
+// epoch bitmap, and the next active set is the order-preserving merge of
+// those buffers — unless the frontier holds at least kScanDensity of the
+// surviving population, in which case one full parallel scan is cheaper.
+// Both directions produce the same active set: every entity alive and in
+// range at the start of round r+1 must have received its below-`hi` update
+// during round r (all of round r's active set was peeled), so the claimed
+// set equals the scan set, and sorting the merge restores the scan's
+// ascending-id order. The rule depends only on set sizes, so the direction
+// counters are deterministic across runs and thread counts.
 // ===========================================================================
 
 /// Wall time above which a coarse round emits an "engine.cd.round" span
@@ -179,8 +179,8 @@ inline constexpr uint64_t kSlowRoundSpanNs = 10'000'000;
 /// the i+1 boundary. An incremental re-run replays these entries to advance
 /// its shadow of the recorded run's support trajectory without re-traversing
 /// any wedges. `valid` drops to false when the recording run cannot vouch
-/// for completeness: the scan fallback (no delta tracking at all) or a HUC
-/// re-count (which rewrites every alive support behind the tracking).
+/// for completeness: a HUC re-count rewrites every alive support behind the
+/// delta tracking.
 struct CoarsePatchLog {
   std::vector<std::vector<std::pair<uint64_t, Count>>> ranges;
   bool valid = true;
@@ -236,26 +236,13 @@ struct IncrementalOutcome {
   std::vector<uint8_t> subset_dirty;
 };
 
-/// Knobs of the coarse decomposition engine, bundled so drivers forward
-/// their option structs in one hop. Every combination is bit-identical —
-/// the knobs trade rebuild and bound-determination cost, never results.
+/// Settings of the coarse decomposition engine, bundled so drivers forward
+/// their option structs in one hop.
 struct CoarseOptions {
   /// P: subsets with caller-chosen bounds; one unbounded subset absorbs
   /// the rest once exhausted (§3.1.1).
   uint32_t max_partitions = 1;
   int num_threads = 1;
-  /// Direction rule under kFixedDensity (see kDefaultFrontierDensity):
-  /// ≤ 0 forces full scans, > 1 forces frontier merges.
-  double frontier_density_threshold = kDefaultFrontierDensity;
-  /// Fixed-fraction vs measured-cost direction switching. Measured cost is
-  /// the default: the run adapts to the machine's actual rebuild costs and
-  /// falls back to the density rule until both directions are sampled.
-  /// Pin kFixedDensity to force directions via the threshold (the
-  /// direction-forcing suites and micro-benches do).
-  FrontierSwitch frontier_switch = FrontierSwitch::kMeasuredCost;
-  /// Histogram-indexed range bounds + delta-patched ⊲⊳init (default) vs
-  /// the legacy per-range O(n) scan path.
-  bool use_support_index = true;
   /// Span sink (null by default): the decomposer emits one
   /// "engine.cd.range" span per produced subset and one "engine.cd.round"
   /// span per round slower than kSlowRoundSpanNs.
@@ -263,17 +250,14 @@ struct CoarseOptions {
 };
 
 /// Builds CoarseOptions from any driver option struct exposing the shared
-/// coarse knobs (TipOptions, ReceiptWingOptions) — the single copy site, so
-/// a new knob added here cannot be silently dropped by one driver.
+/// coarse settings (TipOptions, ReceiptWingOptions) — the single copy site,
+/// so a new setting added here cannot be silently dropped by one driver.
 template <typename DriverOptions>
 CoarseOptions MakeCoarseOptions(const DriverOptions& options,
                                 uint32_t max_partitions) {
   CoarseOptions coarse;
   coarse.max_partitions = max_partitions;
   coarse.num_threads = options.num_threads;
-  coarse.frontier_density_threshold = options.frontier_density_threshold;
-  coarse.frontier_switch = options.frontier_switch;
-  coarse.use_support_index = options.use_support_index;
   coarse.trace = options.trace;
   return coarse;
 }
@@ -300,6 +284,7 @@ class RangeDecomposer {
         max_partitions_(std::max(1u, options.max_partitions)),
         num_threads_(options.num_threads),
         pool_(&pool),
+        index_(&pool.support_index()),
         maintenance_(maintenance),
         control_(control) {}
 
@@ -328,8 +313,8 @@ class RangeDecomposer {
   /// range, so that value is the in-range minimum). Replay then kills the
   /// sealed members, advances survivors to their recorded boundary values
   /// shifted by their current divergence, and copies the sealed peel order
-  /// verbatim — no wedge is traversed. Requires use_support_index; with an
-  /// unusable baseline this degenerates to Run() (outcome reports it).
+  /// verbatim — no wedge is traversed. With an unusable baseline this
+  /// degenerates to Run() (outcome reports it).
   RangeResult<Id> RunIncremental(const IncrementalSeed<Id>& seed,
                                  IncrementalOutcome* outcome,
                                  PeelStats* stats) {
@@ -339,8 +324,8 @@ class RangeDecomposer {
   /// Optional boundary-patch recorder: when set, the run records each
   /// range's surviving support changes into `log` (Reset() up front) so
   /// the *next* incremental run can replay this run's trajectory. The log
-  /// is marked invalid when completeness cannot be guaranteed (scan
-  /// fallback, HUC re-count). `log` must outlive the run.
+  /// is marked invalid when completeness cannot be guaranteed (a HUC
+  /// re-count). `log` must outlive the run.
   void set_patch_log(CoarsePatchLog* log) { record_log_ = log; }
 
  private:
@@ -360,18 +345,14 @@ class RangeDecomposer {
     epochs_ = &pool_->frontier_epochs();
     epochs_->Reset(n);
 
-    index_ = opts_.use_support_index ? &pool_->support_index() : nullptr;
     full_patch_needed_ = false;
-    if (record_log_ != nullptr) {
-      record_log_->Reset();
-      if (index_ == nullptr) record_log_->valid = false;
-    }
+    if (record_log_ != nullptr) record_log_->Reset();
 
-    // An incremental baseline is usable only when the indexed path is on,
-    // the sealed run's patch log is complete, and the baseline spans line
-    // up with the current entity space; otherwise this is a plain full run
-    // (which, with a recorder set, seeds the next seal instead).
-    incremental_ = seed != nullptr && index_ != nullptr &&
+    // An incremental baseline is usable only when the sealed run's patch
+    // log is complete and the baseline spans line up with the current
+    // entity space; otherwise this is a plain full run (which, with a
+    // recorder set, seeds the next seal instead).
+    incremental_ = seed != nullptr &&
                    seed->sealed != nullptr && seed->log != nullptr &&
                    seed->log->valid && !seed->sealed->subsets.empty() &&
                    seed->old_support.size() == n &&
@@ -402,17 +383,15 @@ class RangeDecomposer {
       *outcome = IncrementalOutcome{};
       outcome->fell_back_full = !incremental_;
     }
-    if (index_ != nullptr) {
-      // ⊲⊳init is written exactly once up front (every entity is alive
-      // before the first range) and patched at later boundaries from the
-      // delta tracking — no per-range O(n) snapshot.
-      ParallelFor(n, num_threads_, [&](size_t e) {
-        if (pg_->IsAlive(static_cast<Id>(e))) {
-          result.init_support[e] = pg_->Support(static_cast<Id>(e));
-        }
-      });
-      RebuildIndex(n, stats);
-    }
+    // ⊲⊳init is written exactly once up front (every entity is alive
+    // before the first range) and patched at later boundaries from the
+    // delta tracking — no per-range O(n) snapshot.
+    ParallelFor(n, num_threads_, [&](size_t e) {
+      if (pg_->IsAlive(static_cast<Id>(e))) {
+        result.init_support[e] = pg_->Support(static_cast<Id>(e));
+      }
+    });
+    RebuildIndex(n, stats);
 
     const Count total_static = ParallelReduceSum<Count>(
         n, num_threads_, [&](size_t e) { return static_cost_[e]; },
@@ -421,8 +400,8 @@ class RangeDecomposer {
     double target = remaining_cost / max_partitions_;  // Alg. 3 line 4
     // Exact-integer twin of remaining_cost, kept so the final unbounded
     // subset's predicted cost (= all remaining mass) is bit-identical
-    // across paths and thread counts (the double track feeds the adaptive
-    // target only).
+    // across thread counts (the double track feeds the adaptive target
+    // only).
     Count remaining_static = total_static;
 
     uint64_t alive_count = n;
@@ -440,25 +419,17 @@ class RangeDecomposer {
 
       // Bring ⊲⊳init up to the state "after all lower subsets were fully
       // peeled" (Alg. 3 lines 6-7): a delta patch over the entities whose
-      // support changed during the previous range (indexed path) or the
-      // legacy full snapshot (scan fallback / post-re-count).
-      if (index_ != nullptr) {
-        PatchBoundary(n, result, stats);
-        index_->OpenRangeEpoch();
-      } else {
-        ParallelFor(n, num_threads_, [&](size_t e) {
-          if (pg_->IsAlive(static_cast<Id>(e))) {
-            result.init_support[e] = pg_->Support(static_cast<Id>(e));
-          }
-        });
-      }
+      // support changed during the previous range (a full snapshot after a
+      // HUC re-count).
+      PatchBoundary(n, result, stats);
+      index_->OpenRangeEpoch();
 
       // Upper bound of this range (Alg. 3 line 8). Once the user-specified
       // P is exhausted, the final subset takes everything left (§3.1.1).
       Count hi = kInvalidCount;
       // Cost-model prediction for this range (see RangeResult docs): an
-      // exact integer both bound paths derive from the same multiset. The
-      // final unbounded subset's prediction is everything left.
+      // exact integer read off the histogram walk. The final unbounded
+      // subset's prediction is everything left.
       Count predicted = remaining_static;
       result.subsets.emplace_back();
 
@@ -494,30 +465,15 @@ class RangeDecomposer {
       }
 
       if (!replayed) {
-        // Indexed: a histogram prefix walk plus a one-bucket refine, cost
-        // proportional to buckets walked, not n. Fallback: one parallel
-        // alive filter + partial selection per subset. Skipped while the
-        // sealed bound stands in (replay and tracked re-peels), which is
-        // itself part of the incremental savings.
+        // A histogram prefix walk plus a one-bucket refine, cost
+        // proportional to buckets walked, not n. Skipped while the sealed
+        // bound stands in (replay and tracked re-peels), which is itself
+        // part of the incremental savings.
         if (!bound_from_sealed && subset_index < max_partitions_) {
-          const double clamped = std::max(1.0, target);
-          if (index_ != nullptr) {
-            hi = index_->FindBound(
-                RangeCostNeed(clamped),
-                [&](uint64_t e) { return pg_->Support(static_cast<Id>(e)); },
-                stats, &predicted);
-          } else {
-            ParallelFilterInto(
-                n, num_threads_, range_scratch_,
-                [&](size_t e) { return pg_->IsAlive(static_cast<Id>(e)); },
-                [&](size_t e) {
-                  return std::pair<Count, Count>(
-                      pg_->Support(static_cast<Id>(e)), static_cost_[e]);
-                },
-                &filter_offsets_);
-            hi = FindRangeBound(range_scratch_, clamped);
-            predicted = CostMassBelow(range_scratch_, hi);
-          }
+          hi = index_->FindBound(
+              RangeCostNeed(std::max(1.0, target)),
+              [&](uint64_t e) { return pg_->Support(static_cast<Id>(e)); },
+              stats, &predicted);
         }
         alive_count =
             PeelRange(subset_index, result.bounds.back(), hi, alive_count, n,
@@ -526,7 +482,7 @@ class RangeDecomposer {
           ++stats->incremental_ranges_repeeled;
           if (outcome != nullptr) ++outcome->ranges_repeeled;
           if (!desynced_) {
-            AdvanceShadowAfterRepeel(*seed, subset_index, result);
+            AdvanceShadowAfterRepeel(*seed, subset_index);
             if (++repeeled_ranges > dirty_budget) {
               // Past the dirty-fraction limit: stop paying for clean
               // checks and finish as a full recompute (same results).
@@ -566,10 +522,6 @@ class RangeDecomposer {
     }
 
     stats->num_subsets = result.subsets.size();
-    stats->scan_cost_per_element =
-        std::max(stats->scan_cost_per_element, scan_cost_ewma_);
-    stats->frontier_cost_per_element =
-        std::max(stats->frontier_cost_per_element, frontier_cost_ewma_);
     return result;
   }
 
@@ -624,8 +576,8 @@ class RangeDecomposer {
     for (const uint64_t x : index_->changed()) {
       ++stats->init_patch_elements;
       // Entities peeled during the previous range keep the ⊲⊳init of their
-      // own subset's start — exactly the legacy snapshot semantics, since
-      // the snapshot also never rewrote dead entities.
+      // own subset's start: a boundary snapshot never rewrites dead
+      // entities either.
       if (!index_->Contains(x)) continue;
       const Count s = pg_->Support(static_cast<Id>(x));
       result.init_support[x] = s;
@@ -741,9 +693,8 @@ class RangeDecomposer {
   /// exactly the ranges its support would join. Desync is only forced when
   /// the survivor trajectory itself is unrecorded (no patch-log entry) or
   /// the run has outgrown the sealed baseline.
-  void AdvanceShadowAfterRepeel(const IncrementalSeed<Id>& seed, uint32_t i,
-                                const RangeResult<Id>& result) {
-    (void)result;
+  void AdvanceShadowAfterRepeel(const IncrementalSeed<Id>& seed,
+                                uint32_t i) {
     for (const uint64_t x : index_->changed()) MarkDivergent(x);
     if (i >= seed.sealed->subsets.size()) {
       desynced_ = true;
@@ -777,57 +728,30 @@ class RangeDecomposer {
     }
   }
 
+  /// Frontier density (merged frontier / alive entities) at and above which
+  /// the next active set is rebuilt by one contiguous parallel scan instead
+  /// of sorting the frontier: dense rounds, where the scan beats
+  /// sparse-list handling.
+  static constexpr double kScanDensity = 0.2;
+
   /// True when the next active set should be rebuilt by a full scan instead
-  /// of a frontier merge. The fixed-density rule is deterministic across
-  /// thread counts (the frontier size is a set property, not a schedule
-  /// property); the measured-cost rule compares EWMA per-element rebuild
-  /// costs and is timing-dependent — either way the rebuilt set is
-  /// bit-identical, only its cost changes.
-  bool UseScan(uint64_t frontier_size, uint64_t alive, uint64_t n) {
-    if (opts_.frontier_switch == FrontierSwitch::kMeasuredCost &&
-        scan_cost_ewma_ > 0.0 && frontier_cost_ewma_ > 0.0) {
-      bool scan = static_cast<double>(n) * scan_cost_ewma_ <
-                  static_cast<double>(frontier_size) * frontier_cost_ewma_;
-      // Samples only come from the direction that runs, so a single bad
-      // sample (e.g. fixed merge overhead on a tiny first frontier) could
-      // lock the switch into one side forever. Probe the losing direction
-      // after a long winning streak to keep its EWMA current; the probe is
-      // still a correct rebuild, just a potentially slower one.
-      constexpr int kProbeStreak = 16;
-      if (scan == measured_last_scan_) {
-        if (++measured_streak_ >= kProbeStreak) {
-          scan = !scan;
-          measured_streak_ = 0;
-        }
-      } else {
-        measured_streak_ = 0;
-      }
-      measured_last_scan_ = scan;
-      return scan;
-    }
-    if (opts_.frontier_density_threshold <= 0.0) return true;
+  /// of a frontier merge. A set property, not a schedule property, so the
+  /// direction taken is the same across runs and thread counts.
+  static bool UseScan(uint64_t frontier_size, uint64_t alive) {
     return static_cast<double>(frontier_size) >=
-           opts_.frontier_density_threshold * static_cast<double>(alive);
+           kScanDensity * static_cast<double>(alive);
   }
 
-  /// The one EWMA update both direction gauges share (the kMeasuredCost
-  /// decision compares these, so their weighting must never drift apart).
-  static void UpdateEwma(double* ewma, double seconds, uint64_t elements) {
-    if (elements == 0) return;
-    const double sample = seconds / static_cast<double>(elements);
-    *ewma = *ewma == 0.0 ? sample : 0.75 * *ewma + 0.25 * sample;
-  }
-
-  /// One timed full-scan active-set rebuild with its direction accounting —
-  /// the scan fallback's build-everywhere path and the indexed path's
-  /// dense-frontier fallback.
-  template <typename InRange, typename AsId>
-  void RebuildByScan(uint64_t n, InRange&& in_range, AsId&& as_id,
-                     PeelStats* stats) {
-    const WallTimer scan_timer;
-    ParallelFilterInto(n, num_threads_, active_, in_range, as_id,
-                       &filter_offsets_);
-    UpdateEwma(&scan_cost_ewma_, scan_timer.Seconds(), n);
+  /// Full-scan active-set rebuild for dense frontiers: the order-preserving
+  /// parallel filter over all n entities for the alive ones below `hi`.
+  void RebuildByScan(uint64_t n, Count hi, PeelStats* stats) {
+    ParallelFilterInto(
+        n, num_threads_, active_,
+        [&](size_t e) {
+          return pg_->IsAlive(static_cast<Id>(e)) &&
+                 pg_->Support(static_cast<Id>(e)) < hi;
+        },
+        [](size_t e) { return static_cast<Id>(e); }, &filter_offsets_);
     ++stats->scan_rounds;
     stats->scan_build_elements += n;
     stats->active_scan_elements += n;
@@ -835,12 +759,11 @@ class RangeDecomposer {
 
   /// Index-built full rebuild: collects the in-range entities from the
   /// histogram's member lists — cost proportional to the range population,
-  /// not n — then sorts by id to restore the ascending order the scan
-  /// produces (member-list order is schedule-dependent; the sorted set is
-  /// bit-identical to RebuildByScan's). Only called while bucket
-  /// membership is reconciled: the initial build of each range (right
-  /// after the boundary patch) and the post-re-count rebuild (right after
-  /// RebuildIndex).
+  /// not n — then sorts by id to restore ascending order (member-list
+  /// order is schedule-dependent; the sorted set is the one a scan would
+  /// produce). Only called while bucket membership is reconciled: the
+  /// initial build of each range (right after the boundary patch) and the
+  /// post-re-count rebuild (right after RebuildIndex).
   void RebuildByIndex(Count hi, PeelStats* stats) {
     active_.clear();
     index_->ForEachAliveBelow(
@@ -850,17 +773,6 @@ class RangeDecomposer {
     ++stats->index_build_rounds;
   }
 
-  /// Full rebuild dispatch for the two reconciled call sites above.
-  template <typename InRange, typename AsId>
-  void RebuildFull(uint64_t n, Count hi, InRange&& in_range, AsId&& as_id,
-                   PeelStats* stats) {
-    if (index_ != nullptr) {
-      RebuildByIndex(hi, stats);
-    } else {
-      RebuildByScan(n, in_range, as_id, stats);
-    }
-  }
-
   /// Peels every alive entity with support in [lo, hi) — the round loop of
   /// Alg. 3 lines 9-14 for one range — appending them in peel order to
   /// `result.subsets.back()`. Returns the updated alive count.
@@ -868,18 +780,13 @@ class RangeDecomposer {
                      uint64_t alive_count, uint64_t n, RangeResult<Id>& result,
                      PeelStats* stats) {
     std::vector<Id>& subset = result.subsets.back();
-    const auto in_range = [&](size_t e) {
-      return pg_->IsAlive(static_cast<Id>(e)) &&
-             pg_->Support(static_cast<Id>(e)) < hi;
-    };
-    const auto as_id = [](size_t e) { return static_cast<Id>(e); };
 
     // First active set of the range: necessarily a full rebuild (Alg. 3
     // line 9) — entities whose support already lay inside the new, wider
-    // range were never updated, so no frontier knows them. On the indexed
-    // path the histogram was just reconciled at the boundary, so the set
-    // comes from its member lists instead of an O(n) scan.
-    RebuildFull(n, hi, in_range, as_id, stats);
+    // range were never updated, so no frontier knows them. The histogram
+    // was just reconciled at the boundary, so the set comes from its
+    // member lists instead of an O(n) scan.
+    RebuildByIndex(hi, stats);
 
     while (!active_.empty()) {
       ++stats->sync_rounds;
@@ -895,14 +802,11 @@ class RangeDecomposer {
         result.subset_of[e] = subset_index;
         pg_->BeginPeel(e);
         round_cost += static_cost_[e];
-        if (index_ != nullptr) {
-          index_->Remove(static_cast<uint64_t>(e), static_cost_[e]);
-        }
+        index_->Remove(static_cast<uint64_t>(e), static_cost_[e]);
       }
       alive_count -= active_.size();
       subset.insert(subset.end(), active_.begin(), active_.end());
 
-      bool need_full_scan = false;
       bool recounted = false;
       if constexpr (PeelGraph::kSupportsRecount) {
         if (maintenance_ != nullptr && alive_count > 0 &&
@@ -914,22 +818,18 @@ class RangeDecomposer {
           stats->wedges_cd +=
               pg_->RecountSupports(lo, *pool_, num_threads_, pool_->Get(0));
           maintenance_->EndRecount();
-          need_full_scan = true;  // re-count invalidated the tracking
           recounted = true;
-          if (index_ != nullptr) {
-            // The re-count rewrote every alive support behind the delta
-            // tracking's back: rebuild the histogram now (later rounds
-            // still Remove() against it) and fall back to one full
-            // ⊲⊳init snapshot at the next boundary.
-            RebuildIndex(n, stats);
-            full_patch_needed_ = true;
-          }
+          // The re-count rewrote every alive support behind the delta
+          // tracking's back: rebuild the histogram now (later rounds still
+          // Remove() against it) and fall back to one full ⊲⊳init
+          // snapshot at the next boundary.
+          RebuildIndex(n, stats);
+          full_patch_needed_ = true;
         }
       }
 
       if (!recounted) {
         epochs_->NextRound();
-        const bool track_deltas = index_ != nullptr;
         const uint64_t wedges_before = pool_->TotalWedges();
         // A grain of one entity: most rounds hold only a few entities and
         // per-entity wedge work is heavily skewed, so a coarser grain would
@@ -940,7 +840,7 @@ class RangeDecomposer {
               ws.wedges_traversed += pg_->PeelOneAtomic(
                   active_[i], lo, ws, [&](Id x, Count new_support) {
                     const uint64_t xid = static_cast<uint64_t>(x);
-                    if (track_deltas && index_->ClaimDelta(xid)) {
+                    if (index_->ClaimDelta(xid)) {
                       ws.support_delta.push_back(xid);
                     }
                     if (new_support < hi && epochs_->Claim(xid)) {
@@ -964,10 +864,8 @@ class RangeDecomposer {
             merged_frontier_.push_back(static_cast<Id>(x));
           }
           ws.frontier.clear();
-          if (index_ != nullptr) {
-            index_->AppendChanged(ws.support_delta);
-            ws.support_delta.clear();
-          }
+          index_->AppendChanged(ws.support_delta);
+          ws.support_delta.clear();
         }
       }
 
@@ -978,24 +876,23 @@ class RangeDecomposer {
       }
 
       // Next active set (Alg. 3 line 14): merge the frontier when it is
-      // sparse; re-scan when it is dense or a re-count invalidated the
-      // tracking. Identical output either way (see class comment).
-      if (need_full_scan) {
-        // A re-count just rebuilt the index, so its membership is exact —
-        // the indexed path rebuilds from member lists here too.
-        RebuildFull(n, hi, in_range, as_id, stats);
+      // sparse; re-scan when it is dense. Identical output either way (see
+      // class comment).
+      if (recounted) {
+        // A re-count invalidated the frontier tracking but just rebuilt
+        // the index, so its membership is exact: rebuild from member lists.
+        RebuildByIndex(hi, stats);
       } else if (merged_frontier_.empty()) {
         // No entity dropped into range this round, so the range is
         // exhausted (the claimed set equals the scan set) — a terminal
         // check, not a rebuild; counts toward neither direction.
         active_.clear();
-      } else if (UseScan(merged_frontier_.size(), alive_count, n)) {
-        RebuildByScan(n, in_range, as_id, stats);
+      } else if (UseScan(merged_frontier_.size(), alive_count)) {
+        RebuildByScan(n, hi, stats);
       } else {
         // Order-preserving merge: per-thread buffers arrive in arbitrary
         // interleavings, so sort by id to restore the scan order (this
         // also makes subset member order independent of thread count).
-        const WallTimer merge_timer;
         std::sort(merged_frontier_.begin(), merged_frontier_.end());
         stats->frontier_build_elements += merged_frontier_.size();
         stats->active_scan_elements += merged_frontier_.size();
@@ -1004,8 +901,6 @@ class RangeDecomposer {
         for (const Id e : merged_frontier_) {
           if (pg_->IsAlive(e) && pg_->Support(e) < hi) active_.push_back(e);
         }
-        UpdateEwma(&frontier_cost_ewma_, merge_timer.Seconds(),
-                   merged_frontier_.size());
       }
       if (opts_.trace.enabled()) {
         const uint64_t round_ns = obs::TraceRecorder::NowNs() - round_start_ns;
@@ -1024,10 +919,10 @@ class RangeDecomposer {
   uint32_t max_partitions_;
   int num_threads_;
   WorkspacePool* pool_;
+  SupportIndex* index_;
   GraphMaintenance* maintenance_;
   PeelControl* control_;
   FrontierEpochs* epochs_ = nullptr;
-  SupportIndex* index_ = nullptr;
   bool full_patch_needed_ = false;
   // Incremental-pass state (see RunIncremental): the recorder for the next
   // seal, the sealed trajectory shadow, and the divergence candidate set.
@@ -1037,13 +932,8 @@ class RangeDecomposer {
   std::vector<Count> shadow_;
   std::vector<uint8_t> divergent_bit_;
   std::vector<uint64_t> divergent_list_;
-  double scan_cost_ewma_ = 0.0;
-  double frontier_cost_ewma_ = 0.0;
-  int measured_streak_ = 0;        // consecutive same-direction picks
-  bool measured_last_scan_ = false;
 
   // Round-loop scratch, reused across ranges within one Run().
-  std::vector<std::pair<Count, Count>> range_scratch_;
   std::vector<size_t> filter_offsets_;  // ParallelFilterInto scratch
   std::vector<Count> reduce_scratch_;   // ParallelReduceSum scratch
   std::vector<Id> active_;

@@ -136,8 +136,8 @@ uint64_t PeelEdgeButterflies(const BipartiteGraph& graph,
 ///
 /// Cumulates in exact integer arithmetic (the crossing only depends on the
 /// cost multiset per support value, so the result is permutation- and
-/// schedule-independent — the property the SupportIndex histogram path
-/// relies on to stay bit-identical with this one). Implemented by
+/// schedule-independent — the property the SupportIndex histogram walk
+/// relies on to agree with this vector form). Implemented by
 /// quickselect-style partial selection rather than a full sort: when the
 /// target lands early in the support order — the common case, since range
 /// targets are a 1/P' fraction of the remaining mass — only the low
@@ -147,18 +147,17 @@ Count FindRangeBound(std::vector<std::pair<Count, Count>>& support_and_cost,
 
 /// Integer-target core of FindRangeBound: the smallest support s whose
 /// cumulative cost reaches `need` (an exact Count), as the exclusive bound
-/// s+1. Shared by the legacy vector path (after ceil-converting its double
-/// target) and the SupportIndex in-bucket refine, so both resolve crossings
-/// with identical arithmetic. Partitions `support_and_cost` in place.
+/// s+1. Shared by the vector form (after ceil-converting its double target)
+/// and the SupportIndex in-bucket refine, so both resolve crossings with
+/// identical arithmetic. Partitions `support_and_cost` in place.
 Count FindRangeBoundNeed(std::vector<std::pair<Count, Count>>& support_and_cost,
                          Count need);
 
-/// The one double-target → integer-need conversion both bound paths share:
-/// cumulative cost is an exact Count, so crossing the double target is
-/// equivalent to reaching its ceiling (clamped to ≥ 1, and capped below
-/// 2^64 for pathological inputs). Keeping this a single definition is part
-/// of the indexed/scan bit-identicality contract — FindRangeBound applies
-/// it internally and RangeDecomposer applies it before the histogram walk.
+/// The one double-target → integer-need conversion: cumulative cost is an
+/// exact Count, so crossing the double target is equivalent to reaching
+/// its ceiling (clamped to ≥ 1, and capped below 2^64 for pathological
+/// inputs). FindRangeBound applies it internally and RangeDecomposer
+/// applies it before the histogram walk, so both pick the same bound.
 Count RangeCostNeed(double target);
 
 }  // namespace receipt::engine

@@ -113,8 +113,6 @@ void WritePeelStatsJson(const PeelStats& stats, util::JsonWriter* writer) {
       .Key("makespan_predicted").Uint(stats.makespan_predicted)
       .Key("makespan_measured").Uint(stats.makespan_measured)
       .Key("num_subsets").Uint(stats.num_subsets)
-      .Key("scan_cost_per_element").Double(stats.scan_cost_per_element)
-      .Key("frontier_cost_per_element").Double(stats.frontier_cost_per_element)
       .Key("seconds_counting").Double(stats.seconds_counting)
       .Key("seconds_cd").Double(stats.seconds_cd)
       .Key("seconds_fd").Double(stats.seconds_fd)

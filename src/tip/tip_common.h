@@ -64,28 +64,6 @@ struct TipOptions {
   /// implementation ablation; see bench_ablation_extraction).
   MinExtraction min_extraction = MinExtraction::kDAryHeap;
 
-  /// RECEIPT CD only: the frontier-density threshold of the engine's
-  /// direction optimization. While a round's frontier holds fewer than this
-  /// fraction of the remaining alive vertices, the next active set is the
-  /// merged workspace frontiers; otherwise a full parallel scan. ≤ 0 forces
-  /// scan-only rebuilds (the pre-frontier behavior), > 1 forces
-  /// frontier-only rebuilds; results are bit-identical either way.
-  double frontier_density_threshold = kDefaultFrontierDensity;
-
-  /// RECEIPT CD only: how the rebuild direction is picked each round —
-  /// the measured per-element rebuild costs (default: adaptive,
-  /// timing-dependent counters) or the fixed density fraction above
-  /// (deterministic counters; the direction-forcing tests and benches pin
-  /// it). Results are bit-identical under either rule.
-  FrontierSwitch frontier_switch = FrontierSwitch::kMeasuredCost;
-
-  /// RECEIPT CD only: maintain the coarse step's SupportIndex (a
-  /// frontier-fed, cost-weighted support histogram) so range bounds come
-  /// from a histogram prefix walk and ⊲⊳init snapshots become boundary
-  /// patches — per-range cost tracks what changed, not graph size. `false`
-  /// retains the legacy per-range O(n) scan path; both are bit-identical.
-  bool use_support_index = true;
-
   /// Caller-owned per-thread scratch. When set, the decomposition runs on
   /// these workspaces instead of allocating its own pool — the service layer
   /// passes each worker's pool here so scratch reuse spans *requests*, not

@@ -28,11 +28,6 @@ void PeelStats::Merge(const PeelStats& other) {
   incremental_replay_elements += other.incremental_replay_elements;
   incremental_ranges_reused += other.incremental_ranges_reused;
   incremental_ranges_repeeled += other.incremental_ranges_repeeled;
-  // Cost gauges, not counters: keep the larger observation when folding.
-  scan_cost_per_element = std::max(scan_cost_per_element,
-                                   other.scan_cost_per_element);
-  frontier_cost_per_element = std::max(frontier_cost_per_element,
-                                       other.frontier_cost_per_element);
   placement_local_pops += other.placement_local_pops;
   placement_remote_steals += other.placement_remote_steals;
   // Plan-level gauges, not counters: keep the widest plan when folding.

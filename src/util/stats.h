@@ -38,21 +38,17 @@ struct PeelStats {
   uint64_t dgm_compactions = 0;   ///< # dynamic-graph compaction passes.
 
   // -- frontier scheduling: what ran ---------------------------------------
-  // Per-direction build counts and elements examined. These report the
-  // work that actually executed; the EWMA gauges further down report what
-  // each element cost. Keeping the two groups separate is what lets the
-  // measured-cost switch be the default without muddying the "what ran"
-  // counters the equivalence suites and bench gates assert on.
+  // Per-direction build counts and elements examined. The direction rule
+  // depends only on set sizes, so these are deterministic across runs and
+  // thread counts.
   /// Active-set builds served by merging the workspace frontier buffers
   /// (sparse direction: cost proportional to the frontier, not to n).
   uint64_t frontier_rounds = 0;
-  /// Active-set builds that ran as full parallel scans — every
-  /// post-re-count rebuild and dense-frontier fallback, plus (scan
-  /// fallback only) the first build of every range.
+  /// Active-set builds that ran as full parallel scans (dense frontiers).
   uint64_t scan_rounds = 0;
   /// Active-set builds collected from SupportIndex member lists instead of
   /// an O(n) scan — the first build of every range and every post-re-count
-  /// rebuild on the indexed path.
+  /// rebuild.
   uint64_t index_build_rounds = 0;
   /// Entities examined by full-scan builds (n per scan round).
   uint64_t scan_build_elements = 0;
@@ -62,8 +58,8 @@ struct PeelStats {
   /// including the crossing bucket's filtered members).
   uint64_t index_active_elements = 0;
   /// Total entities examined across scan and frontier builds — the
-  /// quantity the direction optimization minimizes (bench_frontier_micro
-  /// reports it). Always scan_build_elements + frontier_build_elements.
+  /// quantity the direction optimization minimizes. Always
+  /// scan_build_elements + frontier_build_elements.
   uint64_t active_scan_elements = 0;
 
   // -- output-sensitive coarse index (SupportIndex) ------------------------
@@ -93,16 +89,6 @@ struct PeelStats {
   /// Ranges the incremental pass re-peeled (dirty bucket membership, or
   /// desynced after an earlier divergence).
   uint64_t incremental_ranges_repeeled = 0;
-
-  // -- frontier scheduling: what it cost -----------------------------------
-  // EWMA gauges backing the kMeasuredCost direction switch (the default).
-  // Timing-dependent by nature — never asserted for determinism.
-  /// EWMA seconds per examined element of full-scan active-set rebuilds,
-  /// as last observed by the run (0 while unsampled).
-  double scan_cost_per_element = 0.0;
-  /// EWMA seconds per examined element of frontier-merge rebuilds, as last
-  /// observed by the run (0 while unsampled).
-  double frontier_cost_per_element = 0.0;
 
   // -- placement & scheduling (cost-model-driven FD / service) -------------
   /// Nodes the placement plan spanned (gauge: Merge keeps the max).

@@ -35,33 +35,6 @@ inline const char* SideName(Side side) { return side == Side::kU ? "U" : "V"; }
 /// n choose 2 without overflow for the magnitudes we care about.
 inline constexpr Count Choose2(Count n) { return n < 2 ? 0 : n * (n - 1) / 2; }
 
-/// Default frontier-density threshold for range peeling (Julienne-style
-/// direction optimization): while the round's frontier holds fewer than
-/// this fraction of the remaining alive entities, the next active set is
-/// built by merging workspace frontiers; at or above it, the engine falls
-/// back to a full parallel scan. Values ≤ 0 force scan-only rebuilds;
-/// values > 1 force frontier-only rebuilds. Both directions are
-/// bit-identical — the knob trades sparse-list handling against dense
-/// sequential scans. Defined here (the leaf header) so both the engine and
-/// the driver option structs share one default.
-inline constexpr double kDefaultFrontierDensity = 0.2;
-
-/// How range peeling picks the active-set rebuild direction each round.
-/// Both strategies produce bit-identical decompositions — they only trade
-/// rebuild cost — so the switch is safe to flip per run.
-enum class FrontierSwitch {
-  /// Fixed fraction rule: merge frontiers while the round's frontier holds
-  /// fewer than frontier_density_threshold × (remaining alive) entities.
-  /// Deterministic round counters across repeated runs.
-  kFixedDensity,
-  /// Adaptive rule: compare the measured per-element rebuild cost of the
-  /// two directions (EWMAs over this run's observed rebuilds) and take the
-  /// cheaper predicted side; falls back to the density rule until both
-  /// directions have been sampled. Round counters become timing-dependent,
-  /// results never do.
-  kMeasuredCost,
-};
-
 }  // namespace receipt
 
 #endif  // RECEIPT_UTIL_TYPES_H_

@@ -1,16 +1,17 @@
-// Output-sensitive coarse decomposition (SupportIndex): the coarse step may
-// determine range bounds and maintain ⊲⊳init either through the
-// frontier-fed support histogram (indexed path) or through the legacy
-// per-range scans (scan fallback). These suites pin the contract that the
-// two paths produce bit-identical RangeResults — bounds, subsets,
-// subset_of, init_support — for every algorithm, generator shape and
-// thread count, that the index's examined-element counters report what ran,
-// and that the pool-resident index allocates nothing once warm.
+// Output-sensitive coarse decomposition (SupportIndex): the coarse step
+// determines range bounds, maintains ⊲⊳init and builds each range's first
+// active set through a frontier-fed support histogram. These suites check
+// the index against a brute-force model, the coarse step's output against
+// the BUP / sequential wing oracles for every algorithm, generator shape
+// and thread count, that the coarse results and direction counters do not
+// depend on the thread count, and that the pool-resident index allocates
+// nothing once warm.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "engine/support_index.h"
@@ -35,20 +36,49 @@ std::vector<int> SweepThreads() {
 
 BipartiteGraph SweepGraph(bool skewed, uint32_t seed) {
   // Skewed: heavy-tailed degrees, long peeling tails — the regime the
-  // index exists for. Uniform: flat degrees, the scan path's best case.
+  // index exists for. Uniform: flat degrees, few and wide ranges.
   return skewed ? ChungLuBipartite(400, 260, 3000, 0.8, 0.8, seed)
                 : RandomBipartite(400, 260, 3000, seed);
 }
 
-void ExpectSameRanges(const engine::RangeResult<VertexId>& scan,
-                      const engine::RangeResult<VertexId>& indexed) {
-  EXPECT_EQ(scan.bounds, indexed.bounds);
-  EXPECT_EQ(scan.subsets, indexed.subsets);
-  EXPECT_EQ(scan.subset_of, indexed.subset_of);
-  EXPECT_EQ(scan.init_support, indexed.init_support);
-  // The cost-model input rides along: both paths predict each range's peel
-  // cost with exact integer arithmetic, so the predictions are identical.
-  EXPECT_EQ(scan.predicted_costs, indexed.predicted_costs);
+template <typename Id>
+void ExpectSameRanges(const engine::RangeResult<Id>& a,
+                      const engine::RangeResult<Id>& b) {
+  EXPECT_EQ(a.bounds, b.bounds);
+  EXPECT_EQ(a.subsets, b.subsets);
+  EXPECT_EQ(a.subset_of, b.subset_of);
+  EXPECT_EQ(a.init_support, b.init_support);
+  // The cost-model input rides along: each range's peel cost is predicted
+  // with exact integer arithmetic, independent of the schedule.
+  EXPECT_EQ(a.predicted_costs, b.predicted_costs);
+}
+
+// The direction rule depends only on set sizes, so how each active set was
+// built is as deterministic as what it contains.
+void ExpectSameDirections(const PeelStats& a, const PeelStats& b) {
+  EXPECT_EQ(a.frontier_rounds, b.frontier_rounds);
+  EXPECT_EQ(a.scan_rounds, b.scan_rounds);
+  EXPECT_EQ(a.index_build_rounds, b.index_build_rounds);
+}
+
+// RECEIPT's exactness theorem, checked against an oracle: every entity's
+// true peel number lies inside the range of the subset the coarse step put
+// it in, and the subsets partition the entity space.
+template <typename Id>
+void ExpectRangesHoldOracle(const engine::RangeResult<Id>& ranges,
+                            const std::vector<Count>& oracle) {
+  ASSERT_EQ(ranges.subset_of.size(), oracle.size());
+  ASSERT_EQ(ranges.bounds.size(), ranges.subsets.size() + 1);
+  size_t members = 0;
+  for (const auto& subset : ranges.subsets) members += subset.size();
+  EXPECT_EQ(members, oracle.size());
+  for (size_t e = 0; e < oracle.size(); ++e) {
+    const uint32_t i = ranges.subset_of[e];
+    ASSERT_LT(i, ranges.subsets.size());
+    EXPECT_GE(oracle[e], ranges.bounds[i]) << "entity " << e;
+    EXPECT_LT(oracle[e], ranges.bounds[i + 1]) << "entity " << e;
+    EXPECT_GE(ranges.init_support[e], ranges.bounds[i]) << "entity " << e;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -71,27 +101,43 @@ TEST(SupportIndexTest, FindBoundMatchesBruteForce) {
       n, [&](uint64_t e) { return alive[e]; },
       [&](uint64_t e) { return support[e]; }, cost);
 
-  const auto brute = [&](Count need) -> Count {
+  // Returns (bound, cost mass strictly below the bound): the bound the
+  // index must find and the range cost it must predict.
+  const auto brute = [&](Count need) -> std::pair<Count, Count> {
     std::vector<std::pair<Count, Count>> sc;
     for (uint64_t e = 0; e < n; ++e) {
       if (alive[e]) sc.emplace_back(support[e], cost[e]);
     }
-    if (sc.empty()) return kInvalidCount;
+    if (sc.empty()) return {kInvalidCount, 0};
     std::sort(sc.begin(), sc.end());
+    Count bound = sc.back().first + 1;
     Count acc = 0;
     for (const auto& [s, c] : sc) {
       acc += c;
-      if (acc >= need) return s + 1;
+      if (acc >= need) {
+        bound = s + 1;
+        break;
+      }
     }
-    return sc.back().first + 1;
+    Count mass = 0;
+    for (const auto& [s, c] : sc) {
+      if (s < bound) mass += c;
+    }
+    return {bound, mass};
   };
   const auto supports = [&](uint64_t e) { return support[e]; };
+  const auto expect_brute = [&](Count need, PeelStats* stats) {
+    Count predicted = kInvalidCount;
+    const Count bound = index.FindBound(need, supports, stats, &predicted);
+    const auto [want_bound, want_mass] = brute(need);
+    EXPECT_EQ(bound, want_bound) << "need " << need;
+    EXPECT_EQ(predicted, want_mass) << "need " << need;
+  };
 
   PeelStats stats;
   for (const Count need : {Count{1}, Count{50}, Count{700}, Count{1800},
                            Count{100000}}) {
-    EXPECT_EQ(index.FindBound(need, supports, &stats), brute(need))
-        << "need " << need;
+    expect_brute(need, &stats);
   }
   EXPECT_GT(stats.bound_walk_buckets, 0u);
 
@@ -109,10 +155,10 @@ TEST(SupportIndexTest, FindBoundMatchesBruteForce) {
       index.MoveTo(e, support[e], cost[e]);
     }
   }
+  SCOPED_TRACE("after mutation");
   for (const Count need : {Count{1}, Count{50}, Count{700}, Count{1800},
                            Count{100000}}) {
-    EXPECT_EQ(index.FindBound(need, supports, &stats), brute(need))
-        << "after mutation, need " << need;
+    expect_brute(need, &stats);
   }
 }
 
@@ -132,29 +178,36 @@ TEST(SupportIndexTest, WideSupportRangeUsesBucketedRefine) {
       [&](uint64_t e) { return support[e]; }, cost);
   ASSERT_LE(index.num_buckets(), engine::SupportIndex::kMaxBuckets);
 
+  // Unit costs over distinct supports: the range opened by the bound for
+  // `need` holds exactly `need` entities, so that is its predicted cost.
   PeelStats stats;
   const auto supports = [&](uint64_t e) { return support[e]; };
+  Count predicted = 0;
   for (const Count need : {Count{1}, Count{2}, Count{150}, Count{300}}) {
-    EXPECT_EQ(index.FindBound(need, supports, &stats),
+    EXPECT_EQ(index.FindBound(need, supports, &stats, &predicted),
               support[need - 1] + 1)
         << "need " << need;
+    EXPECT_EQ(predicted, need) << "need " << need;
   }
-  // Total mass short of the target: maximum alive support + 1.
-  EXPECT_EQ(index.FindBound(Count{301}, supports, &stats),
+  // Total mass short of the target: maximum alive support + 1, and the
+  // range holds everything.
+  EXPECT_EQ(index.FindBound(Count{301}, supports, &stats, &predicted),
             support[n - 1] + 1);
+  EXPECT_EQ(predicted, Count{n});
   EXPECT_GT(stats.histogram_refines, 0u);
 }
 
 // ---------------------------------------------------------------------------
-// Indexed vs scan coarse step: RECEIPT CD (tip).
+// Coarse step against the oracle: RECEIPT CD (tip).
 // ---------------------------------------------------------------------------
 
 class CoarseIndexTipSweep
     : public ::testing::TestWithParam<std::tuple<bool, bool>> {};
 
-TEST_P(CoarseIndexTipSweep, IndexedAndScanPathsAreBitIdentical) {
+TEST_P(CoarseIndexTipSweep, RangesHoldBupNumbersAtEveryThreadCount) {
   const auto [skewed, optimized] = GetParam();
   const BipartiteGraph g = SweepGraph(skewed, skewed ? 311u : 313u);
+  const TipResult bup = BupDecompose(g, TipOptions{});
 
   for (const int threads : SweepThreads()) {
     TipOptions options;
@@ -163,30 +216,19 @@ TEST_P(CoarseIndexTipSweep, IndexedAndScanPathsAreBitIdentical) {
     options.use_huc = optimized;
     options.use_dgm = optimized;
 
-    options.use_support_index = false;
-    PeelStats scan_stats;
-    const CdResult scan = ReceiptCd(g, options, &scan_stats);
+    PeelStats stats;
+    const CdResult cd = ReceiptCd(g, options, &stats);
+    ExpectRangesHoldOracle(cd, bup.tip_numbers);
 
-    options.use_support_index = true;
-    PeelStats indexed_stats;
-    const CdResult indexed = ReceiptCd(g, options, &indexed_stats);
+    // Bound determination runs through the index, which is built once up
+    // front (and again after every HUC re-count).
+    EXPECT_GT(stats.bound_walk_buckets, 0u);
+    EXPECT_GE(stats.index_rebuild_elements,
+              static_cast<uint64_t>(g.num_u()) * (1 + stats.huc_recounts));
+    EXPECT_GE(stats.index_build_rounds, stats.num_subsets);
 
-    ExpectSameRanges(scan, indexed);
-
-    // The scan fallback must not touch the index; the indexed path must
-    // actually route bound determination through it.
-    EXPECT_EQ(scan_stats.bound_walk_buckets, 0u);
-    EXPECT_EQ(scan_stats.init_patch_elements, 0u);
-    EXPECT_EQ(scan_stats.index_rebuild_elements, 0u);
-    EXPECT_GT(indexed_stats.bound_walk_buckets, 0u);
-    EXPECT_GE(indexed_stats.index_rebuild_elements,
-              static_cast<uint64_t>(g.num_u()));
-
-    // Identical peeling structure: the index changes how bounds and
-    // ⊲⊳init are produced, never what is peeled when.
-    EXPECT_EQ(scan_stats.sync_rounds, indexed_stats.sync_rounds);
-    EXPECT_EQ(scan_stats.TotalWedges(), indexed_stats.TotalWedges());
-    EXPECT_EQ(scan_stats.huc_recounts, indexed_stats.huc_recounts);
+    EXPECT_EQ(ReceiptDecompose(g, options).tip_numbers, bup.tip_numbers)
+        << "threads " << threads;
   }
 }
 
@@ -194,8 +236,8 @@ INSTANTIATE_TEST_SUITE_P(Sweep, CoarseIndexTipSweep,
                          ::testing::Combine(::testing::Bool(),
                                             ::testing::Bool()));
 
-// Thread-count invariance of the indexed path itself (the delta lists are
-// schedule-dependent; the results must not be).
+// Thread-count invariance of the coarse step (the delta lists are
+// schedule-dependent; the results and the direction taken must not be).
 TEST(CoarseIndexTipTest, IndexedPathIsThreadCountInvariant) {
   const BipartiteGraph g = SweepGraph(/*skewed=*/true, 317u);
   TipOptions options;
@@ -203,25 +245,28 @@ TEST(CoarseIndexTipTest, IndexedPathIsThreadCountInvariant) {
   options.num_threads = 1;
   PeelStats s1;
   const CdResult one = ReceiptCd(g, options, &s1);
+  EXPECT_GT(s1.frontier_rounds, 0u);
   for (const int threads : SweepThreads()) {
     options.num_threads = threads;
     PeelStats st;
     const CdResult many = ReceiptCd(g, options, &st);
     ExpectSameRanges(one, many);
+    ExpectSameDirections(s1, st);
   }
 }
 
 // ---------------------------------------------------------------------------
-// Indexed vs scan coarse step: RECEIPT-W (wing).
+// Coarse step against the oracle: RECEIPT-W (wing).
 // ---------------------------------------------------------------------------
 
 class CoarseIndexWingSweep : public ::testing::TestWithParam<bool> {};
 
-TEST_P(CoarseIndexWingSweep, IndexedAndScanPathsAreBitIdentical) {
+TEST_P(CoarseIndexWingSweep, RangesHoldWingNumbersAtEveryThreadCount) {
   const bool skewed = GetParam();
   const BipartiteGraph g = skewed
                                ? ChungLuBipartite(70, 50, 320, 0.7, 0.7, 331)
                                : RandomBipartite(70, 50, 320, 337);
+  const WingResult sequential = WingDecompose(g, /*num_threads=*/1);
 
   for (const int threads : SweepThreads()) {
     for (const int partitions : {2, 5}) {
@@ -229,70 +274,63 @@ TEST_P(CoarseIndexWingSweep, IndexedAndScanPathsAreBitIdentical) {
       options.num_threads = threads;
       options.num_partitions = partitions;
 
-      options.use_support_index = false;
-      PeelStats scan_stats;
-      const auto scan = ReceiptWingCoarse(g, options, &scan_stats);
-
-      options.use_support_index = true;
-      PeelStats indexed_stats;
-      const auto indexed = ReceiptWingCoarse(g, options, &indexed_stats);
-
-      EXPECT_EQ(scan.bounds, indexed.bounds);
-      EXPECT_EQ(scan.subsets, indexed.subsets);
-      EXPECT_EQ(scan.subset_of, indexed.subset_of);
-      EXPECT_EQ(scan.init_support, indexed.init_support);
-      EXPECT_EQ(scan.predicted_costs, indexed.predicted_costs);
-      EXPECT_EQ(scan_stats.bound_walk_buckets, 0u);
-      EXPECT_GT(indexed_stats.bound_walk_buckets, 0u);
-      EXPECT_EQ(scan_stats.sync_rounds, indexed_stats.sync_rounds);
+      PeelStats stats;
+      const auto coarse = ReceiptWingCoarse(g, options, &stats);
+      ExpectRangesHoldOracle(coarse, sequential.wing_numbers);
+      EXPECT_GT(stats.bound_walk_buckets, 0u);
+      // Edge peeling never re-counts: one index build per range.
+      EXPECT_EQ(stats.index_build_rounds, stats.num_subsets);
     }
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, CoarseIndexWingSweep, ::testing::Bool());
 
-// ---------------------------------------------------------------------------
-// End-to-end: the coarse path choice never changes final numbers.
-// ---------------------------------------------------------------------------
-
-TEST(CoarseIndexEndToEndTest, TipNumbersMatchBupUnderEveryPath) {
-  const BipartiteGraph g = SweepGraph(/*skewed=*/true, 347u);
-  TipOptions bup_options;
-  const TipResult bup = BupDecompose(g, bup_options);
-
-  for (const bool use_index : {false, true}) {
-    for (const auto frontier_switch :
-         {FrontierSwitch::kFixedDensity, FrontierSwitch::kMeasuredCost}) {
-      TipOptions options;
-      options.num_threads = 3;
-      options.num_partitions = 7;
-      options.use_support_index = use_index;
-      options.frontier_switch = frontier_switch;
-      const TipResult r = ReceiptDecompose(g, options);
-      EXPECT_EQ(r.tip_numbers, bup.tip_numbers)
-          << "use_index " << use_index << " measured "
-          << (frontier_switch == FrontierSwitch::kMeasuredCost);
-    }
+TEST(CoarseIndexWingTest, CoarseStepIsThreadCountInvariant) {
+  const BipartiteGraph g = ChungLuBipartite(70, 50, 320, 0.7, 0.7, 331);
+  ReceiptWingOptions options;
+  options.num_partitions = 5;
+  options.num_threads = 1;
+  PeelStats s1;
+  const auto one = ReceiptWingCoarse(g, options, &s1);
+  EXPECT_GT(s1.frontier_rounds, 0u);
+  for (const int threads : SweepThreads()) {
+    options.num_threads = threads;
+    PeelStats st;
+    const auto many = ReceiptWingCoarse(g, options, &st);
+    ExpectSameRanges(one, many);
+    ExpectSameDirections(s1, st);
+    EXPECT_EQ(s1.sync_rounds, st.sync_rounds);
   }
 }
 
-TEST(CoarseIndexEndToEndTest, WingNumbersMatchSequentialUnderEveryPath) {
+// ---------------------------------------------------------------------------
+// End-to-end: final numbers equal the oracles.
+// ---------------------------------------------------------------------------
+
+TEST(CoarseIndexEndToEndTest, TipNumbersMatchBup) {
+  const BipartiteGraph g = SweepGraph(/*skewed=*/true, 347u);
+  const TipResult bup = BupDecompose(g, TipOptions{});
+
+  for (const int partitions : {1, 7}) {
+    TipOptions options;
+    options.num_threads = 3;
+    options.num_partitions = partitions;
+    const TipResult r = ReceiptDecompose(g, options);
+    EXPECT_EQ(r.tip_numbers, bup.tip_numbers) << "P=" << partitions;
+  }
+}
+
+TEST(CoarseIndexEndToEndTest, WingNumbersMatchSequential) {
   const BipartiteGraph g = ChungLuBipartite(40, 30, 170, 0.6, 0.6, 353);
   const WingResult sequential = WingDecompose(g, /*num_threads=*/1);
 
-  for (const bool use_index : {false, true}) {
-    for (const auto frontier_switch :
-         {FrontierSwitch::kFixedDensity, FrontierSwitch::kMeasuredCost}) {
-      ReceiptWingOptions options;
-      options.num_threads = 2;
-      options.num_partitions = 4;
-      options.use_support_index = use_index;
-      options.frontier_switch = frontier_switch;
-      const WingResult r = ReceiptWingDecompose(g, options);
-      EXPECT_EQ(r.wing_numbers, sequential.wing_numbers)
-          << "use_index " << use_index << " measured "
-          << (frontier_switch == FrontierSwitch::kMeasuredCost);
-    }
+  for (const int partitions : {1, 4}) {
+    ReceiptWingOptions options;
+    options.num_threads = 2;
+    options.num_partitions = partitions;
+    const WingResult r = ReceiptWingDecompose(g, options);
+    EXPECT_EQ(r.wing_numbers, sequential.wing_numbers) << "P=" << partitions;
   }
 }
 

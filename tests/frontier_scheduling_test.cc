@@ -1,10 +1,11 @@
 // Frontier-driven peel scheduling (Julienne-style direction optimization):
-// the engine may rebuild each round's active set either by merging the
-// per-thread workspace frontiers or by a full parallel scan. These suites
-// pin the contract that both directions are bit-identical — same tip/wing
-// numbers, same subsets, same bounds — across every driver, that the
-// direction counters report what actually ran, and that the epoch bitmap
-// dedups multi-neighbor decrements (the candidate-duplication regression).
+// the engine rebuilds each round's active set either by merging the
+// per-thread workspace frontiers or, when the frontier is dense, by a full
+// parallel scan. These suites check default runs against the BUP and
+// sequential wing oracles, that the sweeps take both directions, that the
+// direction counters report what ran and do not depend on the thread
+// count, and that the epoch bitmap dedups multi-neighbor decrements (the
+// candidate-duplication regression).
 
 #include <gtest/gtest.h>
 
@@ -23,13 +24,6 @@
 namespace receipt {
 namespace {
 
-// Force one rebuild direction: ≤ 0 = always scan, > 1 = always frontier.
-// Forcing only works under the fixed-density switch — the measured-cost
-// default consults the EWMA cost gauges first — so every direction-forcing
-// run below pins FrontierSwitch::kFixedDensity.
-constexpr double kScanOnly = 0.0;
-constexpr double kFrontierOnly = 2.0;
-
 TEST(FrontierEpochsTest, ClaimsOncePerRound) {
   engine::FrontierEpochs epochs;
   epochs.Reset(8);
@@ -46,15 +40,43 @@ TEST(FrontierEpochsTest, ClaimsOncePerRound) {
   EXPECT_TRUE(epochs.Claim(3));
 }
 
+// Sums the direction counters of every run in a sweep, which must take
+// both directions somewhere so each keeps its coverage without forcing.
+struct DirectionTally {
+  uint64_t frontier_rounds = 0;
+  uint64_t scan_rounds = 0;
+
+  void Add(const PeelStats& stats) {
+    frontier_rounds += stats.frontier_rounds;
+    scan_rounds += stats.scan_rounds;
+  }
+  void ExpectBothDirections() const {
+    EXPECT_GT(frontier_rounds, 0u);
+    EXPECT_GT(scan_rounds, 0u);
+  }
+};
+
+// What every coarse run's counters must satisfy, whichever directions it
+// took.
+void ExpectConsistentBuildCounters(const PeelStats& stats) {
+  EXPECT_EQ(stats.active_scan_elements,
+            stats.scan_build_elements + stats.frontier_build_elements);
+  // One index build per range, plus one per CD re-count (huc_recounts
+  // also counts the FD phase's re-counts, so it only bounds from above).
+  EXPECT_GE(stats.index_build_rounds, stats.num_subsets);
+  EXPECT_LE(stats.index_build_rounds, stats.num_subsets + stats.huc_recounts);
+}
+
 class FrontierTipSweep
     : public ::testing::TestWithParam<std::tuple<int, int, int, uint32_t>> {};
 
-TEST_P(FrontierTipSweep, DirectionsAreBitIdentical) {
+TEST_P(FrontierTipSweep, DefaultRunsMatchBupAndTakeBothDirections) {
   const auto [num_u, num_v, num_edges, seed] = GetParam();
   const BipartiteGraph g = ChungLuBipartite(
       static_cast<VertexId>(num_u), static_cast<VertexId>(num_v),
       static_cast<uint64_t>(num_edges), 0.6, 0.6, seed);
 
+  DirectionTally tally;
   for (const Side side : {Side::kU, Side::kV}) {
     TipOptions bup_options;
     bup_options.side = side;
@@ -64,58 +86,34 @@ TEST_P(FrontierTipSweep, DirectionsAreBitIdentical) {
       for (const bool optimized : {false, true}) {
         TipOptions options;
         options.side = side;
-        options.num_threads = 2;
         options.num_partitions = partitions;
         options.use_huc = optimized;
         options.use_dgm = optimized;
-        options.frontier_switch = FrontierSwitch::kFixedDensity;
 
-        options.frontier_density_threshold = kScanOnly;
-        const TipResult scan = ReceiptDecompose(g, options);
-        options.frontier_density_threshold = kFrontierOnly;
-        const TipResult frontier = ReceiptDecompose(g, options);
-        options.frontier_density_threshold = kDefaultFrontierDensity;
-        const TipResult hybrid = ReceiptDecompose(g, options);
+        options.num_threads = 1;
+        const TipResult one = ReceiptDecompose(g, options);
+        options.num_threads = 3;
+        const TipResult many = ReceiptDecompose(g, options);
 
-        // Bit-identical coarse artifacts, not just final numbers.
-        EXPECT_EQ(scan.tip_numbers, bup.tip_numbers);
-        EXPECT_EQ(frontier.tip_numbers, scan.tip_numbers);
-        EXPECT_EQ(hybrid.tip_numbers, scan.tip_numbers);
-        EXPECT_EQ(frontier.subsets, scan.subsets);
-        EXPECT_EQ(hybrid.subsets, scan.subsets);
-        EXPECT_EQ(frontier.range_bounds, scan.range_bounds);
-        EXPECT_EQ(frontier.subset_of, scan.subset_of);
+        EXPECT_EQ(one.tip_numbers, bup.tip_numbers);
+        EXPECT_EQ(many.tip_numbers, bup.tip_numbers);
+        EXPECT_EQ(many.subsets, one.subsets);
+        EXPECT_EQ(many.range_bounds, one.range_bounds);
+        EXPECT_EQ(many.subset_of, one.subset_of);
 
-        // Identical peeling structure: the direction changes how active
-        // sets are rebuilt, never what they contain.
-        EXPECT_EQ(frontier.stats.sync_rounds, scan.stats.sync_rounds);
-        EXPECT_EQ(frontier.stats.TotalWedges(), scan.stats.TotalWedges());
-
-        // The counters report the direction that actually ran. Initial
-        // active sets come from the SupportIndex member lists (the default),
-        // so forced-frontier runs perform no scans at all.
-        EXPECT_EQ(scan.stats.frontier_rounds, 0u);
-        EXPECT_GT(scan.stats.scan_rounds, 0u);
-        // One index build per range, plus one per HUC-forced full rebuild.
-        EXPECT_GE(scan.stats.index_build_rounds, scan.stats.num_subsets);
-        if (!optimized) {
-          // Without HUC re-counts, a frontier-only run builds from the
-          // index exactly once per range and never scans.
-          EXPECT_EQ(frontier.stats.scan_rounds, 0u);
-          EXPECT_EQ(frontier.stats.index_build_rounds,
-                    frontier.stats.num_subsets);
-        }
-        // The sparse direction examines no more elements than the dense
-        // one, and strictly fewer whenever any frontier round ran.
-        EXPECT_LE(frontier.stats.active_scan_elements,
-                  scan.stats.active_scan_elements);
-        if (frontier.stats.frontier_rounds > 0) {
-          EXPECT_LT(frontier.stats.active_scan_elements,
-                    scan.stats.active_scan_elements);
-        }
+        // The direction rule is a set-size rule: the same rounds rebuild
+        // the same way at every thread count.
+        EXPECT_EQ(many.stats.sync_rounds, one.stats.sync_rounds);
+        EXPECT_EQ(many.stats.frontier_rounds, one.stats.frontier_rounds);
+        EXPECT_EQ(many.stats.scan_rounds, one.stats.scan_rounds);
+        EXPECT_EQ(many.stats.active_scan_elements,
+                  one.stats.active_scan_elements);
+        ExpectConsistentBuildCounters(one.stats);
+        tally.Add(one.stats);
       }
     }
   }
+  tally.ExpectBothDirections();
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -127,7 +125,7 @@ INSTANTIATE_TEST_SUITE_P(
 class FrontierWingSweep
     : public ::testing::TestWithParam<std::tuple<int, int, int, uint32_t>> {};
 
-TEST_P(FrontierWingSweep, DirectionsAreBitIdentical) {
+TEST_P(FrontierWingSweep, DefaultRunsMatchSequentialAndTakeBothDirections) {
   const auto [num_u, num_v, num_edges, seed] = GetParam();
   const BipartiteGraph g = ChungLuBipartite(
       static_cast<VertexId>(num_u), static_cast<VertexId>(num_v),
@@ -135,36 +133,26 @@ TEST_P(FrontierWingSweep, DirectionsAreBitIdentical) {
 
   const WingResult sequential = WingDecompose(g, /*num_threads=*/1);
 
+  DirectionTally tally;
   for (const int partitions : {2, 5}) {
-    for (const int threads : {1, 3}) {
-      ReceiptWingOptions options;
-      options.num_threads = threads;
-      options.num_partitions = partitions;
-      options.frontier_switch = FrontierSwitch::kFixedDensity;
+    ReceiptWingOptions options;
+    options.num_partitions = partitions;
 
-      options.frontier_density_threshold = kScanOnly;
-      const WingResult scan = ReceiptWingDecompose(g, options);
-      options.frontier_density_threshold = kFrontierOnly;
-      const WingResult frontier = ReceiptWingDecompose(g, options);
-      options.frontier_density_threshold = kDefaultFrontierDensity;
-      const WingResult hybrid = ReceiptWingDecompose(g, options);
+    options.num_threads = 1;
+    const WingResult one = ReceiptWingDecompose(g, options);
+    options.num_threads = 3;
+    const WingResult many = ReceiptWingDecompose(g, options);
 
-      EXPECT_EQ(scan.wing_numbers, sequential.wing_numbers);
-      EXPECT_EQ(frontier.wing_numbers, sequential.wing_numbers);
-      EXPECT_EQ(hybrid.wing_numbers, sequential.wing_numbers);
-      EXPECT_EQ(frontier.stats.sync_rounds, scan.stats.sync_rounds);
-      EXPECT_EQ(frontier.stats.num_subsets, scan.stats.num_subsets);
-
-      EXPECT_EQ(scan.stats.frontier_rounds, 0u);
-      // Edge peeling never re-counts, so the frontier-only coarse step
-      // builds from the index exactly once per range and never scans.
-      EXPECT_EQ(frontier.stats.scan_rounds, 0u);
-      EXPECT_EQ(frontier.stats.index_build_rounds,
-                frontier.stats.num_subsets);
-      EXPECT_LE(frontier.stats.active_scan_elements,
-                scan.stats.active_scan_elements);
-    }
+    EXPECT_EQ(one.wing_numbers, sequential.wing_numbers);
+    EXPECT_EQ(many.wing_numbers, sequential.wing_numbers);
+    EXPECT_EQ(many.stats.sync_rounds, one.stats.sync_rounds);
+    EXPECT_EQ(many.stats.num_subsets, one.stats.num_subsets);
+    EXPECT_EQ(many.stats.frontier_rounds, one.stats.frontier_rounds);
+    EXPECT_EQ(many.stats.scan_rounds, one.stats.scan_rounds);
+    ExpectConsistentBuildCounters(one.stats);
+    tally.Add(one.stats);
   }
+  tally.ExpectBothDirections();
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -176,8 +164,61 @@ INSTANTIATE_TEST_SUITE_P(
 // path of RangeDecomposer::PeelRange: u4's support is decremented by six
 // different vertices peeled in one round (four K_{5,2} partners plus the
 // u5/u6 block), so without the epoch-bitmap dedup it would enter the next
-// active set — and therefore its subset — more than once.
+// active set — and therefore its subset — more than once. Three disjoint
+// K_{2,4} blocks (support 6, above the first range) keep enough vertices
+// alive that the one-vertex frontier is sparse, so the next active set is
+// a frontier merge — the direction the dedup guards.
 TEST(FrontierRegressionTest, MultiDecrementVertexEntersActiveSetOnce) {
+  std::vector<BipartiteGraph::Edge> edges;
+  for (VertexId u = 0; u < 5; ++u) {
+    for (VertexId v = 0; v < 2; ++v) edges.push_back({u, v});
+  }
+  for (VertexId u = 4; u < 7; ++u) {
+    for (VertexId v = 2; v < 4; ++v) edges.push_back({u, v});
+  }
+  for (VertexId block = 0; block < 3; ++block) {
+    for (VertexId u = 7 + 2 * block; u < 9 + 2 * block; ++u) {
+      for (VertexId v = 4 + 4 * block; v < 8 + 4 * block; ++v) {
+        edges.push_back({u, v});
+      }
+    }
+  }
+  const BipartiteGraph g = BipartiteGraph::FromEdges(13, 16, edges);
+
+  TipOptions bup_options;
+  const TipResult bup = BupDecompose(g, bup_options);
+
+  for (const int threads : {1, 3}) {
+    TipOptions options;
+    options.num_threads = threads;
+    options.num_partitions = 2;
+    options.use_huc = false;
+    options.use_dgm = false;
+    const TipResult r = ReceiptDecompose(g, options);
+    EXPECT_GT(r.stats.frontier_rounds, 0u) << "threads " << threads;
+
+    // Subsets partition U exactly: every vertex peeled exactly once.
+    std::vector<VertexId> peeled;
+    for (const auto& subset : r.subsets) {
+      peeled.insert(peeled.end(), subset.begin(), subset.end());
+    }
+    ASSERT_EQ(peeled.size(), static_cast<size_t>(g.num_u()));
+    std::sort(peeled.begin(), peeled.end());
+    std::vector<VertexId> expected(g.num_u());
+    std::iota(expected.begin(), expected.end(), 0);
+    EXPECT_EQ(peeled, expected) << "threads " << threads;
+    EXPECT_EQ(r.tip_numbers, bup.tip_numbers);
+  }
+}
+
+// The other side of the direction rule, on the unpadded core of the graph
+// above: the first round peels every vertex but u4, so the one-vertex
+// frontier is the whole surviving population, well above the scan density,
+// and the next active set must come from a full scan — on this graph the
+// rule never merges. The scan set must still be the claimed set: same tip
+// numbers as BUP, every vertex peeled exactly once, and the same direction
+// counters at every thread count.
+TEST(FrontierRegressionTest, DenseFrontierIsRebuiltByScan) {
   std::vector<BipartiteGraph::Edge> edges;
   for (VertexId u = 0; u < 5; ++u) {
     for (VertexId v = 0; v < 2; ++v) edges.push_back({u, v});
@@ -190,31 +231,33 @@ TEST(FrontierRegressionTest, MultiDecrementVertexEntersActiveSetOnce) {
   TipOptions bup_options;
   const TipResult bup = BupDecompose(g, bup_options);
 
-  for (const double threshold : {kScanOnly, kFrontierOnly}) {
-    for (const int threads : {1, 3}) {
-      TipOptions options;
-      options.num_threads = threads;
-      options.num_partitions = 2;
-      options.use_huc = false;
-      options.use_dgm = false;
-      options.frontier_switch = FrontierSwitch::kFixedDensity;
-      options.frontier_density_threshold = threshold;
-      const TipResult r = ReceiptDecompose(g, options);
+  std::vector<uint64_t> scan_rounds;
+  std::vector<uint64_t> frontier_rounds;
+  for (const int threads : {1, 3}) {
+    TipOptions options;
+    options.num_threads = threads;
+    options.num_partitions = 2;
+    options.use_huc = false;
+    options.use_dgm = false;
+    const TipResult r = ReceiptDecompose(g, options);
+    EXPECT_GT(r.stats.scan_rounds, 0u) << "threads " << threads;
+    EXPECT_EQ(r.stats.frontier_rounds, 0u) << "threads " << threads;
+    scan_rounds.push_back(r.stats.scan_rounds);
+    frontier_rounds.push_back(r.stats.frontier_rounds);
 
-      // Subsets partition U exactly: every vertex peeled exactly once.
-      std::vector<VertexId> peeled;
-      for (const auto& subset : r.subsets) {
-        peeled.insert(peeled.end(), subset.begin(), subset.end());
-      }
-      ASSERT_EQ(peeled.size(), static_cast<size_t>(g.num_u()));
-      std::sort(peeled.begin(), peeled.end());
-      std::vector<VertexId> expected(g.num_u());
-      std::iota(expected.begin(), expected.end(), 0);
-      EXPECT_EQ(peeled, expected)
-          << "threshold " << threshold << ", threads " << threads;
-      EXPECT_EQ(r.tip_numbers, bup.tip_numbers);
+    std::vector<VertexId> peeled;
+    for (const auto& subset : r.subsets) {
+      peeled.insert(peeled.end(), subset.begin(), subset.end());
     }
+    ASSERT_EQ(peeled.size(), static_cast<size_t>(g.num_u()));
+    std::sort(peeled.begin(), peeled.end());
+    std::vector<VertexId> expected(g.num_u());
+    std::iota(expected.begin(), expected.end(), 0);
+    EXPECT_EQ(peeled, expected) << "threads " << threads;
+    EXPECT_EQ(r.tip_numbers, bup.tip_numbers);
   }
+  EXPECT_EQ(scan_rounds[0], scan_rounds[1]);
+  EXPECT_EQ(frontier_rounds[0], frontier_rounds[1]);
 }
 
 }  // namespace

@@ -263,16 +263,6 @@ TEST(CostModelTest, LptWithinGrahamBoundOfBruteForce) {
   }
 }
 
-TEST(CostModelTest, CostMassBelowSumsStrictlyBelow) {
-  const std::vector<std::pair<Count, Count>> entries = {
-      {0, 5}, {3, 7}, {10, 1}};
-  EXPECT_EQ(engine::CostMassBelow(entries, 0), 0u);
-  EXPECT_EQ(engine::CostMassBelow(entries, 1), 5u);
-  EXPECT_EQ(engine::CostMassBelow(entries, 4), 12u);
-  EXPECT_EQ(engine::CostMassBelow(entries, 10), 12u);  // strict: 10 ≮ 10
-  EXPECT_EQ(engine::CostMassBelow(entries, 11), 13u);
-}
-
 // ---------------------------------------------------------------------------
 // The determinism contract: placement moves work, never results.
 // ---------------------------------------------------------------------------
