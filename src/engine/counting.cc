@@ -55,10 +55,17 @@ void CountFromStartPoint(const DynamicGraph& graph, PeelWorkspace& ws,
   }
 
   // Opposite-side contribution: a wedge (sp, mp, ep) participates in
-  // (wedge_count[ep] - 1) butterflies, all incident on its mid point.
-  for (const auto& [mp, ep] : ws.wedge_pairs) {
-    const Count bcnt = static_cast<Count>(ws.wedge_count[ep] - 1);
-    if (bcnt > 0) AtomicAdd(&support[mp], bcnt);
+  // (wedge_count[ep] - 1) butterflies, all incident on its mid point. The
+  // list is grouped by mid point (the traversal's outer loop), so each mid
+  // point's share is summed first and credited with one atomic add.
+  const auto& pairs = ws.wedge_pairs;
+  for (size_t i = 0; i < pairs.size();) {
+    const VertexId mp = pairs[i].first;
+    Count mp_total = 0;
+    for (; i < pairs.size() && pairs[i].first == mp; ++i) {
+      mp_total += static_cast<Count>(ws.wedge_count[pairs[i].second] - 1);
+    }
+    if (mp_total > 0) AtomicAdd(&support[mp], mp_total);
   }
 
   // Restore the workspace's clean-state invariant (dense array zeroed,

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <numeric>
 #include <sstream>
 
 namespace receipt {
@@ -12,12 +11,14 @@ BipartiteGraph BipartiteGraph::FromEdges(VertexId num_u, VertexId num_v,
                                          std::vector<Edge> edges) {
   BipartiteGraph g;
   g.AssignFromEdges(num_u, num_v, edges);
+  // The edge sort borrows adjacency_ at the input's length; a fresh graph
+  // keeps only what its deduplicated edges need.
+  g.adjacency_.shrink_to_fit();
   return g;
 }
 
 void BipartiteGraph::AssignFromEdges(VertexId num_u, VertexId num_v,
-                                     std::vector<Edge>& edges,
-                                     std::vector<EdgeOffset>* cursor_scratch) {
+                                     std::vector<Edge>& edges) {
   for (const Edge& e : edges) {
     if (e.u >= num_u || e.v >= num_v) {
       std::fprintf(stderr,
@@ -27,38 +28,52 @@ void BipartiteGraph::AssignFromEdges(VertexId num_u, VertexId num_v,
       std::abort();
     }
   }
-  std::sort(edges.begin(), edges.end());
-  edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
-
   num_u_ = num_u;
   num_v_ = num_v;
   const VertexId n = num_u + num_v;
+  const size_t m_in = edges.size();
+
+  // Sort by (u, v) with two stable counting passes, by v and then by u
+  // (LSD radix on the two keys). offsets_ serves as the per-key cursors
+  // (V keys at [num_u, n], U keys at [0, num_u]) and adjacency_ holds the
+  // v-ordered intermediate as split u / v halves, so the sort needs no
+  // storage beyond the CSR arrays it is about to fill.
   offsets_.assign(n + 1, 0);
+  adjacency_.resize(2 * m_in);
+  EdgeOffset* v_cursor = offsets_.data() + num_u;
+  for (const Edge& e : edges) ++v_cursor[e.v + 1];
+  for (VertexId v = 0; v < num_v; ++v) v_cursor[v + 1] += v_cursor[v];
+  for (const Edge& e : edges) {
+    const EdgeOffset slot = v_cursor[e.v]++;
+    adjacency_[slot] = e.u;
+    adjacency_[m_in + slot] = e.v;
+  }
+  std::fill(offsets_.begin(), offsets_.begin() + num_u + 1, 0);
+  for (size_t i = 0; i < m_in; ++i) ++offsets_[adjacency_[i] + 1];
+  for (VertexId u = 0; u < num_u; ++u) offsets_[u + 1] += offsets_[u];
+  for (size_t i = 0; i < m_in; ++i) {
+    const VertexId u = adjacency_[i];
+    edges[offsets_[u]++] = Edge{.u = u, .v = adjacency_[m_in + i]};
+  }
+  edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
+
+  // CSR fill. Edges are in (u, v) order, so each U list is a contiguous
+  // ascending run of the edge list, and each V list fills in ascending u.
+  std::fill(offsets_.begin(), offsets_.end(), 0);
   for (const Edge& e : edges) {
     ++offsets_[e.u + 1];
     ++offsets_[num_u + e.v + 1];
   }
   for (VertexId w = 0; w < n; ++w) offsets_[w + 1] += offsets_[w];
-
-  adjacency_.resize(2 * edges.size());
-  std::vector<EdgeOffset> local_cursor;
-  std::vector<EdgeOffset>& cursor =
-      cursor_scratch != nullptr ? *cursor_scratch : local_cursor;
-  cursor.assign(offsets_.begin(), offsets_.end() - 1);
-  for (const Edge& e : edges) {
-    const VertexId gu = e.u;
-    const VertexId gv = num_u + e.v;
-    adjacency_[cursor[gu]++] = gv;
-    adjacency_[cursor[gv]++] = gu;
-  }
-  // Edges were sorted by (u, v), so U adjacency is already ascending; V
-  // adjacency is ascending too because u grows monotonically while filling.
-  // Sort defensively anyway (cheap, keeps the invariant independent of the
-  // fill order above).
-  for (VertexId w = 0; w < n; ++w) {
-    std::sort(adjacency_.begin() + static_cast<int64_t>(offsets_[w]),
-              adjacency_.begin() + static_cast<int64_t>(offsets_[w + 1]));
-  }
+  const size_t m = edges.size();
+  adjacency_.resize(2 * m);
+  for (size_t i = 0; i < m; ++i) adjacency_[i] = num_u + edges[i].v;
+  // V lists use their own start offsets as fill cursors; afterwards each
+  // holds the next vertex's start, so one shift restores them.
+  v_cursor = offsets_.data() + num_u;
+  for (const Edge& e : edges) adjacency_[v_cursor[e.v]++] = e.u;
+  std::copy_backward(v_cursor, v_cursor + num_v, v_cursor + num_v + 1);
+  v_cursor[0] = m;
 }
 
 Count BipartiteGraph::WedgeCount(VertexId w) const {
@@ -91,36 +106,56 @@ double BipartiteGraph::AverageDegree(Side side) const {
 }
 
 BipartiteGraph BipartiteGraph::SwappedCopy() const {
-  std::vector<Edge> edges;
-  edges.reserve(num_edges());
-  for (VertexId u = 0; u < num_u_; ++u) {
-    for (VertexId gv : Neighbors(u)) {
-      edges.push_back(Edge{.u = gv - num_u_, .v = u});
-    }
+  // A block transpose: the V half of the CSR becomes the new U half and
+  // vice versa, with ids shifted into the new sides. Each list keeps its
+  // order (the shift is monotone), so the result is exactly what FromEdges
+  // of the swapped edge list builds.
+  BipartiteGraph swapped;
+  swapped.num_u_ = num_v_;
+  swapped.num_v_ = num_u_;
+  const VertexId n = num_vertices();
+  const EdgeOffset m = num_edges();
+  swapped.offsets_.resize(static_cast<size_t>(n) + 1);
+  for (VertexId v = 0; v < num_v_; ++v) {
+    swapped.offsets_[v] = offsets_[num_u_ + v] - m;
   }
-  return FromEdges(num_v_, num_u_, std::move(edges));
+  for (VertexId u = 0; u <= num_u_; ++u) {
+    swapped.offsets_[num_v_ + u] = offsets_[u] + m;
+  }
+  swapped.adjacency_.resize(2 * m);
+  for (EdgeOffset i = 0; i < m; ++i) {
+    swapped.adjacency_[i] = adjacency_[m + i] + num_v_;
+    swapped.adjacency_[m + i] = adjacency_[i] - num_u_;
+  }
+  return swapped;
 }
 
 std::vector<VertexId> BipartiteGraph::DegreeDescendingRanks() const {
   std::vector<VertexId> rank;
-  std::vector<VertexId> order;
-  DegreeDescendingRanksInto(rank, order);
+  std::vector<VertexId> bucket;
+  DegreeDescendingRanksInto(rank, bucket);
   return rank;
 }
 
 void BipartiteGraph::DegreeDescendingRanksInto(
-    std::vector<VertexId>& rank, std::vector<VertexId>& order_scratch) const {
+    std::vector<VertexId>& rank, std::vector<VertexId>& bucket_scratch) const {
+  // A counting sort on degree: bucket[d] becomes the first rank of degree d
+  // (the number of vertices of higher degree), and visiting vertices in id
+  // order keeps equal degrees in ascending id. A degree is at most the
+  // other side's size, so there are never more buckets than vertices.
   const VertexId n = num_vertices();
-  order_scratch.resize(n);
-  std::iota(order_scratch.begin(), order_scratch.end(), 0);
-  std::sort(order_scratch.begin(), order_scratch.end(),
-            [this](VertexId a, VertexId b) {
-              const uint64_t da = Degree(a), db = Degree(b);
-              if (da != db) return da > db;
-              return a < b;
-            });
+  uint64_t max_degree = 0;
+  for (VertexId w = 0; w < n; ++w) max_degree = std::max(max_degree, Degree(w));
+  bucket_scratch.assign(max_degree + 1, 0);
+  for (VertexId w = 0; w < n; ++w) ++bucket_scratch[Degree(w)];
+  VertexId next = 0;
+  for (uint64_t d = max_degree + 1; d-- > 0;) {
+    const VertexId size = bucket_scratch[d];
+    bucket_scratch[d] = next;
+    next += size;
+  }
   rank.resize(n);
-  for (VertexId i = 0; i < n; ++i) rank[order_scratch[i]] = i;
+  for (VertexId w = 0; w < n; ++w) rank[w] = bucket_scratch[Degree(w)]++;
 }
 
 std::vector<BipartiteGraph::Edge> BipartiteGraph::ToEdges() const {

@@ -17,9 +17,13 @@ namespace receipt {
 /// U vertices occupy ids [0, num_u()), V vertices occupy ids
 /// [num_u(), num_u() + num_v()). Every edge (u, v) is stored twice: once in
 /// u's adjacency list and once in v's. Adjacency lists are sorted in
-/// ascending id order after Build(), which the butterfly-counting kernel
-/// relies on for its priority-break rule (Alg. 1 line 10) once ids are
-/// assigned by descending degree (see DegreeOrderedCopy()).
+/// ascending id order. Peeling and counting need them in vertex-priority
+/// order instead (DegreeDescendingRanks()); DynamicGraph re-lays them out
+/// that way.
+///
+/// Every builder here runs in O(n + m): AssignFromEdges() sorts by two
+/// counting passes, SwappedCopy() is a block transpose and
+/// DegreeDescendingRanks() a counting sort on degree.
 ///
 /// The class is immutable after construction; peeling algorithms layer
 /// mutable degree/alive state on top via DynamicGraph.
@@ -45,12 +49,11 @@ class BipartiteGraph {
   /// In-place FromEdges: rebuilds *this* graph from `edges`, reusing the
   /// CSR arrays' capacity — the allocation-free path for arena-resident
   /// induced subgraphs and environment graphs rebuilt once per partition.
-  /// `edges` is sorted and deduplicated in place (caller scratch);
-  /// `cursor_scratch`, when supplied, replaces the fill cursor's per-call
-  /// allocation.
+  /// On return `edges` holds the deduplicated edge list in (u, v) order,
+  /// the same as std::sort + std::unique would leave it (caller scratch).
+  /// O(n + m); the sort's cursors and intermediate live in the CSR arrays.
   void AssignFromEdges(VertexId num_u, VertexId num_v,
-                       std::vector<Edge>& edges,
-                       std::vector<EdgeOffset>* cursor_scratch = nullptr);
+                       std::vector<Edge>& edges);
 
   // -- sizes ---------------------------------------------------------------
   VertexId num_u() const { return num_u_; }
@@ -106,7 +109,7 @@ class BipartiteGraph {
   // -- transforms ------------------------------------------------------------
   /// Returns a copy of this graph whose U side is the current V side and vice
   /// versa. Peeling algorithms always decompose the U side; callers wanting a
-  /// V-side decomposition swap first.
+  /// V-side decomposition swap first. A block copy of the two CSR halves.
   BipartiteGraph SwappedCopy() const;
 
   /// Returns a priority rank per vertex: rank[w] = position of w in
@@ -116,10 +119,10 @@ class BipartiteGraph {
   std::vector<VertexId> DegreeDescendingRanks() const;
 
   /// Allocation-free variant: fills `rank` (resized to num_vertices())
-  /// using `order_scratch` for the intermediate sort, both reusing their
-  /// capacity across calls.
+  /// using `bucket_scratch` for the counting sort's per-degree buckets
+  /// (max degree + 1 entries), both reusing their capacity.
   void DegreeDescendingRanksInto(std::vector<VertexId>& rank,
-                                 std::vector<VertexId>& order_scratch) const;
+                                 std::vector<VertexId>& bucket_scratch) const;
 
   /// Capacity of the CSR arrays in elements — the arena-reuse telemetry
   /// that lets growth tests see through in-place rebuilds.

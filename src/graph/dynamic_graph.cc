@@ -10,22 +10,31 @@ void DynamicGraph::Reset(const BipartiteGraph& graph,
                          std::span<const VertexId> rank) {
   num_u_ = graph.num_u();
   num_v_ = graph.num_v();
-  offsets_.assign(graph.offsets().begin(), graph.offsets().end());
-  adjacency_.assign(graph.adjacency().begin(), graph.adjacency().end());
   const VertexId n = num_vertices();
-  degree_.resize(n);
   alive_.assign(n, 1);
   rank_.assign(rank.begin(), rank.end());
-  for (VertexId w = 0; w < n; ++w) {
-    degree_[w] = offsets_[w + 1] - offsets_[w];
-    // Re-sort this vertex's neighbors by ascending priority rank; the
-    // counting kernel's break rule (Alg. 1 line 10) requires it.
-    auto begin = adjacency_.begin() + static_cast<int64_t>(offsets_[w]);
-    auto end = adjacency_.begin() + static_cast<int64_t>(offsets_[w + 1]);
-    std::sort(begin, end, [this](VertexId a, VertexId b) {
-      return rank_[a] < rank_[b];
-    });
+
+  // Lay every list out in ascending rank (the order the counting kernel's
+  // break rule, Alg. 1 line 10, requires) by a rank-order scatter: visit
+  // vertices by ascending rank and append each to its neighbours' lists.
+  // degree_ holds the visiting order (rank -> vertex) until the end, and
+  // offsets_ serves as the append cursors, so the pass is O(n + m) with no
+  // scratch beyond the view's own arrays.
+  degree_.resize(n);
+  for (VertexId w = 0; w < n; ++w) degree_[rank_[w]] = w;
+  offsets_.assign(graph.offsets().begin(), graph.offsets().end());
+  adjacency_.resize(graph.adjacency().size());
+  for (VertexId r = 0; r < n; ++r) {
+    const VertexId x = static_cast<VertexId>(degree_[r]);
+    for (const VertexId y : graph.Neighbors(x)) adjacency_[offsets_[y]++] = x;
   }
+  // Each cursor now holds the next vertex's start: shift them back.
+  if (n > 0) {
+    std::copy_backward(offsets_.begin(), offsets_.end() - 2,
+                       offsets_.end() - 1);
+    offsets_[0] = 0;
+  }
+  for (VertexId w = 0; w < n; ++w) degree_[w] = offsets_[w + 1] - offsets_[w];
 }
 
 void DynamicGraph::Compact(int num_threads) {

@@ -14,8 +14,9 @@ namespace receipt {
 /// adjacency lists periodically *compacted* to drop edges incident to dead
 /// vertices — the paper's Dynamic Graph Maintenance optimization (§4.2).
 ///
-/// Adjacency lists are re-sorted by a caller-supplied priority rank at
-/// construction (ascending rank = descending degree in the original graph),
+/// Adjacency lists are laid out by a caller-supplied priority rank at
+/// construction (ascending rank = descending degree in the original graph;
+/// an O(n + m) rank-order scatter, see Reset()),
 /// which is the order the vertex-priority butterfly-counting kernel (Alg. 1)
 /// needs for its break rule. Compaction preserves this order, so HUC
 /// re-counts (§4.1) run directly on the compacted structure.
@@ -36,8 +37,8 @@ class DynamicGraph {
   }
 
   /// Re-initializes this view over `graph` (everything alive, adjacency
-  /// re-sorted by `rank`), reusing the internal arrays' capacity — the
-  /// allocation-free path for arena-resident per-partition graphs.
+  /// in ascending `rank`), reusing the internal arrays' capacity — the
+  /// allocation-free path for arena-resident per-partition graphs. O(n + m).
   void Reset(const BipartiteGraph& graph, std::span<const VertexId> rank);
 
   /// Capacity of the internal arrays in elements (arena-reuse telemetry).

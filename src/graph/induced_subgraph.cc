@@ -43,7 +43,7 @@ const InducedSubgraph& BuildInducedSubgraph(const BipartiteGraph& graph,
 
   out.graph.AssignFromEdges(static_cast<VertexId>(subset_u.size()),
                             static_cast<VertexId>(out.v_global.size()),
-                            arena.edges, &arena.cursor_scratch);
+                            arena.edges);
   if (arena.CapacityFootprint() > footprint_before) ++arena.growths;
   return out;
 }

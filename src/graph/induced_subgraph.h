@@ -34,9 +34,8 @@ struct InducedSubgraphArena {
   InducedSubgraph subgraph;                 ///< rebuilt in place per partition.
   DynamicGraph live;                        ///< peelable view over subgraph.graph.
   std::vector<VertexId> ranks;              ///< DegreeDescendingRanks output.
-  std::vector<VertexId> rank_scratch;       ///< rank computation scratch.
+  std::vector<VertexId> rank_scratch;       ///< rank counting-sort buckets.
   std::vector<BipartiteGraph::Edge> edges;  ///< local edge-list scratch.
-  std::vector<EdgeOffset> cursor_scratch;   ///< CSR fill cursor scratch.
   /// Dense first-seen map: global side-local V id -> local V id + 1
   /// (0 = unseen). Only entries touched by the last build are non-zero;
   /// the build resets them on exit.
@@ -53,7 +52,7 @@ struct InducedSubgraphArena {
            subgraph.u_global.capacity() + subgraph.v_global.capacity() +
            live.CapacityFootprint() + ranks.capacity() +
            rank_scratch.capacity() + edges.capacity() +
-           cursor_scratch.capacity() + v_local_plus1.capacity();
+           v_local_plus1.capacity();
   }
 };
 

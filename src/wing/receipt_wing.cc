@@ -34,13 +34,18 @@ CoarseWingResult CoarseWingDecompose(const BipartiteGraph& graph,
       static_cast<uint32_t>(std::max(1, options.num_partitions));
 
   // Static peel-cost proxy for edge (u, v): marking N(u) plus scanning the
-  // neighborhoods of N(v).
+  // neighborhoods of N(v). The V part depends on v alone, so it is computed
+  // once per V vertex and indexed per edge: O(m), not O(Σ_v d_v²).
+  std::vector<Count> v_cost(graph.num_v());
+  ParallelFor(graph.num_v(), num_threads, [&](size_t v) {
+    const VertexId gv = graph.VGlobal(static_cast<VertexId>(v));
+    v_cost[v] = graph.WedgeCount(gv) + graph.Degree(gv);
+  });
   std::vector<Count> cost_static(num_edges);
   ParallelFor(num_edges, num_threads, [&](size_t e) {
     const VertexId u = topo.source[e];
     const VertexId gv = graph.adjacency()[e];
-    cost_static[e] =
-        graph.Degree(u) + graph.WedgeCount(gv) + graph.Degree(gv);
+    cost_static[e] = graph.Degree(u) + v_cost[graph.Local(gv)];
   });
 
   std::vector<uint8_t> state(num_edges, engine::kEdgeAlive);
@@ -82,8 +87,7 @@ void FineWingSubset(const BipartiteGraph& graph,
     }
   }
   BipartiteGraph& env = ws.subgraph_arena.subgraph.graph;
-  env.AssignFromEdges(graph.num_u(), graph.num_v(), env_edges,
-                      &ws.subgraph_arena.cursor_scratch);
+  env.AssignFromEdges(graph.num_u(), graph.num_v(), env_edges);
   EdgeTopology& topo = ws.env_topo;
   BuildEdgeTopologyInto(env, topo, ws.topo_cursor);
   const uint64_t env_size = env.num_edges();

@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
+#include <random>
+#include <string>
 #include <vector>
 
 #include "graph/generators.h"
@@ -151,6 +155,164 @@ TEST(BipartiteGraphTest, AverageDegree) {
   const BipartiteGraph g = MakeSmall();
   EXPECT_DOUBLE_EQ(g.AverageDegree(Side::kU), 4.0 / 3.0);
   EXPECT_DOUBLE_EQ(g.AverageDegree(Side::kV), 2.0);
+}
+
+// -- O(n + m) builders against the comparison-sort reference ----------------
+
+/// The CSR the comparison-sort builder produced: edges std::sort-ed and
+/// std::unique-d, lists filled in edge order, then each list sorted again.
+struct ReferenceCsr {
+  std::vector<Edge> edges;
+  std::vector<EdgeOffset> offsets;
+  std::vector<VertexId> adjacency;
+};
+
+ReferenceCsr ReferenceBuild(VertexId num_u, VertexId num_v,
+                            std::vector<Edge> edges) {
+  ReferenceCsr ref;
+  std::sort(edges.begin(), edges.end());
+  edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
+  const VertexId n = num_u + num_v;
+  ref.offsets.assign(n + 1, 0);
+  for (const Edge& e : edges) {
+    ++ref.offsets[e.u + 1];
+    ++ref.offsets[num_u + e.v + 1];
+  }
+  for (VertexId w = 0; w < n; ++w) ref.offsets[w + 1] += ref.offsets[w];
+  ref.adjacency.resize(2 * edges.size());
+  std::vector<EdgeOffset> cursor(ref.offsets.begin(), ref.offsets.end() - 1);
+  for (const Edge& e : edges) {
+    ref.adjacency[cursor[e.u]++] = num_u + e.v;
+    ref.adjacency[cursor[num_u + e.v]++] = e.u;
+  }
+  for (VertexId w = 0; w < n; ++w) {
+    std::sort(ref.adjacency.begin() + static_cast<int64_t>(ref.offsets[w]),
+              ref.adjacency.begin() + static_cast<int64_t>(ref.offsets[w + 1]));
+  }
+  ref.edges = std::move(edges);
+  return ref;
+}
+
+/// The comparator sort DegreeDescendingRanks replaced.
+std::vector<VertexId> ReferenceRanks(const BipartiteGraph& g) {
+  std::vector<VertexId> order(g.num_vertices());
+  std::iota(order.begin(), order.end(), 0);
+  std::sort(order.begin(), order.end(), [&g](VertexId a, VertexId b) {
+    if (g.Degree(a) != g.Degree(b)) return g.Degree(a) > g.Degree(b);
+    return a < b;
+  });
+  std::vector<VertexId> rank(order.size());
+  for (VertexId i = 0; i < order.size(); ++i) rank[order[i]] = i;
+  return rank;
+}
+
+/// An unsorted edge list over [0, num_u) × [0, num_v) with ~1/4 repeats,
+/// touching only part of each side (the rest stay isolated).
+std::vector<Edge> RandomEdges(VertexId num_u, VertexId num_v, size_t m,
+                              uint64_t seed) {
+  std::vector<Edge> edges;
+  if (num_u == 0 || num_v == 0) return edges;
+  std::mt19937_64 rng(seed);
+  const VertexId used_u = std::max<VertexId>(1, num_u - num_u / 5);
+  const VertexId used_v = std::max<VertexId>(1, num_v - num_v / 7);
+  for (size_t i = 0; i < m; ++i) {
+    if (!edges.empty() && rng() % 4 == 0) {
+      edges.push_back(edges[rng() % edges.size()]);
+    } else {
+      edges.push_back({static_cast<VertexId>(rng() % used_u),
+                       static_cast<VertexId>(rng() % used_v)});
+    }
+  }
+  return edges;
+}
+
+struct BuilderCase {
+  VertexId num_u;
+  VertexId num_v;
+  size_t m;
+};
+
+/// Shapes covering the edge cases: empty sides, single vertices, isolated
+/// vertices, dense multigraphs and lopsided sides.
+const std::vector<BuilderCase>& BuilderCases() {
+  static const std::vector<BuilderCase> cases = {
+      {0, 0, 0},    {0, 5, 0},     {6, 0, 0},     {1, 1, 3},
+      {1, 9, 20},   {9, 1, 20},    {4, 3, 40},    {50, 30, 200},
+      {30, 200, 900}, {300, 20, 2500}, {120, 120, 60}};
+  return cases;
+}
+
+TEST(BipartiteGraphBuilderTest, AssignFromEdgesMatchesSortReference) {
+  uint64_t seed = 100;
+  BipartiteGraph reused;  // one graph rebuilt in place across every case
+  for (const BuilderCase& c : BuilderCases()) {
+    for (int rep = 0; rep < 3; ++rep, ++seed) {
+      SCOPED_TRACE(std::to_string(c.num_u) + "x" + std::to_string(c.num_v) +
+                   " m=" + std::to_string(c.m) + " seed " +
+                   std::to_string(seed));
+      const std::vector<Edge> input = RandomEdges(c.num_u, c.num_v, c.m, seed);
+      const ReferenceCsr ref = ReferenceBuild(c.num_u, c.num_v, input);
+      std::vector<Edge> edges = input;
+      reused.AssignFromEdges(c.num_u, c.num_v, edges);
+      EXPECT_EQ(edges, ref.edges);
+      EXPECT_TRUE(std::ranges::equal(reused.offsets(), ref.offsets));
+      EXPECT_TRUE(std::ranges::equal(reused.adjacency(), ref.adjacency));
+      EXPECT_TRUE(reused.Validate().empty()) << reused.Validate();
+      const BipartiteGraph fresh =
+          BipartiteGraph::FromEdges(c.num_u, c.num_v, input);
+      EXPECT_TRUE(std::ranges::equal(fresh.adjacency(), ref.adjacency));
+      // A fresh graph holds no capacity for the duplicates it dropped.
+      EXPECT_EQ(fresh.CapacityFootprint(),
+                ref.offsets.size() + ref.adjacency.size());
+    }
+  }
+}
+
+TEST(BipartiteGraphBuilderTest, SwappedCopyEqualsFromEdgesOfSwappedList) {
+  uint64_t seed = 200;
+  for (const BuilderCase& c : BuilderCases()) {
+    for (int rep = 0; rep < 3; ++rep, ++seed) {
+      SCOPED_TRACE(std::to_string(c.num_u) + "x" + std::to_string(c.num_v) +
+                   " seed " + std::to_string(seed));
+      const BipartiteGraph g = BipartiteGraph::FromEdges(
+          c.num_u, c.num_v, RandomEdges(c.num_u, c.num_v, c.m, seed));
+      std::vector<Edge> swapped_edges;
+      for (const Edge& e : g.ToEdges()) swapped_edges.push_back({e.v, e.u});
+      const BipartiteGraph expected =
+          BipartiteGraph::FromEdges(c.num_v, c.num_u, swapped_edges);
+      const BipartiteGraph s = g.SwappedCopy();
+      EXPECT_EQ(s.num_u(), expected.num_u());
+      EXPECT_EQ(s.num_v(), expected.num_v());
+      EXPECT_TRUE(std::ranges::equal(s.offsets(), expected.offsets()));
+      EXPECT_TRUE(std::ranges::equal(s.adjacency(), expected.adjacency()));
+    }
+  }
+}
+
+TEST(BipartiteGraphBuilderTest, DegreeDescendingRanksMatchesComparatorSort) {
+  std::vector<BipartiteGraph> graphs = {
+      BipartiteGraph::FromEdges(0, 0, {}), BipartiteGraph::FromEdges(1, 0, {}),
+      BipartiteGraph::FromEdges(1, 1, {{0, 0}}),
+      // Every degree ties: all vertices of K_{a,a} have degree a.
+      CompleteBipartite(7, 7), CompleteBipartite(3, 5),
+      ChungLuBipartite(80, 60, 300, 0.7, 0.2, 8),
+      // Mostly degree 0-2: thousands of ties per bucket.
+      ChungLuBipartite(2000, 1500, 1800, 0.0, 0.0, 9)};
+  uint64_t seed = 300;
+  for (const BuilderCase& c : BuilderCases()) {
+    graphs.push_back(BipartiteGraph::FromEdges(
+        c.num_u, c.num_v, RandomEdges(c.num_u, c.num_v, c.m, seed++)));
+  }
+  std::vector<VertexId> rank = {42};  // stale content must be overwritten
+  std::vector<VertexId> buckets(3, 7);
+  for (size_t i = 0; i < graphs.size(); ++i) {
+    SCOPED_TRACE("graph " + std::to_string(i));
+    const std::vector<VertexId> expected = ReferenceRanks(graphs[i]);
+    EXPECT_EQ(graphs[i].DegreeDescendingRanks(), expected);
+    graphs[i].DegreeDescendingRanksInto(rank, buckets);
+    EXPECT_EQ(rank, expected);
+    EXPECT_LE(buckets.size(), std::max<size_t>(1, graphs[i].num_vertices()));
+  }
 }
 
 }  // namespace

@@ -170,6 +170,62 @@ TEST(ButterflyCountTest, UOnlyScopeMatchesOnRandomGraphs) {
   }
 }
 
+/// A random graph plus `hubs` vertices on each side adjacent to the whole
+/// other side: every start point's wedges fan into a few mid points, so the
+/// kernel's per-mid-point fold sums long runs of the wedge list.
+BipartiteGraph HubGraph(VertexId num_u, VertexId num_v, uint64_t m,
+                        VertexId hubs, uint64_t seed) {
+  std::vector<BipartiteGraph::Edge> edges =
+      ChungLuBipartite(num_u, num_v, m, 0.5, 0.5, seed).ToEdges();
+  for (VertexId h = 0; h < hubs; ++h) {
+    for (VertexId v = 0; v < num_v; ++v) edges.push_back({h, v});
+    for (VertexId u = 0; u < num_u; ++u) edges.push_back({u, h});
+  }
+  return BipartiteGraph::FromEdges(num_u, num_v, std::move(edges));
+}
+
+TEST(ButterflyCountTest, FoldedMidPointCreditsMatchBruteForceUnderFanIn) {
+  const std::vector<BipartiteGraph> graphs = {
+      HubGraph(40, 30, 120, 1, 71), HubGraph(25, 60, 200, 3, 72),
+      HubGraph(70, 15, 100, 2, 73), CompleteBipartite(12, 9)};
+  for (size_t i = 0; i < graphs.size(); ++i) {
+    const std::vector<Count> brute = BruteForceButterflyCount(graphs[i]);
+    for (const int threads : {1, 2, 4}) {
+      SCOPED_TRACE("graph " + std::to_string(i) + " threads " +
+                   std::to_string(threads));
+      ExpectUOnlyMatches(graphs[i], &brute, threads);
+    }
+  }
+}
+
+TEST(ButterflyCountTest, FoldedMidPointCreditsSkipDeadEndPoints) {
+  // Uncompacted dead entries sit inside a mid point's run of the wedge
+  // list; the fold must credit exactly the live survivors.
+  const BipartiteGraph g = HubGraph(30, 24, 90, 2, 75);
+  DynamicGraph live(g, g.DegreeDescendingRanks());
+  std::vector<BipartiteGraph::Edge> kept;
+  for (VertexId w = 0; w < g.num_vertices(); w += 5) live.Kill(w);
+  for (VertexId u = 0; u < g.num_u(); ++u) {
+    if (!live.IsAlive(u)) continue;
+    for (const VertexId gv : g.Neighbors(u)) {
+      if (live.IsAlive(gv)) kept.push_back({u, g.Local(gv)});
+    }
+  }
+  const std::vector<Count> expected = BruteForceButterflyCount(
+      BipartiteGraph::FromEdges(g.num_u(), g.num_v(), std::move(kept)));
+  engine::WorkspacePool pool;
+  for (const auto scope :
+       {engine::CountScope::kBothSides, engine::CountScope::kUOnly}) {
+    std::vector<Count> support(g.num_vertices());
+    engine::CountVertexButterflies(live, pool, 3, support, scope);
+    for (VertexId w = 0; w < g.num_vertices(); ++w) {
+      if (!live.IsAlive(w)) continue;
+      const bool credited = scope == engine::CountScope::kBothSides || g.IsU(w);
+      ASSERT_EQ(support[w], credited ? expected[w] : 0) << "vertex " << w;
+    }
+  }
+}
+
 // The analogues are too large for the brute-force reference; the random
 // sweeps above and below already tie the both-sides kernel to it.
 TEST(ButterflyCountTest, UOnlyScopeMatchesOnAnalogues) {

@@ -6,6 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <numeric>
+#include <random>
+#include <string>
+#include <vector>
 
 #include "graph/generators.h"
 
@@ -113,6 +117,65 @@ TEST(DynamicGraphTest, KillAllYieldsEmptyLiveGraph) {
   EXPECT_EQ(live.RecountCostBound(), 0u);
   for (VertexId v = 0; v < 3; ++v) {
     EXPECT_EQ(live.Degree(g.VGlobal(v)), 0u);
+  }
+}
+
+// -- rank-order scatter against the per-list sort it replaced ---------------
+
+/// Reset's old layout: the source CSR with each list sorted by rank.
+std::vector<VertexId> ReferenceRankOrderedAdjacency(
+    const BipartiteGraph& g, const std::vector<VertexId>& rank) {
+  std::vector<VertexId> adjacency(g.adjacency().begin(), g.adjacency().end());
+  for (VertexId w = 0; w < g.num_vertices(); ++w) {
+    std::sort(adjacency.begin() + static_cast<int64_t>(g.offsets()[w]),
+              adjacency.begin() + static_cast<int64_t>(g.offsets()[w + 1]),
+              [&rank](VertexId a, VertexId b) { return rank[a] < rank[b]; });
+  }
+  return adjacency;
+}
+
+void ExpectLayoutMatchesReference(const DynamicGraph& live,
+                                  const BipartiteGraph& g,
+                                  const std::vector<VertexId>& rank) {
+  const std::vector<VertexId> expected =
+      ReferenceRankOrderedAdjacency(g, rank);
+  ASSERT_EQ(live.num_vertices(), g.num_vertices());
+  for (VertexId w = 0; w < g.num_vertices(); ++w) {
+    ASSERT_EQ(live.Degree(w), g.Degree(w)) << "vertex " << w;
+    ASSERT_EQ(live.Rank(w), rank[w]);
+    ASSERT_TRUE(live.IsAlive(w));
+    const auto nbrs = live.Neighbors(w);
+    ASSERT_TRUE(std::equal(nbrs.begin(), nbrs.end(),
+                           expected.begin() +
+                               static_cast<int64_t>(g.offsets()[w])))
+        << "vertex " << w;
+  }
+}
+
+TEST(DynamicGraphTest, ResetMatchesPerListRankSort) {
+  const std::vector<BipartiteGraph> graphs = {
+      BipartiteGraph::FromEdges(0, 0, {}), BipartiteGraph::FromEdges(3, 0, {}),
+      BipartiteGraph::FromEdges(1, 1, {{0, 0}}), CompleteBipartite(6, 4),
+      Star(40), ChungLuBipartite(200, 90, 900, 0.8, 0.6, 41),
+      ChungLuBipartite(50, 400, 700, 0.0, 1.0, 43), CompleteBipartite(2, 3)};
+  std::mt19937_64 rng(45);
+  // One view reset across every graph: stale lists from a larger graph must
+  // not leak into a smaller one.
+  DynamicGraph live;
+  for (size_t i = 0; i < graphs.size(); ++i) {
+    const BipartiteGraph& g = graphs[i];
+    SCOPED_TRACE("graph " + std::to_string(i));
+    // The degree priority the engine uses, and an arbitrary permutation:
+    // the scatter relies only on `rank` being one.
+    std::vector<VertexId> shuffled(g.num_vertices());
+    std::iota(shuffled.begin(), shuffled.end(), 0);
+    std::shuffle(shuffled.begin(), shuffled.end(), rng);
+    for (const std::vector<VertexId>& rank :
+         {g.DegreeDescendingRanks(), shuffled}) {
+      live.Reset(g, rank);
+      ExpectLayoutMatchesReference(live, g, rank);
+      ExpectLayoutMatchesReference(DynamicGraph(g, rank), g, rank);
+    }
   }
 }
 

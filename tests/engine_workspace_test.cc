@@ -145,9 +145,21 @@ TEST(WorkspaceTest, FdArenaAndExtractorAreAllocationFreeWhenWarm) {
 
     // Growth counters are charged at Reset/Rebuild boundaries, so also pin
     // the raw capacity footprints — they catch growth whenever it happens.
+    // The graph builders keep their scratch in these buffers: the edge sort
+    // runs through the subgraph's CSR arrays, the rank-order scatter
+    // through the view's, and the rank counting sort's buckets are
+    // rank_scratch; each is pinned on its own.
     engine::PeelWorkspace& ws = pool.Get(0);
-    const size_t arena_footprint = ws.subgraph_arena.CapacityFootprint();
+    InducedSubgraphArena& arena = ws.subgraph_arena;
+    const size_t arena_footprint = arena.CapacityFootprint();
     const size_t extractor_footprint = ws.extractor.CapacityFootprint();
+    const std::vector<size_t> parts_warm = {
+        arena.subgraph.graph.CapacityFootprint(), arena.live.CapacityFootprint(),
+        arena.ranks.capacity(), arena.rank_scratch.capacity(),
+        arena.edges.capacity()};
+    // One bucket per degree: never more than the ranks it orders.
+    EXPECT_GT(arena.rank_scratch.capacity(), 0u);
+    EXPECT_LE(arena.rank_scratch.capacity(), arena.ranks.capacity());
 
     for (int repeat = 0; repeat < 2; ++repeat) {
       PeelStats repeat_stats;
@@ -158,7 +170,13 @@ TEST(WorkspaceTest, FdArenaAndExtractorAreAllocationFreeWhenWarm) {
     }
     EXPECT_EQ(pool.TotalGrowths(), growths_warm)
         << "backend " << static_cast<int>(extraction);
-    EXPECT_EQ(ws.subgraph_arena.CapacityFootprint(), arena_footprint)
+    EXPECT_EQ(arena.CapacityFootprint(), arena_footprint)
+        << "backend " << static_cast<int>(extraction);
+    EXPECT_EQ((std::vector<size_t>{
+                  arena.subgraph.graph.CapacityFootprint(),
+                  arena.live.CapacityFootprint(), arena.ranks.capacity(),
+                  arena.rank_scratch.capacity(), arena.edges.capacity()}),
+              parts_warm)
         << "backend " << static_cast<int>(extraction);
     EXPECT_EQ(ws.extractor.CapacityFootprint(), extractor_footprint)
         << "backend " << static_cast<int>(extraction);
@@ -178,6 +196,7 @@ TEST(WorkspaceTest, WingFineStepBuffersStableWhenWarm) {
   options.workspace_pool = &pool;
 
   const WingResult warm = ReceiptWingDecompose(g, options);
+  const uint64_t growths_warm = pool.TotalGrowths();
 
   engine::PeelWorkspace& ws = pool.Get(0);
   const auto wing_footprint = [&ws] {
@@ -189,12 +208,21 @@ TEST(WorkspaceTest, WingFineStepBuffersStableWhenWarm) {
   };
   const size_t footprint_warm = wing_footprint();
   EXPECT_GT(footprint_warm, 0u);
+  // The environment graph is rebuilt by AssignFromEdges, whose edge sort
+  // runs through the graph's own CSR arrays: pin them and the edge list.
+  const BipartiteGraph& env = ws.subgraph_arena.subgraph.graph;
+  const size_t env_csr_warm = env.CapacityFootprint();
+  const size_t env_edges_warm = ws.subgraph_arena.edges.capacity();
+  EXPECT_GT(env_csr_warm, 0u);
 
   for (int repeat = 0; repeat < 2; ++repeat) {
     const WingResult r = ReceiptWingDecompose(g, options);
     EXPECT_EQ(r.wing_numbers, warm.wing_numbers);
   }
   EXPECT_EQ(wing_footprint(), footprint_warm);
+  EXPECT_EQ(env.CapacityFootprint(), env_csr_warm);
+  EXPECT_EQ(ws.subgraph_arena.edges.capacity(), env_edges_warm);
+  EXPECT_EQ(pool.TotalGrowths(), growths_warm);
 }
 
 TEST(FindRangeBoundTest, EmptyInputAbsorbsEverything) {
