@@ -20,11 +20,6 @@
 //
 // Exit code 0 on success, 1 on usage errors, 2 on IO failures.
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <csignal>
 
 #include <algorithm>
@@ -37,7 +32,6 @@
 #include <iostream>
 #include <iterator>
 #include <map>
-#include <cctype>
 #include <mutex>
 #include <random>
 #include <set>
@@ -47,6 +41,7 @@
 
 #include <sstream>
 
+#include "cluster/http_client.h"
 #include "cluster/node.h"
 #include "cluster/router.h"
 #include "receipt/receipt_lib.h"
@@ -435,117 +430,33 @@ bool ReadUpdateBatch(std::istream& in, std::vector<service::EdgeUpdate>* out) {
   return true;
 }
 
-std::string ToLowerCopy(std::string text) {
-  std::transform(text.begin(), text.end(), text.begin(), [](unsigned char c) {
-    return static_cast<char>(std::tolower(c));
-  });
-  return text;
-}
-
-/// Minimal blocking HTTP/1.1 POST over a fresh IPv4 socket (the CLI's only
-/// client-side HTTP need — one request, Connection: close). Returns the
-/// HTTP status, or 0 with *error set on transport failure. When the server
-/// sent a Retry-After header, `*retry_after_s` gets its value in seconds.
-int HttpPostJson(const std::string& host, uint16_t port,
-                 const std::string& path, const std::string& body,
-                 std::string* response_body, int* retry_after_s,
-                 std::string* error) {
-  *retry_after_s = 0;
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) {
-    *error = "socket() failed";
-    return 0;
-  }
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
-    *error = "--host must be an IPv4 address, got '" + host + "'";
-    ::close(fd);
-    return 0;
-  }
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    *error = "cannot connect to " + host + ":" + std::to_string(port) +
-             " (is `receipt_cli serve --http-port` running?)";
-    ::close(fd);
-    return 0;
-  }
-  std::string request = "POST " + path + " HTTP/1.1\r\n";
-  request += "Host: " + host + "\r\n";
-  request += "Content-Type: application/json\r\n";
-  request += "Content-Length: " + std::to_string(body.size()) + "\r\n";
-  request += "Connection: close\r\n\r\n";
-  request += body;
-  size_t sent = 0;
-  while (sent < request.size()) {
-    // MSG_NOSIGNAL: a server that died mid-request must surface as EPIPE,
-    // not kill the CLI with SIGPIPE.
-    const ssize_t n = ::send(fd, request.data() + sent,
-                             request.size() - sent, MSG_NOSIGNAL);
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      *error = "send() failed mid-request";
-      ::close(fd);
-      return 0;
-    }
-    sent += static_cast<size_t>(n);
-  }
-  std::string reply;
-  char chunk[4096];
-  for (;;) {
-    const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      *error = "recv() failed reading the response";
-      ::close(fd);
-      return 0;
-    }
-    if (n == 0) break;
-    reply.append(chunk, static_cast<size_t>(n));
-  }
-  ::close(fd);
-  const size_t header_end = reply.find("\r\n\r\n");
-  if (reply.compare(0, 9, "HTTP/1.1 ") != 0 ||
-      header_end == std::string::npos) {
-    *error = "malformed HTTP response";
-    return 0;
-  }
-  // Scan header lines for Retry-After (the server's backoff hint on
-  // 429/503); header names are case-insensitive.
-  size_t cursor = reply.find("\r\n") + 2;
-  while (cursor < header_end) {
-    const size_t eol = reply.find("\r\n", cursor);
-    std::string line = reply.substr(cursor, eol - cursor);
-    cursor = eol + 2;
-    const size_t colon = line.find(':');
-    if (colon == std::string::npos) continue;
-    std::string name = ToLowerCopy(line.substr(0, colon));
-    if (name != "retry-after") continue;
-    size_t value_start = colon + 1;
-    while (value_start < line.size() && line[value_start] == ' ') {
-      ++value_start;
-    }
-    *retry_after_s = std::atoi(line.c_str() + value_start);
-  }
-  *response_body = reply.substr(header_end + 4);
-  return std::atoi(reply.c_str() + 9);
-}
-
 /// Posts with a retry budget: transport failures and 429/503 responses are
 /// retried with jittered exponential backoff (base * 2^attempt, uniformly
 /// jittered into [half, full]), and a server-sent Retry-After floor is
-/// honored. Any other status returns immediately.
+/// honored. Any other status returns immediately. Returns the HTTP status,
+/// or 0 with *error set on transport failure.
 int HttpPostJsonWithRetry(const std::string& host, uint16_t port,
                           const std::string& path, const std::string& body,
                           int retries, int retry_base_ms,
                           std::string* response_body, std::string* error) {
+  // A sealing batch runs the engine before the server answers.
+  const cluster::HttpClient client(/*timeout_ms=*/10 * 60 * 1000);
   std::mt19937 rng(std::random_device{}());
   int status = 0;
   for (int attempt = 0; ; ++attempt) {
-    int retry_after_s = 0;
     error->clear();
-    status = HttpPostJson(host, port, path, body, response_body,
-                          &retry_after_s, error);
+    cluster::HttpClientResponse response;
+    status = client.Post(host, port, path, body, {}, &response, error)
+                 ? response.status
+                 : 0;
+    if (status == 0 && error->rfind("connect", 0) == 0) {
+      *error += " (is `receipt_cli serve --http-port` running?)";
+    }
+    *response_body = std::move(response.body);
+    const auto retry_after = response.headers.find("retry-after");
+    const int retry_after_s = retry_after == response.headers.end()
+                                  ? 0
+                                  : std::atoi(retry_after->second.c_str());
     const bool retryable = status == 0 || status == 429 || status == 503;
     if (!retryable || attempt >= retries) return status;
     const double full_ms = static_cast<double>(retry_base_ms) *

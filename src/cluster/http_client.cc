@@ -72,11 +72,13 @@ bool HttpClient::Request(
   std::string request = method + " " + path + " HTTP/1.1\r\n";
   request += "Host: " + host + ":" + std::to_string(port) + "\r\n";
   request += "Connection: close\r\n";
+  bool has_content_type = false;
   for (const auto& [name, value] : headers) {
     request += name + ": " + value + "\r\n";
+    has_content_type = has_content_type || ToLower(name) == "content-type";
   }
   if (!body.empty() || method == "POST" || method == "PUT") {
-    request += "Content-Type: application/json\r\n";
+    if (!has_content_type) request += "Content-Type: application/json\r\n";
     request += "Content-Length: " + std::to_string(body.size()) + "\r\n";
   }
   request += "\r\n";

@@ -15,10 +15,10 @@ struct HttpClientResponse {
   std::string body;
 };
 
-/// Minimal blocking HTTP/1.1 client for replica fan-out and the router:
-/// one connection per request (Connection: close), IPv4 only, send/recv
-/// deadlines so a hung peer surfaces as a transport error instead of a
-/// stuck handler. Stateless and therefore thread-safe — any thread may
+/// Minimal blocking HTTP/1.1 client for replica fan-out, the router, the
+/// CLI and the HTTP tests: one connection per request (Connection:
+/// close), IPv4 only, send/recv deadlines so a hung peer surfaces as a
+/// transport error instead of a stuck handler. Stateless and therefore thread-safe — any thread may
 /// call Request on a shared instance.
 class HttpClient {
  public:
@@ -26,7 +26,8 @@ class HttpClient {
 
   /// False on any transport failure (connect, send, recv, malformed
   /// status line); `error` says which. HTTP error statuses are *not*
-  /// transport failures — the caller inspects response->status.
+  /// transport failures — the caller inspects response->status. A body
+  /// is sent as application/json unless `headers` names a Content-Type.
   bool Request(const std::string& method, const std::string& host,
                uint16_t port, const std::string& path,
                const std::string& body,

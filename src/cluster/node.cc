@@ -6,7 +6,7 @@
 #include <string_view>
 #include <utility>
 
-#include "graph/bipartite_graph.h"
+#include "durability/journal.h"
 #include "service/live_graph.h"
 #include "util/json.h"
 
@@ -68,6 +68,15 @@ std::string GraphNameFromEdgesPath(const std::string& path) {
   return name;
 }
 
+/// `records` as one body of journal frames, in order.
+std::string EncodeFrames(const std::vector<durability::JournalRecord>& records) {
+  std::string frames;
+  for (const durability::JournalRecord& record : records) {
+    frames += durability::EncodeFrame(record);
+  }
+  return frames;
+}
+
 std::string QueryParam(const std::string& query, std::string_view key) {
   size_t pos = 0;
   while (pos < query.size()) {
@@ -102,77 +111,6 @@ std::vector<std::pair<std::string, std::string>> PropagatedHeaders(
     }
   }
   return headers;
-}
-
-/// Parses the client-facing edges body ({"edges":[{"op","u","v"}]}) with
-/// the same rules as the frontend. False means the frontend will reject
-/// it too — the owner skips fan-out and lets the local 400 stand.
-bool ParseEdgeUpdates(const util::JsonValue& json,
-                      std::vector<service::EdgeUpdate>* updates) {
-  const util::JsonValue* edges = json.Find("edges");
-  if (edges == nullptr || !edges->IsArray()) return false;
-  updates->reserve(edges->Items().size());
-  for (const util::JsonValue& item : edges->Items()) {
-    if (!item.IsObject()) return false;
-    service::EdgeUpdate update;
-    std::string op;
-    if (item.GetString("op", &op)) {
-      if (op == "insert" || op == "+") {
-        update.insert = true;
-      } else if (op == "delete" || op == "-") {
-        update.insert = false;
-      } else {
-        return false;
-      }
-    }
-    int64_t u = -1;
-    int64_t v = -1;
-    if (!item.GetInt("u", &u) || !item.GetInt("v", &v) || u < 0 || v < 0 ||
-        u > UINT32_MAX || v > UINT32_MAX) {
-      return false;
-    }
-    update.u = static_cast<VertexId>(u);
-    update.v = static_cast<VertexId>(v);
-    updates->push_back(update);
-  }
-  return true;
-}
-
-void WriteEdgeUpdates(util::JsonWriter* json,
-                      const std::vector<service::EdgeUpdate>& updates) {
-  json->Key("edges").BeginArray();
-  for (const service::EdgeUpdate& update : updates) {
-    json->BeginObject()
-        .Key("op").String(update.insert ? "+" : "-")
-        .Key("u").Uint(update.u)
-        .Key("v").Uint(update.v)
-        .EndObject();
-  }
-  json->EndArray();
-}
-
-bool ParseEdgePairs(const util::JsonValue* edges,
-                    std::vector<BipartiteGraph::Edge>* out) {
-  if (edges == nullptr || !edges->IsArray()) return false;
-  out->reserve(edges->Items().size());
-  for (const util::JsonValue& item : edges->Items()) {
-    if (!item.IsArray() || item.Items().size() != 2 ||
-        !item.Items()[0].IsInt() || !item.Items()[1].IsInt()) {
-      return false;
-    }
-    out->push_back({static_cast<VertexId>(item.Items()[0].AsUint()),
-                    static_cast<VertexId>(item.Items()[1].AsUint())});
-  }
-  return true;
-}
-
-void WriteEdgePairs(util::JsonWriter* json,
-                    const std::vector<BipartiteGraph::Edge>& edges) {
-  json->Key("edges").BeginArray();
-  for (const BipartiteGraph::Edge& edge : edges) {
-    json->BeginArray().Uint(edge.u).Uint(edge.v).EndArray();
-  }
-  json->EndArray();
 }
 
 }  // namespace
@@ -274,14 +212,8 @@ ClusterNode::ClusterNode(const ClusterNodeOptions& options,
   server.HandlePrefix("GET", "/v1/traces/", [this](const HttpRequest& r) {
     return frontend_->HandleTraceById(r);
   });
-  server.Handle("POST", "/v1/cluster/register", [this](const HttpRequest& r) {
-    return HandleClusterRegister(r);
-  });
-  server.Handle("POST", "/v1/cluster/edges", [this](const HttpRequest& r) {
-    return HandleClusterEdges(r);
-  });
-  server.Handle("POST", "/v1/cluster/sync", [this](const HttpRequest& r) {
-    return HandleClusterSync(r);
+  server.Handle("POST", "/v1/cluster/apply", [this](const HttpRequest& r) {
+    return HandleClusterApply(r);
   });
   server.Handle("GET", "/v1/cluster/info", [this](const HttpRequest& r) {
     return HandleInfo(r);
@@ -418,7 +350,9 @@ HttpResponse ClusterNode::HandleRegister(const HttpRequest& request) {
 
   std::lock_guard<std::mutex> lock(write_mu_);
   HttpResponse response = frontend_->HandleRegisterGraph(request);
-  if (response.status == 200) ReplicateRegister(name);
+  if (response.status == 200) {
+    Replicate(name, EncodeFrames(service_->live().StateRecords(name)), "");
+  }
   return response;
 }
 
@@ -428,299 +362,112 @@ HttpResponse ClusterNode::HandleEdges(const HttpRequest& request) {
   if (!IsOwner(name)) return ForwardToMember(ring_.Owner(name), request);
 
   std::lock_guard<std::mutex> lock(write_mu_);
-  const service::GraphHandle before = registry_->Acquire(name);
-  const uint64_t expected_epoch = before ? before.epoch() : 0;
-
-  HttpResponse response = frontend_->HandleGraphEdges(request);
-  if (response.status != 200 || expected_epoch == 0) return response;
-
-  // Mirror what the frontend just accepted. Both parses see the same
-  // body, so a parse failure here is unreachable on a 200 — checked
-  // anyway to keep fan-out from shipping garbage.
-  std::vector<service::EdgeUpdate> updates;
-  const auto body_json = util::JsonValue::Parse(request.body);
-  if (!body_json.has_value() || !body_json->IsObject() ||
-      !ParseEdgeUpdates(*body_json, &updates)) {
-    return response;
+  // The records' position in the log is (epoch, pending count) before
+  // them; the epoch travels in the records, the count on the query string.
+  const size_t pending_before = service_->live().PendingEdges(name);
+  service::ApplyResult applied;
+  HttpResponse response = frontend_->HandleGraphEdges(request, &applied);
+  // Ship exactly what the owner committed — even when a later record of
+  // the same call failed, the earlier ones are history now.
+  if (!applied.records.empty()) {
+    Replicate(name, EncodeFrames(applied.records),
+              "threads=" + std::to_string(applied.seal_threads) +
+                  "&pending=" + std::to_string(pending_before));
   }
-  const auto response_json = util::JsonValue::Parse(response.body);
-  bool sealed = false;
-  uint64_t sealed_epoch = 0;
-  int64_t threads = 0;
-  if (response_json.has_value()) {
-    response_json->GetBool("sealed", &sealed);
-    if (const util::JsonValue* epoch = response_json->Find("epoch");
-        epoch != nullptr && epoch->IsInt()) {
-      sealed_epoch = epoch->AsUint();
-    }
-  }
-  body_json->GetInt("threads", &threads);
-
-  util::JsonWriter json;
-  json.BeginObject()
-      .Key("graph").String(name)
-      .Key("expected_epoch").Uint(expected_epoch)
-      .Key("seal").Bool(sealed)
-      .Key("sealed_epoch").Uint(sealed ? sealed_epoch : 0)
-      .Key("threads").Int(threads);
-  WriteEdgeUpdates(&json, updates);
-  json.EndObject();
-  ReplicateEdges(name, json.Take());
   return response;
 }
 
-void ClusterNode::ReplicateRegister(const std::string& name) {
-  const service::GraphHandle handle = registry_->Acquire(name);
-  if (!handle) return;
-  util::JsonWriter json;
-  json.BeginObject()
-      .Key("name").String(name)
-      .Key("epoch").Uint(handle.epoch())
-      .Key("num_u").Uint(handle.graph().num_u())
-      .Key("num_v").Uint(handle.graph().num_v());
-  WriteEdgePairs(&json, handle.graph().ToEdges());
-  json.EndObject();
-  const std::string body = json.Take();
-
-  for (const std::string& holder : HoldersOf(name)) {
-    if (holder == options_.self_id) continue;
-    const ClusterMember member = MemberById(holder);
-    if (member.port == 0) {
-      replication_failures_.fetch_add(1, std::memory_order_relaxed);
-      continue;
-    }
-    HttpClientResponse peer;
-    std::string error;
-    if (!client_.Post(member.host, member.port, "/v1/cluster/register", body,
-                      {}, &peer, &error) ||
-        peer.status != 200) {
-      replication_failures_.fetch_add(1, std::memory_order_relaxed);
-      continue;
-    }
-    replicated_out_.fetch_add(1, std::memory_order_relaxed);
-  }
+bool ClusterNode::PostFrames(const ClusterMember& member,
+                             const std::string& frames,
+                             const std::string& query,
+                             HttpClientResponse* peer) {
+  if (member.port == 0) return false;
+  std::string error;
+  return client_.Post(member.host, member.port, "/v1/cluster/apply?" + query,
+                      frames, {{"Content-Type", "application/octet-stream"}},
+                      peer, &error);
 }
 
-void ClusterNode::ReplicateEdges(const std::string& name,
-                                 const std::string& edges_json) {
+void ClusterNode::Replicate(const std::string& name,
+                            const std::string& frames,
+                            const std::string& query) {
   for (const std::string& holder : HoldersOf(name)) {
     if (holder == options_.self_id) continue;
     const ClusterMember member = MemberById(holder);
-    if (member.port == 0) {
-      replication_failures_.fetch_add(1, std::memory_order_relaxed);
-      continue;
-    }
     HttpClientResponse peer;
-    std::string error;
-    if (!client_.Post(member.host, member.port, "/v1/cluster/edges",
-                      edges_json, {}, &peer, &error)) {
-      // Down or unreachable: it will 409 on its next replicated batch
+    if (!PostFrames(member, frames, query, &peer)) {
+      // Down or unreachable: it will 409 on its next replicated write
       // after rejoining, which triggers the sync below.
       replication_failures_.fetch_add(1, std::memory_order_relaxed);
       continue;
     }
     if (peer.status == 409) {
-      // Diverged chain (the follower missed batches while down): catch it
-      // up with the full current state instead of the incremental batch.
+      // Diverged chain (the follower missed records while down): catch it
+      // up with the records that rebuild the current state instead.
       chain_syncs_.fetch_add(1, std::memory_order_relaxed);
-      if (SyncPeer(member, name)) {
-        replicated_out_.fetch_add(1, std::memory_order_relaxed);
-      } else {
-        replication_failures_.fetch_add(1, std::memory_order_relaxed);
+      if (!PostFrames(member,
+                      EncodeFrames(service_->live().StateRecords(name)), "",
+                      &peer)) {
+        peer.status = 0;
       }
-      continue;
     }
-    if (peer.status != 200) {
-      replication_failures_.fetch_add(1, std::memory_order_relaxed);
-      continue;
+    (peer.status == 200 ? replicated_out_ : replication_failures_)
+        .fetch_add(1, std::memory_order_relaxed);
+  }
+}
+
+HttpResponse ClusterNode::HandleClusterApply(const HttpRequest& request) {
+  // Decode every frame before applying any, so damaged bytes change
+  // nothing.
+  std::vector<durability::JournalRecord> records;
+  std::string_view bytes = request.body;
+  while (!bytes.empty()) {
+    durability::JournalRecord record;
+    size_t frame_bytes = 0;
+    std::string error;
+    switch (durability::DecodeFrame(bytes, &record, &frame_bytes, &error)) {
+      case durability::FrameStatus::kOk:
+        break;
+      case durability::FrameStatus::kTorn:
+        return JsonError(400, "truncated journal frame");
+      case durability::FrameStatus::kCorrupt:
+        return JsonError(400, "bad journal frame: " + error);
     }
-    replicated_out_.fetch_add(1, std::memory_order_relaxed);
+    records.push_back(std::move(record));
+    bytes.remove_prefix(frame_bytes);
   }
-}
-
-bool ClusterNode::SyncPeer(const ClusterMember& member,
-                           const std::string& name) {
-  service::LiveGraphManager::ExportedState exported;
-  if (!service_->live().ExportState(name, &exported)) return false;
-  util::JsonWriter json;
-  json.BeginObject()
-      .Key("name").String(name)
-      .Key("epoch").Uint(exported.epoch)
-      .Key("num_u").Uint(exported.num_u)
-      .Key("num_v").Uint(exported.num_v);
-  WriteEdgePairs(&json, exported.edges);
-  json.Key("pending").BeginArray();
-  for (const service::EdgeUpdate& update : exported.pending) {
-    json.BeginObject()
-        .Key("op").String(update.insert ? "+" : "-")
-        .Key("u").Uint(update.u)
-        .Key("v").Uint(update.v)
-        .EndObject();
-  }
-  json.EndArray();
-  json.EndObject();
-
-  HttpClientResponse peer;
-  std::string error;
-  return client_.Post(member.host, member.port, "/v1/cluster/sync",
-                      json.Take(), {}, &peer, &error) &&
-         peer.status == 200;
-}
-
-HttpResponse ClusterNode::HandleClusterRegister(const HttpRequest& request) {
-  const auto json = util::JsonValue::Parse(request.body);
-  if (!json.has_value() || !json->IsObject()) {
-    return JsonError(400, "malformed cluster register body");
-  }
-  std::string name;
-  int64_t num_u = 0;
-  int64_t num_v = 0;
-  const util::JsonValue* epoch = json->Find("epoch");
-  std::vector<BipartiteGraph::Edge> edges;
-  if (!json->GetString("name", &name) || epoch == nullptr ||
-      !epoch->IsInt() || !json->GetInt("num_u", &num_u) ||
-      !json->GetInt("num_v", &num_v) || num_u < 0 || num_v < 0 ||
-      !ParseEdgePairs(json->Find("edges"), &edges)) {
-    return JsonError(400, "cluster register body needs name, epoch, "
-                          "num_u, num_v and [u,v] edge pairs");
-  }
-  std::string error;
-  const service::Status status = service_->RegisterGraphAtEpoch(
-      name,
-      BipartiteGraph::FromEdges(static_cast<VertexId>(num_u),
-                                static_cast<VertexId>(num_v),
-                                std::move(edges)),
-      epoch->AsUint(), &error);
-  if (status != service::Status::kOk) {
-    return JsonError(HttpStatusFor(status), error);
-  }
-  replicated_applies_.fetch_add(1, std::memory_order_relaxed);
-  util::JsonWriter out;
-  out.BeginObject()
-      .Key("status").String("ok")
-      .Key("graph").String(name)
-      .Key("epoch").Uint(epoch->AsUint())
-      .EndObject();
-  HttpResponse response;
-  response.body = out.Take();
-  return response;
-}
-
-HttpResponse ClusterNode::HandleClusterEdges(const HttpRequest& request) {
-  const auto json = util::JsonValue::Parse(request.body);
-  if (!json.has_value() || !json->IsObject()) {
-    return JsonError(400, "malformed cluster edges body");
-  }
-  std::string graph;
-  const util::JsonValue* expected = json->Find("expected_epoch");
-  const util::JsonValue* sealed_epoch = json->Find("sealed_epoch");
-  bool seal = false;
-  int64_t threads = 0;
-  std::vector<service::EdgeUpdate> updates;
-  if (!json->GetString("graph", &graph) || expected == nullptr ||
-      !expected->IsInt() || !ParseEdgeUpdates(*json, &updates)) {
-    return JsonError(400, "cluster edges body needs graph, expected_epoch "
-                          "and edges");
-  }
-  json->GetBool("seal", &seal);
-  json->GetInt("threads", &threads);
-
-  const service::ApplyResult result = service_->live().ApplyReplicated(
-      graph, updates, seal, expected->AsUint(),
-      sealed_epoch != nullptr && sealed_epoch->IsInt()
-          ? sealed_epoch->AsUint()
-          : 0,
-      static_cast<int>(threads));
-  if (result.status != service::Status::kOk) {
-    const bool chain_mismatch =
-        result.error.find("epoch chain mismatch") != std::string::npos;
-    util::JsonWriter out;
-    out.BeginObject()
-        .Key("status").String("error")
-        .Key("error").String(result.error)
-        .Key("current_epoch").Uint(result.epoch)
-        .EndObject();
-    HttpResponse response;
-    response.status = chain_mismatch ? 409 : HttpStatusFor(result.status);
-    response.body = out.Take();
-    return response;
-  }
-  replicated_applies_.fetch_add(1, std::memory_order_relaxed);
-  util::JsonWriter out;
-  out.BeginObject()
-      .Key("status").String("ok")
-      .Key("graph").String(graph)
-      .Key("accepted").Uint(result.accepted)
-      .Key("pending").Uint(result.pending)
-      .Key("sealed").Bool(result.sealed)
-      .Key("epoch").Uint(result.epoch)
-      .EndObject();
-  HttpResponse response;
-  response.body = out.Take();
-  return response;
-}
-
-HttpResponse ClusterNode::HandleClusterSync(const HttpRequest& request) {
-  const auto json = util::JsonValue::Parse(request.body);
-  if (!json.has_value() || !json->IsObject()) {
-    return JsonError(400, "malformed cluster sync body");
-  }
-  std::string name;
-  int64_t num_u = 0;
-  int64_t num_v = 0;
-  const util::JsonValue* epoch = json->Find("epoch");
-  std::vector<BipartiteGraph::Edge> edges;
-  std::vector<service::EdgeUpdate> pending;
-  if (!json->GetString("name", &name) || epoch == nullptr ||
-      !epoch->IsInt() || !json->GetInt("num_u", &num_u) ||
-      !json->GetInt("num_v", &num_v) || num_u < 0 || num_v < 0 ||
-      !ParseEdgePairs(json->Find("edges"), &edges)) {
-    return JsonError(400, "cluster sync body needs name, epoch, num_u, "
-                          "num_v and [u,v] edge pairs");
-  }
-  if (const util::JsonValue* pending_json = json->Find("pending");
-      pending_json != nullptr && pending_json->IsArray()) {
-    for (const util::JsonValue& item : pending_json->Items()) {
-      if (!item.IsObject()) {
-        return JsonError(400, "'pending' entries must be objects");
-      }
-      service::EdgeUpdate update;
-      std::string op;
-      if (item.GetString("op", &op)) update.insert = op != "-";
-      int64_t u = -1;
-      int64_t v = -1;
-      if (!item.GetInt("u", &u) || !item.GetInt("v", &v) || u < 0 || v < 0) {
-        return JsonError(400, "'pending' entries need 'u' and 'v'");
-      }
-      update.u = static_cast<VertexId>(u);
-      update.v = static_cast<VertexId>(v);
-      pending.push_back(update);
+  if (records.empty()) return JsonError(400, "no journal frames in body");
+  const int threads = std::clamp(
+      std::atoi(QueryParam(request.query, "threads").c_str()), 0, 1024);
+  // A follower that missed an unsealed batch is still at the owner's
+  // epoch; its shorter buffer is what gives it away.
+  if (const std::string pending = QueryParam(request.query, "pending");
+      !pending.empty()) {
+    const size_t local = service_->live().PendingEdges(records[0].graph);
+    if (local != std::strtoull(pending.c_str(), nullptr, 10)) {
+      return JsonError(409, "pending buffer diverged: '" + records[0].graph +
+                                "' holds " + std::to_string(local) +
+                                " updates, owner expected " + pending);
     }
   }
 
-  std::string error;
-  const service::Status status = service_->RegisterGraphAtEpoch(
-      name,
-      BipartiteGraph::FromEdges(static_cast<VertexId>(num_u),
-                                static_cast<VertexId>(num_v),
-                                std::move(edges)),
-      epoch->AsUint(), &error);
-  if (status != service::Status::kOk) {
-    return JsonError(HttpStatusFor(status), error);
-  }
-  if (!pending.empty()) {
-    const service::ApplyResult result = service_->live().ApplyReplicated(
-        name, pending, /*seal=*/false, epoch->AsUint(), 0, 0);
+  service::ApplyResult result;
+  for (const durability::JournalRecord& record : records) {
+    result = service_->live().Apply(record, threads);
     if (result.status != service::Status::kOk) {
-      return JsonError(HttpStatusFor(result.status), result.error);
+      // 409 asks the owner for a full-state sync.
+      return JsonError(
+          result.chain_mismatch ? 409 : HttpStatusFor(result.status),
+          result.error);
     }
   }
   replicated_applies_.fetch_add(1, std::memory_order_relaxed);
   util::JsonWriter out;
   out.BeginObject()
       .Key("status").String("ok")
-      .Key("graph").String(name)
-      .Key("epoch").Uint(epoch->AsUint())
+      .Key("graph").String(records.back().graph)
+      .Key("pending").Uint(result.pending)
+      .Key("epoch").Uint(result.epoch)
       .EndObject();
   HttpResponse response;
   response.body = out.Take();

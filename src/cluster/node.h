@@ -49,25 +49,34 @@ struct ClusterNodeOptions {
 ///           ever serving a client a past epoch.
 ///   writes  /v1/graphs and /v1/graphs/{name}/edges are applied by the
 ///           shard owner (non-owners proxy or redirect). The owner
-///           journals + applies locally first, then fans the batch out to
-///           the other holders pinned to its own epochs — epochs are the
-///           replication token, so replica chains are identical by
-///           construction, and a follower whose chain diverged (it missed
-///           batches while down) answers 409 and is caught up with a
+///           journals + applies locally first, then ships the journal
+///           records it committed — the CRC-framed bytes its own journal
+///           holds — to the other holders, which apply them through the
+///           same LiveGraphManager::Apply at the owner's epochs. Epochs are
+///           the replication token, so replica chains are identical by
+///           construction; a follower whose chain diverged (it missed
+///           records while down) answers 409 and is caught up with a
 ///           full-state sync.
 ///
 /// Internal endpoints (replica-to-replica, same HTTP surface):
-///   POST /v1/cluster/register   install a graph at the owner's epoch
-///   POST /v1/cluster/edges      apply a replicated batch (+ pinned seal)
-///   POST /v1/cluster/sync       full-state catch-up after a 409
+///   POST /v1/cluster/apply?threads=N&pending=P
+///                  apply a body of journal frames (EncodeFrame bytes) in
+///                  order; N is the seal's engine thread count. Damaged
+///                  frames answer 400 and apply nothing. A batch or seal
+///                  that does not continue the local chain answers 409: its
+///                  epoch is not the local one, or the local pending buffer
+///                  does not hold the P updates the owner's did before it.
+///                  A registration fan-out and a 409 catch-up send the
+///                  same body: a kRegister frame with the sealed edges,
+///                  plus a kEdgeBatch frame with the pending buffer.
 ///   GET  /v1/cluster/info       membership, placement, resident graphs
 ///   GET  /v1/cluster/route?graph=g   owner + holders for one name
 ///
-/// Crash/rejoin: followers journal replicated batches and seals under the
-/// owner's epochs (journal-before-ack, like the local path), so a killed
-/// replica recovers from its *own* --data-dir at its recorded
-/// (graph, epoch) — no peer resync — and the next replicated write either
-/// chains cleanly or triggers the 409 → sync catch-up.
+/// Crash/rejoin: followers journal the records they apply (Apply journals
+/// before it mutates, like the local path), so a killed replica recovers
+/// from its *own* --data-dir at its recorded (graph, epoch, pending
+/// buffer) — no peer resync — and the next replicated write either chains
+/// cleanly or triggers the 409 → sync catch-up.
 class ClusterNode {
  public:
   /// Registers cluster routes on `server` (construct the frontend with
@@ -94,10 +103,10 @@ class ClusterNode {
     uint64_t proxied = 0;            ///< requests answered via a peer
     uint64_t redirected = 0;         ///< 307s answered (proxy=false)
     uint64_t stale_rejects = 0;      ///< 412s (behind X-Cluster-Min-Epoch)
-    uint64_t replicated_out = 0;     ///< batches/registrations fanned out
+    uint64_t replicated_out = 0;     ///< writes/registrations fanned out
     uint64_t replication_failures = 0;
     uint64_t chain_syncs = 0;        ///< full-state syncs sent after a 409
-    uint64_t replicated_applies = 0; ///< internal applies served
+    uint64_t replicated_applies = 0; ///< /v1/cluster/apply bodies applied
   };
   Stats stats() const;
 
@@ -105,10 +114,7 @@ class ClusterNode {
   server::HttpResponse HandleDecompose(const server::HttpRequest& request);
   server::HttpResponse HandleRegister(const server::HttpRequest& request);
   server::HttpResponse HandleEdges(const server::HttpRequest& request);
-  server::HttpResponse HandleClusterRegister(
-      const server::HttpRequest& request);
-  server::HttpResponse HandleClusterEdges(const server::HttpRequest& request);
-  server::HttpResponse HandleClusterSync(const server::HttpRequest& request);
+  server::HttpResponse HandleClusterApply(const server::HttpRequest& request);
   server::HttpResponse HandleInfo(const server::HttpRequest& request);
   server::HttpResponse HandleRoute(const server::HttpRequest& request);
 
@@ -117,15 +123,16 @@ class ClusterNode {
   server::HttpResponse ForwardToMember(const std::string& member_id,
                                        const server::HttpRequest& request);
 
-  /// Owner-side register fan-out: ships (name, epoch, shape, edges) to
-  /// every other holder.
-  void ReplicateRegister(const std::string& name);
+  /// Posts journal `frames` to `member`'s /v1/cluster/apply?`query`.
+  /// False on a transport failure or an unknown endpoint.
+  bool PostFrames(const ClusterMember& member, const std::string& frames,
+                  const std::string& query, HttpClientResponse* peer);
 
-  /// Owner-side batch fan-out of a pre-built /v1/cluster/edges body; a
-  /// 409 (diverged follower) triggers a full-state sync to that follower.
-  void ReplicateEdges(const std::string& name, const std::string& edges_json);
-
-  bool SyncPeer(const ClusterMember& member, const std::string& name);
+  /// Owner-side fan-out of journal frames to every other holder; a 409
+  /// (diverged follower) triggers a full-state sync: the frames of
+  /// LiveGraphManager::StateRecords, which a registration sends too.
+  void Replicate(const std::string& name, const std::string& frames,
+                 const std::string& query);
 
   ClusterMember MemberById(const std::string& id) const;
 

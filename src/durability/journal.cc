@@ -132,6 +132,33 @@ std::string EncodeFrame(const JournalRecord& record) {
   return std::move(frame.out);
 }
 
+FrameStatus DecodeFrame(std::string_view bytes, JournalRecord* record,
+                        size_t* frame_bytes, std::string* error) {
+  if (bytes.size() < 8) return FrameStatus::kTorn;
+  uint32_t len = 0;
+  uint32_t crc = 0;
+  std::memcpy(&len, bytes.data(), 4);
+  std::memcpy(&crc, bytes.data() + 4, 4);
+  if (len > kMaxFrameBytes) {
+    if (error != nullptr) {
+      *error = "frame length " + std::to_string(len) + " exceeds limit";
+    }
+    return FrameStatus::kCorrupt;
+  }
+  if (bytes.size() - 8 < len) return FrameStatus::kTorn;
+  const char* payload = bytes.data() + 8;
+  if (util::Crc32(payload, len) != crc) {
+    if (error != nullptr) *error = "CRC mismatch";
+    return FrameStatus::kCorrupt;
+  }
+  if (!DecodePayload(payload, len, record)) {
+    if (error != nullptr) *error = "undecodable record";
+    return FrameStatus::kCorrupt;
+  }
+  *frame_bytes = 8 + size_t{len};
+  return FrameStatus::kOk;
+}
+
 std::unique_ptr<Journal> Journal::Open(const JournalOptions& options,
                                        std::string* error) {
   if (!util::io::EnsureDir(options.dir, error)) return nullptr;
@@ -330,22 +357,13 @@ bool ScanJournal(
     }
     size_t pos = kSegmentHeaderBytes;
     while (pos < bytes.size()) {
-      uint32_t len = 0;
-      uint32_t crc = 0;
-      bool torn = bytes.size() - pos < 8;
-      if (!torn) {
-        std::memcpy(&len, bytes.data() + pos, 4);
-        std::memcpy(&crc, bytes.data() + pos + 4, 4);
-        if (len > kMaxFrameBytes) {
-          if (error != nullptr) {
-            *error = "journal frame length " + std::to_string(len) +
-                     " exceeds limit in " + path;
-          }
-          return false;
-        }
-        torn = bytes.size() - pos - 8 < len;
-      }
-      if (torn) {
+      JournalRecord record;
+      size_t frame_bytes = 0;
+      std::string frame_error;
+      const FrameStatus status =
+          DecodeFrame(std::string_view(bytes).substr(pos), &record,
+                      &frame_bytes, &frame_error);
+      if (status == FrameStatus::kTorn) {
         if (!final_segment) {
           if (error != nullptr) {
             *error = "torn record in non-final journal segment: " + path;
@@ -357,25 +375,16 @@ bool ScanJournal(
         util::io::TruncateFile(path, pos, nullptr);
         return true;
       }
-      const char* payload = bytes.data() + pos + 8;
-      if (util::Crc32(payload, len) != crc) {
+      if (status == FrameStatus::kCorrupt) {
         if (error != nullptr) {
-          *error = "journal CRC mismatch at " + path + " offset " +
-                   std::to_string(pos);
-        }
-        return false;
-      }
-      JournalRecord record;
-      if (!DecodePayload(payload, len, &record)) {
-        if (error != nullptr) {
-          *error = "undecodable journal record at " + path + " offset " +
+          *error = "journal " + frame_error + " at " + path + " offset " +
                    std::to_string(pos);
         }
         return false;
       }
       result->records += 1;
       if (!visit(record, JournalLsn{seq, pos})) return true;
-      pos += 8 + len;
+      pos += frame_bytes;
     }
   }
   return true;

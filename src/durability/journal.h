@@ -7,6 +7,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "graph/bipartite_graph.h"
@@ -150,8 +151,22 @@ bool ScanJournal(
     const std::function<bool(const JournalRecord&, const JournalLsn&)>& visit,
     JournalScanResult* result, std::string* error);
 
-/// Exposed for tests: exact byte framing of one record (no segment header).
+/// Exact byte framing of one record (no segment header): the unit the
+/// journal appends, and the body of a replicated write.
 std::string EncodeFrame(const JournalRecord& record);
+
+enum class FrameStatus : uint8_t {
+  kOk,
+  kTorn,     ///< `bytes` ends inside the frame
+  kCorrupt,  ///< oversize length, CRC mismatch, or undecodable payload
+};
+
+/// Decodes the frame at the front of `bytes` — the one frame decoder, used
+/// by ScanJournal and by replicas reading frames off the wire. On kOk fills
+/// `record` and sets `*frame_bytes` to the frame's length; on kCorrupt sets
+/// `error` to the reason.
+FrameStatus DecodeFrame(std::string_view bytes, JournalRecord* record,
+                        size_t* frame_bytes, std::string* error);
 
 }  // namespace receipt::durability
 

@@ -52,12 +52,6 @@ void DurabilityManager::SeedCoverage(
   needed_segment_ = needed_segment;
 }
 
-void DurabilityManager::NoteGraphActivityLocked(const std::string& graph) {
-  // First journaled activity for a graph with no snapshot coverage yet:
-  // it needs the active segment onward.
-  needed_segment_.emplace(graph, journal_->CurrentLsn().segment);
-}
-
 bool DurabilityManager::AppendInstrumented(const JournalRecord& record,
                                            std::string* error) {
   WallTimer timer;
@@ -78,66 +72,27 @@ bool DurabilityManager::AppendInstrumented(const JournalRecord& record,
   return ok;
 }
 
-bool DurabilityManager::LogRegister(const std::string& graph, uint64_t epoch,
-                                    uint32_t num_u, uint32_t num_v,
-                                    std::span<const BipartiteGraph::Edge> edges,
-                                    std::string* error) {
-  JournalRecord record;
-  record.type = JournalRecord::Type::kRegister;
-  record.graph = graph;
-  record.epoch = epoch;
-  record.num_u = num_u;
-  record.num_v = num_v;
-  record.edges.assign(edges.begin(), edges.end());
+bool DurabilityManager::Append(const JournalRecord& record,
+                               std::string* error) {
   {
-    // A re-register supersedes all earlier records for the name, so the
-    // registration record itself is the graph's new replay floor.
     std::lock_guard<std::mutex> lock(mu_);
-    needed_segment_[graph] = journal_->CurrentLsn().segment;
+    const uint64_t segment = journal_->CurrentLsn().segment;
+    if (record.type == JournalRecord::Type::kRegister) {
+      // A re-register supersedes all earlier records for the name, so the
+      // registration record itself is the graph's new replay floor.
+      needed_segment_[record.graph] = segment;
+    } else if (record.type != JournalRecord::Type::kUnregister) {
+      // First journaled activity for a graph with no snapshot coverage
+      // yet: it needs the active segment onward.
+      needed_segment_.emplace(record.graph, segment);
+    }
   }
-  return AppendInstrumented(record, error);
-}
-
-bool DurabilityManager::LogUnregister(const std::string& graph,
-                                      std::string* error) {
-  JournalRecord record;
-  record.type = JournalRecord::Type::kUnregister;
-  record.graph = graph;
-  bool ok = AppendInstrumented(record, error);
-  if (ok) {
+  const bool ok = AppendInstrumented(record, error);
+  if (ok && record.type == JournalRecord::Type::kUnregister) {
     std::lock_guard<std::mutex> lock(mu_);
-    needed_segment_.erase(graph);
+    needed_segment_.erase(record.graph);
   }
   return ok;
-}
-
-bool DurabilityManager::LogEdgeBatch(const std::string& graph, uint64_t epoch,
-                                     std::span<const EdgeOp> updates,
-                                     std::string* error) {
-  JournalRecord record;
-  record.type = JournalRecord::Type::kEdgeBatch;
-  record.graph = graph;
-  record.epoch = epoch;
-  record.updates.assign(updates.begin(), updates.end());
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    NoteGraphActivityLocked(graph);
-  }
-  return AppendInstrumented(record, error);
-}
-
-bool DurabilityManager::LogSeal(const std::string& graph, uint64_t old_epoch,
-                                uint64_t new_epoch, std::string* error) {
-  JournalRecord record;
-  record.type = JournalRecord::Type::kSeal;
-  record.graph = graph;
-  record.epoch = old_epoch;
-  record.new_epoch = new_epoch;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    NoteGraphActivityLocked(graph);
-  }
-  return AppendInstrumented(record, error);
 }
 
 bool DurabilityManager::WriteSnapshot(SnapshotData* data, std::string* error) {

@@ -4,7 +4,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <span>
 #include <string>
 
 #include "durability/journal.h"
@@ -49,15 +48,10 @@ class DurabilityManager {
   /// records the graph's snapshot does not cover.
   void SeedCoverage(const std::map<std::string, uint64_t>& needed_segment);
 
-  // -- write-ahead logging. Each returns true once durable per policy. ----
-  bool LogRegister(const std::string& graph, uint64_t epoch, uint32_t num_u,
-                   uint32_t num_v, std::span<const BipartiteGraph::Edge> edges,
-                   std::string* error);
-  bool LogUnregister(const std::string& graph, std::string* error);
-  bool LogEdgeBatch(const std::string& graph, uint64_t epoch,
-                    std::span<const EdgeOp> updates, std::string* error);
-  bool LogSeal(const std::string& graph, uint64_t old_epoch,
-               uint64_t new_epoch, std::string* error);
+  /// Write-ahead logging: appends `record` and keeps the graph's replay
+  /// floor (the oldest segment its recovery still needs) in step with it.
+  /// Returns true once the record is durable per the fsync policy.
+  bool Append(const JournalRecord& record, std::string* error);
 
   /// Writes `data` as the graph's snapshot. Fills in the covered LSN from
   /// the journal's current position — the caller must hold whatever lock
@@ -85,7 +79,6 @@ class DurabilityManager {
   explicit DurabilityManager(const DurabilityOptions& options)
       : options_(options) {}
   bool AppendInstrumented(const JournalRecord& record, std::string* error);
-  void NoteGraphActivityLocked(const std::string& graph);
 
   DurabilityOptions options_;
   std::unique_ptr<Journal> journal_;

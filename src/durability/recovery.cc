@@ -74,52 +74,33 @@ std::unique_ptr<DurabilityManager> OpenWithRecovery(
       report->records_skipped += 1;
       return true;
     }
-    service::Status status = service::Status::kOk;
+    const service::ApplyResult result = live.Apply(record);
+    if (result.status != service::Status::kOk) {
+      replay_error = result.error;
+      return false;
+    }
     switch (record.type) {
-      case JournalRecord::Type::kRegister: {
-        for (const auto& e : record.edges) {
-          if (e.u >= record.num_u || e.v >= record.num_v) {
-            replay_error = "journaled registration of '" + record.graph +
-                           "' has out-of-shape edges";
-            return false;
-          }
-        }
+      case JournalRecord::Type::kRegister:
         // A re-registration supersedes the snapshot and everything
         // buffered: from here on this graph replays from the record.
-        live.DropState(record.graph);
         covered.erase(record.graph);
-        registry.RegisterAtEpoch(
-            record.graph,
-            BipartiteGraph::FromEdges(record.num_u, record.num_v,
-                                      {record.edges.begin(),
-                                       record.edges.end()}),
-            record.epoch);
         needed_segment[record.graph] = lsn.segment;
         report->registrations_replayed += 1;
         break;
-      }
       case JournalRecord::Type::kUnregister:
-        live.DropState(record.graph);
-        registry.Evict(record.graph);
         covered.erase(record.graph);
         needed_segment.erase(record.graph);
         report->unregistrations_replayed += 1;
         break;
       case JournalRecord::Type::kEdgeBatch:
-        status = live.ReplayBatch(record.graph, record.epoch, record.updates,
-                                  &replay_error);
-        if (status == service::Status::kOk) {
-          report->batches_replayed += 1;
-          report->updates_replayed += record.updates.size();
-        }
+        report->batches_replayed += 1;
+        report->updates_replayed += record.updates.size();
         break;
       case JournalRecord::Type::kSeal:
-        status = live.ReplaySeal(record.graph, record.epoch, record.new_epoch,
-                                 /*threads=*/0, &replay_error);
-        if (status == service::Status::kOk) report->seals_replayed += 1;
+        report->seals_replayed += 1;
         break;
     }
-    return status == service::Status::kOk;
+    return true;
   };
   JournalScanResult scan;
   if (!ScanJournal(journal_dir, visit, &scan, error)) return nullptr;

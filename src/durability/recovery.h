@@ -32,11 +32,12 @@ struct RecoveryReport {
 /// opens (and returns) the durability manager for the recovered state —
 /// the one startup entry point for `serve --data-dir`.
 ///
-/// Loads the snapshot per graph, replays the journal suffix through the
-/// LiveGraphManager's own replay path (skipping records each graph's
-/// snapshot already covers), asserting the epoch chain is contiguous.
-/// Replayed seals run the real seal path, so the recovered process serves
-/// bit-identical results to the never-crashed one.
+/// Loads the snapshot per graph, then replays the journal suffix through
+/// LiveGraphManager::Apply — the same path every live write takes —
+/// skipping records each graph's snapshot already covers. Apply asserts
+/// the epoch chain is contiguous, and replayed seals run the real seal
+/// path, so the recovered process serves bit-identical results to the
+/// never-crashed one.
 ///
 /// Fails (returns nullptr + *error) on anything that would mean serving
 /// wrong data: corrupt snapshots, CRC-bad journal records, version

@@ -370,7 +370,7 @@ HttpResponse DecompositionHttpFrontend::HandleRegisterGraph(
 }
 
 HttpResponse DecompositionHttpFrontend::HandleGraphEdges(
-    const HttpRequest& http_request) {
+    const HttpRequest& http_request, service::ApplyResult* applied) {
   CountHttpRequest("/v1/graphs/{name}/edges");
 
   // Path: /v1/graphs/{name}/edges (the registration route is the exact
@@ -479,8 +479,10 @@ HttpResponse DecompositionHttpFrontend::HandleGraphEdges(
   }
 
   const uint64_t apply_start_ns = obs::TraceRecorder::NowNs();
-  const service::ApplyResult result = service_->live().ApplyEdges(
-      name, updates, seal, static_cast<int>(threads), track);
+  service::ApplyResult local;
+  service::ApplyResult& result = applied != nullptr ? *applied : local;
+  result = service_->live().ApplyEdges(name, updates, seal,
+                                       static_cast<int>(threads), track);
   trace.EmitSince("live.apply", apply_start_ns, updates.size());
   if (result.status != Status::kOk) {
     return finish(JsonError(HttpStatusFor(result.status), result.error));

@@ -54,7 +54,10 @@ class DecompositionHttpFrontend {
   HttpResponse HandleDecompose(const HttpRequest& request);
   HttpResponse HandleListGraphs(const HttpRequest& request);
   HttpResponse HandleRegisterGraph(const HttpRequest& request);
-  HttpResponse HandleGraphEdges(const HttpRequest& request);
+  /// `applied` (optional) receives the ApplyResult, including the journal
+  /// records the batch committed — what a shard owner replicates.
+  HttpResponse HandleGraphEdges(const HttpRequest& request,
+                                service::ApplyResult* applied = nullptr);
   HttpResponse HandleAdminSnapshot(const HttpRequest& request);
   HttpResponse HandleHealthz(const HttpRequest& request);
   HttpResponse HandleStatz(const HttpRequest& request);

@@ -671,56 +671,19 @@ Status DecompositionService::RegisterGraph(const std::string& name,
                                            BipartiteGraph graph,
                                            uint64_t* epoch_out,
                                            std::string* error) {
-  if (name.empty()) {
-    if (error != nullptr) *error = "graph name must not be empty";
-    return Status::kBadRequest;
+  durability::JournalRecord record;
+  record.type = durability::JournalRecord::Type::kRegister;
+  record.graph = name;
+  record.epoch = registry_->AllocateEpoch();
+  record.num_u = graph.num_u();
+  record.num_v = graph.num_v();
+  record.edges = graph.ToEdges();
+  const ApplyResult result = live_->Apply(record);
+  if (result.status != Status::kOk) {
+    if (error != nullptr) *error = result.error;
+    return result.status;
   }
-  const GraphHandle previous = registry_->Acquire(name);
-  const uint64_t epoch = registry_->AllocateEpoch();
-  if (durability_ != nullptr) {
-    // Journal before install: an acknowledged registration must already be
-    // replayable. Failure means nothing was installed — unacknowledged,
-    // consistently absent on both sides of a crash.
-    std::string log_error;
-    if (!durability_->LogRegister(name, epoch, graph.num_u(), graph.num_v(),
-                                  graph.ToEdges(), &log_error)) {
-      if (error != nullptr) *error = "durability: " + log_error;
-      return Status::kShutdown;
-    }
-  }
-  registry_->RegisterAtEpoch(name, std::move(graph), epoch);
-  // Results computed on the superseded registration are unreachable via
-  // the new epoch; free their cache bytes eagerly. Resident live state
-  // resyncs lazily on its next Track/ApplyEdges (same as before).
-  if (previous) cache_.DropEpoch(previous.epoch());
-  if (epoch_out != nullptr) *epoch_out = epoch;
-  return Status::kOk;
-}
-
-Status DecompositionService::RegisterGraphAtEpoch(const std::string& name,
-                                                  BipartiteGraph graph,
-                                                  uint64_t epoch,
-                                                  std::string* error) {
-  if (name.empty()) {
-    if (error != nullptr) *error = "graph name must not be empty";
-    return Status::kBadRequest;
-  }
-  if (epoch == 0) {
-    if (error != nullptr) *error = "epoch must be positive";
-    return Status::kBadRequest;
-  }
-  const GraphHandle previous = registry_->Acquire(name);
-  if (durability_ != nullptr) {
-    std::string log_error;
-    if (!durability_->LogRegister(name, epoch, graph.num_u(), graph.num_v(),
-                                  graph.ToEdges(), &log_error)) {
-      if (error != nullptr) *error = "durability: " + log_error;
-      return Status::kShutdown;
-    }
-  }
-  registry_->RegisterAtEpoch(name, std::move(graph), epoch);
-  live_->DropState(name);
-  if (previous) cache_.DropEpoch(previous.epoch());
+  if (epoch_out != nullptr) *epoch_out = record.epoch;
   return Status::kOk;
 }
 
@@ -739,24 +702,16 @@ Status DecompositionService::RegisterGraphFile(const std::string& name,
 
 Status DecompositionService::UnregisterGraph(const std::string& name,
                                              std::string* error) {
-  const GraphHandle handle = registry_->Acquire(name);
-  if (!handle) {
+  if (!registry_->Acquire(name)) {
     if (error != nullptr) *error = "graph '" + name + "' is not registered";
     return Status::kNotFound;
   }
-  if (durability_ != nullptr) {
-    std::string log_error;
-    if (!durability_->LogUnregister(name, &log_error)) {
-      // Fail-stop: the graph stays registered rather than diverging from
-      // what a recovered process would see.
-      if (error != nullptr) *error = "durability: " + log_error;
-      return Status::kShutdown;
-    }
-  }
-  registry_->Evict(name);
-  live_->DropState(name);
-  cache_.DropEpoch(handle.epoch());
-  return Status::kOk;
+  durability::JournalRecord record;
+  record.type = durability::JournalRecord::Type::kUnregister;
+  record.graph = name;
+  const ApplyResult result = live_->Apply(record);
+  if (result.status != Status::kOk && error != nullptr) *error = result.error;
+  return result.status;
 }
 
 }  // namespace receipt::service

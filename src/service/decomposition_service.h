@@ -248,12 +248,12 @@ class DecompositionService {
 
   GraphRegistry& registry() { return *registry_; }
 
-  /// Durable registration: journals the graph (name, epoch, shape, full
-  /// edge list) *before* reporting success, so a crash after the ack
-  /// replays it. Without a data dir this is plain registry registration.
-  /// On a failed journal append the registration is rolled back and
-  /// kShutdown returned — never acknowledged-then-lost. `epoch_out`
-  /// (optional) receives the installed epoch.
+  /// Registers `graph` under `name` at a freshly allocated epoch as one
+  /// kRegister record through LiveGraphManager::Apply: journaled (with a
+  /// data dir) before it is installed, so a crash after the ack replays
+  /// it; a failed append installs nothing and returns kShutdown. Drops the
+  /// name's live state and the superseded epoch's cached results.
+  /// `epoch_out` (optional) receives the installed epoch.
   Status RegisterGraph(const std::string& name, BipartiteGraph graph,
                        uint64_t* epoch_out, std::string* error);
 
@@ -261,19 +261,10 @@ class DecompositionService {
   Status RegisterGraphFile(const std::string& name, const std::string& path,
                            uint64_t* epoch_out, std::string* error);
 
-  /// Replication: installs `graph` at an epoch dictated by the shard
-  /// owner instead of allocating one locally. Journals the registration
-  /// at that epoch (journal-before-ack, like RegisterGraph), so a
-  /// follower that crashes rejoins from its own data dir at the recorded
-  /// (graph, epoch) without peer resync. Resident live state for the name
-  /// is dropped — the replicated registration supersedes it.
-  Status RegisterGraphAtEpoch(const std::string& name, BipartiteGraph graph,
-                              uint64_t epoch, std::string* error);
-
-  /// Durable eviction: journals the unregistration, then evicts the
-  /// registry entry and drops resident live state. kNotFound when the name
-  /// is unknown, kShutdown when the journal refuses the record (the graph
-  /// stays registered — fail-stop beats divergence).
+  /// Evicts `name` as one kUnregister record through Apply (journaled
+  /// first, like every mutation). kNotFound when the name is unknown,
+  /// kShutdown when the journal refuses the record (the graph stays
+  /// registered — fail-stop beats divergence).
   Status UnregisterGraph(const std::string& name, std::string* error);
 
   /// On-demand snapshot of one graph (POST /v1/admin/snapshot).
@@ -301,11 +292,6 @@ class DecompositionService {
   /// observability bundle, so a seal's epoch bump, cache priming, and
   /// dead-epoch drop are visible to every request path.
   LiveGraphManager& live() { return *live_; }
-
-  /// Drops every cached result computed on `epoch` (see
-  /// ResultCache::DropEpoch). The HTTP front-end calls this when a graph
-  /// is re-registered, the live path when a seal retires an epoch.
-  size_t DropCachedEpoch(uint64_t epoch) { return cache_.DropEpoch(epoch); }
 
  private:
   /// Coalescing identity: the cache key plus the thread count (a request

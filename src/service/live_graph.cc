@@ -15,6 +15,7 @@ namespace receipt::service {
 namespace {
 
 using Edge = BipartiteGraph::Edge;
+using durability::JournalRecord;
 
 /// Sentinel in the old→new edge-id map for edges the batch deleted.
 constexpr EdgeOffset kNoEdge = ~EdgeOffset{0};
@@ -47,15 +48,6 @@ uint64_t CountNonZero(std::span<const uint8_t> flags) {
   uint64_t count = 0;
   for (const uint8_t f : flags) count += f != 0;
   return count;
-}
-
-std::vector<durability::EdgeOp> ToEdgeOps(std::span<const EdgeUpdate> updates) {
-  std::vector<durability::EdgeOp> ops;
-  ops.reserve(updates.size());
-  for (const EdgeUpdate& update : updates) {
-    ops.push_back({update.insert, update.u, update.v});
-  }
-  return ops;
 }
 
 Algorithm AlgorithmFor(RequestKind kind) {
@@ -103,22 +95,16 @@ void LiveGraphManager::RegisterInstruments() {
 }
 
 LiveGraphManager::LiveGraphState* LiveGraphManager::GetOrCreateState(
-    const std::string& name) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    const auto it = states_.find(name);
-    if (it != states_.end()) return it->second.get();
-  }
-  // Build outside mu_ (ToEdges on a large graph is not free), then publish.
+    const std::string& name, bool registering) {
+  std::lock_guard<std::mutex> lock(mu_);
+  const auto it = states_.find(name);
+  if (it != states_.end()) return it->second.get();
   GraphHandle handle = registry_->Acquire(name);
-  if (!handle) return nullptr;
+  if (!handle && !registering) return nullptr;
   auto state = std::make_unique<LiveGraphState>();
   state->name = name;
-  state->edges = handle.graph().ToEdges();
   state->handle = std::move(handle);
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto [it, inserted] = states_.emplace(name, std::move(state));
-  return it->second.get();
+  return states_.emplace(name, std::move(state)).first->second.get();
 }
 
 LiveGraphManager::LiveGraphState* LiveGraphManager::FindState(
@@ -131,13 +117,12 @@ LiveGraphManager::LiveGraphState* LiveGraphManager::FindState(
 Status LiveGraphManager::Track(const std::string& name,
                                const LiveConfig& config, int threads,
                                std::string* error) {
-  LiveGraphState* state = GetOrCreateState(name);
-  if (state == nullptr) {
-    if (error != nullptr) *error = "graph '" + name + "' is not registered";
-    return Status::kNotFound;
+  if (LiveGraphState* state = GetOrCreateState(name)) {
+    std::lock_guard<std::mutex> lock(state->mu);
+    if (state->handle) return TrackLocked(*state, config, threads, error);
   }
-  std::lock_guard<std::mutex> lock(state->mu);
-  return TrackLocked(*state, config, threads, error);
+  if (error != nullptr) *error = "graph '" + name + "' is not registered";
+  return Status::kNotFound;
 }
 
 Status LiveGraphManager::TrackLocked(LiveGraphState& state,
@@ -147,29 +132,6 @@ Status LiveGraphManager::TrackLocked(LiveGraphState& state,
     if (error != nullptr) *error = "partitions must be positive";
     return Status::kBadRequest;
   }
-  // An external re-registration (a new epoch under this name) obsoletes the
-  // resident edge list and every baseline: resync before building on it.
-  GraphHandle current = registry_->Acquire(state.name);
-  if (!current) {
-    if (error != nullptr) {
-      *error = "graph '" + state.name + "' is not registered";
-    }
-    return Status::kNotFound;
-  }
-  if (current.epoch() != state.handle.epoch()) {
-    state.edges = current.graph().ToEdges();
-    state.handle = std::move(current);
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      stats_.pending_edges -= state.pending.size();
-    }
-    state.pending.clear();
-    state.first_pending_ns = 0;
-    for (auto& [cfg, b] : state.tip) b.valid = false;
-    for (auto& [cfg, b] : state.wing) b.valid = false;
-    pending_gauge_->Set(stats().pending_edges);
-  }
-
   threads = threads > 0 ? threads : std::max(1, options_.seal_threads);
   const BipartiteGraph& graph = state.handle.graph();
   PeelStats stats;
@@ -224,12 +186,8 @@ Status LiveGraphManager::TrackLocked(LiveGraphState& state,
   return Status::kOk;
 }
 
-bool LiveGraphManager::HasCurrentBaselineLocked(
+bool LiveGraphManager::HasBaselineLocked(
     const LiveGraphState& state, const LiveConfig& config) const {
-  // A re-registration under this name obsoletes every baseline; TrackLocked
-  // resyncs to it.
-  const GraphHandle current = registry_->Acquire(state.name);
-  if (!current || current.epoch() != state.handle.epoch()) return false;
   if (config.kind == RequestKind::kWing) {
     const auto it = state.wing.find(config);
     return it != state.wing.end() && it->second.valid;
@@ -238,71 +196,196 @@ bool LiveGraphManager::HasCurrentBaselineLocked(
   return it != state.tip.end() && it->second.valid;
 }
 
+ApplyResult LiveGraphManager::Apply(const JournalRecord& record,
+                                    int threads) {
+  ApplyResult result;
+  if (record.graph.empty()) {
+    result.status = Status::kBadRequest;
+    result.error = "graph name must not be empty";
+    return result;
+  }
+  LiveGraphState* state = GetOrCreateState(
+      record.graph, record.type == JournalRecord::Type::kRegister);
+  if (state == nullptr) {
+    if (record.type == JournalRecord::Type::kUnregister) return result;
+    result.status = Status::kNotFound;
+    result.chain_mismatch = true;
+    result.error = "graph '" + record.graph + "' is not registered";
+    return result;
+  }
+  std::lock_guard<std::mutex> lock(state->mu);
+  ApplyLocked(*state, record, threads, &result);
+  return result;
+}
+
+bool LiveGraphManager::ApplyLocked(LiveGraphState& state,
+                                   const JournalRecord& record, int threads,
+                                   ApplyResult* result) {
+  const auto reject = [result](Status status, std::string error) {
+    result->status = status;
+    result->error = std::move(error);
+    return false;
+  };
+  const GraphHandle current = state.handle;
+  switch (record.type) {
+    case JournalRecord::Type::kRegister:
+      if (record.epoch == 0) {
+        return reject(Status::kBadRequest, "epoch must be positive");
+      }
+      for (const Edge& e : record.edges) {
+        if (e.u >= record.num_u || e.v >= record.num_v) {
+          return reject(Status::kBadRequest,
+                        "registration of '" + record.graph +
+                            "' has out-of-shape edges");
+        }
+      }
+      break;
+    case JournalRecord::Type::kUnregister:
+      if (!current) return true;  // nothing to evict
+      break;
+    case JournalRecord::Type::kEdgeBatch:
+    case JournalRecord::Type::kSeal:
+      if (!current) {
+        result->chain_mismatch = true;
+        return reject(Status::kNotFound,
+                      "graph '" + record.graph + "' is not registered");
+      }
+      if (current.epoch() != record.epoch) {
+        result->chain_mismatch = true;
+        return reject(
+            Status::kBadRequest,
+            std::string("epoch chain broken: ") +
+                (record.type == JournalRecord::Type::kSeal ? "seal"
+                                                            : "batch") +
+                " for '" + record.graph + "' recorded at " +
+                std::to_string(record.epoch) + ", graph is at " +
+                std::to_string(current.epoch()));
+      }
+      if (record.type == JournalRecord::Type::kSeal &&
+          record.new_epoch <= record.epoch) {
+        return reject(Status::kBadRequest,
+                      "sealed epoch " + std::to_string(record.new_epoch) +
+                          " must exceed the pre-seal epoch " +
+                          std::to_string(record.epoch));
+      }
+      for (const EdgeUpdate& update : record.updates) {
+        if (update.u >= current.graph().num_u() ||
+            update.v >= current.graph().num_v()) {
+          return reject(Status::kBadRequest,
+                        "edge (" + std::to_string(update.u) + ", " +
+                            std::to_string(update.v) +
+                            ") lies outside the registered shape; "
+                            "re-register the graph to grow it");
+        }
+      }
+      break;
+  }
+
+  // Write-ahead: a record must be durable before it is applied, because
+  // applying is what acknowledges it. A failed append rejects the record —
+  // the journal has already rolled its tail back, so the on-disk record
+  // set stays exactly the applied set.
+  if (durability_ != nullptr) {
+    std::string log_error;
+    if (!durability_->Append(record, &log_error)) {
+      return reject(Status::kShutdown, "durability: " + log_error);
+    }
+  }
+
+  switch (record.type) {
+    case JournalRecord::Type::kRegister:
+      registry_->RegisterAtEpoch(
+          record.graph,
+          BipartiteGraph::FromEdges(record.num_u, record.num_v,
+                                    {record.edges.begin(),
+                                     record.edges.end()}),
+          record.epoch);
+      // The registration supersedes everything live under the name: the
+      // buffer and baselines belong to the graph it replaced.
+      ResetLocked(state, registry_->Acquire(record.graph));
+      if (current) cache_->DropEpoch(current.epoch());
+      break;
+    case JournalRecord::Type::kUnregister:
+      registry_->Evict(record.graph);
+      ResetLocked(state, GraphHandle());
+      cache_->DropEpoch(current.epoch());
+      break;
+    case JournalRecord::Type::kEdgeBatch: {
+      const size_t count = record.updates.size();
+      if (state.pending.empty() && count > 0) {
+        state.first_pending_ns = obs::TraceRecorder::NowNs();
+      }
+      state.pending.insert(state.pending.end(), record.updates.begin(),
+                           record.updates.end());
+      updates_total_->Increment(count);
+      std::lock_guard<std::mutex> lock(mu_);
+      ++stats_.batches_total;
+      stats_.updates_total += count;
+      stats_.pending_edges += count;
+      pending_gauge_->Set(stats_.pending_edges);
+      break;
+    }
+    case JournalRecord::Type::kSeal:
+      SealLocked(state, record.new_epoch, threads, result);
+      break;
+  }
+  result->epoch = state.handle ? state.handle.epoch() : 0;
+  result->pending = state.pending.size();
+  return true;
+}
+
+void LiveGraphManager::ResetLocked(LiveGraphState& state, GraphHandle handle) {
+  state.handle = std::move(handle);
+  state.tip.clear();
+  state.wing.clear();
+  ClearPendingLocked(state);
+}
+
+void LiveGraphManager::ClearPendingLocked(LiveGraphState& state) {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    stats_.pending_edges -= state.pending.size();
+    pending_gauge_->Set(stats_.pending_edges);
+  }
+  state.pending.clear();
+  state.first_pending_ns = 0;
+}
+
 ApplyResult LiveGraphManager::ApplyEdges(const std::string& name,
                                          std::span<const EdgeUpdate> updates,
                                          bool force_seal, int threads,
                                          std::span<const LiveConfig> track) {
   ApplyResult result;
   LiveGraphState* state = GetOrCreateState(name);
-  if (state == nullptr) {
+  std::unique_lock<std::mutex> lock;
+  if (state != nullptr) lock = std::unique_lock<std::mutex>(state->mu);
+  if (state == nullptr || !state->handle) {
     result.status = Status::kNotFound;
     result.error = "graph '" + name + "' is not registered";
     return result;
   }
-  std::lock_guard<std::mutex> lock(state->mu);
 
   for (const LiveConfig& config : track) {
-    if (HasCurrentBaselineLocked(*state, config)) continue;
+    if (HasBaselineLocked(*state, config)) continue;
     const Status status = TrackLocked(*state, config, threads, &result.error);
     if (status != Status::kOk) {
       result.status = status;
       return result;
     }
   }
-
-  const BipartiteGraph& graph = state->handle.graph();
   result.epoch = state->handle.epoch();
-  for (const EdgeUpdate& update : updates) {
-    if (update.u >= graph.num_u() || update.v >= graph.num_v()) {
-      result.status = Status::kBadRequest;
-      result.error = "edge (" + std::to_string(update.u) + ", " +
-                     std::to_string(update.v) +
-                     ") lies outside the registered shape; re-register the "
-                     "graph to grow it";
-      result.pending = state->pending.size();
-      return result;
-    }
-  }
-
-  // Write-ahead: the batch must be durable before it is buffered, because
-  // buffering is what makes it acknowledged. A failed append rejects the
-  // whole batch — the journal has already rolled its tail back, so the
-  // on-disk record set stays exactly the acknowledged set.
-  if (durability_ != nullptr && !updates.empty()) {
-    std::string log_error;
-    if (!durability_->LogEdgeBatch(name, state->handle.epoch(),
-                                   ToEdgeOps(updates), &log_error)) {
-      result.status = Status::kShutdown;
-      result.error = "durability: " + log_error;
-      result.pending = state->pending.size();
-      return result;
-    }
-  }
+  result.pending = state->pending.size();
 
   if (!updates.empty()) {
-    if (state->pending.empty()) {
-      state->first_pending_ns = obs::TraceRecorder::NowNs();
-    }
-    state->pending.insert(state->pending.end(), updates.begin(),
-                          updates.end());
-    updates_total_->Increment(updates.size());
-    std::lock_guard<std::mutex> stats_lock(mu_);
-    ++stats_.batches_total;
-    stats_.updates_total += updates.size();
-    stats_.pending_edges += updates.size();
+    JournalRecord batch;
+    batch.type = JournalRecord::Type::kEdgeBatch;
+    batch.graph = name;
+    batch.epoch = state->handle.epoch();
+    batch.updates.assign(updates.begin(), updates.end());
+    if (!ApplyLocked(*state, batch, threads, &result)) return result;
+    result.records.push_back(std::move(batch));
+    result.accepted = updates.size();
   }
-  result.accepted = updates.size();
-  result.pending = state->pending.size();
 
   bool seal = force_seal;
   if (state->pending.size() >= options_.max_pending_edges) seal = true;
@@ -312,117 +395,53 @@ ApplyResult LiveGraphManager::ApplyEdges(const std::string& name,
     if (age_ns / 1'000'000 >= options_.max_staleness_ms) seal = true;
   }
   if (seal && !state->pending.empty()) {
-    SealLocked(*state, threads, &result);
-    result.pending = 0;
-  }
-  {
-    std::lock_guard<std::mutex> stats_lock(mu_);
-    pending_gauge_->Set(stats_.pending_edges);
+    JournalRecord seal_record;
+    seal_record.type = JournalRecord::Type::kSeal;
+    seal_record.graph = name;
+    seal_record.epoch = state->handle.epoch();
+    seal_record.new_epoch = registry_->AllocateEpoch();
+    if (!ApplyLocked(*state, seal_record, threads, &result)) return result;
+    result.records.push_back(std::move(seal_record));
   }
   return result;
 }
 
-ApplyResult LiveGraphManager::ApplyReplicated(
-    const std::string& name, std::span<const EdgeUpdate> updates, bool seal,
-    uint64_t expected_epoch, uint64_t sealed_epoch, int threads) {
-  ApplyResult result;
+std::vector<JournalRecord> LiveGraphManager::StateRecords(
+    const std::string& name) {
+  std::vector<JournalRecord> records;
   LiveGraphState* state = GetOrCreateState(name);
-  if (state == nullptr) {
-    result.status = Status::kNotFound;
-    result.error = "graph '" + name + "' is not registered";
-    return result;
-  }
+  if (state == nullptr) return records;
   std::lock_guard<std::mutex> lock(state->mu);
-  result.epoch = state->handle.epoch();
-  if (state->handle.epoch() != expected_epoch) {
-    result.status = Status::kBadRequest;
-    result.error = "epoch chain mismatch: graph '" + name + "' is at " +
-                   std::to_string(state->handle.epoch()) +
-                   ", owner expected " + std::to_string(expected_epoch);
-    result.pending = state->pending.size();
-    return result;
-  }
-  if (seal && sealed_epoch <= expected_epoch) {
-    result.status = Status::kBadRequest;
-    result.error = "sealed epoch " + std::to_string(sealed_epoch) +
-                   " must exceed the pre-seal epoch " +
-                   std::to_string(expected_epoch);
-    result.pending = state->pending.size();
-    return result;
-  }
+  if (!state->handle) return records;
   const BipartiteGraph& graph = state->handle.graph();
-  for (const EdgeUpdate& update : updates) {
-    if (update.u >= graph.num_u() || update.v >= graph.num_v()) {
-      result.status = Status::kBadRequest;
-      result.error = "replicated edge (" + std::to_string(update.u) + ", " +
-                     std::to_string(update.v) +
-                     ") lies outside the registered shape";
-      result.pending = state->pending.size();
-      return result;
-    }
+  JournalRecord registration;
+  registration.type = JournalRecord::Type::kRegister;
+  registration.graph = name;
+  registration.epoch = state->handle.epoch();
+  registration.num_u = graph.num_u();
+  registration.num_v = graph.num_v();
+  registration.edges = graph.ToEdges();
+  records.push_back(std::move(registration));
+  if (!state->pending.empty()) {
+    JournalRecord batch;
+    batch.type = JournalRecord::Type::kEdgeBatch;
+    batch.graph = name;
+    batch.epoch = state->handle.epoch();
+    batch.updates = state->pending;
+    records.push_back(std::move(batch));
   }
-
-  // Same journal-before-buffer contract as ApplyEdges: once this follower
-  // acks the batch to the owner, its own recovery must reproduce it.
-  if (durability_ != nullptr && !updates.empty()) {
-    std::string log_error;
-    if (!durability_->LogEdgeBatch(name, state->handle.epoch(),
-                                   ToEdgeOps(updates), &log_error)) {
-      result.status = Status::kShutdown;
-      result.error = "durability: " + log_error;
-      result.pending = state->pending.size();
-      return result;
-    }
-  }
-  if (!updates.empty()) {
-    if (state->pending.empty()) {
-      state->first_pending_ns = obs::TraceRecorder::NowNs();
-    }
-    state->pending.insert(state->pending.end(), updates.begin(),
-                          updates.end());
-    updates_total_->Increment(updates.size());
-    std::lock_guard<std::mutex> stats_lock(mu_);
-    ++stats_.batches_total;
-    stats_.updates_total += updates.size();
-    stats_.pending_edges += updates.size();
-  }
-  result.accepted = updates.size();
-  result.pending = state->pending.size();
-
-  // No policy seal here — a follower seals exactly when the owner sealed,
-  // at the owner's epoch, or the replica chains diverge.
-  if (seal) {
-    SealLocked(*state, threads, &result, sealed_epoch,
-               /*journal_pinned=*/true);
-    result.pending = 0;
-  }
-  {
-    std::lock_guard<std::mutex> stats_lock(mu_);
-    pending_gauge_->Set(stats_.pending_edges);
-  }
-  return result;
+  return records;
 }
 
-bool LiveGraphManager::ExportState(const std::string& name,
-                                   ExportedState* out) {
-  LiveGraphState* state = GetOrCreateState(name);
-  if (state == nullptr) return false;
-  std::lock_guard<std::mutex> lock(state->mu);
-  out->epoch = state->handle.epoch();
-  out->num_u = state->handle.graph().num_u();
-  out->num_v = state->handle.graph().num_v();
-  out->edges = state->edges;
-  out->pending = state->pending;
-  return true;
-}
-
-void LiveGraphManager::SealLocked(LiveGraphState& state, int threads,
-                                  ApplyResult* result, uint64_t pinned_epoch,
-                                  bool journal_pinned) {
+void LiveGraphManager::SealLocked(LiveGraphState& state, uint64_t new_epoch,
+                                  int threads, ApplyResult* result) {
   const WallTimer timer;
   threads = threads > 0 ? threads : std::max(1, options_.seal_threads);
   const GraphHandle old_handle = state.handle;  // keeps the old graph alive
   const BipartiteGraph& old_graph = old_handle.graph();
+  // Sorted (u asc, then v): for wing this order *is* the edge-id order,
+  // which the old->new edge-id map below exploits.
+  const std::vector<Edge> old_edges = old_graph.ToEdges();
 
   // Fold the buffer: the last operation on each (u, v) wins, and only
   // operations that actually change edge presence count as changes.
@@ -435,12 +454,12 @@ void LiveGraphManager::SealLocked(LiveGraphState& state, int threads,
   // produces the new sorted edge list, the changed-edge set, and — because
   // sorted (u, v) rank *is* the wing edge id — the old→new edge-id map.
   std::vector<Edge> new_edges;
-  new_edges.reserve(state.edges.size() + ops.size());
+  new_edges.reserve(old_edges.size() + ops.size());
   std::vector<Edge> changed;
-  std::vector<EdgeOffset> old_to_new(state.edges.size(), kNoEdge);
+  std::vector<EdgeOffset> old_to_new(old_edges.size(), kNoEdge);
   auto op = ops.begin();
-  for (size_t i = 0; i < state.edges.size(); ++i) {
-    const Edge e = state.edges[i];
+  for (size_t i = 0; i < old_edges.size(); ++i) {
+    const Edge e = old_edges[i];
     while (op != ops.end() && op->first < e) {
       if (op->second) {
         changed.push_back(op->first);
@@ -469,7 +488,7 @@ void LiveGraphManager::SealLocked(LiveGraphState& state, int threads,
   }
 
   BipartiteGraph new_graph = BipartiteGraph::FromEdges(
-      old_graph.num_u(), old_graph.num_v(), new_edges);
+      old_graph.num_u(), old_graph.num_v(), std::move(new_edges));
 
   // Run every tracked configuration against the new graph — incrementally
   // when its baseline allows — collecting the payloads that will prime the
@@ -495,43 +514,24 @@ void LiveGraphManager::SealLocked(LiveGraphState& state, int threads,
   }
 
   // Install the new epoch. Requests admitted before this line served the
-  // old snapshot; everything after resolves to the sealed graph. The epoch
-  // transition is journaled *before* the install: a crash in between
-  // replays as the same seal pinned to the same epoch, so the recovered
-  // chain is numbered identically. A failed seal append leaves the journal
-  // fail-stop broken — the in-memory seal still completes, and the broken
-  // journal surfaces on the next batch as an unacknowledged 503.
-  const uint64_t old_epoch = old_handle.epoch();
-  uint64_t new_epoch = pinned_epoch;
-  if (new_epoch == 0) {
-    new_epoch = registry_->AllocateEpoch();
-    if (durability_ != nullptr) {
-      std::string log_error;
-      durability_->LogSeal(state.name, old_epoch, new_epoch, &log_error);
-    }
-  } else if (journal_pinned && durability_ != nullptr) {
-    // A replicated seal is new history for *this* process even though the
-    // epoch was minted elsewhere — journal it so recovery replays it.
-    std::string log_error;
-    durability_->LogSeal(state.name, old_epoch, new_epoch, &log_error);
-  }
+  // old snapshot; everything after resolves to the sealed graph. Apply
+  // journaled the seal record before this run, so a crash anywhere in it
+  // replays as the same seal at the same epoch.
   registry_->RegisterAtEpoch(state.name, std::move(new_graph), new_epoch);
   state.handle = registry_->Acquire(state.name);
-  cache_->DropEpoch(old_epoch);
+  cache_->DropEpoch(old_handle.epoch());
   for (auto& [key, payload] : primes) {
     CacheKey keyed = key;
     keyed.epoch = new_epoch;
     cache_->Put(keyed, std::move(payload));
   }
 
-  const size_t folded = state.pending.size();
-  state.edges = std::move(new_edges);
-  state.pending.clear();
-  state.first_pending_ns = 0;
+  ClearPendingLocked(state);
 
   result->sealed = true;
   result->epoch = new_epoch;
   result->seal_seconds = timer.Seconds();
+  result->seal_threads = threads;
   seal_seconds_->ObserveSeconds(result->seal_seconds);
 
   uint64_t reused = 0;
@@ -539,7 +539,6 @@ void LiveGraphManager::SealLocked(LiveGraphState& state, int threads,
   {
     std::lock_guard<std::mutex> lock(mu_);
     ++stats_.seals_total;
-    stats_.pending_edges -= folded;
     for (const SealConfigReport& report : result->reports) {
       if (report.incremental) {
         ++stats_.runs_incremental;
@@ -561,10 +560,9 @@ void LiveGraphManager::SealLocked(LiveGraphState& state, int threads,
   }
 
   // Snapshot-on-seal compacts the journal to (roughly) one snapshot per
-  // graph plus the records since. Replayed seals skip it: recovery writes
-  // nothing until the process is serving again.
-  if ((pinned_epoch == 0 || journal_pinned) && durability_ != nullptr &&
-      durability_->snapshot_on_seal()) {
+  // graph plus the records since. Recovery has no durability layer yet,
+  // so replayed seals write nothing until the process is serving again.
+  if (durability_ != nullptr && durability_->snapshot_on_seal()) {
     std::string snap_error;
     WriteSnapshotLocked(state, &snap_error);
   }
@@ -824,8 +822,8 @@ bool LiveGraphManager::WriteSnapshotLocked(LiveGraphState& state,
   data.epoch = state.handle.epoch();
   data.num_u = state.handle.graph().num_u();
   data.num_v = state.handle.graph().num_v();
-  data.edges = state.edges;
-  data.pending = ToEdgeOps(state.pending);
+  data.edges = state.handle.graph().ToEdges();
+  data.pending = state.pending;
   for (const auto& [config, baseline] : state.tip) {
     durability::SnapshotConfig out;
     out.kind = static_cast<uint8_t>(config.kind);
@@ -857,23 +855,20 @@ Status LiveGraphManager::RestoreSnapshot(const durability::SnapshotData& data,
       return Status::kBadRequest;
     }
   }
+  LiveGraphState* state = GetOrCreateState(data.graph, /*registering=*/true);
+  std::lock_guard<std::mutex> lock(state->mu);
   registry_->RegisterAtEpoch(
       data.graph,
       BipartiteGraph::FromEdges(data.num_u, data.num_v,
                                 {data.edges.begin(), data.edges.end()}),
       data.epoch);
-
-  auto state = std::make_unique<LiveGraphState>();
-  state->name = data.graph;
-  state->handle = registry_->Acquire(data.graph);
-  state->edges = data.edges;
-  std::sort(state->edges.begin(), state->edges.end());
-  state->pending.reserve(data.pending.size());
-  for (const auto& op : data.pending) {
-    state->pending.push_back({op.insert, op.u, op.v});
-  }
+  ResetLocked(*state, registry_->Acquire(data.graph));
+  state->pending = data.pending;
   if (!state->pending.empty()) {
     state->first_pending_ns = obs::TraceRecorder::NowNs();
+    std::lock_guard<std::mutex> stats_lock(mu_);
+    stats_.pending_edges += state->pending.size();
+    pending_gauge_->Set(stats_.pending_edges);
   }
 
   for (const auto& config : data.configs) {
@@ -909,102 +904,7 @@ Status LiveGraphManager::RestoreSnapshot(const durability::SnapshotData& data,
                          AlgorithmFor(live.kind), live.partitions},
                 std::move(payload));
   }
-
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    const auto it = states_.find(data.graph);
-    if (it != states_.end()) {
-      stats_.pending_edges -= it->second->pending.size();
-    }
-    stats_.pending_edges += state->pending.size();
-    states_[data.graph] = std::move(state);
-    pending_gauge_->Set(stats_.pending_edges);
-  }
   return Status::kOk;
-}
-
-Status LiveGraphManager::ReplayBatch(const std::string& name, uint64_t epoch,
-                                     std::span<const durability::EdgeOp>
-                                         updates,
-                                     std::string* error) {
-  LiveGraphState* state = GetOrCreateState(name);
-  if (state == nullptr) {
-    if (error != nullptr) {
-      *error = "journaled batch for unregistered graph '" + name + "'";
-    }
-    return Status::kNotFound;
-  }
-  std::lock_guard<std::mutex> lock(state->mu);
-  if (state->handle.epoch() != epoch) {
-    if (error != nullptr) {
-      *error = "epoch chain broken: batch for '" + name + "' recorded at " +
-               std::to_string(epoch) + ", graph is at " +
-               std::to_string(state->handle.epoch());
-    }
-    return Status::kBadRequest;
-  }
-  const BipartiteGraph& graph = state->handle.graph();
-  for (const auto& op : updates) {
-    if (op.u >= graph.num_u() || op.v >= graph.num_v()) {
-      if (error != nullptr) {
-        *error = "journaled batch for '" + name + "' has out-of-shape edges";
-      }
-      return Status::kBadRequest;
-    }
-  }
-  if (state->pending.empty() && !updates.empty()) {
-    state->first_pending_ns = obs::TraceRecorder::NowNs();
-  }
-  for (const auto& op : updates) {
-    state->pending.push_back({op.insert, op.u, op.v});
-  }
-  {
-    std::lock_guard<std::mutex> stats_lock(mu_);
-    ++stats_.batches_total;
-    stats_.updates_total += updates.size();
-    stats_.pending_edges += updates.size();
-    pending_gauge_->Set(stats_.pending_edges);
-  }
-  return Status::kOk;
-}
-
-Status LiveGraphManager::ReplaySeal(const std::string& name,
-                                    uint64_t old_epoch, uint64_t new_epoch,
-                                    int threads, std::string* error) {
-  LiveGraphState* state = GetOrCreateState(name);
-  if (state == nullptr) {
-    if (error != nullptr) {
-      *error = "journaled seal for unregistered graph '" + name + "'";
-    }
-    return Status::kNotFound;
-  }
-  std::lock_guard<std::mutex> lock(state->mu);
-  if (state->handle.epoch() != old_epoch) {
-    if (error != nullptr) {
-      *error = "epoch chain broken: seal for '" + name + "' recorded as " +
-               std::to_string(old_epoch) + " -> " +
-               std::to_string(new_epoch) + ", graph is at " +
-               std::to_string(state->handle.epoch());
-    }
-    return Status::kBadRequest;
-  }
-  ApplyResult result;
-  SealLocked(*state, threads, &result, new_epoch);
-  {
-    std::lock_guard<std::mutex> stats_lock(mu_);
-    pending_gauge_->Set(stats_.pending_edges);
-  }
-  return Status::kOk;
-}
-
-bool LiveGraphManager::DropState(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto it = states_.find(name);
-  if (it == states_.end()) return false;
-  stats_.pending_edges -= it->second->pending.size();
-  states_.erase(it);
-  pending_gauge_->Set(stats_.pending_edges);
-  return true;
 }
 
 Status LiveGraphManager::SnapshotNow(const std::string& name,
@@ -1013,13 +913,15 @@ Status LiveGraphManager::SnapshotNow(const std::string& name,
     if (error != nullptr) *error = "durability is not enabled (no data dir)";
     return Status::kBadRequest;
   }
-  LiveGraphState* state = GetOrCreateState(name);
-  if (state == nullptr) {
-    if (error != nullptr) *error = "graph '" + name + "' is not registered";
-    return Status::kNotFound;
+  if (LiveGraphState* state = GetOrCreateState(name)) {
+    std::lock_guard<std::mutex> lock(state->mu);
+    if (state->handle) {
+      return WriteSnapshotLocked(*state, error) ? Status::kOk
+                                                : Status::kShutdown;
+    }
   }
-  std::lock_guard<std::mutex> lock(state->mu);
-  return WriteSnapshotLocked(*state, error) ? Status::kOk : Status::kShutdown;
+  if (error != nullptr) *error = "graph '" + name + "' is not registered";
+  return Status::kNotFound;
 }
 
 size_t LiveGraphManager::PendingEdges(const std::string& name) const {

@@ -20,14 +20,11 @@
 
 namespace receipt::service {
 
-/// One edge mutation against a live graph, in side-local coordinates.
-/// Inserting an existing edge or deleting an absent one is a no-op; within
-/// a batch the last operation on a (u, v) pair wins.
-struct EdgeUpdate {
-  bool insert = true;
-  VertexId u = 0;
-  VertexId v = 0;
-};
+/// One edge mutation against a live graph, in side-local coordinates: the
+/// journal's own edge op, so a batch is journaled, replicated and replayed
+/// as-is. Inserting an existing edge or deleting an absent one is a no-op;
+/// within a batch the last operation on a (u, v) pair wins.
+using EdgeUpdate = durability::EdgeOp;
 
 /// Seal policy and engine knobs for the live-update path.
 struct LiveOptions {
@@ -71,16 +68,23 @@ struct SealConfigReport {
   uint64_t subsets_total = 0;
 };
 
-/// Result of one ApplyEdges call.
+/// Result of one Apply or ApplyEdges call.
 struct ApplyResult {
   Status status = Status::kOk;
   std::string error;          ///< set when status != kOk
+  /// A batch or seal that does not continue the graph's epoch chain (or
+  /// names a graph not registered here): a replica that missed history.
+  bool chain_mismatch = false;
   size_t accepted = 0;        ///< updates buffered by this call
   size_t pending = 0;         ///< buffered updates after this call
   bool sealed = false;        ///< this call folded the buffer into an epoch
   uint64_t epoch = 0;         ///< current registry epoch (new when sealed)
   double seal_seconds = 0.0;  ///< wall time of the seal, 0 when not sealed
+  int seal_threads = 0;       ///< engine threads the seal ran with
   std::vector<SealConfigReport> reports;  ///< one per tracked config
+  /// ApplyEdges: the records it committed, in order (a batch, then a seal
+  /// when it sealed) — what a shard owner ships to its followers.
+  std::vector<durability::JournalRecord> records;
 };
 
 /// The live-update half of the serving layer: resident per-graph state
@@ -118,57 +122,53 @@ class LiveGraphManager {
   Status Track(const std::string& name, const LiveConfig& config,
                int threads, std::string* error);
 
+  /// The one mutation path: applies one journal record to the registry
+  /// and the live state. Checks the graph shape and the epoch chain,
+  /// journals the record when a durability layer is attached (a failed
+  /// append rejects it with kShutdown and applies nothing), then mutates.
+  /// Local writes, a shard owner's records on its followers and recovery
+  /// replay all land here, so every copy of a graph walks one history.
+  /// Recovery replays before SetDurability, so it journals nothing twice.
+  ///
+  ///   kRegister    installs the graph at record.epoch and drops all live
+  ///                state of the name (pending buffer, baselines)
+  ///   kUnregister  evicts the graph and its live state (no-op if absent)
+  ///   kEdgeBatch   buffers record.updates at record.epoch
+  ///   kSeal        folds the buffer into record.new_epoch, running every
+  ///                tracked configuration on `threads` engine threads
+  ///                (0 = seal_threads)
+  ///
+  /// A batch or seal whose epoch is not the graph's current one, or that
+  /// names an unregistered graph, fails with chain_mismatch set.
+  ApplyResult Apply(const durability::JournalRecord& record, int threads = 0);
+
   /// Buffers `updates` against `name`, then seals when the policy says so
   /// (`force_seal`, buffer ≥ max_pending_edges, or the oldest pending
-  /// update exceeded max_staleness_ms). `track` configs are tracked first
-  /// (baselines built on the pre-batch graph only when no valid baseline
-  /// exists on the current epoch, so the seal itself already runs
-  /// incrementally; Track() always rebuilds). Updates whose endpoints fall
-  /// outside the registered shape are rejected as kBadRequest with the
-  /// whole batch — growing the shape requires re-registration.
+  /// update exceeded max_staleness_ms), as a kEdgeBatch and a kSeal record
+  /// through Apply; the seal's epoch is allocated here. `track` configs are
+  /// tracked first (baselines built on the pre-batch graph only when no
+  /// valid baseline exists, so the seal itself already runs incrementally;
+  /// Track() always rebuilds). Updates whose endpoints fall outside the
+  /// registered shape are rejected as kBadRequest with the whole batch —
+  /// growing the shape requires re-registration.
   ApplyResult ApplyEdges(const std::string& name,
                          std::span<const EdgeUpdate> updates, bool force_seal,
                          int threads = 0,
                          std::span<const LiveConfig> track = {});
 
-  /// Replication: applies a batch the shard owner already accepted,
-  /// journaled under the owner's epochs. Unlike ApplyEdges this never
-  /// policy-seals — the owner dictates every seal point — and unlike the
-  /// recovery Replay* paths it *does* journal (batch at `expected_epoch`,
-  /// seal as `expected_epoch` -> `sealed_epoch`) and snapshots on seal, so
-  /// a follower rejoins from its own data dir at the owner's epochs.
-  /// Returns kBadRequest with the current epoch in `epoch` when
-  /// `expected_epoch` does not match the local chain (the caller answers
-  /// 409 and the owner falls back to a full-state sync).
-  ApplyResult ApplyReplicated(const std::string& name,
-                              std::span<const EdgeUpdate> updates, bool seal,
-                              uint64_t expected_epoch, uint64_t sealed_epoch,
-                              int threads = 0);
-
-  /// A copy of one graph's replicated essentials: the sealed edge list at
-  /// `epoch` plus the acked-but-unsealed pending buffer. What the owner
-  /// ships to a follower whose epoch chain diverged (full-state sync).
-  struct ExportedState {
-    uint64_t epoch = 0;
-    uint32_t num_u = 0;
-    uint32_t num_v = 0;
-    std::vector<BipartiteGraph::Edge> edges;
-    std::vector<EdgeUpdate> pending;
-  };
-
-  /// Copies the current state of `name` (false when unregistered).
-  bool ExportState(const std::string& name, ExportedState* out);
+  /// The records that rebuild `name`'s current state from nothing: a
+  /// kRegister of the sealed edges at the current epoch, then a kEdgeBatch
+  /// of the pending buffer when it is non-empty. Empty when unregistered.
+  std::vector<durability::JournalRecord> StateRecords(const std::string& name);
 
   /// Buffered updates for `name` (0 when untracked).
   size_t PendingEdges(const std::string& name) const;
 
   // -- durability ---------------------------------------------------------
 
-  /// Attaches the durability layer. Once set, every accepted batch is
-  /// journaled *before* it is buffered (a failed append rejects the batch
-  /// with kShutdown — never acknowledged, never buffered), every seal
-  /// journals its old→new epoch transition before installing it, and —
-  /// when the policy says so — writes a snapshot after installing.
+  /// Attaches the durability layer: from then on Apply journals every
+  /// record before applying it, and every seal writes a snapshot after
+  /// installing when the policy says so.
   void SetDurability(durability::DurabilityManager* durability);
 
   /// Recovery: installs a snapshot as the graph's live state — registers
@@ -179,25 +179,6 @@ class LiveGraphManager {
   Status RestoreSnapshot(const durability::SnapshotData& data,
                          std::string* error);
 
-  /// Recovery: re-buffers a journaled batch without journaling it again
-  /// and without triggering policy seals. Fails when the batch's recorded
-  /// epoch does not match the graph's current epoch (broken chain).
-  Status ReplayBatch(const std::string& name, uint64_t epoch,
-                     std::span<const durability::EdgeOp> updates,
-                     std::string* error);
-
-  /// Recovery: re-runs a journaled seal, pinning the exact epoch the
-  /// pre-crash process installed. Fails when `old_epoch` does not match
-  /// the graph's current epoch (the journaled chain must be contiguous).
-  Status ReplaySeal(const std::string& name, uint64_t old_epoch,
-                    uint64_t new_epoch, int threads, std::string* error);
-
-  /// Recovery: discards resident live state for `name` (a journaled
-  /// re-registration supersedes everything buffered before it). Not safe
-  /// against concurrent ApplyEdges — recovery runs single-threaded before
-  /// the server accepts traffic.
-  bool DropState(const std::string& name);
-
   /// Writes an on-demand snapshot of `name` (the admin endpoint), covering
   /// the journal up to now — including acked-but-unsealed pending updates.
   /// kBadRequest without a durability layer, kNotFound for unknown names,
@@ -205,7 +186,7 @@ class LiveGraphManager {
   Status SnapshotNow(const std::string& name, std::string* error);
 
   struct Stats {
-    uint64_t batches_total = 0;   ///< ApplyEdges calls accepted
+    uint64_t batches_total = 0;   ///< edge batches buffered
     uint64_t updates_total = 0;   ///< individual edge updates buffered
     uint64_t seals_total = 0;     ///< seals executed
     uint64_t runs_incremental = 0;  ///< per-config seal runs with reuse
@@ -232,14 +213,13 @@ class LiveGraphManager {
     bool valid = false;
   };
 
+  /// One per name ever registered here, never erased (so pointers stay
+  /// valid without holding mu_). Every registry change for the name
+  /// happens through Apply under `mu`, which keeps `handle` current.
   struct LiveGraphState {
     mutable std::mutex mu;
     std::string name;
-    GraphHandle handle;  ///< pins the currently sealed registration
-    /// The current graph's edge list, sorted (u asc, then v) — for wing
-    /// this order *is* the edge-id order, which the seal-time remap
-    /// exploits.
-    std::vector<BipartiteGraph::Edge> edges;
+    GraphHandle handle;  ///< the current registration; empty once evicted
     std::vector<EdgeUpdate> pending;
     uint64_t first_pending_ns = 0;
     std::map<LiveConfig, Baseline<VertexId>> tip;
@@ -247,29 +227,42 @@ class LiveGraphManager {
     engine::WorkspacePool pool;  ///< seal-time scratch, reused across seals
   };
 
-  LiveGraphState* GetOrCreateState(const std::string& name);
+  /// The state for `name`; created on first use when the name is
+  /// registered, or unconditionally for a registration (`registering`).
+  LiveGraphState* GetOrCreateState(const std::string& name,
+                                   bool registering = false);
   LiveGraphState* FindState(const std::string& name) const;
+
+  /// Apply's body. Caller holds the state mutex. False (with
+  /// result->status/error set) when the record was rejected.
+  bool ApplyLocked(LiveGraphState& state,
+                   const durability::JournalRecord& record, int threads,
+                   ApplyResult* result);
+
+  /// Points the state at `handle` and drops its pending buffer and
+  /// baselines. Caller holds the state mutex.
+  void ResetLocked(LiveGraphState& state, GraphHandle handle);
+
+  /// Empties the pending buffer, keeping the fleet-wide pending count in
+  /// step. Caller holds the state mutex.
+  void ClearPendingLocked(LiveGraphState& state);
 
   /// Builds (or rebuilds) the baseline for one config on the state's
   /// current graph. Caller holds the state mutex.
   Status TrackLocked(LiveGraphState& state, const LiveConfig& config,
                      int threads, std::string* error);
 
-  /// True when `config` has a valid baseline on the graph's current
-  /// registration (no re-registration since). Caller holds the state mutex.
-  bool HasCurrentBaselineLocked(const LiveGraphState& state,
-                                const LiveConfig& config) const;
+  /// True when `config` has a valid baseline (baselines always sit on the
+  /// current registration: kRegister drops them). Caller holds the state
+  /// mutex.
+  bool HasBaselineLocked(const LiveGraphState& state,
+                         const LiveConfig& config) const;
 
-  /// Folds the pending buffer into a new graph + epoch, running every
-  /// tracked configuration incrementally. Caller holds the state mutex.
-  /// `pinned_epoch` != 0 installs exactly that epoch instead of allocating
-  /// one: recovery replay (`journal_pinned` false) additionally skips
-  /// journaling and snapshot-on-seal — the journal already has the record —
-  /// while a replicated seal (`journal_pinned` true) journals the pinned
-  /// transition and snapshots like a local seal, because for a follower
-  /// this *is* the first time the transition happens.
-  void SealLocked(LiveGraphState& state, int threads, ApplyResult* result,
-                  uint64_t pinned_epoch = 0, bool journal_pinned = false);
+  /// Folds the pending buffer into a new graph installed at `new_epoch`,
+  /// running every tracked configuration incrementally, then snapshots
+  /// when durable. Caller holds the state mutex.
+  void SealLocked(LiveGraphState& state, uint64_t new_epoch, int threads,
+                  ApplyResult* result);
 
   /// Builds a SnapshotData from the state and hands it to the durability
   /// layer. Caller holds the state mutex (which also guarantees no append

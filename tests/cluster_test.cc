@@ -7,12 +7,14 @@
 #include <unistd.h>
 
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <map>
 #include <memory>
 #include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "cluster/consistency.h"
@@ -20,6 +22,7 @@
 #include "cluster/http_client.h"
 #include "cluster/node.h"
 #include "cluster/router.h"
+#include "durability/journal.h"
 #include "graph/generators.h"
 #include "graph/graph_io.h"
 #include "obs/client_trace.h"
@@ -27,6 +30,7 @@
 #include "server/http_server.h"
 #include "service/decomposition_service.h"
 #include "service/graph_registry.h"
+#include "util/crc32.h"
 #include "util/json.h"
 
 namespace receipt::cluster {
@@ -376,6 +380,16 @@ class ClusterFixture : public ::testing::Test {
     for (auto& [id, replica] : replicas_) replica->Stop();
   }
 
+  /// Stops `id` and starts it again over its own data dir (durable
+  /// clusters): a crash and rejoin.
+  void RestartReplica(const std::string& id) {
+    replicas_[id]->Stop();
+    replicas_[id] = std::make_unique<TestReplica>();
+    replicas_[id]->Start(id, ids_, kReplication, /*proxy=*/true,
+                         dir_.path() + "/data-" + id);
+    ConnectAll();
+  }
+
   HttpClientResponse Post(
       uint16_t port, const std::string& path, const std::string& body,
       std::vector<std::pair<std::string, std::string>> headers = {}) {
@@ -638,6 +652,114 @@ TEST_F(ClusterFixture, CrashedFollowerRejoinsFromItsOwnDataDir) {
   ASSERT_EQ(from_follower.status, 200) << from_follower.body;
   EXPECT_EQ(UintField(from_follower.body, "graph_epoch"), 4u);
   EXPECT_EQ(Numbers(from_owner.body), Numbers(from_follower.body));
+}
+
+TEST_F(ClusterFixture, CatchUpCarriesPendingUpdatesAcrossARestart) {
+  StartCluster(/*proxy=*/true, /*durable=*/true);
+  RegisterGraph(Owner("g").port(), "g");
+  const auto write = [this](const std::string& edges, bool seal) {
+    const auto response =
+        Post(Owner("g").port(), "/v1/graphs/g/edges",
+             "{\"edges\":[" + edges + "],\"seal\":" +
+                 (seal ? "true" : "false") + "}");
+    EXPECT_EQ(response.status, 200) << response.body;
+  };
+  const std::string id = Holders("g")[1];
+  service::LiveGraphManager& owner_live = Owner("g").service->live();
+
+  // The follower misses an unsealed batch while it is down, so it rejoins
+  // at the owner's epoch with a shorter buffer.
+  replicas_[id]->Stop();
+  write("{\"op\":\"insert\",\"u\":7,\"v\":9},"
+        "{\"op\":\"insert\",\"u\":8,\"v\":2}",
+        false);
+  RestartReplica(id);
+  ASSERT_FALSE(::testing::Test::HasFatalFailure());
+  EXPECT_EQ(replicas_[id]->registry->Acquire("g").epoch(), 1u);
+  EXPECT_EQ(replicas_[id]->service->live().PendingEdges("g"), 0u);
+
+  // The next unsealed batch finds the gap and syncs the whole buffer.
+  write("{\"op\":\"insert\",\"u\":9,\"v\":5}", false);
+  EXPECT_EQ(Owner("g").node->stats().chain_syncs, 1u);
+  EXPECT_EQ(owner_live.PendingEdges("g"), 3u);
+  EXPECT_EQ(replicas_[id]->service->live().PendingEdges("g"),
+            owner_live.PendingEdges("g"));
+
+  // The synced state is the follower's own history now: it survives a
+  // restart from its data dir at the synced epoch and buffer.
+  RestartReplica(id);
+  ASSERT_FALSE(::testing::Test::HasFatalFailure());
+  EXPECT_EQ(replicas_[id]->registry->Acquire("g").epoch(), 1u);
+  EXPECT_EQ(replicas_[id]->service->live().PendingEdges("g"), 3u);
+
+  // The next seal chains cleanly and lands bit-identically on both.
+  write("{\"op\":\"delete\",\"u\":7,\"v\":9}", true);
+  EXPECT_EQ(Owner("g").node->stats().chain_syncs, 1u);
+  const auto from_owner =
+      Post(Owner("g").port(), "/v1/decompose", kDecomposeBody);
+  const auto from_follower =
+      Post(replicas_[id]->port(), "/v1/decompose", kDecomposeBody);
+  ASSERT_EQ(from_owner.status, 200) << from_owner.body;
+  ASSERT_EQ(from_follower.status, 200) << from_follower.body;
+  EXPECT_EQ(UintField(from_owner.body, "graph_epoch"), 2u);
+  EXPECT_EQ(UintField(from_follower.body, "graph_epoch"), 2u);
+  EXPECT_EQ(Numbers(from_owner.body), Numbers(from_follower.body));
+  EXPECT_EQ(replicas_[id]->service->live().PendingEdges("g"), 0u);
+}
+
+TEST_F(ClusterFixture, ApplyEndpointRejectsBadFramesWithoutSideEffects) {
+  StartCluster(/*proxy=*/true, /*durable=*/true);
+  RegisterGraph(Owner("g").port(), "g");
+  TestReplica& follower = *replicas_[Holders("g")[1]];
+  const auto state = [&follower] {
+    return std::make_tuple(
+        follower.registry->Acquire("g").epoch(),
+        follower.service->live().PendingEdges("g"),
+        follower.service->durability()->stats().journal.appends);
+  };
+  const auto before = state();
+
+  const auto batch = [](uint32_t u, uint32_t v) {
+    durability::JournalRecord record;
+    record.type = durability::JournalRecord::Type::kEdgeBatch;
+    record.graph = "g";
+    record.epoch = 1;
+    record.updates = {{true, u, v}};
+    return durability::EncodeFrame(record);
+  };
+  const std::string good = batch(1, 2);
+  std::string flipped_crc = good;
+  flipped_crc[4] ^= 0x01;
+  std::string unknown_type = good;
+  unknown_type[8] = 9;  // first payload byte: the record type
+  const uint32_t crc =
+      util::Crc32(unknown_type.data() + 8, unknown_type.size() - 8);
+  std::memcpy(unknown_type.data() + 4, &crc, 4);
+  std::string oversize = good;
+  const uint32_t huge = 0xFFFFFFF0u;
+  std::memcpy(oversize.data(), &huge, 4);
+
+  const std::map<std::string, std::string> bad = {
+      {"flipped CRC byte", flipped_crc},
+      {"truncated frame", good.substr(0, good.size() - 1)},
+      {"unknown record type", unknown_type},
+      {"oversize length", oversize},
+      {"out-of-shape edge", batch(100000, 0)},
+      {"valid frame after a truncated one", good + good.substr(0, 9)},
+  };
+  for (const auto& [what, body] : bad) {
+    const auto response =
+        Post(follower.port(), "/v1/cluster/apply?threads=1", body);
+    EXPECT_GE(response.status, 400) << what << ": " << response.body;
+    EXPECT_LT(response.status, 500) << what << ": " << response.body;
+    EXPECT_EQ(state(), before) << what;
+  }
+
+  // The same endpoint takes the undamaged frame.
+  const auto accepted =
+      Post(follower.port(), "/v1/cluster/apply?threads=1", good);
+  EXPECT_EQ(accepted.status, 200) << accepted.body;
+  EXPECT_EQ(follower.service->live().PendingEdges("g"), 1u);
 }
 
 TEST_F(ClusterFixture, RouteEndpointAgreesAcrossAllMembers) {

@@ -598,16 +598,19 @@ struct DurableStack {
                                   &report, &error);
   }
 
-  /// What the service's RegisterGraph does: allocate, journal, install.
+  /// What the service's RegisterGraph does: one kRegister record at a
+  /// fresh epoch, through the live manager's Apply.
   uint64_t Register(const std::string& name, const BipartiteGraph& graph) {
-    const uint64_t epoch = registry.AllocateEpoch();
-    std::string log_error;
-    EXPECT_TRUE(durability->LogRegister(name, epoch, graph.num_u(),
-                                        graph.num_v(), graph.ToEdges(),
-                                        &log_error))
-        << log_error;
-    registry.RegisterAtEpoch(name, graph, epoch);
-    return epoch;
+    JournalRecord record;
+    record.type = JournalRecord::Type::kRegister;
+    record.graph = name;
+    record.epoch = registry.AllocateEpoch();
+    record.num_u = graph.num_u();
+    record.num_v = graph.num_v();
+    record.edges = graph.ToEdges();
+    const service::ApplyResult result = live->Apply(record);
+    EXPECT_EQ(result.status, service::Status::kOk) << result.error;
+    return record.epoch;
   }
 
   /// The graph's logical edge set: registered edges folded with pending.
@@ -727,10 +730,11 @@ TEST(Recovery, UnregisterReplayedAndIdempotentReRecovery) {
     ASSERT_NE(stack.durability, nullptr) << stack.error;
     stack.Register("keep", keep);
     stack.Register("drop", drop);
-    std::string error;
-    ASSERT_TRUE(stack.durability->LogUnregister("drop", &error)) << error;
-    stack.registry.Evict("drop");
-    stack.live->DropState("drop");
+    JournalRecord unregister;
+    unregister.type = JournalRecord::Type::kUnregister;
+    unregister.graph = "drop";
+    const service::ApplyResult result = stack.live->Apply(unregister);
+    ASSERT_EQ(result.status, service::Status::kOk) << result.error;
   }
   // Recovery is read-only apart from tail truncation and temp-file cleanup,
   // so recovering the same directory twice yields the same state.
@@ -753,14 +757,64 @@ TEST(Recovery, EpochChainBreakRefused) {
     // Journal a batch claiming an epoch the chain never reaches: replay
     // must refuse rather than guess.
     std::string error;
-    const std::vector<EdgeOp> ops = {{true, 2, 2}};
-    ASSERT_TRUE(stack.durability->LogEdgeBatch("g", /*epoch=*/99, ops, &error))
+    ASSERT_TRUE(stack.durability->Append(
+        BatchRecord("g", /*epoch=*/99, {{true, 2, 2}}), &error))
         << error;
   }
   DurableStack recovered(dir.path());
   EXPECT_EQ(recovered.durability, nullptr);
   EXPECT_NE(recovered.error.find("epoch"), std::string::npos)
       << recovered.error;
+}
+
+// A re-registration journals after the batches buffered against the graph
+// it replaced; the next seal must chain onto the registration, and the
+// data dir must recover to the same graph — from the seal's snapshot, and
+// from the journal alone — rather than the old one or a refused history.
+TEST(Recovery, ReRegistrationThenSealRecoversTheNewGraph) {
+  const std::vector<Edge> expected = {{1, 2}, {2, 2}, {3, 3}};
+  for (const bool snapshot_on_seal : {true, false}) {
+    SCOPED_TRACE(snapshot_on_seal ? "from snapshot" : "from journal");
+    TempDir dir;
+    service::ServiceOptions options;
+    options.num_workers = 0;
+    options.data_dir = dir.path();
+    options.snapshot_on_seal = snapshot_on_seal;
+    uint64_t sealed_epoch = 0;
+    {
+      service::GraphRegistry registry;
+      service::DecompositionService service(registry, options);
+      ASSERT_TRUE(service.durable()) << service.durability_error();
+      std::string error;
+      ASSERT_EQ(service.RegisterGraph(
+                    "g", BipartiteGraph::FromEdges(4, 4, {{0, 0}, {1, 1}}),
+                    nullptr, &error),
+                service::Status::kOk)
+          << error;
+      const std::vector<EdgeUpdate> before = {{true, 0, 3}};
+      ASSERT_EQ(service.live().ApplyEdges("g", before, false).status,
+                service::Status::kOk);
+      ASSERT_EQ(service.RegisterGraph(
+                    "g", BipartiteGraph::FromEdges(4, 4, {{2, 2}, {3, 3}}),
+                    nullptr, &error),
+                service::Status::kOk)
+          << error;
+      const std::vector<EdgeUpdate> after = {{true, 1, 2}};
+      const service::ApplyResult sealed =
+          service.live().ApplyEdges("g", after, /*force_seal=*/true);
+      ASSERT_EQ(sealed.status, service::Status::kOk) << sealed.error;
+      sealed_epoch = sealed.epoch;
+      EXPECT_EQ(registry.Acquire("g").graph().ToEdges(), expected);
+    }  // crash
+
+    service::GraphRegistry registry;
+    service::DecompositionService service(registry, options);
+    ASSERT_TRUE(service.durable()) << service.durability_error();
+    ASSERT_TRUE(static_cast<bool>(registry.Acquire("g")));
+    EXPECT_EQ(registry.Acquire("g").epoch(), sealed_epoch);
+    EXPECT_EQ(registry.Acquire("g").graph().ToEdges(), expected);
+    EXPECT_EQ(service.live().PendingEdges("g"), 0u);
+  }
 }
 
 TEST(Recovery, AdminSnapshotCoversPendingAndTruncatesReplay) {

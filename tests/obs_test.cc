@@ -7,19 +7,14 @@
 
 #include <gtest/gtest.h>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <cctype>
-#include <cstring>
 #include <memory>
 #include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "cluster/http_client.h"
 #include "graph/generators.h"
 #include "obs/metrics.h"
 #include "obs/observability.h"
@@ -317,45 +312,26 @@ using service::ServiceOptions;
 
 BipartiteGraph G1() { return ChungLuBipartite(300, 200, 1500, 0.6, 0.6, 101); }
 
-struct ClientResult {
-  int status = 0;
-  std::string body;
-  std::string raw;  ///< full response including the status line and headers
-};
+using ClientResult = cluster::HttpClientResponse;
 
-/// One-shot loopback request with optional extra headers.
+/// One loopback request (Connection: close) with optional extra headers.
 ClientResult Fetch(uint16_t port, const std::string& method,
                    const std::string& path, const std::string& body = "",
-                   const std::string& extra_headers = "") {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  EXPECT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-  EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
-            0)
-      << std::strerror(errno);
-  std::string request = method + " " + path + " HTTP/1.1\r\n" +
-                        "Host: 127.0.0.1\r\n" + extra_headers +
-                        "Content-Length: " + std::to_string(body.size()) +
-                        "\r\n\r\n" + body;
-  EXPECT_EQ(::send(fd, request.data(), request.size(), 0),
-            static_cast<ssize_t>(request.size()));
+                   const std::vector<std::pair<std::string, std::string>>&
+                       headers = {}) {
+  static const cluster::HttpClient client(/*timeout_ms=*/30000);
   ClientResult result;
-  char chunk[4096];
-  for (;;) {
-    const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-    if (n <= 0) break;
-    result.raw.append(chunk, static_cast<size_t>(n));
-  }
-  ::close(fd);
-  if (result.raw.size() > 12) result.status = std::atoi(result.raw.c_str() + 9);
-  const size_t body_start = result.raw.find("\r\n\r\n");
-  if (body_start != std::string::npos) {
-    result.body = result.raw.substr(body_start + 4);
-  }
+  std::string error;
+  EXPECT_TRUE(client.Request(method, "127.0.0.1", port, path, body, headers,
+                             &result, &error))
+      << method << " " << path << ": " << error;
   return result;
+}
+
+/// A response header by lower-cased name ("" when absent).
+std::string Header(const ClientResult& result, const std::string& name) {
+  const auto it = result.headers.find(name);
+  return it == result.headers.end() ? "" : it->second;
 }
 
 util::JsonValue ParseBody(const ClientResult& result) {
@@ -406,13 +382,11 @@ TEST(HttpObservabilityTest, DecomposeCarriesTraceWithQueueAndEngineSpans) {
       Fetch(ts.port(), "POST", "/v1/decompose",
             R"({"graph": "g1", "kind": "tip-U", "algo": "RECEIPT",)"
             R"( "partitions": 6, "threads": 2})",
-            "X-Request-Id: abc123\r\n");
+            {{"X-Request-Id", "abc123"}});
   ASSERT_EQ(result.status, 200);
   // The client-supplied hex id is canonicalized and echoed in the header
   // and the body.
-  EXPECT_NE(result.raw.find("X-Request-Id: 0000000000abc123"),
-            std::string::npos)
-      << result.raw.substr(0, 400);
+  EXPECT_EQ(Header(result, "x-request-id"), "0000000000abc123");
   const util::JsonValue json = ParseBody(result);
   std::string trace_id;
   ASSERT_TRUE(json.GetString("trace_id", &trace_id));
@@ -467,7 +441,8 @@ TEST(HttpObservabilityTest, MetricsAdvanceAcrossADecomposeRoundTrip) {
 
   const ClientResult before = Fetch(ts.port(), "GET", "/metrics");
   ASSERT_EQ(before.status, 200);
-  EXPECT_NE(before.raw.find("text/plain"), std::string::npos);
+  EXPECT_NE(Header(before, "content-type").find("text/plain"),
+            std::string::npos);
   receipt::obs::ValidatePrometheusText(before.body);
 
   ASSERT_EQ(Fetch(ts.port(), "POST", "/v1/decompose",
@@ -561,7 +536,7 @@ TEST(HttpObservabilityTest, TracingDoesNotChangeDecompositionResults) {
     TestServer ts;
     ts.registry.Register("g1", G1());
     const ClientResult r = Fetch(ts.port(), "POST", "/v1/decompose", body,
-                                 "X-Request-Id: feed1\r\n");
+                                 {{"X-Request-Id", "feed1"}});
     ASSERT_EQ(r.status, 200);
     traced = numbers(ParseBody(r));
   }

@@ -489,6 +489,43 @@ TEST(LiveTrackingTest, TrackedBatchesReuseTheBaseline) {
   EXPECT_EQ(live.stats().baselines_built, 2u);
 }
 
+// A re-registration supersedes the updates buffered against the graph it
+// replaced: the next seal folds only what was sent after it, onto the new
+// edge set.
+TEST(LiveTrackingTest, ReRegistrationDropsUpdatesBufferedBeforeIt) {
+  GraphRegistry registry;
+  ServiceOptions options;
+  options.num_workers = 0;
+  DecompositionService service(registry, options);
+  std::string error;
+  ASSERT_EQ(service.RegisterGraph(
+                "g", BipartiteGraph::FromEdges(4, 4, {{0, 0}, {1, 1}}),
+                nullptr, &error),
+            Status::kOk)
+      << error;
+  const std::vector<EdgeUpdate> before = {{true, 0, 3}};
+  ASSERT_EQ(service.live().ApplyEdges("g", before, /*force_seal=*/false)
+                .status,
+            Status::kOk);
+
+  uint64_t epoch = 0;
+  ASSERT_EQ(service.RegisterGraph(
+                "g", BipartiteGraph::FromEdges(4, 4, {{2, 2}, {3, 3}}),
+                &epoch, &error),
+            Status::kOk)
+      << error;
+  EXPECT_EQ(service.live().PendingEdges("g"), 0u);
+
+  const std::vector<EdgeUpdate> after = {{true, 1, 2}};
+  const ApplyResult sealed =
+      service.live().ApplyEdges("g", after, /*force_seal=*/true);
+  ASSERT_EQ(sealed.status, Status::kOk) << sealed.error;
+  ASSERT_TRUE(sealed.sealed);
+  EXPECT_GT(sealed.epoch, epoch);
+  const std::vector<BipartiteGraph::Edge> expected = {{1, 2}, {2, 2}, {3, 3}};
+  EXPECT_EQ(registry.Acquire("g").graph().ToEdges(), expected);
+}
+
 TEST(PeelControlTest, PreCancelledRunsReturnImmediatelyIncomplete) {
   const BipartiteGraph g = G1();
 
