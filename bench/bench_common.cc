@@ -164,15 +164,6 @@ void AppendPeelStats(const PeelStats& stats, JsonRecord* record) {
                                 stats.init_patch_elements);
   record->counters.emplace_back("index_rebuild_elements",
                                 stats.index_rebuild_elements);
-  record->counters.emplace_back("placement_nodes", stats.placement_nodes);
-  record->counters.emplace_back("placement_local_pops",
-                                stats.placement_local_pops);
-  record->counters.emplace_back("placement_remote_steals",
-                                stats.placement_remote_steals);
-  record->counters.emplace_back("makespan_predicted",
-                                stats.makespan_predicted);
-  record->counters.emplace_back("makespan_measured",
-                                stats.makespan_measured);
   record->counters.emplace_back("num_subsets", stats.num_subsets);
   record->values.emplace_back("seconds_counting", stats.seconds_counting);
   record->values.emplace_back("seconds_cd", stats.seconds_cd);

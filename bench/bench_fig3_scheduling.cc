@@ -42,8 +42,8 @@ void FigureThreeExample(benchmark::State& state) {
     naive = SimulateMakespan(costs, 2, false);
     was = SimulateMakespan(costs, 2, true);
   }
-  state.counters["makespan_naive"] = static_cast<double>(naive);
-  state.counters["makespan_was"] = static_cast<double>(was);
+  state.counters["model_naive"] = static_cast<double>(naive);
+  state.counters["model_was"] = static_cast<double>(was);
   std::printf(
       "Fig. 3 exact example: naive order finishes at t=%llu (paper: 33), "
       "WaS at t=%llu (paper: 25)\n",
@@ -54,8 +54,8 @@ void FigureThreeExample(benchmark::State& state) {
 struct Row {
   double fd_was = 0;
   double fd_naive = 0;
-  uint64_t makespan_was = 0;
-  uint64_t makespan_naive = 0;
+  uint64_t model_was = 0;
+  uint64_t model_naive = 0;
 };
 
 std::map<std::string, Row>& Rows() {
@@ -76,14 +76,14 @@ void DatasetScheduling(benchmark::State& state, const Target& target) {
   for (auto _ : state) {
     PeelStats cd_stats;
     const CdResult cd = ReceiptCd(g, options, &cd_stats);
-    // Wall-clock FD with and without WaS (LPT vs round-robin placement).
+    // Wall-clock FD with and without WaS (LPT vs creation pop order).
     std::vector<Count> tips(g.num_u());
     PeelStats fd_stats_was;
-    options.fd_assignment = engine::PlacementAssign::kCostLpt;
+    options.fd_order = FdOrder::kCostDescending;
     ReceiptFd(g, cd, options, tips, &fd_stats_was);
     row.fd_was = fd_stats_was.seconds_fd;
     PeelStats fd_stats_naive;
-    options.fd_assignment = engine::PlacementAssign::kRoundRobin;
+    options.fd_order = FdOrder::kCreation;
     ReceiptFd(g, cd, options, tips, &fd_stats_naive);
     row.fd_naive = fd_stats_naive.seconds_fd;
     // Deterministic makespan model on the real subset workloads (immune to
@@ -92,8 +92,8 @@ void DatasetScheduling(benchmark::State& state, const Target& target) {
         g, cd.subset_of, static_cast<uint32_t>(cd.subsets.size()),
         options.num_threads);
     std::vector<uint64_t> costs(wedges.begin(), wedges.end());
-    row.makespan_naive = SimulateMakespan(costs, 4, false);
-    row.makespan_was = SimulateMakespan(costs, 4, true);
+    row.model_naive = SimulateMakespan(costs, 4, false);
+    row.model_was = SimulateMakespan(costs, 4, true);
   }
   state.counters["fd_was_s"] = row.fd_was;
   state.counters["fd_naive_s"] = row.fd_naive;
@@ -109,11 +109,11 @@ void PrintTable() {
   for (const auto& [label, r] : Rows()) {
     std::printf("%-5s | %10.3f %10.3f | %14llu %14llu %8.2f%%\n",
                 label.c_str(), r.fd_was, r.fd_naive,
-                static_cast<unsigned long long>(r.makespan_was),
-                static_cast<unsigned long long>(r.makespan_naive),
-                r.makespan_naive > 0
-                    ? 100.0 * (1.0 - static_cast<double>(r.makespan_was) /
-                                         static_cast<double>(r.makespan_naive))
+                static_cast<unsigned long long>(r.model_was),
+                static_cast<unsigned long long>(r.model_naive),
+                r.model_naive > 0
+                    ? 100.0 * (1.0 - static_cast<double>(r.model_was) /
+                                         static_cast<double>(r.model_naive))
                     : 0.0);
   }
   PrintRule();
@@ -127,8 +127,8 @@ std::vector<JsonRecord> CollectRecords() {
   for (const auto& [label, r] : Rows()) {
     JsonRecord record;
     record.name = label;
-    record.counters.emplace_back("makespan_was", r.makespan_was);
-    record.counters.emplace_back("makespan_naive", r.makespan_naive);
+    record.counters.emplace_back("model_was", r.model_was);
+    record.counters.emplace_back("model_naive", r.model_naive);
     record.values.emplace_back("fd_was_s", r.fd_was);
     record.values.emplace_back("fd_naive_s", r.fd_naive);
     records.push_back(std::move(record));

@@ -120,6 +120,19 @@ bool ParseOnOff(const Args& args, const char* flag, bool fallback,
   return false;
 }
 
+/// Validated --threads: absent → `fallback`; outside [1, 1024] is a usage
+/// error, checked before any graph is loaded or engine work starts.
+bool ParseThreads(const Args& args, int fallback, int* out) {
+  const int64_t threads = args.GetInt("threads", fallback);
+  if (threads < 1 || threads > 1024) {
+    std::fprintf(stderr, "--threads must be in [1, 1024], got %lld\n",
+                 static_cast<long long>(threads));
+    return false;
+  }
+  *out = static_cast<int>(threads);
+  return true;
+}
+
 int Usage() {
   std::fprintf(
       stderr,
@@ -131,14 +144,13 @@ int Usage() {
       "            [--approx-samples N]\n"
       "  decompose --input FILE | --dataset NAME  [--algo receipt|bup|parb]\n"
       "            [--side U|V] [--threads T] [--partitions P]\n"
-      "            [--no-huc] [--no-dgm] [--pin-numa[=off]]\n"
-      "            [--placement-nodes N] [--output FILE]\n"
+      "            [--no-huc] [--no-dgm] [--output FILE]\n"
       "  wing      --input FILE | --dataset NAME  [--parallel]\n"
       "            [--threads T] [--partitions P] [--output FILE]\n"
       "  serve     --graphs NAME=FILE[,NAME=FILE...] | --datasets it,de,...\n"
       "            [--workers W] [--clients C] [--requests N] [--threads T]\n"
       "            [--partitions P] [--cache-mb MB] [--queue-capacity N]\n"
-      "            [--pin-numa[=off]] [--http-port PORT] [--http-threads N]\n"
+      "            [--http-port PORT] [--http-threads N]\n"
       "            [--max-pending-edges N] [--max-staleness-ms MS]\n"
       "            [--dirty-fraction-limit F] [--live-track tip-U:150,wing:8]\n"
       "            [--data-dir DIR] [--fsync always|batch|off]\n"
@@ -269,26 +281,16 @@ bool WriteCounts(const std::string& path, const std::vector<Count>& values) {
 }
 
 int CmdDecompose(const Args& args) {
+  TipOptions options;
+  if (!ParseThreads(args, 4, &options.num_threads)) return 1;
   BipartiteGraph graph;
   if (!LoadGraph(args, &graph)) return 2;
 
-  TipOptions options;
   options.side = args.Get("side", "U") == "V" ? Side::kV : Side::kU;
-  options.num_threads = static_cast<int>(args.GetInt("threads", 4));
   options.num_partitions =
       static_cast<int>(args.GetInt("partitions", 150));
   options.use_huc = !args.Has("no-huc");
   options.use_dgm = !args.Has("no-dgm");
-  if (!ParseOnOff(args, "pin-numa", options.pin_numa, &options.pin_numa)) {
-    return 1;
-  }
-  const int64_t placement_nodes = args.GetInt("placement-nodes", 0);
-  if (placement_nodes < 0 || placement_nodes > 1024) {
-    std::fprintf(stderr, "--placement-nodes must be in [0, 1024], got %lld\n",
-                 static_cast<long long>(placement_nodes));
-    return 1;
-  }
-  options.placement_nodes = static_cast<int>(placement_nodes);
 
   const std::string algo = args.Get("algo", "receipt");
   TipResult result;
@@ -319,9 +321,10 @@ int CmdDecompose(const Args& args) {
 }
 
 int CmdWing(const Args& args) {
+  int threads = 0;
+  if (!ParseThreads(args, 4, &threads)) return 1;
   BipartiteGraph graph;
   if (!LoadGraph(args, &graph)) return 2;
-  const int threads = static_cast<int>(args.GetInt("threads", 4));
   WingResult result;
   if (args.Has("parallel")) {
     ReceiptWingOptions options;
@@ -796,13 +799,6 @@ int ServeHttp(const Args& args, service::GraphRegistry& registry,
       static_cast<unsigned long long>(live.ranges_reused),
       static_cast<unsigned long long>(live.ranges_repeeled),
       static_cast<unsigned long long>(live.pending_edges));
-  const service::DecompositionService::SchedulerStats sched =
-      service.scheduler_stats();
-  std::printf(
-      "scheduler: nodes=%d pinned=%s local_pops=%llu remote_steals=%llu\n",
-      sched.num_nodes, sched.pinned ? "yes" : "no",
-      static_cast<unsigned long long>(sched.local_pops),
-      static_cast<unsigned long long>(sched.remote_steals));
   if (service.durable()) {
     const durability::DurabilityStats durable = service.durability()->stats();
     std::printf(
@@ -856,6 +852,8 @@ int ServeHttp(const Args& args, service::GraphRegistry& registry,
 // `decompose` / `wing` commands, so per-phase timings and wedge counters are
 // directly comparable between service mode and one-shot runs.
 int CmdServe(const Args& args) {
+  int threads = 0;
+  if (!ParseThreads(args, 2, &threads)) return 1;
   service::GraphRegistry registry;
   std::vector<std::pair<std::string, std::string>> graph_files;
   for (const std::string& spec : SplitCommaList(args.Get("graphs"))) {
@@ -904,10 +902,6 @@ int CmdServe(const Args& args) {
     return 1;
   }
   service_options.queue_capacity = static_cast<size_t>(queue_capacity);
-  if (!ParseOnOff(args, "pin-numa", service_options.pin_numa,
-                  &service_options.pin_numa)) {
-    return 1;
-  }
   const int64_t max_pending = args.GetInt(
       "max-pending-edges",
       static_cast<int64_t>(service_options.live_max_pending_edges));
@@ -1020,8 +1014,8 @@ int CmdServe(const Args& args) {
   for (const std::string& name : names) {
     for (const service::LiveConfig& config : live_track) {
       std::string error;
-      const service::Status status = service.live().Track(
-          name, config, static_cast<int>(args.GetInt("threads", 2)), &error);
+      const service::Status status =
+          service.live().Track(name, config, threads, &error);
       if (status != service::Status::kOk) {
         std::fprintf(stderr, "live-track %s on %s failed: %s\n",
                      service::RequestKindName(config.kind), name.c_str(),
@@ -1033,16 +1027,10 @@ int CmdServe(const Args& args) {
     }
   }
 
-  const service::DecompositionService::SchedulerStats sched =
-      service.scheduler_stats();
-  std::printf("scheduler: nodes=%d pinned=%s workers=%d\n", sched.num_nodes,
-              sched.pinned ? "yes" : "no", service.num_workers());
-
   if (args.Has("http-port")) return ServeHttp(args, registry, service);
 
   const int clients = static_cast<int>(args.GetInt("clients", 2));
   const int total_requests = static_cast<int>(args.GetInt("requests", 12));
-  const int threads = static_cast<int>(args.GetInt("threads", 2));
   const int partitions = static_cast<int>(args.GetInt("partitions", 8));
 
   // The request mix: cycle (graph × kind/algorithm) so repeats exercise the
@@ -1129,13 +1117,6 @@ int CmdServe(const Args& args) {
               static_cast<unsigned long long>(cache.entries),
               static_cast<unsigned long long>(cache.bytes),
               static_cast<unsigned long long>(cache.evictions));
-  const service::DecompositionService::SchedulerStats final_sched =
-      service.scheduler_stats();
-  std::printf(
-      "scheduler: nodes=%d pinned=%s local_pops=%llu remote_steals=%llu\n",
-      final_sched.num_nodes, final_sched.pinned ? "yes" : "no",
-      static_cast<unsigned long long>(final_sched.local_pops),
-      static_cast<unsigned long long>(final_sched.remote_steals));
   std::printf("workspace growths (all worker pools): %llu\n",
               static_cast<unsigned long long>(service.WorkspaceGrowths()));
   if (failed_requests.load() > 0) {

@@ -33,9 +33,9 @@ struct RangeResult {
   /// static-cost mass of the entities alive with support inside range i at
   /// the moment its bound was fixed (all remaining mass for the final
   /// unbounded subset). Read off the histogram's bucket cost sums — an
-  /// integer, bit-identical across thread counts. The FD
-  /// placement layer's LPT assigner consumes it in place of the legacy
-  /// O(m) induced wedge-count pass.
+  /// integer, bit-identical across thread counts. RECEIPT FD orders its
+  /// task list by it (LPT) in place of the legacy O(m) induced wedge-count
+  /// pass.
   std::vector<Count> predicted_costs;
 };
 

@@ -150,7 +150,7 @@ class SupportIndex {
   /// range the bound opens — Σ cost over alive entities with support < the
   /// returned bound, an exact integer read off the bucket cost sums the
   /// walk accumulates anyway. This is the per-range peel-cost prediction
-  /// the placement layer's LPT assigner consumes.
+  /// RECEIPT FD's LPT pop order consumes.
   template <typename SupportFn>
   Count FindBound(Count need, SupportFn&& supports, PeelStats* stats,
                   Count* predicted_cost = nullptr) {

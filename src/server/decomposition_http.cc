@@ -596,20 +596,6 @@ HttpResponse DecompositionHttpFrontend::HandleStatz(const HttpRequest&) {
       .Key("idle").Uint(idle)
       .Key("busy").Uint(workers - idle)
       .EndObject();
-  const service::DecompositionService::SchedulerStats sched =
-      service_->scheduler_stats();
-  writer.Key("scheduler").BeginObject();
-  writer.Key("nodes").Int(sched.num_nodes);
-  writer.Key("pinned").Bool(sched.pinned);
-  writer.Key("local_pops").Uint(sched.local_pops);
-  writer.Key("remote_steals").Uint(sched.remote_steals);
-  writer.Key("worker_nodes").BeginArray();
-  for (const int node : sched.worker_nodes) writer.Int(node);
-  writer.EndArray();
-  writer.Key("node_queue_depths").BeginArray();
-  for (const size_t depth : sched.node_queue_depths) writer.Uint(depth);
-  writer.EndArray();
-  writer.EndObject();
   writer.Key("requests")
       .BeginObject()
       .Key("submitted").Uint(service_stats.submitted)

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "engine/topology.h"
 #include "graph/graph_io.h"
 #include "tip/bup.h"
 #include "tip/parb.h"
@@ -63,38 +62,10 @@ DecompositionService::DecompositionService(GraphRegistry& registry,
   }
 
   const int num_workers = std::max(0, options_.num_workers);
-
-  // Scheduling domains: forced virtual nodes (tests), else the machine's
-  // NUMA topology (one queue on single-node machines — the layout then
-  // degenerates to the plain shared queue).
-  const engine::NumaTopology* topology = nullptr;
-  if (options_.placement_nodes > 0) {
-    num_nodes_ = options_.placement_nodes;
-  } else {
-    topology = &engine::SystemTopology();
-    num_nodes_ = topology->num_nodes();
-  }
-  num_nodes_ = std::max(1, num_nodes_);
-  node_queues_.resize(static_cast<size_t>(num_nodes_));
-  pinned_ = options_.pin_numa && topology != nullptr &&
-            !topology->synthetic() && topology->num_nodes() > 1;
-
-  // Workers spread across nodes proportional to CPU counts on a real
-  // topology, round-robin over virtual nodes otherwise.
-  std::vector<int> node_of_worker;
-  if (topology != nullptr && num_workers > 0) {
-    node_of_worker = topology->AssignWorkers(num_workers);
-  }
-  if (static_cast<int>(node_of_worker.size()) != num_workers) {
-    node_of_worker.resize(static_cast<size_t>(num_workers));
-    for (int i = 0; i < num_workers; ++i) node_of_worker[i] = i % num_nodes_;
-  }
-
   workers_.reserve(static_cast<size_t>(num_workers));
   for (int i = 0; i < num_workers; ++i) {
     workers_.push_back(std::make_unique<Worker>());
     Worker* worker = workers_.back().get();
-    worker->node = node_of_worker[static_cast<size_t>(i)];
     worker->thread = std::thread([this, worker] { WorkerMain(*worker); });
   }
 }
@@ -124,7 +95,7 @@ void DecompositionService::RegisterInstruments() {
       "Admission-to-response latency of queued decomposition requests.");
   queue_wait_ = m.GetHistogram(
       "receipt_queue_wait_seconds",
-      "Dequeue-to-start delay: time a request sat in its node queue.");
+      "Dequeue-to-start delay: time a request sat in the queue.");
   engine_seconds_ = m.GetHistogram(
       "receipt_engine_run_seconds",
       "Wall time of one decomposition engine run (seconds_total).");
@@ -152,18 +123,6 @@ void DecompositionService::RegisterInstruments() {
   dgm_compactions_total_ =
       m.GetCounter("receipt_engine_dgm_compactions_total",
                    "Dynamic Graph Maintenance compactions across runs.");
-  fd_local_pops_total_ = m.GetCounter(
-      "receipt_engine_fd_local_pops_total",
-      "FD scheduler tasks popped from the home node queue.");
-  fd_remote_steals_total_ = m.GetCounter(
-      "receipt_engine_fd_remote_steals_total",
-      "FD scheduler tasks stolen from another node's queue.");
-  makespan_predicted_ = m.GetGauge(
-      "receipt_engine_makespan_predicted",
-      "Predicted per-node peel-cost makespan of the most recent run.");
-  makespan_measured_ = m.GetGauge(
-      "receipt_engine_makespan_measured",
-      "Measured per-node wedge-work makespan of the most recent run.");
 }
 
 void DecompositionService::BridgePeelStats(const PeelStats& stats) {
@@ -177,10 +136,6 @@ void DecompositionService::BridgePeelStats(const PeelStats& stats) {
   rounds_index_->Increment(stats.index_build_rounds);
   huc_recounts_total_->Increment(stats.huc_recounts);
   dgm_compactions_total_->Increment(stats.dgm_compactions);
-  fd_local_pops_total_->Increment(stats.placement_local_pops);
-  fd_remote_steals_total_->Increment(stats.placement_remote_steals);
-  makespan_predicted_->Set(stats.makespan_predicted);
-  makespan_measured_->Set(stats.makespan_measured);
   engine_seconds_->ObserveSeconds(stats.seconds_total);
 }
 
@@ -328,7 +283,7 @@ std::shared_future<Response> DecompositionService::SubmitImpl(
       }
       inflight_.erase(it);
     }
-    if (TotalQueuedLocked() < options_.queue_capacity) break;
+    if (queue_.size() < options_.queue_capacity) break;
     if (!may_block) {
       *would_block = true;
       return {};
@@ -343,8 +298,7 @@ std::shared_future<Response> DecompositionService::SubmitImpl(
   task->coalesce_key = coalesce_key;
   task->future = task->promise.get_future().share();
   task->enqueue_ns = obs::TraceRecorder::NowNs();
-  const int node = RouteLocked(task->request.graph);
-  node_queues_[static_cast<size_t>(node)].push_back(task);
+  queue_.push_back(task);
   inflight_[coalesce_key] = task;
   ++stats_.submitted;
   queue_not_empty_.notify_one();
@@ -352,55 +306,22 @@ std::shared_future<Response> DecompositionService::SubmitImpl(
   return task->future;
 }
 
-int DecompositionService::RouteLocked(const std::string& graph) {
-  const auto it = graph_node_.find(graph);
-  if (it != graph_node_.end()) return it->second;
-  const int node = next_route_node_;
-  next_route_node_ = (next_route_node_ + 1) % num_nodes_;
-  graph_node_.emplace(graph, node);
-  return node;
-}
-
-size_t DecompositionService::TotalQueuedLocked() const {
-  size_t total = 0;
-  for (const auto& q : node_queues_) total += q.size();
-  return total;
-}
-
 std::vector<std::shared_ptr<DecompositionService::Task>>
-DecompositionService::PopBatchLocked(int home) {
-  // Home queue first, then the other nodes in ring order: a worker only
-  // crosses nodes when its own queue is dry, so sticky-routed graphs stay
-  // on the workers whose arenas already hold them.
-  int source = home;
-  for (int k = 0; k < num_nodes_; ++k) {
-    const int node = (home + k) % num_nodes_;
-    if (!node_queues_[static_cast<size_t>(node)].empty()) {
-      source = node;
-      break;
-    }
-  }
-  if (source == home) {
-    ++local_pops_;
-  } else {
-    ++remote_steals_;
-  }
-  auto& queue = node_queues_[static_cast<size_t>(source)];
-
+DecompositionService::PopBatchLocked() {
   std::vector<std::shared_ptr<Task>> batch;
-  batch.push_back(std::move(queue.front()));
-  queue.pop_front();
-  // Batch same-graph follow-ons from the same queue: they run on scratch
-  // already warm for this exact graph shape, and skip a queue round-trip
-  // each. Never take work an idle worker could start right now — batching
-  // trades queue overhead for warmth, not parallelism.
+  batch.push_back(std::move(queue_.front()));
+  queue_.pop_front();
+  // Batch same-graph follow-ons: they run on scratch already warm for this
+  // exact graph shape, and skip a queue round-trip each. Never take work an
+  // idle worker could start right now — batching trades queue overhead for
+  // warmth, not parallelism.
   const uint64_t epoch = batch.front()->handle.epoch();
-  for (auto it = queue.begin();
-       it != queue.end() && TotalQueuedLocked() > waiting_workers_ &&
+  for (auto it = queue_.begin();
+       it != queue_.end() && queue_.size() > waiting_workers_ &&
        batch.size() < options_.max_batch;) {
     if ((*it)->handle.epoch() == epoch) {
       batch.push_back(std::move(*it));
-      it = queue.erase(it);
+      it = queue_.erase(it);
       ++stats_.batched_follow_ons;
     } else {
       ++it;
@@ -410,23 +331,16 @@ DecompositionService::PopBatchLocked(int home) {
 }
 
 void DecompositionService::WorkerMain(Worker& worker) {
-  // Pin before any arena is first-touched, so every buffer this worker's
-  // pool grows — and the OpenMP teams its engine runs spawn, which inherit
-  // the mask — stays on the assigned node. The thread is service-owned and
-  // exits at shutdown, so the mask needs no restore.
-  if (pinned_) {
-    engine::PinThreadToNode(engine::SystemTopology(), worker.node);
-  }
   for (;;) {
     std::vector<std::shared_ptr<Task>> batch;
     {
       std::unique_lock<std::mutex> lock(mu_);
       ++waiting_workers_;
       queue_not_empty_.wait(
-          lock, [this] { return stopping_ || TotalQueuedLocked() > 0; });
+          lock, [this] { return stopping_ || !queue_.empty(); });
       --waiting_workers_;
-      if (TotalQueuedLocked() == 0) return;  // stopping and drained
-      batch = PopBatchLocked(worker.node);
+      if (queue_.empty()) return;  // stopping and drained
+      batch = PopBatchLocked();
       queue_not_full_.notify_all();
     }
     for (const auto& task : batch) ExecuteTask(task, worker.pool);
@@ -442,8 +356,8 @@ size_t DecompositionService::RunQueuedInline() {
     std::vector<std::shared_ptr<Task>> batch;
     {
       std::lock_guard<std::mutex> lock(mu_);
-      if (TotalQueuedLocked() == 0) break;
-      batch = PopBatchLocked(/*home=*/0);
+      if (queue_.empty()) break;
+      batch = PopBatchLocked();
       queue_not_full_.notify_all();
     }
     for (const auto& task : batch) {
@@ -593,10 +507,8 @@ void DecompositionService::Shutdown(bool drain) {
     std::lock_guard<std::mutex> lock(mu_);
     stopping_ = true;
     if (!drain) {
-      for (auto& queue : node_queues_) {
-        dropped.insert(dropped.end(), queue.begin(), queue.end());
-        queue.clear();
-      }
+      dropped.assign(queue_.begin(), queue_.end());
+      queue_.clear();
       // Ask executing tasks (still tracked in inflight_) to stop at their
       // next engine check point.
       for (const auto& [key, weak] : inflight_) {
@@ -638,22 +550,7 @@ ResultCache::Stats DecompositionService::cache_stats() const {
 
 size_t DecompositionService::QueueDepth() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return TotalQueuedLocked();
-}
-
-DecompositionService::SchedulerStats DecompositionService::scheduler_stats()
-    const {
-  std::lock_guard<std::mutex> lock(mu_);
-  SchedulerStats s;
-  s.num_nodes = num_nodes_;
-  s.pinned = pinned_;
-  s.worker_nodes.reserve(workers_.size());
-  for (const auto& worker : workers_) s.worker_nodes.push_back(worker->node);
-  s.node_queue_depths.reserve(node_queues_.size());
-  for (const auto& q : node_queues_) s.node_queue_depths.push_back(q.size());
-  s.local_pops = local_pops_;
-  s.remote_steals = remote_steals_;
-  return s;
+  return queue_.size();
 }
 
 size_t DecompositionService::IdleWorkers() const {

@@ -44,19 +44,6 @@ struct ServiceOptions {
   /// scratch that is already warm for exactly that graph shape.
   size_t max_batch = 8;
 
-  /// Schedule workers and queues against this many virtual nodes instead
-  /// of the discovered topology (0 = auto). Tests force multi-queue
-  /// scheduling on any machine this way; pinning is a no-op for virtual
-  /// nodes. Scheduling never changes results, only locality.
-  int placement_nodes = 0;
-
-  /// Pin each background worker (and therefore the OpenMP teams it spawns,
-  /// which inherit its mask) to its assigned NUMA node's CPUs, so a
-  /// worker's WorkspacePool arenas are first-touched and re-used
-  /// node-locally. Effective only on real topologies with more than one
-  /// node; results are bit-identical either way.
-  bool pin_numa = true;
-
   /// Live-update seal policy (see LiveOptions): buffered edge updates per
   /// graph before a seal is forced, …
   size_t live_max_pending_edges = 4096;
@@ -197,19 +184,6 @@ class DecompositionService {
   Stats stats() const;
   ResultCache::Stats cache_stats() const;
 
-  /// Scheduler/placement introspection for /statz and the CLI: which node
-  /// each worker serves, how deep each node's queue is, and how often
-  /// workers found work at home vs had to steal across nodes.
-  struct SchedulerStats {
-    int num_nodes = 1;             ///< scheduling domains (≥ 1)
-    bool pinned = false;           ///< workers pinned to their node's CPUs
-    std::vector<int> worker_nodes; ///< worker index → assigned node
-    std::vector<size_t> node_queue_depths;  ///< per-node queued tasks
-    uint64_t local_pops = 0;       ///< batches popped from the home queue
-    uint64_t remote_steals = 0;    ///< batches stolen from another node
-  };
-  SchedulerStats scheduler_stats() const;
-
   /// Queue/worker introspection for serving dashboards (/statz): all
   /// instantaneous snapshots, racy by nature.
   size_t QueueDepth() const;
@@ -318,8 +292,7 @@ class DecompositionService {
     std::shared_future<Response> future;
     uint64_t extra_submitters = 0;  ///< guarded by the service mutex
     uint64_t abandoned = 0;         ///< guarded by the service mutex
-    /// Admission stamp (steady ns) taken when the task entered its node
-    /// queue: dequeue-to-start delta feeds the queue-wait histogram, and
+    /// Admission stamp (steady ns) taken when the task entered the queue: dequeue-to-start delta feeds the queue-wait histogram, and
     /// the full delta at FinishTask is the request latency.
     uint64_t enqueue_ns = 0;
   };
@@ -327,7 +300,6 @@ class DecompositionService {
   struct Worker {
     std::thread thread;
     engine::WorkspacePool pool;
-    int node = 0;  ///< assigned scheduling domain (home queue)
   };
 
   static std::shared_future<Response> ReadyResponse(Response response);
@@ -346,18 +318,9 @@ class DecompositionService {
                                           std::shared_ptr<Task>* out_task =
                                               nullptr);
   void WorkerMain(Worker& worker);
-  /// Sticky graph → node routing: the node that first served a graph keeps
-  /// receiving its requests, so the graph's induced-subgraph arenas and
-  /// support buffers stay resident on one node's workers. New graphs are
-  /// dealt round-robin. Caller holds the mutex.
-  int RouteLocked(const std::string& graph);
-  /// Total tasks queued across every node queue. Caller holds the mutex.
-  size_t TotalQueuedLocked() const;
-  /// Pops the front task of the home node's queue — stealing from the
-  /// other nodes in ring order when home is empty — plus up to max_batch-1
-  /// tasks on the same graph epoch from that same queue. Caller holds the
-  /// mutex and guarantees a non-empty queue somewhere.
-  std::vector<std::shared_ptr<Task>> PopBatchLocked(int home);
+  /// Pops the front task plus up to max_batch-1 queued tasks on the same
+  /// graph epoch. Caller holds the mutex and guarantees a non-empty queue.
+  std::vector<std::shared_ptr<Task>> PopBatchLocked();
   void ExecuteTask(const std::shared_ptr<Task>& task,
                    engine::WorkspacePool& pool);
   Response RunEngine(Task& task, engine::WorkspacePool& pool);
@@ -395,25 +358,12 @@ class DecompositionService {
   obs::Counter* rounds_index_ = nullptr;
   obs::Counter* huc_recounts_total_ = nullptr;
   obs::Counter* dgm_compactions_total_ = nullptr;
-  obs::Counter* fd_local_pops_total_ = nullptr;
-  obs::Counter* fd_remote_steals_total_ = nullptr;
-  obs::Gauge* makespan_predicted_ = nullptr;
-  obs::Gauge* makespan_measured_ = nullptr;
 
   mutable std::mutex mu_;
   std::condition_variable queue_not_empty_;
   std::condition_variable queue_not_full_;
-  /// One bounded queue per scheduling domain; capacity is shared (the
-  /// queue_capacity bound applies to the total across nodes).
-  std::vector<std::deque<std::shared_ptr<Task>>> node_queues_;
-  /// Sticky graph → node routing table (see RouteLocked). Bounded by the
-  /// number of distinct graph names ever submitted.
-  std::unordered_map<std::string, int> graph_node_;
-  int next_route_node_ = 0;  ///< round-robin cursor for unseen graphs
-  int num_nodes_ = 1;        ///< scheduling domains (≥ 1)
-  bool pinned_ = false;      ///< workers pinned to their node's CPUs
-  uint64_t local_pops_ = 0;      ///< home-queue batch pops
-  uint64_t remote_steals_ = 0;   ///< cross-node batch steals
+  /// The bounded request queue (queue_capacity), popped in FIFO order.
+  std::deque<std::shared_ptr<Task>> queue_;
   std::unordered_map<CoalesceKey, std::weak_ptr<Task>, CoalesceKeyHash>
       inflight_;
   size_t waiting_workers_ = 0;  ///< workers blocked on queue_not_empty_

@@ -107,11 +107,6 @@ void WritePeelStatsJson(const PeelStats& stats, util::JsonWriter* writer) {
       .Key("histogram_refines").Uint(stats.histogram_refines)
       .Key("init_patch_elements").Uint(stats.init_patch_elements)
       .Key("index_rebuild_elements").Uint(stats.index_rebuild_elements)
-      .Key("placement_nodes").Uint(stats.placement_nodes)
-      .Key("placement_local_pops").Uint(stats.placement_local_pops)
-      .Key("placement_remote_steals").Uint(stats.placement_remote_steals)
-      .Key("makespan_predicted").Uint(stats.makespan_predicted)
-      .Key("makespan_measured").Uint(stats.makespan_measured)
       .Key("num_subsets").Uint(stats.num_subsets)
       .Key("seconds_counting").Double(stats.seconds_counting)
       .Key("seconds_cd").Double(stats.seconds_cd)

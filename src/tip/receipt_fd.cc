@@ -2,14 +2,10 @@
 
 #include <algorithm>
 #include <atomic>
-#include <memory>
 #include <numeric>
-#include <optional>
 #include <vector>
 
-#include "engine/cost_model.h"
 #include "engine/peel_engine.h"
-#include "engine/topology.h"
 #include "graph/dynamic_graph.h"
 #include "graph/induced_subgraph.h"
 #include "util/parallel.h"
@@ -102,6 +98,20 @@ void ReceiptFd(const BipartiteGraph& graph, const CdResult& cd,
   ReceiptFd(graph, cd, options, pool, tip_numbers, stats, {});
 }
 
+std::vector<uint32_t> FdPopOrder(std::span<const Count> costs,
+                                 FdOrder order) {
+  std::vector<uint32_t> pop_order(costs.size());
+  std::iota(pop_order.begin(), pop_order.end(), 0u);
+  if (order == FdOrder::kCostDescending) {
+    std::sort(pop_order.begin(), pop_order.end(),
+              [&costs](uint32_t a, uint32_t b) {
+                if (costs[a] != costs[b]) return costs[a] > costs[b];
+                return a < b;
+              });
+  }
+  return pop_order;
+}
+
 void ReceiptFd(const BipartiteGraph& graph, const CdResult& cd,
                const TipOptions& options, engine::WorkspacePool& pool,
                std::span<Count> tip_numbers, PeelStats* stats,
@@ -121,119 +131,37 @@ void ReceiptFd(const BipartiteGraph& graph, const CdResult& cd,
       cd.predicted_costs.size() == num_subsets
           ? cd.predicted_costs
           : ComputeSubsetWedgeCounts(graph, cd.subset_of, num_subsets,
-                                     options.num_threads);
+                                     num_threads);
+  const std::vector<uint32_t> order = FdPopOrder(costs, options.fd_order);
 
-  // Node layout: forced virtual nodes (benches/tests), else the machine's.
-  const engine::NumaTopology* topology = nullptr;
-  int num_nodes = 1;
-  if (options.placement_nodes > 0) {
-    num_nodes = options.placement_nodes;
-  } else {
-    topology = &engine::SystemTopology();
-    num_nodes = topology->num_nodes();
-  }
-  num_nodes = std::max(1, num_nodes);
-
-  // Place partitions onto nodes (§3.2.1's LPT rule lifted from a sort
-  // order to a node assignment). Deterministic: a pure function of the
-  // predicted costs and the node count.
-  const engine::PlacementPlan plan =
-      options.fd_assignment == engine::PlacementAssign::kCostLpt
-          ? engine::AssignLpt(costs, static_cast<uint32_t>(num_nodes))
-          : engine::AssignRoundRobin(costs, static_cast<uint32_t>(num_nodes));
-  stats->placement_nodes =
-      std::max(stats->placement_nodes, static_cast<uint64_t>(num_nodes));
-  stats->makespan_predicted =
-      std::max(stats->makespan_predicted, plan.Makespan());
-
-  // Workers spread across nodes proportional to CPU counts on a real
-  // topology, round-robin over virtual nodes otherwise.
-  std::vector<int> node_of_thread;
-  if (topology != nullptr && topology->num_nodes() == num_nodes) {
-    node_of_thread = topology->AssignWorkers(num_threads);
-  }
-  if (static_cast<int>(node_of_thread.size()) != num_threads) {
-    node_of_thread.resize(static_cast<size_t>(num_threads));
-    for (int t = 0; t < num_threads; ++t) node_of_thread[t] = t % num_nodes;
-  }
-  const bool pin = options.pin_numa && topology != nullptr &&
-                   !topology->synthetic() && topology->num_nodes() > 1;
-
-  // Per-node pop cursors over the plan's queues, plus the measured work
-  // units each *assigned* node accumulated — attribution follows the plan,
-  // not the executing thread, so makespan_measured is schedule-independent
-  // even with stealing.
-  std::unique_ptr<std::atomic<uint32_t>[]> cursors(
-      new std::atomic<uint32_t>[static_cast<size_t>(num_nodes)]);
-  std::unique_ptr<std::atomic<uint64_t>[]> node_work(
-      new std::atomic<uint64_t>[static_cast<size_t>(num_nodes)]);
-  for (int b = 0; b < num_nodes; ++b) {
-    cursors[b].store(0, std::memory_order_relaxed);
-    node_work[b].store(0, std::memory_order_relaxed);
-  }
-
-  // Dynamic task allocation (Alg. 4 lines 2-4), locality-aware: each
-  // thread drains its home node's queue, then steals from the other nodes
-  // in ring order. Threads only synchronize at the terminal join.
+  // Dynamic task allocation (Alg. 4 lines 2-4): each idle thread takes the
+  // next subset in pop order. Threads only synchronize at the terminal join.
+  std::atomic<uint32_t> next_task{0};
   std::vector<PeelStats> local_stats(static_cast<size_t>(num_threads));
-#pragma omp parallel num_threads(options.num_threads)
+#pragma omp parallel num_threads(num_threads)
   {
     const int tid = ThreadId();
     PeelStats& local = local_stats[static_cast<size_t>(tid)];
     engine::PeelWorkspace& ws = pool.Get(tid);
-    const int home = node_of_thread[static_cast<size_t>(tid) %
-                                    node_of_thread.size()];
-    // Pin for the duration of this region only; the OpenMP pool thread's
-    // original mask is restored at scope exit.
-    std::optional<engine::ScopedAffinity> saved_affinity;
-    if (pin) {
-      saved_affinity.emplace();
-      engine::PinThreadToNode(*topology, home);
-    }
     while (true) {
       if (options.control != nullptr && options.control->Cancelled()) break;
-      int source = -1;
-      uint32_t sid = 0;
-      for (int k = 0; k < num_nodes; ++k) {
-        const int node = (home + k) % num_nodes;
-        const uint32_t pos =
-            cursors[node].fetch_add(1, std::memory_order_relaxed);
-        if (pos < plan.bin_items[static_cast<size_t>(node)].size()) {
-          source = node;
-          sid = plan.bin_items[static_cast<size_t>(node)][pos];
-          break;
-        }
-      }
-      if (source < 0) break;
+      const uint32_t k = next_task.fetch_add(1, std::memory_order_relaxed);
+      if (k >= num_subsets) break;
+      const uint32_t sid = order[k];
       // Selective FD (incremental serving): unselected subsets keep their
-      // sealed numbers; popping and skipping keeps the plan cursors shared.
+      // sealed numbers.
       if (!only_subsets.empty() &&
           (sid >= only_subsets.size() || only_subsets[sid] == 0)) {
         continue;
       }
-      if (source == home) {
-        ++local.placement_local_pops;
-      } else {
-        ++local.placement_remote_steals;
-      }
-      const uint64_t wedges_before = local.wedges_fd;
       PeelSubset(graph, cd, sid, options, ws, tip_numbers, &local);
-      node_work[plan.bin_of[sid]].fetch_add(local.wedges_fd - wedges_before,
-                                            std::memory_order_relaxed);
     }
   }
   for (const PeelStats& local : local_stats) {
     stats->wedges_fd += local.wedges_fd;
     stats->huc_recounts += local.huc_recounts;
     stats->dgm_compactions += local.dgm_compactions;
-    stats->placement_local_pops += local.placement_local_pops;
-    stats->placement_remote_steals += local.placement_remote_steals;
   }
-  uint64_t measured = 0;
-  for (int b = 0; b < num_nodes; ++b) {
-    measured = std::max(measured, node_work[b].load(std::memory_order_relaxed));
-  }
-  stats->makespan_measured = std::max(stats->makespan_measured, measured);
   stats->seconds_fd = fd_timer.Seconds();
   options.trace.EmitSince("engine.fd", fd_start_ns, num_subsets);
 }

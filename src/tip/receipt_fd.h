@@ -1,6 +1,7 @@
 #ifndef RECEIPT_TIP_RECEIPT_FD_H_
 #define RECEIPT_TIP_RECEIPT_FD_H_
 
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -20,18 +21,19 @@ std::vector<Count> ComputeSubsetWedgeCounts(const BipartiteGraph& graph,
                                             uint32_t num_subsets,
                                             int num_threads);
 
+/// The order FD pops subsets in: indices into `costs`, highest cost first
+/// with ties to the lower id under FdOrder::kCostDescending (the LPT rule
+/// of §3.2.1), 0, 1, … under FdOrder::kCreation (the Fig. 3 baseline).
+std::vector<uint32_t> FdPopOrder(std::span<const Count> costs, FdOrder order);
+
 /// RECEIPT FD (Alg. 4): computes exact tip numbers by peeling each CD subset
-/// independently. Subsets are placed onto nodes up front by the cost-model
-/// plan (LPT over cd.predicted_costs by default, round-robin under
-/// fd_assignment = kRoundRobin — see TipOptions::fd_assignment /
-/// placement_nodes / pin_numa); worker threads then pop from their own
-/// node's queue first and steal from other nodes' queues only when theirs
-/// runs dry, so hot task state stays node-local. Each popped subset is
-/// peeled whole: build the induced subgraph, initialize supports from
-/// ⊲⊳init, run the engine's sequential bottom-up peeler with a k-way
-/// min-heap. No thread synchronization occurs until the final join, so FD
-/// adds 0 to sync_rounds. Placement, pinning and steal order never change
-/// results — subsets are independent — only the placement counters.
+/// independently. Subsets form one task list in FdPopOrder over
+/// cd.predicted_costs (see TipOptions::fd_order); each idle thread takes
+/// the next subset and peels it whole: build the induced subgraph,
+/// initialize supports from ⊲⊳init, run the engine's sequential bottom-up
+/// peeler with a k-way min-heap. No thread synchronization occurs until the
+/// final join, so FD adds 0 to sync_rounds. The pop order never changes
+/// results — subsets are independent — only the load balance.
 ///
 /// Falls back to the legacy induced wedge-count pass
 /// (ComputeSubsetWedgeCounts) when `cd` carries no predicted costs.

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "engine/cost_model.h"
 #include "engine/extraction.h"
 #include "obs/trace.h"
 #include "util/stats.h"
@@ -16,6 +15,17 @@ namespace engine {
 class PeelControl;
 class WorkspacePool;
 }  // namespace engine
+
+/// The order RECEIPT FD's idle threads take subsets in (§3.2.1, Fig. 3).
+/// Subsets are peeled independently, so results are bit-identical either
+/// way; only the load balance differs.
+enum class FdOrder {
+  /// Longest-Processing-Time: highest predicted peel cost first, ties to
+  /// the lower subset id. The paper's workload-aware scheduling.
+  kCostDescending,
+  /// Creation order: the paper's unscheduled baseline (Fig. 3).
+  kCreation,
+};
 
 /// Configuration for a tip decomposition run.
 struct TipOptions {
@@ -38,27 +48,9 @@ struct TipOptions {
   /// this yields the paper's RECEIPT- configuration.
   bool use_dgm = true;
 
-  /// RECEIPT FD only: how partitions are assigned to nodes. kCostLpt
-  /// (default) is the cost-model-driven scheduling of §3.2.1 / Fig. 3,
-  /// lifted to a node assignment: the Longest-Processing-Time rule over
-  /// the predicted peel costs, each node's queue popping highest cost
-  /// first. kRoundRobin deals partitions in creation order — the paper's
-  /// unscheduled baseline, which the Fig. 3 bench and the placement
-  /// micro-bench compare against. Results are bit-identical either way.
-  engine::PlacementAssign fd_assignment = engine::PlacementAssign::kCostLpt;
-
-  /// RECEIPT FD only: schedule against this many virtual nodes instead of
-  /// the discovered topology (0 = auto). Benches and the placement
-  /// determinism tests force multi-node scheduling on any machine this
-  /// way; pinning is a no-op for virtual nodes.
-  int placement_nodes = 0;
-
-  /// RECEIPT FD only: pin each FD worker thread to its assigned NUMA
-  /// node's CPUs for the duration of the FD phase (affinity restored
-  /// afterwards), so induced-subgraph arenas stay node-local. Effective
-  /// only on real topologies with more than one node; results are
-  /// bit-identical either way.
-  bool pin_numa = false;
+  /// RECEIPT FD only: the subset pop order. The Fig. 3 bench compares
+  /// kCostDescending (default) against the kCreation baseline.
+  FdOrder fd_order = FdOrder::kCostDescending;
 
   /// BUP and RECEIPT FD: the min-support extraction structure (§5.1
   /// implementation ablation; see bench_ablation_extraction).

@@ -1,6 +1,5 @@
 #include "util/stats.h"
 
-#include <algorithm>
 #include <sstream>
 
 namespace receipt {
@@ -28,12 +27,6 @@ void PeelStats::Merge(const PeelStats& other) {
   incremental_replay_elements += other.incremental_replay_elements;
   incremental_ranges_reused += other.incremental_ranges_reused;
   incremental_ranges_repeeled += other.incremental_ranges_repeeled;
-  placement_local_pops += other.placement_local_pops;
-  placement_remote_steals += other.placement_remote_steals;
-  // Plan-level gauges, not counters: keep the widest plan when folding.
-  placement_nodes = std::max(placement_nodes, other.placement_nodes);
-  makespan_predicted = std::max(makespan_predicted, other.makespan_predicted);
-  makespan_measured = std::max(makespan_measured, other.makespan_measured);
   num_subsets += other.num_subsets;
   seconds_counting += other.seconds_counting;
   seconds_cd += other.seconds_cd;
@@ -59,11 +52,6 @@ std::string PeelStats::ToString() const {
      << " frontier_build_elements=" << frontier_build_elements
      << " index_active_elements=" << index_active_elements
      << " active_scan_elements=" << active_scan_elements << "\n"
-     << "  placement: nodes=" << placement_nodes
-     << " local_pops=" << placement_local_pops
-     << " remote_steals=" << placement_remote_steals
-     << " makespan_predicted=" << makespan_predicted
-     << " makespan_measured=" << makespan_measured << "\n"
      << "  bound_walk_buckets=" << bound_walk_buckets
      << " histogram_refines=" << histogram_refines
      << " init_patch_elements=" << init_patch_elements

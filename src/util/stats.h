@@ -90,23 +90,6 @@ struct PeelStats {
   /// desynced after an earlier divergence).
   uint64_t incremental_ranges_repeeled = 0;
 
-  // -- placement & scheduling (cost-model-driven FD / service) -------------
-  /// Nodes the placement plan spanned (gauge: Merge keeps the max).
-  uint64_t placement_nodes = 0;
-  /// FD tasks a worker popped from its own node's queue.
-  uint64_t placement_local_pops = 0;
-  /// FD tasks a worker stole from another node's queue (same-node-first
-  /// stealing makes this the cross-node traffic counter).
-  uint64_t placement_remote_steals = 0;
-  /// Predicted makespan of the placement plan: the largest per-node sum of
-  /// predicted partition costs (gauge: Merge keeps the max).
-  uint64_t makespan_predicted = 0;
-  /// Measured makespan in deterministic work units: the largest per-node
-  /// sum of wedges actually traversed peeling the partitions *assigned* to
-  /// that node (attribution follows the plan, not the stealing thread, so
-  /// the gauge is schedule-independent; gauge: Merge keeps the max).
-  uint64_t makespan_measured = 0;
-
   // -- structure ----------------------------------------------------------
   uint64_t num_subsets = 0;       ///< P actually produced by RECEIPT CD.
 

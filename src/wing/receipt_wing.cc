@@ -171,8 +171,8 @@ void ReceiptWingFine(const BipartiteGraph& graph,
   engine::WorkspacePool local_pool;
   engine::WorkspacePool& pool =
       engine::ResolvePool(options.workspace_pool, local_pool);
-  pool.Prepare(std::max(1, options.num_threads), graph.num_u(),
-               graph.num_v());
+  const int num_threads = std::max(1, options.num_threads);
+  pool.Prepare(num_threads, graph.num_u(), graph.num_v());
 
   const WallTimer fd_timer;
   const uint64_t fd_start_ns =
@@ -186,9 +186,8 @@ void ReceiptWingFine(const BipartiteGraph& graph,
     return coarse.subsets[a].size() > coarse.subsets[b].size();
   });
   std::atomic<uint32_t> next_task{0};
-  std::vector<PeelStats> local_stats(
-      static_cast<size_t>(options.num_threads));
-#pragma omp parallel num_threads(options.num_threads)
+  std::vector<PeelStats> local_stats(static_cast<size_t>(num_threads));
+#pragma omp parallel num_threads(num_threads)
   {
     const int tid = ThreadId();
     PeelStats& local = local_stats[static_cast<size_t>(tid)];

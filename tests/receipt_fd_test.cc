@@ -1,5 +1,6 @@
-// Tests for RECEIPT FD (Alg. 4): exactness given a CD partition, scheduling
-// invariance, subset wedge-count proxy correctness, and FD-side HUC/DGM.
+// Tests for RECEIPT FD (Alg. 4): exactness given a CD partition, the pop
+// order and its invariance, the no-predicted-costs fallback, subset
+// wedge-count proxy correctness, and FD-side HUC/DGM.
 
 #include "tip/receipt_fd.h"
 
@@ -14,15 +15,15 @@
 namespace receipt {
 namespace {
 
-TipOptions Options(
-    int partitions, int threads, bool huc = true, bool dgm = true,
-    engine::PlacementAssign assign = engine::PlacementAssign::kCostLpt) {
+TipOptions Options(int partitions, int threads, bool huc = true,
+                   bool dgm = true,
+                   FdOrder order = FdOrder::kCostDescending) {
   TipOptions options;
   options.num_partitions = partitions;
   options.num_threads = threads;
   options.use_huc = huc;
   options.use_dgm = dgm;
-  options.fd_assignment = assign;
+  options.fd_order = order;
   return options;
 }
 
@@ -46,13 +47,36 @@ TEST(ReceiptFdTest, ExactTipNumbers) {
 TEST(ReceiptFdTest, SchedulingFlagDoesNotChangeResults) {
   const BipartiteGraph g = ChungLuBipartite(200, 120, 900, 0.7, 0.5, 113);
   PeelStats s1, s2;
-  const std::vector<Count> lpt =
-      RunFd(g, Options(10, 3, true, true, engine::PlacementAssign::kCostLpt),
-            &s1);
-  const std::vector<Count> round_robin = RunFd(
-      g, Options(10, 3, true, true, engine::PlacementAssign::kRoundRobin),
-      &s2);
-  EXPECT_EQ(lpt, round_robin);
+  const std::vector<Count> lpt = RunFd(
+      g, Options(10, 3, true, true, FdOrder::kCostDescending), &s1);
+  const std::vector<Count> creation =
+      RunFd(g, Options(10, 3, true, true, FdOrder::kCreation), &s2);
+  EXPECT_EQ(lpt, creation);
+  EXPECT_EQ(s1.wedges_fd, s2.wedges_fd);
+}
+
+TEST(ReceiptFdTest, PopOrderIsCostDescendingOrCreation) {
+  const std::vector<Count> costs = {5, 9, 5, 1, 9, 0};
+  EXPECT_EQ(FdPopOrder(costs, FdOrder::kCostDescending),
+            (std::vector<uint32_t>{1, 4, 0, 2, 3, 5}));
+  EXPECT_EQ(FdPopOrder(costs, FdOrder::kCreation),
+            (std::vector<uint32_t>{0, 1, 2, 3, 4, 5}));
+  EXPECT_TRUE(FdPopOrder({}, FdOrder::kCostDescending).empty());
+}
+
+TEST(ReceiptFdTest, MissingPredictedCostsFallBackToWedgeCounts) {
+  // A CdResult without predicted costs orders FD by the induced wedge-count
+  // pass instead, and still yields the reference tip numbers.
+  const BipartiteGraph g = ChungLuBipartite(400, 260, 3000, 0.8, 0.8, 777);
+  const TipOptions options = Options(8, 4);
+  PeelStats stats;
+  CdResult cd = ReceiptCd(g, options, &stats);
+  ASSERT_EQ(cd.predicted_costs.size(), cd.subsets.size());
+  cd.predicted_costs.clear();
+  std::vector<Count> tips(g.num_u(), 0);
+  ReceiptFd(g, cd, options, tips, &stats);
+  TipOptions bup_options;
+  EXPECT_EQ(tips, BupDecompose(g, bup_options).tip_numbers);
 }
 
 TEST(ReceiptFdTest, OptimizationFlagsDoNotChangeResults) {

@@ -61,6 +61,17 @@ TEST(ReceiptTest, StarHasZeroTipNumbers) {
   for (const Count t : result.tip_numbers) EXPECT_EQ(t, 0u);
 }
 
+TEST(ReceiptTest, ZeroThreadsRunsOnOneThread) {
+  // num_threads = 0 must not reach an OpenMP team sized by the runtime
+  // default: every parallel region clamps to at least one thread.
+  const BipartiteGraph g = ChungLuBipartite(200, 120, 900, 0.6, 0.6, 151);
+  const TipResult result =
+      ReceiptDecompose(g, Options(Side::kU, 8, 0, true, true));
+  EXPECT_EQ(result.tip_numbers,
+            BupDecompose(g, Options(Side::kU, 1, 1, false, false))
+                .tip_numbers);
+}
+
 TEST(ReceiptTest, EmptyGraph) {
   const BipartiteGraph g = BipartiteGraph::FromEdges(0, 0, {});
   const TipResult result = ReceiptDecompose(g, Options(Side::kU, 4, 2,

@@ -48,6 +48,12 @@ TEST(ReceiptWingTest, SingleButterflyConflictRound) {
   for (const Count w : r.wing_numbers) EXPECT_EQ(w, 1u);
 }
 
+TEST(ReceiptWingTest, ZeroThreadsRunsOnOneThread) {
+  const BipartiteGraph g = ChungLuBipartite(80, 60, 400, 0.5, 0.5, 303);
+  EXPECT_EQ(ReceiptWingDecompose(g, Options(6, 0)).wing_numbers,
+            WingDecompose(g, 1).wing_numbers);
+}
+
 TEST(ReceiptWingTest, CoarseStatsPopulated) {
   const BipartiteGraph g = ChungLuBipartite(80, 60, 400, 0.5, 0.5, 301);
   const WingResult r = ReceiptWingDecompose(g, Options(6, 2));
