@@ -6,8 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <limits>
+#include <random>
+#include <string>
 #include <vector>
 
+#include "engine/workspace.h"
 #include "graph/generators.h"
 #include "tip/bup.h"
 #include "tip/receipt_cd.h"
@@ -33,6 +39,18 @@ std::vector<Count> RunFd(const BipartiteGraph& g, const TipOptions& options,
   std::vector<Count> tips(g.num_u(), 0);
   ReceiptFd(g, cd, options, tips, stats);
   return tips;
+}
+
+// Makespan of greedy list scheduling over `order`: each of `threads` workers
+// takes the next task as soon as it is free, the FD cursor loop with the
+// costs standing in for peel times. Ties go to the lower worker.
+Count ListScheduleMakespan(const std::vector<Count>& costs,
+                           const std::vector<uint32_t>& order, int threads) {
+  std::vector<Count> busy_until(static_cast<size_t>(threads), 0);
+  for (const uint32_t task : order) {
+    *std::min_element(busy_until.begin(), busy_until.end()) += costs[task];
+  }
+  return *std::max_element(busy_until.begin(), busy_until.end());
 }
 
 TEST(ReceiptFdTest, ExactTipNumbers) {
@@ -62,6 +80,194 @@ TEST(ReceiptFdTest, PopOrderIsCostDescendingOrCreation) {
   EXPECT_EQ(FdPopOrder(costs, FdOrder::kCreation),
             (std::vector<uint32_t>{0, 1, 2, 3, 4, 5}));
   EXPECT_TRUE(FdPopOrder({}, FdOrder::kCostDescending).empty());
+}
+
+TEST(ReceiptFdTest, CreationOrderIgnoresCosts) {
+  const std::vector<uint32_t> identity = {0, 1, 2, 3, 4};
+  for (const std::vector<Count>& costs :
+       {std::vector<Count>{9, 7, 5, 3, 1}, std::vector<Count>{1, 3, 5, 7, 9},
+        std::vector<Count>{5, 1, 7, 3, 2}, std::vector<Count>{0, 0, 0, 0, 0}}) {
+    EXPECT_EQ(FdPopOrder(costs, FdOrder::kCreation), identity);
+  }
+  EXPECT_TRUE(FdPopOrder({}, FdOrder::kCreation).empty());
+}
+
+TEST(ReceiptFdTest, LptOrderHandExampleAndDegenerateInputs) {
+  EXPECT_EQ(FdPopOrder(std::vector<Count>{10, 2}, FdOrder::kCostDescending),
+            (std::vector<uint32_t>{0, 1}));
+  EXPECT_EQ(FdPopOrder(std::vector<Count>{2, 10}, FdOrder::kCostDescending),
+            (std::vector<uint32_t>{1, 0}));
+  EXPECT_EQ(FdPopOrder(std::vector<Count>{7}, FdOrder::kCostDescending),
+            (std::vector<uint32_t>{0}));
+  // All-zero costs (an empty partition's prediction) keep creation order.
+  EXPECT_EQ(FdPopOrder(std::vector<Count>{0, 0, 0}, FdOrder::kCostDescending),
+            (std::vector<uint32_t>{0, 1, 2}));
+
+  // More workers than tasks: the makespan is the largest task.
+  const std::vector<Count> costs = {10, 2};
+  EXPECT_EQ(ListScheduleMakespan(
+                costs, FdPopOrder(costs, FdOrder::kCostDescending), 3),
+            10u);
+  EXPECT_EQ(ListScheduleMakespan({}, {}, 4), 0u);
+}
+
+TEST(ReceiptFdTest, LptOrderBreaksTiesByLowerId) {
+  EXPECT_EQ(
+      FdPopOrder(std::vector<Count>{4, 4, 4, 4}, FdOrder::kCostDescending),
+      (std::vector<uint32_t>{0, 1, 2, 3}));
+  EXPECT_EQ(
+      FdPopOrder(std::vector<Count>{1, 3, 3, 2, 3}, FdOrder::kCostDescending),
+      (std::vector<uint32_t>{1, 2, 4, 3, 0}));
+  // Extreme costs compare without overflow.
+  constexpr Count kMax = std::numeric_limits<Count>::max();
+  EXPECT_EQ(
+      FdPopOrder(std::vector<Count>{kMax, 0, kMax}, FdOrder::kCostDescending),
+      (std::vector<uint32_t>{0, 2, 1}));
+}
+
+TEST(ReceiptFdTest, LptOrderIsACostSortedPermutation) {
+  std::mt19937 rng(7);
+  for (int instance = 0; instance < 50; ++instance) {
+    std::vector<Count> costs(1 + rng() % 40);
+    for (Count& c : costs) c = rng() % 6;  // many ties
+    const std::vector<uint32_t> order =
+        FdPopOrder(costs, FdOrder::kCostDescending);
+    ASSERT_EQ(order.size(), costs.size());
+    std::vector<uint32_t> sorted = order;
+    std::sort(sorted.begin(), sorted.end());
+    for (uint32_t i = 0; i < sorted.size(); ++i) {
+      ASSERT_EQ(sorted[i], i) << "instance " << instance;
+    }
+    for (size_t k = 1; k < order.size(); ++k) {
+      const Count prev = costs[order[k - 1]];
+      const Count cur = costs[order[k]];
+      EXPECT_GE(prev, cur) << "instance " << instance << " position " << k;
+      if (prev == cur) EXPECT_LT(order[k - 1], order[k]);
+    }
+  }
+}
+
+TEST(ReceiptFdTest, LptOrderShortensTheFig3HandExample) {
+  // Creation order leaves the biggest subset for last; LPT starts it first
+  // and reaches the optimum, half the total work on two workers.
+  const std::vector<Count> costs = {5, 1, 7, 3, 2};
+  EXPECT_EQ(
+      ListScheduleMakespan(costs, FdPopOrder(costs, FdOrder::kCreation), 2),
+      10u);
+  EXPECT_EQ(ListScheduleMakespan(
+                costs, FdPopOrder(costs, FdOrder::kCostDescending), 2),
+            9u);
+}
+
+TEST(ReceiptFdTest, LptOrderWithinGrahamBoundOfBruteForce) {
+  // Graham (1969): list scheduling in LPT order has makespan
+  // <= (4/3 - 1/(3m)) * OPT on m workers. Checked as 3*m*LPT <= (4m-1)*OPT
+  // in exact integers against exhaustive search.
+  std::mt19937 rng(42);
+  for (int instance = 0; instance < 30; ++instance) {
+    const int m = 2 + static_cast<int>(rng() % 3);  // 2..4 workers
+    const size_t n = 3 + rng() % 6;                 // 3..8 tasks
+    std::vector<Count> costs(n);
+    for (Count& c : costs) c = rng() % 41;  // 0..40
+
+    Count opt = std::numeric_limits<Count>::max();
+    uint64_t combos = 1;
+    for (size_t i = 0; i < n; ++i) combos *= static_cast<uint64_t>(m);
+    for (uint64_t code = 0; code < combos; ++code) {
+      std::vector<Count> loads(static_cast<size_t>(m), 0);
+      uint64_t rest = code;
+      for (size_t i = 0; i < n; ++i) {
+        loads[rest % static_cast<uint64_t>(m)] += costs[i];
+        rest /= static_cast<uint64_t>(m);
+      }
+      opt = std::min(opt, *std::max_element(loads.begin(), loads.end()));
+    }
+
+    const Count lpt = ListScheduleMakespan(
+        costs, FdPopOrder(costs, FdOrder::kCostDescending), m);
+    EXPECT_LE(uint64_t{3} * static_cast<uint64_t>(m) * lpt,
+              (uint64_t{4} * static_cast<uint64_t>(m) - 1) * opt)
+        << "instance " << instance << ": LPT " << lpt << " vs OPT " << opt
+        << " on " << m << " workers";
+  }
+}
+
+TEST(ReceiptFdTest, FdCountersInvariantAcrossOrderAndThreads) {
+  // One CD partition, peeled under every pop order and thread count: each
+  // subset is peeled whole by one thread, so tip numbers and the FD work
+  // counters never depend on which thread took it or when.
+  const BipartiteGraph g = ChungLuBipartite(400, 260, 3000, 0.8, 0.8, 778);
+  PeelStats cd_stats;
+  const CdResult cd = ReceiptCd(g, Options(8, 2), &cd_stats);
+  std::vector<Count> reference;
+  PeelStats reference_stats;
+  for (const int threads : {1, 2, 4}) {
+    for (const FdOrder order : {FdOrder::kCostDescending, FdOrder::kCreation}) {
+      PeelStats stats;
+      std::vector<Count> tips(g.num_u(), 0);
+      ReceiptFd(g, cd, Options(8, threads, true, true, order), tips, &stats);
+      if (reference.empty()) {
+        reference = tips;
+        reference_stats = stats;
+        EXPECT_GT(stats.wedges_fd, 0u);
+        continue;
+      }
+      const std::string config =
+          "threads=" + std::to_string(threads) + " order=" +
+          (order == FdOrder::kCreation ? "creation" : "lpt");
+      EXPECT_EQ(tips, reference) << config;
+      EXPECT_EQ(stats.wedges_fd, reference_stats.wedges_fd) << config;
+      EXPECT_EQ(stats.huc_recounts, reference_stats.huc_recounts) << config;
+      EXPECT_EQ(stats.dgm_compactions, reference_stats.dgm_compactions)
+          << config;
+    }
+  }
+}
+
+TEST(ReceiptFdTest, MoreThreadsThanSubsetsMatchesBup) {
+  // Idle threads find the cursor past the end at once and join.
+  const BipartiteGraph g = ChungLuBipartite(180, 120, 800, 0.6, 0.6, 157);
+  PeelStats stats;
+  const TipOptions options = Options(2, 6);
+  const CdResult cd = ReceiptCd(g, options, &stats);
+  ASSERT_LT(cd.subsets.size(), 6u);
+  std::vector<Count> tips(g.num_u(), 0);
+  ReceiptFd(g, cd, options, tips, &stats);
+  TipOptions bup_options;
+  EXPECT_EQ(tips, BupDecompose(g, bup_options).tip_numbers);
+}
+
+TEST(ReceiptFdTest, SelectiveFdPeelsOnlyChosenSubsets) {
+  const BipartiteGraph g = ChungLuBipartite(300, 200, 1500, 0.6, 0.6, 163);
+  const TipOptions options = Options(8, 3);
+  PeelStats stats;
+  const CdResult cd = ReceiptCd(g, options, &stats);
+  ASSERT_GT(cd.subsets.size(), 2u);
+  TipOptions bup_options;
+  const std::vector<Count> bup = BupDecompose(g, bup_options).tip_numbers;
+  constexpr Count kUntouched = std::numeric_limits<Count>::max();
+  engine::WorkspacePool pool;
+
+  // Even subsets only; the span is one short, so the last subset is
+  // unselected whatever its parity.
+  std::vector<uint8_t> only(cd.subsets.size() - 1, 0);
+  for (size_t sid = 0; sid < only.size(); sid += 2) only[sid] = 1;
+  std::vector<Count> tips(g.num_u(), kUntouched);
+  ReceiptFd(g, cd, options, pool, tips, &stats, only);
+  for (VertexId u = 0; u < g.num_u(); ++u) {
+    const uint32_t sid = cd.subset_of[u];
+    if (sid < only.size() && only[sid] != 0) {
+      EXPECT_EQ(tips[u], bup[u]) << "u=" << u;
+    } else {
+      EXPECT_EQ(tips[u], kUntouched) << "u=" << u;
+    }
+  }
+
+  // An all-zero selection peels nothing.
+  const std::vector<uint8_t> none(cd.subsets.size(), 0);
+  std::vector<Count> untouched(g.num_u(), kUntouched);
+  ReceiptFd(g, cd, options, pool, untouched, &stats, none);
+  EXPECT_EQ(untouched, std::vector<Count>(g.num_u(), kUntouched));
 }
 
 TEST(ReceiptFdTest, MissingPredictedCostsFallBackToWedgeCounts) {

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -70,6 +71,29 @@ TEST(ReceiptTest, ZeroThreadsRunsOnOneThread) {
   EXPECT_EQ(result.tip_numbers,
             BupDecompose(g, Options(Side::kU, 1, 1, false, false))
                 .tip_numbers);
+}
+
+TEST(ReceiptTest, ResultsInvariantAcrossFdOrderAndThreads) {
+  // The FD pop order and the thread count move work between threads, never
+  // results: CD's partition and FD's tip numbers are the same in every run.
+  const BipartiteGraph g = ChungLuBipartite(400, 260, 3000, 0.8, 0.8, 777);
+  const TipResult reference =
+      ReceiptDecompose(g, Options(Side::kU, 8, 1, true, true));
+  ASSERT_FALSE(reference.tip_numbers.empty());
+  for (const int threads : {1, 2, 4}) {
+    for (const FdOrder order : {FdOrder::kCostDescending, FdOrder::kCreation}) {
+      TipOptions options = Options(Side::kU, 8, threads, true, true);
+      options.fd_order = order;
+      const TipResult result = ReceiptDecompose(g, options);
+      const std::string config =
+          "threads=" + std::to_string(threads) + " order=" +
+          (order == FdOrder::kCreation ? "creation" : "lpt");
+      EXPECT_EQ(result.tip_numbers, reference.tip_numbers) << config;
+      EXPECT_EQ(result.range_bounds, reference.range_bounds) << config;
+      EXPECT_EQ(result.subset_of, reference.subset_of) << config;
+      EXPECT_EQ(result.subsets, reference.subsets) << config;
+    }
+  }
 }
 
 TEST(ReceiptTest, EmptyGraph) {

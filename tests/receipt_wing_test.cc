@@ -1,13 +1,17 @@
 // Tests for RECEIPT-W, the parallel two-step wing decomposition (§7
 // extension): exact agreement with sequential WingDecompose across graph
 // shapes, partition counts and thread counts — including the same-round
-// butterfly-conflict priority rule.
+// butterfly-conflict priority rule — and the selective fine step that
+// leaves unchosen subsets untouched.
 
 #include "wing/receipt_wing.h"
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <tuple>
+#include <vector>
 
 #include "graph/generators.h"
 #include "wing/wing_decomposition.h"
@@ -52,6 +56,29 @@ TEST(ReceiptWingTest, ZeroThreadsRunsOnOneThread) {
   const BipartiteGraph g = ChungLuBipartite(80, 60, 400, 0.5, 0.5, 303);
   EXPECT_EQ(ReceiptWingDecompose(g, Options(6, 0)).wing_numbers,
             WingDecompose(g, 1).wing_numbers);
+}
+
+TEST(ReceiptWingTest, SelectiveFinePeelsOnlyChosenSubsets) {
+  const BipartiteGraph g = ChungLuBipartite(80, 60, 400, 0.5, 0.5, 307);
+  const ReceiptWingOptions options = Options(6, 3);
+  PeelStats stats;
+  const engine::RangeResult<EdgeOffset> coarse =
+      ReceiptWingCoarse(g, options, &stats);
+  ASSERT_GT(coarse.subsets.size(), 1u);
+  const std::vector<Count> reference = WingDecompose(g, 1).wing_numbers;
+  constexpr Count kUntouched = std::numeric_limits<Count>::max();
+
+  std::vector<uint8_t> only(coarse.subsets.size(), 0);
+  for (size_t sid = 1; sid < only.size(); sid += 2) only[sid] = 1;
+  std::vector<Count> wings(g.num_edges(), kUntouched);
+  ReceiptWingFine(g, coarse, options, wings, &stats, only);
+  for (EdgeOffset e = 0; e < g.num_edges(); ++e) {
+    if (only[coarse.subset_of[e]] != 0) {
+      EXPECT_EQ(wings[e], reference[e]) << "e=" << e;
+    } else {
+      EXPECT_EQ(wings[e], kUntouched) << "e=" << e;
+    }
+  }
 }
 
 TEST(ReceiptWingTest, CoarseStatsPopulated) {

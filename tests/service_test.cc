@@ -1,6 +1,7 @@
 // Tests for the decomposition service layer: registry epochs and handle
-// lifetimes, request execution correctness under concurrency, result
-// caching, coalescing, same-graph batching, cross-request workspace reuse,
+// lifetimes, request execution correctness under concurrency and across
+// worker counts, result caching, coalescing, the one shared task queue and
+// its bound, same-graph batching, cross-request workspace reuse,
 // cancellation, shutdown semantics, and live-tracking baseline reuse.
 
 #include <gtest/gtest.h>
@@ -409,6 +410,98 @@ TEST(DecompositionServiceTest, TrySubmitRespectsQueueBound) {
   service.RunQueuedInline();
   EXPECT_EQ(a->get().status, Status::kOk);
   EXPECT_EQ(twin->get().status, Status::kOk);
+}
+
+TEST(DecompositionServiceTest, QueueBoundIsSharedAcrossGraphs) {
+  GraphRegistry registry;
+  registry.Register("g1", G1());
+  registry.Register("g2", G2());
+  registry.Register("g3", ChungLuBipartite(200, 150, 900, 0.6, 0.6, 13));
+  ServiceOptions service_options;
+  service_options.num_workers = 0;
+  service_options.queue_capacity = 2;
+  DecompositionService service(registry, service_options);
+
+  // Requests for different graphs draw on the same slots.
+  auto a = service.TrySubmit(
+      MakeRequest("g1", RequestKind::kTipU, Algorithm::kReceipt, 4));
+  auto b = service.TrySubmit(
+      MakeRequest("g2", RequestKind::kTipU, Algorithm::kReceipt, 4));
+  ASSERT_TRUE(a.has_value());
+  ASSERT_TRUE(b.has_value());
+  EXPECT_EQ(service.QueueDepth(), 2u);
+  EXPECT_FALSE(service
+                   .TrySubmit(MakeRequest("g3", RequestKind::kTipU,
+                                          Algorithm::kReceipt, 4))
+                   .has_value());
+
+  EXPECT_EQ(service.RunQueuedInline(), 2u);
+  EXPECT_EQ(service.QueueDepth(), 0u);
+  auto c = service.TrySubmit(
+      MakeRequest("g3", RequestKind::kTipU, Algorithm::kReceipt, 4));
+  ASSERT_TRUE(c.has_value());
+  EXPECT_EQ(service.RunQueuedInline(), 1u);
+  for (auto* future : {&a, &b, &c}) {
+    EXPECT_EQ((*future)->get().status, Status::kOk);
+  }
+}
+
+TEST(DecompositionServiceTest, OneQueueHoldsEveryGraphUntilDrained) {
+  GraphRegistry registry;
+  registry.Register("g1", G1());
+  registry.Register("g2", G2());
+  registry.Register("g3", ChungLuBipartite(190, 160, 920, 0.6, 0.6, 13));
+  registry.Register("g4", ChungLuBipartite(205, 155, 940, 0.6, 0.6, 14));
+  ServiceOptions service_options;
+  service_options.num_workers = 0;
+  DecompositionService service(registry, service_options);
+
+  std::vector<std::shared_future<Response>> futures;
+  for (const char* name : {"g1", "g2", "g3", "g4"}) {
+    futures.push_back(service.Submit(
+        MakeRequest(name, RequestKind::kTipU, Algorithm::kReceipt, 5, 1)));
+  }
+  futures.push_back(service.Submit(
+      MakeRequest("g2", RequestKind::kTipU, Algorithm::kReceipt, 6, 1)));
+  EXPECT_EQ(service.QueueDepth(), 5u);
+
+  // Distinct graphs pop one at a time; the repeated g2 request rides along
+  // with the first one as a same-epoch batch.
+  EXPECT_EQ(service.RunQueuedInline(), 5u);
+  EXPECT_EQ(service.QueueDepth(), 0u);
+  EXPECT_EQ(service.stats().engine_runs, 5u);
+  EXPECT_EQ(service.stats().batched_follow_ons, 1u);
+  for (const auto& future : futures) {
+    EXPECT_EQ(future.get().status, Status::kOk);
+  }
+}
+
+TEST(DecompositionServiceTest, ResultsIdenticalAcrossWorkerCounts) {
+  const BipartiteGraph graph = ChungLuBipartite(220, 160, 1100, 0.7, 0.7, 21);
+  GraphRegistry registry_a;
+  registry_a.Register("g", graph);
+  ServiceOptions options_a;
+  options_a.num_workers = 0;
+  DecompositionService service_a(registry_a, options_a);
+
+  GraphRegistry registry_b;
+  registry_b.Register("g", graph);
+  ServiceOptions options_b;
+  options_b.num_workers = 3;
+  DecompositionService service_b(registry_b, options_b);
+
+  for (const RequestKind kind : {RequestKind::kTipU, RequestKind::kWing}) {
+    const Algorithm algorithm = kind == RequestKind::kWing
+                                    ? Algorithm::kReceiptWing
+                                    : Algorithm::kReceipt;
+    const Response a = service_a.Execute(MakeRequest("g", kind, algorithm, 6));
+    const Response b = service_b.Execute(MakeRequest("g", kind, algorithm, 6));
+    ASSERT_EQ(a.status, Status::kOk);
+    ASSERT_EQ(b.status, Status::kOk);
+    ASSERT_NE(a.payload, nullptr);
+    ASSERT_NE(b.payload, nullptr);
+    EXPECT_EQ(a.payload->numbers, b.payload->numbers);
+  }
 }
 
 TEST(DecompositionServiceTest, ExecuteDrainsFullQueueWithoutWorkers) {
