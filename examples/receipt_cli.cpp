@@ -152,7 +152,7 @@ int Usage() {
       "            [--partitions P] [--cache-mb MB] [--queue-capacity N]\n"
       "            [--http-port PORT] [--http-threads N]\n"
       "            [--max-pending-edges N] [--max-staleness-ms MS]\n"
-      "            [--dirty-fraction-limit F] [--live-track tip-U:150,wing:8]\n"
+      "            [--live-track tip-U:150,wing:8]\n"
       "            [--data-dir DIR] [--fsync always|batch|off]\n"
       "            [--journal-segment-mb MB] [--snapshot-on-seal[=off]]\n"
       "            [--cluster-id ID --cluster-members a=H:P,b=H:P,...]\n"
@@ -789,15 +789,11 @@ int ServeHttp(const Args& args, service::GraphRegistry& registry,
   const service::LiveGraphManager::Stats live = service.live().stats();
   std::printf(
       "live updates: batches=%llu updates=%llu seals=%llu "
-      "incremental=%llu full=%llu ranges_reused=%llu ranges_repeeled=%llu "
-      "pending=%llu\n",
+      "runs=%llu pending=%llu\n",
       static_cast<unsigned long long>(live.batches_total),
       static_cast<unsigned long long>(live.updates_total),
       static_cast<unsigned long long>(live.seals_total),
-      static_cast<unsigned long long>(live.runs_incremental),
       static_cast<unsigned long long>(live.runs_full),
-      static_cast<unsigned long long>(live.ranges_reused),
-      static_cast<unsigned long long>(live.ranges_repeeled),
       static_cast<unsigned long long>(live.pending_edges));
   if (service.durable()) {
     const durability::DurabilityStats durable = service.durability()->stats();
@@ -912,13 +908,6 @@ int CmdServe(const Args& args) {
   service_options.live_max_pending_edges = static_cast<size_t>(max_pending);
   service_options.live_max_staleness_ms =
       static_cast<uint64_t>(args.GetInt("max-staleness-ms", 0));
-  const double dirty_limit = args.GetDouble(
-      "dirty-fraction-limit", service_options.live_dirty_fraction_limit);
-  if (dirty_limit < 0.0 || dirty_limit > 1.0) {
-    std::fprintf(stderr, "--dirty-fraction-limit must be in [0, 1]\n");
-    return 1;
-  }
-  service_options.live_dirty_fraction_limit = dirty_limit;
   std::vector<service::LiveConfig> live_track;
   if (!ParseTrackSpecs(args.Get("live-track"), &live_track)) return 1;
 
@@ -1010,7 +999,7 @@ int CmdServe(const Args& args) {
   }
 
   // Pre-track requested live configurations on every registered graph, so
-  // the very first sealed batch already runs incrementally.
+  // their numbers are cached before the first batch arrives.
   for (const std::string& name : names) {
     for (const service::LiveConfig& config : live_track) {
       std::string error;

@@ -11,9 +11,9 @@
 
 namespace receipt::durability {
 
-/// One tracked (kind, partitions) configuration's sealed baseline: the
-/// final decomposition numbers, the coarse range bounds, and the supports
-/// the incremental seal path diffs against.
+/// One tracked (kind, partitions) configuration's sealed numbers. `bounds`
+/// and `old_support` stay in the format for compatibility with snapshots
+/// that carry them; the live layer writes them empty and ignores them.
 struct SnapshotConfig {
   uint8_t kind = 0;  // service::RequestKind as its underlying value
   uint32_t partitions = 0;

@@ -52,10 +52,6 @@ class TipPeelGraph {
   VertexId WorkspaceMarkCapacity() const { return 0; }
   bool IsAlive(Id u) const { return live_->IsAlive(u); }
   Count Support(Id u) const { return support_[u]; }
-  /// Direct support write for the incremental replay path, which advances
-  /// survivors to their recorded boundary values instead of re-traversing
-  /// the wedges that would have decremented them.
-  void SetSupport(Id u, Count v) { support_[u] = v; }
   /// Vertices die before their updates flow (Lemma 2, case 3).
   void BeginPeel(Id u) { live_->Kill(u); }
   void EndRound(std::span<const Id>) {}
@@ -113,9 +109,6 @@ class WingPeelGraph {
   VertexId WorkspaceMarkCapacity() const { return graph_->num_v(); }
   bool IsAlive(Id e) const { return (*state_)[e] == kEdgeAlive; }
   Count Support(Id e) const { return support_[e]; }
-  /// Direct support write for the incremental replay path (see
-  /// TipPeelGraph::SetSupport).
-  void SetSupport(Id e, Count v) { support_[e] = v; }
   /// Edges stay enumerable while peeling (all four edges of a butterfly
   /// must be not-dead for it to count); the priority rule arbitrates.
   void BeginPeel(Id e) { (*state_)[e] = kEdgePeeling; }
@@ -172,69 +165,6 @@ class WingPeelGraph {
 /// a round past this threshold is an outlier worth attributing, and rare
 /// enough not to flood the span ring.
 inline constexpr uint64_t kSlowRoundSpanNs = 10'000'000;
-
-/// Per-range record of the ⊲⊳init boundary patches a coarse run applied:
-/// `ranges[i]` lists (entity, support at the close of range i) for every
-/// entity whose support changed while range i peeled and that survived to
-/// the i+1 boundary. An incremental re-run replays these entries to advance
-/// its shadow of the recorded run's support trajectory without re-traversing
-/// any wedges. `valid` drops to false when the recording run cannot vouch
-/// for completeness: a HUC re-count rewrites every alive support behind the
-/// delta tracking.
-struct CoarsePatchLog {
-  std::vector<std::vector<std::pair<uint64_t, Count>>> ranges;
-  bool valid = true;
-
-  void Reset() {
-    ranges.clear();
-    valid = true;
-  }
-  uint64_t TotalEntries() const {
-    uint64_t total = 0;
-    for (const auto& range : ranges) total += range.size();
-    return total;
-  }
-};
-
-/// Baseline a RunIncremental call folds an edge-update batch against. All
-/// spans are in the *current* entity-id space — the caller remaps wing edge
-/// ids across graph rebuilds before handing the baseline over.
-template <typename Id>
-struct IncrementalSeed {
-  /// The sealed coarse result of the previous run on the pre-batch graph.
-  const RangeResult<Id>* sealed = nullptr;
-  /// The boundary patch log that run recorded (must be `valid`).
-  const CoarsePatchLog* log = nullptr;
-  /// `old_support[e]`: the support entity e had when the sealed run
-  /// started, or kInvalidCount for entities that did not exist then.
-  std::span<const Count> old_support;
-  /// `structural_dirty[e]` must be 1 for every entity that can belong to a
-  /// butterfly the update batch created or destroyed (a conservative
-  /// superset is fine; completeness is what soundness rests on).
-  std::span<const uint8_t> structural_dirty;
-  /// Optional per-sealed-subset override (1 = never reuse): the wing
-  /// caller marks subsets that contained since-deleted edges, whose
-  /// remapped member lists are no longer the sealed peel order.
-  std::span<const uint8_t> force_dirty_subset;
-  /// Once more than this fraction of the sealed range count has been
-  /// re-peeled, the rest of the run stops attempting reuse and proceeds as
-  /// a plain full recompute (results are bit-identical either way; the
-  /// clean checks just stop paying for themselves).
-  double dirty_fraction_limit = 0.5;
-};
-
-/// What an incremental run did: how many ranges it reused verbatim vs
-/// re-peeled, and per-produced-subset dirty flags the caller uses to re-run
-/// the fine phase selectively (0 = the sealed subset's fine results are
-/// still exact).
-struct IncrementalOutcome {
-  /// True when no reuse was possible (unusable baseline) or the
-  /// dirty-fraction limit tripped mid-run.
-  bool fell_back_full = false;
-  uint64_t ranges_reused = 0;
-  uint64_t ranges_repeeled = 0;
-  std::vector<uint8_t> subset_dirty;
-};
 
 /// Settings of the coarse decomposition engine, bundled so drivers forward
 /// their option structs in one hop.
@@ -295,42 +225,6 @@ class RangeDecomposer {
   /// index_rebuild_elements) and num_subsets to `*stats` (dgm_compactions
   /// are read off the GraphMaintenance by the caller).
   RangeResult<Id> Run(PeelStats* stats) {
-    return RunImpl(nullptr, nullptr, stats);
-  }
-
-  /// Incremental coarse pass: produces exactly the RangeResult a full
-  /// Run() on the current graph would — bit-identical by construction,
-  /// because every range is either re-peeled through the same machinery or
-  /// *proven* to reproduce the sealed baseline before being replayed from
-  /// it. While the run tracks the sealed trajectory it adopts the sealed
-  /// bounds outright (any partition yields the same numbers); a range is
-  /// then replayed only when (b) every sealed member is alive with support
-  /// equal to the sealed run's trajectory and out of reach of the update
-  /// batch (not structurally dirty), (c) no entity whose support diverged
-  /// from that trajectory starts the range below the bound, and (d) no
-  /// survivor the sealed range dragged down would cross the bound at its
-  /// divergence-shifted boundary value (supports only decrease within a
-  /// range, so that value is the in-range minimum). Replay then kills the
-  /// sealed members, advances survivors to their recorded boundary values
-  /// shifted by their current divergence, and copies the sealed peel order
-  /// verbatim — no wedge is traversed. With an unusable baseline this
-  /// degenerates to Run() (outcome reports it).
-  RangeResult<Id> RunIncremental(const IncrementalSeed<Id>& seed,
-                                 IncrementalOutcome* outcome,
-                                 PeelStats* stats) {
-    return RunImpl(&seed, outcome, stats);
-  }
-
-  /// Optional boundary-patch recorder: when set, the run records each
-  /// range's surviving support changes into `log` (Reset() up front) so
-  /// the *next* incremental run can replay this run's trajectory. The log
-  /// is marked invalid when completeness cannot be guaranteed (a HUC
-  /// re-count). `log` must outlive the run.
-  void set_patch_log(CoarsePatchLog* log) { record_log_ = log; }
-
- private:
-  RangeResult<Id> RunImpl(const IncrementalSeed<Id>* seed,
-                          IncrementalOutcome* outcome, PeelStats* stats) {
     // Enforce the pool contract (one workspace per thread, kernels' dense
     // arrays sized) rather than assuming the caller Prepared; idempotent
     // and free when the pool is already warm.
@@ -346,43 +240,7 @@ class RangeDecomposer {
     epochs_->Reset(n);
 
     full_patch_needed_ = false;
-    if (record_log_ != nullptr) record_log_->Reset();
 
-    // An incremental baseline is usable only when the sealed run's patch
-    // log is complete and the baseline spans line up with the current
-    // entity space; otherwise this is a plain full run (which, with a
-    // recorder set, seeds the next seal instead).
-    incremental_ = seed != nullptr &&
-                   seed->sealed != nullptr && seed->log != nullptr &&
-                   seed->log->valid && !seed->sealed->subsets.empty() &&
-                   seed->old_support.size() == n &&
-                   seed->dirty_fraction_limit > 0.0;
-    desynced_ = !incremental_;
-    uint64_t repeeled_ranges = 0;
-    uint64_t dirty_budget = 0;
-    if (incremental_) {
-      dirty_budget = static_cast<uint64_t>(
-          seed->dirty_fraction_limit *
-          static_cast<double>(seed->sealed->subsets.size()));
-      // Shadow of the sealed run's support trajectory, plus the candidate
-      // set of entities whose current support may diverge from it (kept a
-      // superset: re-peeled ranges add everything they or the sealed run
-      // touched).
-      shadow_.assign(seed->old_support.begin(), seed->old_support.end());
-      divergent_bit_.assign(n, 0);
-      divergent_list_.clear();
-      for (uint64_t e = 0; e < n; ++e) {
-        if (pg_->IsAlive(static_cast<Id>(e)) &&
-            pg_->Support(static_cast<Id>(e)) != shadow_[e]) {
-          divergent_bit_[e] = 1;
-          divergent_list_.push_back(e);
-        }
-      }
-    }
-    if (outcome != nullptr) {
-      *outcome = IncrementalOutcome{};
-      outcome->fell_back_full = !incremental_;
-    }
     // ⊲⊳init is written exactly once up front (every entity is alive
     // before the first range) and patched at later boundaries from the
     // delta tracking — no per-range O(n) snapshot.
@@ -433,69 +291,17 @@ class RangeDecomposer {
       Count predicted = remaining_static;
       result.subsets.emplace_back();
 
-      // While the run tracks the sealed trajectory, every range ADOPTS the
-      // sealed bound — for replay and for dirty re-peels alike. The
-      // tip/wing numbers are partition-independent (RECEIPT's exactness
-      // theorem), so the sealed run's bounds are always a valid partition
-      // choice; correctness of a replay rests solely on the clean-range
-      // proof. Recomputing bounds and demanding they coincide would make
-      // reuse collapse whenever the batch shifts total static cost (which
-      // every batch does), and re-peeling a dirty range under a fresh
-      // bound would desync the trajectory even when the range reproduces
-      // the sealed membership exactly.
-      bool replayed = false;
-      bool bound_from_sealed = false;
-      if (incremental_ && !desynced_ &&
-          subset_index < seed->sealed->subsets.size()) {
-        hi = seed->sealed->bounds[subset_index + 1];
-        bound_from_sealed = true;
-        if (subset_index < seed->sealed->predicted_costs.size()) {
-          predicted = seed->sealed->predicted_costs[subset_index];
-        }
-        const bool force_dirty =
-            subset_index < seed->force_dirty_subset.size() &&
-            seed->force_dirty_subset[subset_index];
-        if (!force_dirty && SealedRangeMatches(*seed, subset_index, hi)) {
-          alive_count = ReplayRange(*seed, subset_index, alive_count, result,
-                                    stats);
-          replayed = true;
-          ++stats->incremental_ranges_reused;
-          if (outcome != nullptr) ++outcome->ranges_reused;
-        }
+      // A histogram prefix walk plus a one-bucket refine, cost proportional
+      // to buckets walked, not n.
+      if (subset_index < max_partitions_) {
+        hi = index_->FindBound(
+            RangeCostNeed(std::max(1.0, target)),
+            [&](uint64_t e) { return pg_->Support(static_cast<Id>(e)); },
+            stats, &predicted);
       }
-
-      if (!replayed) {
-        // A histogram prefix walk plus a one-bucket refine, cost
-        // proportional to buckets walked, not n. Skipped while the sealed
-        // bound stands in (replay and tracked re-peels), which is itself
-        // part of the incremental savings.
-        if (!bound_from_sealed && subset_index < max_partitions_) {
-          hi = index_->FindBound(
-              RangeCostNeed(std::max(1.0, target)),
-              [&](uint64_t e) { return pg_->Support(static_cast<Id>(e)); },
-              stats, &predicted);
-        }
-        alive_count =
-            PeelRange(subset_index, result.bounds.back(), hi, alive_count, n,
-                      result, stats);
-        if (incremental_) {
-          ++stats->incremental_ranges_repeeled;
-          if (outcome != nullptr) ++outcome->ranges_repeeled;
-          if (!desynced_) {
-            AdvanceShadowAfterRepeel(*seed, subset_index);
-            if (++repeeled_ranges > dirty_budget) {
-              // Past the dirty-fraction limit: stop paying for clean
-              // checks and finish as a full recompute (same results).
-              desynced_ = true;
-              if (outcome != nullptr) outcome->fell_back_full = true;
-            }
-          }
-        }
-      }
+      alive_count = PeelRange(subset_index, result.bounds.back(), hi,
+                              alive_count, n, result, stats);
       result.predicted_costs.push_back(predicted);
-      if (outcome != nullptr) {
-        outcome->subset_dirty.push_back(replayed ? 0 : 1);
-      }
 
       // Two-way adaptive range determination (§3.1.1): recompute the target
       // from what remains and damp it by this subset's overshoot. The
@@ -540,21 +346,7 @@ class RangeDecomposer {
   /// ⊲⊳init, touching only changed entities — or the whole entity space
   /// when a re-count invalidated the tracking.
   void PatchBoundary(uint64_t n, RangeResult<Id>& result, PeelStats* stats) {
-    // Patch-log recording: this boundary's changed-survivor list is the
-    // record of the range that just finished. Replayed ranges write their
-    // own entry (leaving the changed list empty), so only record when the
-    // log is exactly one entry behind the produced subsets.
-    std::vector<std::pair<uint64_t, Count>>* rec = nullptr;
-    if (record_log_ != nullptr && !result.subsets.empty() &&
-        record_log_->ranges.size() + 1 == result.subsets.size()) {
-      record_log_->ranges.emplace_back();
-      rec = &record_log_->ranges.back();
-    }
     if (full_patch_needed_) {
-      // A mid-range re-count rewrote every alive support behind the delta
-      // tracking, so the changed list no longer names every moved entity —
-      // any log being recorded is unusable from here on.
-      if (record_log_ != nullptr) record_log_->valid = false;
       ParallelFor(n, num_threads_, [&](size_t e) {
         if (pg_->IsAlive(static_cast<Id>(e))) {
           result.init_support[e] = pg_->Support(static_cast<Id>(e));
@@ -582,150 +374,8 @@ class RangeDecomposer {
       const Count s = pg_->Support(static_cast<Id>(x));
       result.init_support[x] = s;
       index_->MoveTo(x, s, static_cost_[x]);
-      if (rec != nullptr) rec->emplace_back(x, s);
     }
     index_->ClearChanged();
-  }
-
-  /// Clean-range proof for the incremental pass, evaluated against the
-  /// SEALED bound hi (which the caller adopts on success — any partition
-  /// choice yields the same numbers, so no fresh bound is computed for a
-  /// clean range). Read-only: cost is the sealed subset size plus the
-  /// divergence candidate set plus the sealed range's patch-log entry.
-  bool SealedRangeMatches(const IncrementalSeed<Id>& seed, uint32_t i,
-                          Count hi) const {
-    const std::vector<Id>& members = seed.sealed->subsets[i];
-    const bool final_sealed = i + 1 == seed.sealed->subsets.size();
-    // A non-final sealed range without a patch-log entry cannot advance
-    // the shadow trajectory — never reuse it.
-    if (!final_sealed && i >= seed.log->ranges.size()) return false;
-    // (b) Every sealed member must be reproducible: alive, support equal
-    // to the sealed trajectory, and out of the update batch's structural
-    // reach (a changed butterfly always has all its peelable entities
-    // marked dirty, so non-dirty members receive exactly the sealed run's
-    // in-range decrements).
-    for (const Id m : members) {
-      const uint64_t mid = static_cast<uint64_t>(m);
-      if (mid >= shadow_.size() || !pg_->IsAlive(m)) return false;
-      if (pg_->Support(m) != shadow_[mid]) return false;
-      if (mid < seed.structural_dirty.size() && seed.structural_dirty[mid]) {
-        return false;
-      }
-    }
-    // (c) No divergent entity may start the range below the bound — it
-    // would join a peel the sealed subset never held.
-    for (const uint64_t e : divergent_list_) {
-      if (!pg_->IsAlive(static_cast<Id>(e))) continue;
-      const Count cur = pg_->Support(static_cast<Id>(e));
-      if (cur == shadow_[e]) continue;
-      if (cur < hi) return false;
-    }
-    // (d) Nothing the range's peeling drags down may cross the bound
-    // mid-range either: a dragged survivor ends the range at its sealed
-    // boundary value shifted by its current divergence, and supports only
-    // decrease within a range, so that value is the in-range minimum.
-    if (!final_sealed) {
-      for (const auto& [s, v] : seed.log->ranges[i]) {
-        if (s >= shadow_.size() || !pg_->IsAlive(static_cast<Id>(s))) {
-          return false;
-        }
-        const int64_t drift =
-            static_cast<int64_t>(pg_->Support(static_cast<Id>(s))) -
-            static_cast<int64_t>(shadow_[s]);
-        if (static_cast<int64_t>(v) + drift < static_cast<int64_t>(hi)) {
-          return false;
-        }
-      }
-    }
-    return true;
-  }
-
-  /// Replays sealed range i verbatim: kills the sealed members in their
-  /// recorded peel order, advances dragged survivors to their recorded
-  /// boundary values shifted by their current divergence, and keeps the
-  /// histogram, ⊲⊳init, and any log being recorded exactly as a real peel
-  /// of the range would have left them. No wedge is traversed.
-  uint64_t ReplayRange(const IncrementalSeed<Id>& seed, uint32_t i,
-                       uint64_t alive_count, RangeResult<Id>& result,
-                       PeelStats* stats) {
-    const std::vector<Id>& members = seed.sealed->subsets[i];
-    std::vector<Id>& subset = result.subsets.back();
-    subset = members;
-    for (const Id m : members) {
-      result.subset_of[m] = i;
-      pg_->BeginPeel(m);
-      index_->Remove(static_cast<uint64_t>(m), static_cost_[m]);
-    }
-    pg_->EndRound(subset);
-    alive_count -= members.size();
-    stats->incremental_replay_elements += members.size();
-
-    if (i < seed.log->ranges.size()) {
-      std::vector<std::pair<uint64_t, Count>>* rec = nullptr;
-      if (record_log_ != nullptr && record_log_->ranges.size() == i) {
-        record_log_->ranges.emplace_back();
-        rec = &record_log_->ranges.back();
-      }
-      stats->incremental_replay_elements += seed.log->ranges[i].size();
-      for (const auto& [s, v] : seed.log->ranges[i]) {
-        const Id sid = static_cast<Id>(s);
-        const Count drifted = static_cast<Count>(
-            static_cast<int64_t>(v) +
-            static_cast<int64_t>(pg_->Support(sid)) -
-            static_cast<int64_t>(shadow_[s]));
-        pg_->SetSupport(sid, drifted);
-        shadow_[s] = v;
-        result.init_support[s] = drifted;
-        index_->MoveTo(s, drifted, static_cost_[s]);
-        if (rec != nullptr) rec->emplace_back(s, drifted);
-      }
-    }
-    return alive_count;
-  }
-
-  /// After re-peeling range i for real: advance the shadow through the
-  /// sealed run's range i and widen the divergence candidate set by
-  /// everything either run touched. The produced subset need NOT match the
-  /// sealed one for later ranges to stay provable: a sealed member that
-  /// died early fails its home range's liveness check (b), and a sealed
-  /// member the re-peel left alive gets its shadow poisoned below so it
-  /// reads as permanently divergent — condition (c) then blocks replay of
-  /// exactly the ranges its support would join. Desync is only forced when
-  /// the survivor trajectory itself is unrecorded (no patch-log entry) or
-  /// the run has outgrown the sealed baseline.
-  void AdvanceShadowAfterRepeel(const IncrementalSeed<Id>& seed,
-                                uint32_t i) {
-    for (const uint64_t x : index_->changed()) MarkDivergent(x);
-    if (i >= seed.sealed->subsets.size()) {
-      desynced_ = true;
-      return;
-    }
-    if (i < seed.log->ranges.size()) {
-      for (const auto& [s, v] : seed.log->ranges[i]) {
-        shadow_[s] = v;
-        MarkDivergent(s);
-      }
-    } else if (i + 1 < seed.sealed->subsets.size()) {
-      desynced_ = true;  // shadow can no longer be advanced
-      return;
-    }
-    // Sealed members of this range are dead on the sealed trajectory from
-    // here on. Any the re-peel left alive have no trajectory to compare
-    // against — poison their shadow with a value no live support can take,
-    // so they stay divergent until a re-peel consumes them.
-    for (const Id m : seed.sealed->subsets[i]) {
-      if (pg_->IsAlive(m)) {
-        shadow_[static_cast<uint64_t>(m)] = kInvalidCount;
-        MarkDivergent(static_cast<uint64_t>(m));
-      }
-    }
-  }
-
-  void MarkDivergent(uint64_t e) {
-    if (e < divergent_bit_.size() && !divergent_bit_[e]) {
-      divergent_bit_[e] = 1;
-      divergent_list_.push_back(e);
-    }
   }
 
   /// Frontier density (merged frontier / alive entities) at and above which
@@ -924,14 +574,6 @@ class RangeDecomposer {
   PeelControl* control_;
   FrontierEpochs* epochs_ = nullptr;
   bool full_patch_needed_ = false;
-  // Incremental-pass state (see RunIncremental): the recorder for the next
-  // seal, the sealed trajectory shadow, and the divergence candidate set.
-  CoarsePatchLog* record_log_ = nullptr;
-  bool incremental_ = false;
-  bool desynced_ = false;
-  std::vector<Count> shadow_;
-  std::vector<uint8_t> divergent_bit_;
-  std::vector<uint64_t> divergent_list_;
 
   // Round-loop scratch, reused across ranges within one Run().
   std::vector<size_t> filter_offsets_;  // ParallelFilterInto scratch

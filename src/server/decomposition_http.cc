@@ -504,10 +504,6 @@ HttpResponse DecompositionHttpFrontend::HandleGraphEdges(
       writer.BeginObject()
           .Key("kind").String(service::RequestKindName(report.config.kind))
           .Key("partitions").Uint(report.config.partitions)
-          .Key("mode").String(report.incremental ? "incremental" : "full")
-          .Key("ranges_reused").Uint(report.ranges_reused)
-          .Key("ranges_repeeled").Uint(report.ranges_repeeled)
-          .Key("subsets_repeeled").Uint(report.subsets_repeeled)
           .Key("subsets_total").Uint(report.subsets_total)
           .EndObject();
     }
@@ -652,10 +648,7 @@ HttpResponse DecompositionHttpFrontend::HandleStatz(const HttpRequest&) {
       .Key("updates").Uint(live.updates_total)
       .Key("pending_edges").Uint(live.pending_edges)
       .Key("seals").Uint(live.seals_total)
-      .Key("runs_incremental").Uint(live.runs_incremental)
       .Key("runs_full").Uint(live.runs_full)
-      .Key("ranges_reused").Uint(live.ranges_reused)
-      .Key("ranges_repeeled").Uint(live.ranges_repeeled)
       .EndObject();
   writer.Key("durability").BeginObject();
   writer.Key("enabled").Bool(service_->durable());

@@ -23,7 +23,7 @@ namespace receipt::server {
 ///   POST /v1/graphs      register/load a graph (re-register bumps epoch)
 ///   POST /v1/graphs/{name}/edges
 ///                        buffer an edge-update batch against a live graph;
-///                        seals (incremental recompute + epoch bump) per the
+///                        seals (recompute + epoch bump) per the
 ///                        service's live policy or an explicit "seal":true
 ///   GET  /healthz        liveness
 ///   GET  /statz          queue depth, cache hit rate, worker utilization

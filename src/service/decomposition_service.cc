@@ -42,7 +42,6 @@ DecompositionService::DecompositionService(GraphRegistry& registry,
   live_options.max_pending_edges =
       std::max<size_t>(1, options_.live_max_pending_edges);
   live_options.max_staleness_ms = options_.live_max_staleness_ms;
-  live_options.dirty_fraction_limit = options_.live_dirty_fraction_limit;
   live_ = std::make_unique<LiveGraphManager>(*registry_, cache_, live_options,
                                              *obs_);
 

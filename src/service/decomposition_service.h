@@ -47,12 +47,9 @@ struct ServiceOptions {
   /// Live-update seal policy (see LiveOptions): buffered edge updates per
   /// graph before a seal is forced, …
   size_t live_max_pending_edges = 4096;
-  /// … maximum age of the oldest buffered update before the next ApplyEdges
-  /// call seals (0 disables age-based sealing), …
+  /// … and the maximum age of the oldest buffered update before the next
+  /// ApplyEdges call seals (0 disables age-based sealing).
   uint64_t live_max_staleness_ms = 0;
-  /// … and the re-peeled-range fraction past which an incremental seal
-  /// stops attempting reuse (bit-identical either way).
-  double live_dirty_fraction_limit = 0.5;
 
   /// Root directory for crash-safe durability: a write-ahead journal of
   /// registrations and accepted edge batches plus per-graph snapshots.
@@ -261,8 +258,8 @@ class DecompositionService {
   const std::string& durability_error() const { return durability_error_; }
 
   /// The live-update half of the serving layer: edge-update buffering,
-  /// seal policy, and incremental re-decomposition of tracked
-  /// configurations. Shares this service's registry, result cache, and
+  /// seal policy, and re-decomposition of tracked configurations on every
+  /// seal. Shares this service's registry, result cache, and
   /// observability bundle, so a seal's epoch bump, cache priming, and
   /// dead-epoch drop are visible to every request path.
   LiveGraphManager& live() { return *live_; }

@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "durability/manager.h"
-#include "engine/peel_engine.h"
 #include "engine/workspace.h"
 #include "graph/bipartite_graph.h"
 #include "obs/observability.h"
@@ -37,17 +36,12 @@ struct LiveOptions {
   /// disables age-based sealing.
   uint64_t max_staleness_ms = 0;
 
-  /// Forwarded to IncrementalSeed::dirty_fraction_limit: past this
-  /// fraction of re-peeled sealed ranges a seal stops attempting reuse and
-  /// finishes as a plain full recompute (bit-identical either way).
-  double dirty_fraction_limit = 0.5;
-
   /// OpenMP threads for seal-time engine runs when the caller passes none.
   int seal_threads = 1;
 };
 
-/// A decomposition configuration kept incrementally up to date across
-/// seals. kTipU/kTipV pair with RECEIPT, kWing with RECEIPT-W.
+/// A decomposition configuration kept up to date across seals. kTipU/kTipV
+/// pair with RECEIPT, kWing with RECEIPT-W.
 struct LiveConfig {
   RequestKind kind = RequestKind::kTipU;
   uint32_t partitions = 150;
@@ -58,14 +52,7 @@ struct LiveConfig {
 /// What one seal did for one tracked configuration.
 struct SealConfigReport {
   LiveConfig config;
-  /// False when the baseline was unusable or the dirty-fraction limit
-  /// tripped (the run completed as a full recompute).
-  bool incremental = false;
-  uint64_t ranges_reused = 0;
-  uint64_t ranges_repeeled = 0;
-  /// Subsets whose fine phase re-ran (== ranges_repeeled when incremental).
-  uint64_t subsets_repeeled = 0;
-  uint64_t subsets_total = 0;
+  uint64_t subsets_total = 0;  ///< coarse subsets the seal's run produced
 };
 
 /// Result of one Apply or ApplyEdges call.
@@ -89,13 +76,12 @@ struct ApplyResult {
 
 /// The live-update half of the serving layer: resident per-graph state
 /// (current edge list, pending update buffer, per-configuration sealed
-/// baselines) that turns edge-update batches into *incremental* coarse
-/// passes — only ranges whose membership could have changed are re-peeled,
-/// and only their subsets re-run the fine phase; everything else is reused
-/// verbatim from the sealed baseline. Results are bit-identical to a
-/// from-scratch decomposition of the post-batch graph by construction (the
-/// engine re-peels any range it cannot *prove* clean), which the
-/// incremental churn suite asserts.
+/// numbers) that folds edge-update batches into new epochs. A seal runs one
+/// plain RECEIPT (tip) or RECEIPT-W (wing) decomposition per tracked
+/// configuration on the sealed graph: the exactness theorem makes the
+/// numbers independent of the partition, so nothing of the previous seal's
+/// run needs replaying. The live seal suite asserts the numbers equal a
+/// from-scratch decomposition and BUP / WING-BUP bit for bit.
 ///
 /// Reads stay consistent throughout: requests keep resolving against the
 /// last sealed registry epoch while updates buffer, and a seal installs
@@ -116,9 +102,9 @@ class LiveGraphManager {
   LiveGraphManager& operator=(const LiveGraphManager&) = delete;
 
   /// Starts (or refreshes) live tracking of `name` for `config`: runs one
-  /// full decomposition with patch-log recording and stores it as the
-  /// sealed baseline the next seal folds against. Synchronous. Returns
-  /// kNotFound for unregistered names, kBadRequest for invalid configs.
+  /// decomposition on the current graph, stores its numbers and primes the
+  /// cache with them. Synchronous. Returns kNotFound for unregistered
+  /// names, kBadRequest for invalid configs.
   Status Track(const std::string& name, const LiveConfig& config,
                int threads, std::string* error);
 
@@ -131,7 +117,7 @@ class LiveGraphManager {
   /// Recovery replays before SetDurability, so it journals nothing twice.
   ///
   ///   kRegister    installs the graph at record.epoch and drops all live
-  ///                state of the name (pending buffer, baselines)
+  ///                state of the name (pending buffer, tracked configs)
   ///   kUnregister  evicts the graph and its live state (no-op if absent)
   ///   kEdgeBatch   buffers record.updates at record.epoch
   ///   kSeal        folds the buffer into record.new_epoch, running every
@@ -145,10 +131,9 @@ class LiveGraphManager {
   /// Buffers `updates` against `name`, then seals when the policy says so
   /// (`force_seal`, buffer ≥ max_pending_edges, or the oldest pending
   /// update exceeded max_staleness_ms), as a kEdgeBatch and a kSeal record
-  /// through Apply; the seal's epoch is allocated here. `track` configs are
-  /// tracked first (baselines built on the pre-batch graph only when no
-  /// valid baseline exists, so the seal itself already runs incrementally;
-  /// Track() always rebuilds). Updates whose endpoints fall outside the
+  /// through Apply; the seal's epoch is allocated here. `track` configs not
+  /// yet tracked are tracked first, on the pre-batch graph (Track() always
+  /// re-runs). Updates whose endpoints fall outside the
   /// registered shape are rejected as kBadRequest with the whole batch —
   /// growing the shape requires re-registration.
   ApplyResult ApplyEdges(const std::string& name,
@@ -173,9 +158,11 @@ class LiveGraphManager {
 
   /// Recovery: installs a snapshot as the graph's live state — registers
   /// the graph at its recorded epoch, re-buffers the persisted pending
-  /// updates, restores per-config baselines (marked non-incremental: the
-  /// next seal recomputes fully, bit-identical either way), and primes the
-  /// result cache with the sealed numbers.
+  /// updates, restores every config as tracked, and primes the result
+  /// cache with the sealed numbers. Each config's numbers must have the
+  /// length of its side (or the edge count, for wing); otherwise nothing is
+  /// installed and the call fails with kBadRequest. The snapshots'
+  /// `bounds`/`old_support` fields are ignored.
   Status RestoreSnapshot(const durability::SnapshotData& data,
                          std::string* error);
 
@@ -186,33 +173,19 @@ class LiveGraphManager {
   Status SnapshotNow(const std::string& name, std::string* error);
 
   struct Stats {
-    uint64_t batches_total = 0;   ///< edge batches buffered
-    uint64_t updates_total = 0;   ///< individual edge updates buffered
-    uint64_t seals_total = 0;     ///< seals executed
-    uint64_t runs_incremental = 0;  ///< per-config seal runs with reuse
-    uint64_t runs_full = 0;         ///< per-config seal runs, full fallback
-    uint64_t ranges_reused = 0;
-    uint64_t ranges_repeeled = 0;
-    uint64_t baselines_built = 0;  ///< baseline decompositions (tracking)
-    size_t pending_edges = 0;     ///< buffered updates across all graphs
+    uint64_t batches_total = 0;     ///< edge batches buffered
+    uint64_t updates_total = 0;     ///< individual edge updates buffered
+    uint64_t seals_total = 0;       ///< seals executed
+    uint64_t runs_incremental = 0;  ///< always 0; perfbench reads it
+    uint64_t runs_full = 0;         ///< per-config seal runs
+    uint64_t ranges_reused = 0;     ///< always 0; perfbench reads it
+    uint64_t ranges_repeeled = 0;   ///< always 0; perfbench reads it
+    uint64_t baselines_built = 0;   ///< decompositions run by tracking
+    size_t pending_edges = 0;       ///< buffered updates across all graphs
   };
   Stats stats() const;
 
  private:
-  /// Per-configuration sealed baseline: everything the next seal needs to
-  /// fold a batch incrementally. Id is VertexId for tip, EdgeOffset for
-  /// wing.
-  template <typename Id>
-  struct Baseline {
-    engine::RangeResult<Id> sealed;
-    engine::CoarsePatchLog log;
-    /// Supports counted at the sealed run's start (the seed's old_support).
-    std::vector<Count> old_support;
-    /// The sealed decomposition numbers (side-local / edge ids).
-    std::vector<Count> numbers;
-    bool valid = false;
-  };
-
   /// One per name ever registered here, never erased (so pointers stay
   /// valid without holding mu_). Every registry change for the name
   /// happens through Apply under `mu`, which keeps `handle` current.
@@ -222,8 +195,9 @@ class LiveGraphManager {
     GraphHandle handle;  ///< the current registration; empty once evicted
     std::vector<EdgeUpdate> pending;
     uint64_t first_pending_ns = 0;
-    std::map<LiveConfig, Baseline<VertexId>> tip;
-    std::map<LiveConfig, Baseline<EdgeOffset>> wing;
+    /// Sealed numbers per tracked config (side-local ids for tip, edge ids
+    /// for wing); snapshots persist them.
+    std::map<LiveConfig, std::vector<Count>> tracked;
     engine::WorkspacePool pool;  ///< seal-time scratch, reused across seals
   };
 
@@ -240,27 +214,21 @@ class LiveGraphManager {
                    ApplyResult* result);
 
   /// Points the state at `handle` and drops its pending buffer and
-  /// baselines. Caller holds the state mutex.
+  /// tracked configs. Caller holds the state mutex.
   void ResetLocked(LiveGraphState& state, GraphHandle handle);
 
   /// Empties the pending buffer, keeping the fleet-wide pending count in
   /// step. Caller holds the state mutex.
   void ClearPendingLocked(LiveGraphState& state);
 
-  /// Builds (or rebuilds) the baseline for one config on the state's
-  /// current graph. Caller holds the state mutex.
+  /// Tracks `config` on the state's current graph: Decompose, then the
+  /// cache is primed under the current epoch. Caller holds the state mutex.
   Status TrackLocked(LiveGraphState& state, const LiveConfig& config,
                      int threads, std::string* error);
 
-  /// True when `config` has a valid baseline (baselines always sit on the
-  /// current registration: kRegister drops them). Caller holds the state
-  /// mutex.
-  bool HasBaselineLocked(const LiveGraphState& state,
-                         const LiveConfig& config) const;
-
   /// Folds the pending buffer into a new graph installed at `new_epoch`,
-  /// running every tracked configuration incrementally, then snapshots
-  /// when durable. Caller holds the state mutex.
+  /// decomposing it once per tracked configuration, then snapshots when
+  /// durable. Caller holds the state mutex.
   void SealLocked(LiveGraphState& state, uint64_t new_epoch, int threads,
                   ApplyResult* result);
 
@@ -269,26 +237,13 @@ class LiveGraphManager {
   /// for this graph races the covered-LSN capture).
   bool WriteSnapshotLocked(LiveGraphState& state, std::string* error);
 
-  /// One tip configuration's seal run (old baseline -> new baseline on
-  /// `new_graph`). `changed` lists the edges whose presence actually
-  /// changed. Returns the payload to prime the cache with.
-  std::shared_ptr<Payload> SealTip(LiveGraphState& state,
-                                   const LiveConfig& config,
-                                   Baseline<VertexId>& baseline,
-                                   const BipartiteGraph& old_graph,
-                                   const BipartiteGraph& new_graph,
-                                   std::span<const BipartiteGraph::Edge> changed,
-                                   int threads, SealConfigReport* report);
-
-  /// One wing configuration's seal run. `old_to_new` maps sealed edge ids
-  /// to new-graph edge ids (kInvalidEdge for deleted edges).
-  std::shared_ptr<Payload> SealWing(
-      LiveGraphState& state, const LiveConfig& config,
-      Baseline<EdgeOffset>& baseline, const BipartiteGraph& old_graph,
-      const BipartiteGraph& new_graph,
-      std::span<const BipartiteGraph::Edge> changed,
-      std::span<const EdgeOffset> old_to_new, int threads,
-      SealConfigReport* report);
+  /// One RECEIPT (tip) or RECEIPT-W (wing) run of `config` on `graph`,
+  /// storing the numbers as the config's sealed numbers. Returns the
+  /// payload to prime the cache with. Caller holds the state mutex.
+  std::shared_ptr<Payload> Decompose(LiveGraphState& state,
+                                     const LiveConfig& config,
+                                     const BipartiteGraph& graph,
+                                     int threads);
 
   void RegisterInstruments();
 
@@ -298,13 +253,9 @@ class LiveGraphManager {
   obs::Observability* obs_;
   durability::DurabilityManager* durability_ = nullptr;
 
-  obs::Counter* seals_incremental_ = nullptr;
-  obs::Counter* seals_full_ = nullptr;
-  obs::Counter* ranges_reused_total_ = nullptr;
-  obs::Counter* ranges_repeeled_total_ = nullptr;
+  obs::Counter* seal_runs_ = nullptr;
   obs::Counter* updates_total_ = nullptr;
   obs::Gauge* pending_gauge_ = nullptr;
-  obs::Gauge* dirty_permille_ = nullptr;
   obs::Histogram* seal_seconds_ = nullptr;
 
   mutable std::mutex mu_;  ///< guards states_ and stats_

@@ -21,12 +21,6 @@ CdResult ReceiptCd(const BipartiteGraph& graph, const TipOptions& options,
 
 CdResult ReceiptCd(const BipartiteGraph& graph, const TipOptions& options,
                    engine::WorkspacePool& pool, PeelStats* stats) {
-  return ReceiptCd(graph, options, pool, stats, CdIncremental{});
-}
-
-CdResult ReceiptCd(const BipartiteGraph& graph, const TipOptions& options,
-                   engine::WorkspacePool& pool, PeelStats* stats,
-                   const CdIncremental& inc) {
   const int num_threads = options.num_threads;
   const VertexId num_u = graph.num_u();
   const uint32_t max_partitions =
@@ -48,9 +42,6 @@ CdResult ReceiptCd(const BipartiteGraph& graph, const TipOptions& options,
   stats->seconds_counting = count_timer.Seconds();
   options.trace.EmitSince("engine.count", count_start_ns,
                           stats->wedges_counting);
-  if (inc.initial_support != nullptr) {
-    inc.initial_support->assign(support.begin(), support.begin() + num_u);
-  }
 
   const uint64_t cd_start_ns =
       options.trace.enabled() ? obs::TraceRecorder::NowNs() : 0;
@@ -71,10 +62,7 @@ CdResult ReceiptCd(const BipartiteGraph& graph, const TipOptions& options,
       peel_graph, wedge_static,
       engine::MakeCoarseOptions(options, max_partitions), pool, &maintenance,
       options.control);
-  decomposer.set_patch_log(inc.record);
-  CdResult cd = inc.seed != nullptr
-                    ? decomposer.RunIncremental(*inc.seed, inc.outcome, stats)
-                    : decomposer.Run(stats);
+  CdResult cd = decomposer.Run(stats);
 
   stats->dgm_compactions += maintenance.compactions();
   stats->seconds_cd = cd_timer.Seconds();

@@ -45,24 +45,6 @@ CdResult ReceiptCd(const BipartiteGraph& graph, const TipOptions& options,
 CdResult ReceiptCd(const BipartiteGraph& graph, const TipOptions& options,
                    engine::WorkspacePool& pool, PeelStats* stats);
 
-/// Incremental hookup for the live-update serving path. Every field is
-/// optional: `record` makes the run record its boundary patch log for the
-/// next seal, `initial_support` receives a copy of the freshly counted
-/// per-U-vertex supports (the next seal's old_support baseline — the run
-/// itself mutates the working array), and `seed`/`outcome` switch the
-/// coarse pass to RunIncremental against a sealed baseline.
-struct CdIncremental {
-  engine::CoarsePatchLog* record = nullptr;
-  std::vector<Count>* initial_support = nullptr;
-  const engine::IncrementalSeed<VertexId>* seed = nullptr;
-  engine::IncrementalOutcome* outcome = nullptr;
-};
-
-/// Incremental-aware overload: a plain full run when `inc` is all-null.
-CdResult ReceiptCd(const BipartiteGraph& graph, const TipOptions& options,
-                   engine::WorkspacePool& pool, PeelStats* stats,
-                   const CdIncremental& inc);
-
 }  // namespace receipt
 
 #endif  // RECEIPT_TIP_RECEIPT_CD_H_

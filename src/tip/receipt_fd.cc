@@ -92,12 +92,6 @@ void ReceiptFd(const BipartiteGraph& graph, const CdResult& cd,
   ReceiptFd(graph, cd, options, pool, tip_numbers, stats);
 }
 
-void ReceiptFd(const BipartiteGraph& graph, const CdResult& cd,
-               const TipOptions& options, engine::WorkspacePool& pool,
-               std::span<Count> tip_numbers, PeelStats* stats) {
-  ReceiptFd(graph, cd, options, pool, tip_numbers, stats, {});
-}
-
 std::vector<uint32_t> FdPopOrder(std::span<const Count> costs,
                                  FdOrder order) {
   std::vector<uint32_t> pop_order(costs.size());
@@ -114,8 +108,7 @@ std::vector<uint32_t> FdPopOrder(std::span<const Count> costs,
 
 void ReceiptFd(const BipartiteGraph& graph, const CdResult& cd,
                const TipOptions& options, engine::WorkspacePool& pool,
-               std::span<Count> tip_numbers, PeelStats* stats,
-               std::span<const uint8_t> only_subsets) {
+               std::span<Count> tip_numbers, PeelStats* stats) {
   const WallTimer fd_timer;
   const uint64_t fd_start_ns =
       options.trace.enabled() ? obs::TraceRecorder::NowNs() : 0;
@@ -147,14 +140,7 @@ void ReceiptFd(const BipartiteGraph& graph, const CdResult& cd,
       if (options.control != nullptr && options.control->Cancelled()) break;
       const uint32_t k = next_task.fetch_add(1, std::memory_order_relaxed);
       if (k >= num_subsets) break;
-      const uint32_t sid = order[k];
-      // Selective FD (incremental serving): unselected subsets keep their
-      // sealed numbers.
-      if (!only_subsets.empty() &&
-          (sid >= only_subsets.size() || only_subsets[sid] == 0)) {
-        continue;
-      }
-      PeelSubset(graph, cd, sid, options, ws, tip_numbers, &local);
+      PeelSubset(graph, cd, order[k], options, ws, tip_numbers, &local);
     }
   }
   for (const PeelStats& local : local_stats) {

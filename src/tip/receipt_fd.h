@@ -53,16 +53,6 @@ void ReceiptFd(const BipartiteGraph& graph, const CdResult& cd,
                const TipOptions& options, engine::WorkspacePool& pool,
                std::span<Count> tip_numbers, PeelStats* stats);
 
-/// Selective overload for the incremental serving path: peels only the
-/// subsets with `only_subsets[sid] != 0` (an empty span means all), leaving
-/// every other entry of `tip_numbers` untouched — the caller reuses the
-/// sealed numbers for clean subsets. Subset independence makes the peeled
-/// subsets' numbers bit-identical to a full FD pass.
-void ReceiptFd(const BipartiteGraph& graph, const CdResult& cd,
-               const TipOptions& options, engine::WorkspacePool& pool,
-               std::span<Count> tip_numbers, PeelStats* stats,
-               std::span<const uint8_t> only_subsets);
-
 }  // namespace receipt
 
 #endif  // RECEIPT_TIP_RECEIPT_FD_H_

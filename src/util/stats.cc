@@ -24,9 +24,6 @@ void PeelStats::Merge(const PeelStats& other) {
   histogram_refines += other.histogram_refines;
   init_patch_elements += other.init_patch_elements;
   index_rebuild_elements += other.index_rebuild_elements;
-  incremental_replay_elements += other.incremental_replay_elements;
-  incremental_ranges_reused += other.incremental_ranges_reused;
-  incremental_ranges_repeeled += other.incremental_ranges_repeeled;
   num_subsets += other.num_subsets;
   seconds_counting += other.seconds_counting;
   seconds_cd += other.seconds_cd;
@@ -56,9 +53,6 @@ std::string PeelStats::ToString() const {
      << " histogram_refines=" << histogram_refines
      << " init_patch_elements=" << init_patch_elements
      << " index_rebuild_elements=" << index_rebuild_elements << "\n"
-     << "  incremental: replay_elements=" << incremental_replay_elements
-     << " ranges_reused=" << incremental_ranges_reused
-     << " ranges_repeeled=" << incremental_ranges_repeeled << "\n"
      << "  seconds: counting=" << seconds_counting << " cd=" << seconds_cd
      << " fd=" << seconds_fd << " total=" << seconds_total << "\n"
      << "}";

@@ -77,19 +77,6 @@ struct PeelStats {
   /// build plus one per HUC re-count, which invalidates delta tracking).
   uint64_t index_rebuild_elements = 0;
 
-  // -- incremental coarse pass (live-update serving) ------------------------
-  /// Entities touched while *replaying* clean ranges from the sealed
-  /// baseline (subset members killed without wedge traversal + patch-log
-  /// entries re-applied). This is the incremental path's whole cost for a
-  /// reused range, so the bench gate counts it against the full run's
-  /// wedge + build work.
-  uint64_t incremental_replay_elements = 0;
-  /// Ranges the incremental pass reused verbatim from the sealed result.
-  uint64_t incremental_ranges_reused = 0;
-  /// Ranges the incremental pass re-peeled (dirty bucket membership, or
-  /// desynced after an earlier divergence).
-  uint64_t incremental_ranges_repeeled = 0;
-
   // -- structure ----------------------------------------------------------
   uint64_t num_subsets = 0;       ///< P actually produced by RECEIPT CD.
 

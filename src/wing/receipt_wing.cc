@@ -26,8 +26,7 @@ CoarseWingResult CoarseWingDecompose(const BipartiteGraph& graph,
                                      const ReceiptWingOptions& options,
                                      std::vector<Count>& support,
                                      engine::WorkspacePool& pool,
-                                     PeelStats* stats,
-                                     const WingIncremental& inc) {
+                                     PeelStats* stats) {
   const uint64_t num_edges = graph.num_edges();
   const int num_threads = options.num_threads;
   const uint32_t max_partitions =
@@ -54,10 +53,7 @@ CoarseWingResult CoarseWingDecompose(const BipartiteGraph& graph,
       peel_graph, cost_static,
       engine::MakeCoarseOptions(options, max_partitions), pool,
       /*maintenance=*/nullptr, options.control);
-  decomposer.set_patch_log(inc.record);
-  return inc.seed != nullptr
-             ? decomposer.RunIncremental(*inc.seed, inc.outcome, stats)
-             : decomposer.Run(stats);
+  return decomposer.Run(stats);
 }
 
 /// Fine-grained step for one edge subset: sequential bottom-up edge peeling
@@ -124,12 +120,6 @@ void FineWingSubset(const BipartiteGraph& graph,
 engine::RangeResult<EdgeOffset> ReceiptWingCoarse(
     const BipartiteGraph& graph, const ReceiptWingOptions& options,
     PeelStats* stats) {
-  return ReceiptWingCoarse(graph, options, stats, WingIncremental{});
-}
-
-engine::RangeResult<EdgeOffset> ReceiptWingCoarse(
-    const BipartiteGraph& graph, const ReceiptWingOptions& options,
-    PeelStats* stats, const WingIncremental& inc) {
   const uint64_t num_edges = graph.num_edges();
   CoarseWingResult coarse;
   coarse.bounds = {0};
@@ -151,13 +141,11 @@ engine::RangeResult<EdgeOffset> ReceiptWingCoarse(
   stats->seconds_counting += count_timer.Seconds();
   options.trace.EmitSince("engine.count", count_start_ns,
                           stats->wedges_counting);
-  if (inc.initial_support != nullptr) *inc.initial_support = support;
 
   const uint64_t cd_start_ns =
       options.trace.enabled() ? obs::TraceRecorder::NowNs() : 0;
   const WallTimer cd_timer;
-  coarse =
-      CoarseWingDecompose(graph, topo, options, support, pool, stats, inc);
+  coarse = CoarseWingDecompose(graph, topo, options, support, pool, stats);
   stats->seconds_cd += cd_timer.Seconds();
   options.trace.EmitSince("engine.cd", cd_start_ns, coarse.subsets.size());
   return coarse;
@@ -197,8 +185,7 @@ void ReceiptWingFine(const BipartiteGraph& graph,
       const uint32_t k = next_task.fetch_add(1, std::memory_order_relaxed);
       if (k >= num_subsets) break;
       const uint32_t sid = order[k];
-      // Selective FD (incremental serving): clean subsets keep their
-      // sealed numbers.
+      // Unselected subsets keep whatever wing_numbers already holds.
       if (!only_subsets.empty() &&
           (sid >= only_subsets.size() || only_subsets[sid] == 0)) {
         continue;

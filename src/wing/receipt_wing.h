@@ -42,29 +42,11 @@ engine::RangeResult<EdgeOffset> ReceiptWingCoarse(
     const BipartiteGraph& graph, const ReceiptWingOptions& options,
     PeelStats* stats);
 
-/// Incremental hookup for the live-update serving path (edge analogue of
-/// CdIncremental): `record` captures this run's boundary patch log,
-/// `initial_support` receives the freshly counted per-edge supports, and
-/// `seed`/`outcome` switch the coarse pass to RunIncremental. Edge ids in
-/// the seed must already be remapped into this graph's id space.
-struct WingIncremental {
-  engine::CoarsePatchLog* record = nullptr;
-  std::vector<Count>* initial_support = nullptr;
-  const engine::IncrementalSeed<EdgeOffset>* seed = nullptr;
-  engine::IncrementalOutcome* outcome = nullptr;
-};
-
-/// Incremental-aware overload: a plain full run when `inc` is all-null.
-engine::RangeResult<EdgeOffset> ReceiptWingCoarse(
-    const BipartiteGraph& graph, const ReceiptWingOptions& options,
-    PeelStats* stats, const WingIncremental& inc);
-
 /// Fine step only, selectively: peels the subsets with
 /// `only_subsets[sid] != 0` (an empty span means all) against their
 /// environment graphs, leaving every other entry of `wing_numbers`
-/// untouched — the incremental serving path reuses sealed numbers for
-/// clean subsets. Subset peels only read the coarse artifacts and the
-/// graph, so the peeled subsets' numbers are bit-identical to a full pass.
+/// untouched. Subset peels only read the coarse artifacts and the graph,
+/// so the peeled subsets' numbers are bit-identical to a full pass.
 void ReceiptWingFine(const BipartiteGraph& graph,
                      const engine::RangeResult<EdgeOffset>& coarse,
                      const ReceiptWingOptions& options,

@@ -37,6 +37,7 @@
 #include "tip/receipt.h"
 #include "util/crc32.h"
 #include "util/io.h"
+#include "wing/wing_decomposition.h"
 
 namespace receipt::durability {
 namespace {
@@ -719,6 +720,64 @@ TEST(Recovery, RestoresGraphEpochAndPendingBitIdentical) {
   tip_options.num_partitions = static_cast<int>(config.partitions);
   EXPECT_EQ(ReceiptDecompose(recovered_graph, tip_options).tip_numbers,
             ReceiptDecompose(oracle_graph, tip_options).tip_numbers);
+}
+
+// A seal's snapshot holds each tracked config's numbers and leaves the
+// retired `bounds`/`old_support` fields empty; recovery primes the cache
+// with exactly those numbers.
+TEST(Recovery, SealSnapshotsCarryNumbersOnly) {
+  TempDir dir;
+  const BipartiteGraph initial = ChungLuBipartite(60, 50, 260, 0.6, 0.6, 23);
+  const LiveConfig tip{RequestKind::kTipV, 6};
+  const LiveConfig wing{RequestKind::kWing, 4};
+  uint64_t epoch = 0;
+  {
+    DurableStack stack(dir.path());
+    ASSERT_NE(stack.durability, nullptr) << stack.error;
+    stack.Register("g", initial);
+    ASSERT_EQ(stack.live->Track("g", tip, 2, nullptr), service::Status::kOk);
+    ASSERT_EQ(stack.live->Track("g", wing, 2, nullptr), service::Status::kOk);
+    const std::vector<EdgeUpdate> batch = {{true, 1, 2}, {true, 4, 9}};
+    const service::ApplyResult sealed =
+        stack.live->ApplyEdges("g", batch, /*force_seal=*/true, 2);
+    ASSERT_EQ(sealed.status, service::Status::kOk) << sealed.error;
+    ASSERT_TRUE(sealed.sealed);
+    epoch = sealed.epoch;
+  }
+
+  std::string bytes;
+  std::string error;
+  ASSERT_TRUE(io::ReadFileBytes(
+      SnapshotPath(DurabilityManager::SnapshotDirFor(dir.path()), "g"),
+      &bytes, &error))
+      << error;
+  SnapshotData data;
+  ASSERT_TRUE(DecodeSnapshot(bytes, &data, &error)) << error;
+  EXPECT_EQ(data.epoch, epoch);
+  ASSERT_EQ(data.configs.size(), 2u);
+  for (const SnapshotConfig& config : data.configs) {
+    EXPECT_FALSE(config.numbers.empty());
+    EXPECT_TRUE(config.bounds.empty());
+    EXPECT_TRUE(config.old_support.empty());
+  }
+
+  DurableStack recovered(dir.path());
+  ASSERT_NE(recovered.durability, nullptr) << recovered.error;
+  const service::GraphHandle handle = recovered.registry.Acquire("g");
+  ASSERT_EQ(handle.epoch(), epoch);
+  TipOptions tip_options;
+  tip_options.side = Side::kV;
+  tip_options.num_partitions = static_cast<int>(tip.partitions);
+  const auto tip_payload = recovered.cache->Get(service::CacheKey{
+      "g", epoch, tip.kind, service::Algorithm::kReceipt, tip.partitions});
+  ASSERT_NE(tip_payload, nullptr);
+  EXPECT_EQ(tip_payload->numbers,
+            ReceiptDecompose(handle.graph(), tip_options).tip_numbers);
+  const auto wing_payload = recovered.cache->Get(service::CacheKey{
+      "g", epoch, wing.kind, service::Algorithm::kReceiptWing,
+      wing.partitions});
+  ASSERT_NE(wing_payload, nullptr);
+  EXPECT_EQ(wing_payload->numbers, WingDecompose(handle.graph()).wing_numbers);
 }
 
 TEST(Recovery, UnregisterReplayedAndIdempotentReRecovery) {

@@ -1,26 +1,29 @@
-// The incremental-serving churn suite: randomized insert/delete batches
-// folded through LiveGraphManager seals must leave every tracked
-// configuration bit-identical to a from-scratch decomposition of the final
-// graph — across tip-U / tip-V / wing, thread counts, and the
-// dirty-fraction threshold sweep (both the reuse path and the full-recompute
-// fallback produce the same bytes). Plus targeted coverage of the seal
-// policy knobs, cache priming/epoch dropping, and shape validation.
+// The live seal suite: randomized insert/delete batches folded through
+// LiveGraphManager seals must leave every tracked configuration
+// bit-identical to a from-scratch decomposition of the sealed graph and to
+// BUP / WING-BUP — across tip-U / tip-V / wing and thread counts. Plus the
+// seal policy knobs, cache priming/epoch dropping, shape validation, and
+// restoring snapshots (length checks, and snapshots that still carry the
+// retired `bounds`/`old_support` fields).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <random>
+#include <set>
 #include <string>
-#include <thread>
 #include <vector>
 
+#include "durability/snapshot.h"
 #include "graph/generators.h"
 #include "obs/observability.h"
 #include "service/graph_registry.h"
 #include "service/live_graph.h"
 #include "service/result_cache.h"
+#include "tip/bup.h"
 #include "tip/receipt.h"
 #include "wing/receipt_wing.h"
+#include "wing/wing_decomposition.h"
 
 namespace receipt::service {
 namespace {
@@ -45,6 +48,17 @@ std::vector<Count> DirectNumbers(const BipartiteGraph& graph,
   options.num_threads = threads;
   options.num_partitions = static_cast<int>(config.partitions);
   return ReceiptDecompose(graph, options).tip_numbers;
+}
+
+/// The oracle: BUP (tip) or WING-BUP (wing) on `graph`.
+std::vector<Count> OracleNumbers(const BipartiteGraph& graph,
+                                 const LiveConfig& config) {
+  if (config.kind == RequestKind::kWing) {
+    return WingDecompose(graph).wing_numbers;
+  }
+  TipOptions options;
+  options.side = config.kind == RequestKind::kTipV ? Side::kV : Side::kU;
+  return BupDecompose(graph, options).tip_numbers;
 }
 
 /// One manager + registry + cache bundle, seeded with a ChungLu graph.
@@ -86,12 +100,11 @@ std::vector<EdgeUpdate> RandomBatch(const BipartiteGraph& graph,
 
 /// The core property: seal `batches` random batches and require each sealed
 /// result (served from the primed cache) to be bit-identical to the direct
-/// driver on the post-batch graph.
-void RunChurn(const LiveConfig& config, int threads, double dirty_limit,
-              uint64_t seed, int batches = 3, size_t batch_size = 24) {
+/// driver and to the oracle on the post-batch graph.
+void RunChurn(const LiveConfig& config, int threads, uint64_t seed,
+              int batches = 3, size_t batch_size = 24) {
   LiveOptions options;
   options.max_pending_edges = size_t{1} << 30;  // seal only when forced
-  options.dirty_fraction_limit = dirty_limit;
   LiveFixture fx(options, seed);
   std::string error;
   ASSERT_EQ(fx.live.Track("g", config, threads, &error), Status::kOk)
@@ -118,83 +131,36 @@ void RunChurn(const LiveConfig& config, int threads, double dirty_limit,
     ASSERT_NE(payload, nullptr) << "seal did not prime the cache";
     EXPECT_EQ(payload->numbers,
               DirectNumbers(after.graph(), config, threads))
-        << "batch " << b << " diverged (threads=" << threads
-        << " dirty_limit=" << dirty_limit << ")";
+        << "batch " << b << " diverged (threads=" << threads << ")";
+    EXPECT_EQ(payload->numbers, OracleNumbers(after.graph(), config))
+        << "batch " << b << " differs from the oracle (threads=" << threads
+        << ")";
   }
   const LiveGraphManager::Stats stats = fx.live.stats();
   EXPECT_EQ(stats.seals_total, static_cast<uint64_t>(batches));
-  EXPECT_EQ(stats.runs_incremental + stats.runs_full,
-            static_cast<uint64_t>(batches));
+  EXPECT_EQ(stats.runs_full, static_cast<uint64_t>(batches));
 }
 
-int HardwareThreads() {
-  return std::max(2u, std::thread::hardware_concurrency());
-}
-
-TEST(IncrementalChurnTest, TipUAcrossThreadCounts) {
-  for (const int threads : {1, 4, HardwareThreads()}) {
-    RunChurn({RequestKind::kTipU, 6}, threads, 0.5, 101);
+TEST(LiveSealTest, TipUAcrossThreadCounts) {
+  for (const int threads : {1, 2, 4}) {
+    RunChurn({RequestKind::kTipU, 6}, threads, 101);
   }
 }
 
-TEST(IncrementalChurnTest, TipVAcrossThreadCounts) {
-  for (const int threads : {1, 4, HardwareThreads()}) {
-    RunChurn({RequestKind::kTipV, 6}, threads, 0.5, 202);
+TEST(LiveSealTest, TipVAcrossThreadCounts) {
+  for (const int threads : {1, 2, 4}) {
+    RunChurn({RequestKind::kTipV, 6}, threads, 202);
   }
 }
 
-TEST(IncrementalChurnTest, WingAcrossThreadCounts) {
-  for (const int threads : {1, 4, HardwareThreads()}) {
-    RunChurn({RequestKind::kWing, 8}, threads, 0.5, 303);
+TEST(LiveSealTest, WingAcrossThreadCounts) {
+  for (const int threads : {1, 2, 4}) {
+    RunChurn({RequestKind::kWing, 8}, threads, 303);
   }
-}
-
-// The threshold sweep: limit 0 forces the full-recompute fallback on any
-// dirty range, limit 1 never falls back — the bytes must not care.
-TEST(IncrementalChurnTest, DirtyFractionSweepIsResultNeutral) {
-  for (const double limit : {0.0, 0.25, 1.0}) {
-    RunChurn({RequestKind::kTipU, 6}, 2, limit, 404);
-    RunChurn({RequestKind::kWing, 8}, 2, limit, 505);
-  }
-}
-
-// A tiny batch on a bigger graph must actually take the incremental path
-// and reuse sealed ranges — guards against the suite silently passing
-// because every seal fell back to a full recompute.
-TEST(IncrementalChurnTest, SmallBatchesReuseSealedRanges) {
-  LiveOptions options;
-  options.max_pending_edges = size_t{1} << 30;
-  options.dirty_fraction_limit = 1.0;  // never fall back
-  LiveFixture fx(options, /*seed=*/7, /*nu=*/400, /*nv=*/300,
-                 /*edges=*/2000);
-  const LiveConfig config{RequestKind::kTipU, 10};
-  std::string error;
-  ASSERT_EQ(fx.live.Track("g", config, 2, &error), Status::kOk) << error;
-
-  // Delete one existing edge: a localized change.
-  const GraphHandle handle = fx.registry.Acquire("g");
-  const BipartiteGraph::Edge victim = handle.graph().ToEdges()[42];
-  const std::vector<EdgeUpdate> batch = {{false, victim.u, victim.v}};
-  const ApplyResult result =
-      fx.live.ApplyEdges("g", batch, /*force_seal=*/true, 2);
-  ASSERT_EQ(result.status, Status::kOk) << result.error;
-  ASSERT_TRUE(result.sealed);
-  ASSERT_EQ(result.reports.size(), 1u);
-  EXPECT_TRUE(result.reports[0].incremental);
-  EXPECT_GT(result.reports[0].ranges_reused, 0u);
-  EXPECT_LT(result.reports[0].subsets_repeeled,
-            result.reports[0].subsets_total);
-
-  const GraphHandle after = fx.registry.Acquire("g");
-  const auto payload = fx.cache.Get(CacheKey{
-      "g", result.epoch, config.kind, Algorithm::kReceipt,
-      config.partitions});
-  ASSERT_NE(payload, nullptr);
-  EXPECT_EQ(payload->numbers, DirectNumbers(after.graph(), config, 2));
 }
 
 // One seal updates every tracked configuration of the graph.
-TEST(IncrementalChurnTest, MultiConfigSealKeepsAllConfigsIdentical) {
+TEST(LiveSealTest, MultiConfigSealKeepsAllConfigsIdentical) {
   LiveOptions options;
   options.max_pending_edges = size_t{1} << 30;
   LiveFixture fx(options, /*seed=*/31);
@@ -225,10 +191,156 @@ TEST(IncrementalChurnTest, MultiConfigSealKeepsAllConfigsIdentical) {
     ASSERT_NE(payload, nullptr) << RequestKindName(config.kind);
     EXPECT_EQ(payload->numbers, DirectNumbers(after.graph(), config, 2))
         << RequestKindName(config.kind);
+    EXPECT_EQ(payload->numbers, OracleNumbers(after.graph(), config))
+        << RequestKindName(config.kind);
   }
 }
 
-TEST(IncrementalPolicyTest, BatchesBufferUntilThresholdThenSeal) {
+// Each seal is one plain run per tracked config: the report names the run's
+// subsets, runs_full counts it, and the counters kept for perfbench stay 0.
+TEST(LiveSealTest, EverySealRunsEachTrackedConfigOnce) {
+  LiveOptions options;
+  options.max_pending_edges = size_t{1} << 30;
+  LiveFixture fx(options, /*seed=*/41);
+  const std::vector<LiveConfig> configs = {{RequestKind::kTipU, 6},
+                                           {RequestKind::kWing, 4}};
+  for (const LiveConfig& config : configs) {
+    std::string error;
+    ASSERT_EQ(fx.live.Track("g", config, 2, &error), Status::kOk) << error;
+  }
+  std::mt19937_64 rng(5);
+  for (int b = 0; b < 2; ++b) {
+    const std::vector<EdgeUpdate> updates =
+        RandomBatch(fx.registry.Acquire("g").graph(), 16, &rng);
+    const ApplyResult result =
+        fx.live.ApplyEdges("g", updates, /*force_seal=*/true, 2);
+    ASSERT_EQ(result.status, Status::kOk) << result.error;
+    ASSERT_EQ(result.reports.size(), configs.size());
+    for (size_t i = 0; i < configs.size(); ++i) {
+      EXPECT_EQ(result.reports[i].config, configs[i]);
+      EXPECT_GT(result.reports[i].subsets_total, 0u);
+    }
+  }
+  const LiveGraphManager::Stats stats = fx.live.stats();
+  EXPECT_EQ(stats.baselines_built, configs.size());
+  EXPECT_EQ(stats.seals_total, 2u);
+  EXPECT_EQ(stats.runs_full, 2 * configs.size());
+  EXPECT_EQ(stats.runs_incremental, 0u);
+  EXPECT_EQ(stats.ranges_reused, 0u);
+  EXPECT_EQ(stats.ranges_repeeled, 0u);
+}
+
+// A snapshot whose numbers do not fit the graph is refused before anything
+// is installed: no registration, no cache entry.
+TEST(LiveSnapshotTest, NumbersOfTheWrongLengthAreRejected) {
+  const BipartiteGraph graph = CompleteBipartite(4, 4);
+  for (const RequestKind kind :
+       {RequestKind::kTipU, RequestKind::kTipV, RequestKind::kWing}) {
+    GraphRegistry registry;
+    ResultCache cache(size_t{1} << 20);
+    obs::Observability obs;
+    LiveGraphManager live(registry, cache, LiveOptions{}, obs);
+    durability::SnapshotData data;
+    data.graph = "g";
+    data.epoch = 3;
+    data.num_u = graph.num_u();
+    data.num_v = graph.num_v();
+    data.edges = graph.ToEdges();
+    durability::SnapshotConfig config;
+    config.kind = static_cast<uint8_t>(kind);
+    config.partitions = 4;
+    config.numbers = {9};
+    data.configs.push_back(config);
+    std::string error;
+    EXPECT_EQ(live.RestoreSnapshot(data, &error), Status::kBadRequest)
+        << RequestKindName(kind);
+    EXPECT_NE(error.find("numbers"), std::string::npos) << error;
+    EXPECT_EQ(registry.size(), 0u);
+    EXPECT_EQ(cache.stats().entries, 0u);
+    EXPECT_EQ(live.PendingEdges("g"), 0u);
+  }
+}
+
+// Snapshots written before the seal path lost its replay state still carry
+// the coarse bounds and initial supports of each config. They restore, the
+// restored config counts as tracked (a batch that lists it runs nothing),
+// and the next seal serves the plain decomposition of the sealed graph.
+TEST(LiveSnapshotTest, SnapshotsWithBoundsAndSupportsStillRestore) {
+  const BipartiteGraph graph = ChungLuBipartite(60, 50, 260, 0.6, 0.6, 17);
+  const LiveConfig config{RequestKind::kTipU, 6};
+  const TipResult sealed = [&] {
+    TipOptions options;
+    options.num_partitions = static_cast<int>(config.partitions);
+    return ReceiptDecompose(graph, options);
+  }();
+
+  durability::SnapshotData data;
+  data.graph = "g";
+  data.epoch = 5;
+  data.num_u = graph.num_u();
+  data.num_v = graph.num_v();
+  data.edges = graph.ToEdges();
+  const BipartiteGraph::Edge present = data.edges.front();
+  data.pending = {{true, 0, 0}, {false, present.u, present.v}};
+  durability::SnapshotConfig snap;
+  snap.kind = static_cast<uint8_t>(config.kind);
+  snap.partitions = config.partitions;
+  snap.numbers = sealed.tip_numbers;
+  snap.bounds = sealed.range_bounds;
+  snap.old_support.assign(graph.num_u(), 7);
+  data.configs.push_back(snap);
+
+  LiveOptions options;
+  options.max_pending_edges = size_t{1} << 30;
+  GraphRegistry registry;
+  ResultCache cache(size_t{64} << 20);
+  obs::Observability obs;
+  LiveGraphManager live(registry, cache, options, obs);
+  std::string error;
+  ASSERT_EQ(live.RestoreSnapshot(data, &error), Status::kOk) << error;
+  EXPECT_EQ(registry.Acquire("g").epoch(), 5u);
+  EXPECT_EQ(live.PendingEdges("g"), 2u);
+  const auto restored = cache.Get(
+      CacheKey{"g", 5, config.kind, Algorithm::kReceipt, config.partitions});
+  ASSERT_NE(restored, nullptr);
+  EXPECT_EQ(restored->numbers, sealed.tip_numbers);
+
+  const std::vector<EdgeUpdate> batch = {{true, 2, 3}};
+  const std::vector<LiveConfig> track = {config};
+  const ApplyResult result =
+      live.ApplyEdges("g", batch, /*force_seal=*/true, 2, track);
+  ASSERT_EQ(result.status, Status::kOk) << result.error;
+  ASSERT_TRUE(result.sealed);
+  EXPECT_EQ(live.stats().baselines_built, 0u);
+  ASSERT_EQ(result.reports.size(), 1u);
+
+  // The seal folded the restored buffer and then the batch.
+  std::set<BipartiteGraph::Edge> expected(data.edges.begin(),
+                                          data.edges.end());
+  std::vector<EdgeUpdate> folded = data.pending;
+  folded.insert(folded.end(), batch.begin(), batch.end());
+  for (const EdgeUpdate& update : folded) {
+    if (update.insert) {
+      expected.insert({update.u, update.v});
+    } else {
+      expected.erase({update.u, update.v});
+    }
+  }
+  const GraphHandle after = registry.Acquire("g");
+  EXPECT_EQ(after.graph().ToEdges(),
+            std::vector<BipartiteGraph::Edge>(expected.begin(),
+                                              expected.end()));
+  const auto payload = cache.Get(CacheKey{"g", result.epoch, config.kind,
+                                          Algorithm::kReceipt,
+                                          config.partitions});
+  ASSERT_NE(payload, nullptr);
+  TipOptions direct;
+  direct.num_partitions = static_cast<int>(config.partitions);
+  EXPECT_EQ(payload->numbers,
+            ReceiptDecompose(after.graph(), direct).tip_numbers);
+}
+
+TEST(LiveSealPolicyTest, BatchesBufferUntilThresholdThenSeal) {
   LiveOptions options;
   options.max_pending_edges = 5;
   LiveFixture fx(options);
@@ -257,7 +369,7 @@ TEST(IncrementalPolicyTest, BatchesBufferUntilThresholdThenSeal) {
   EXPECT_GT(result.epoch, epoch_before);
 }
 
-TEST(IncrementalPolicyTest, OutOfShapeUpdatesRejectTheWholeBatch) {
+TEST(LiveSealPolicyTest, OutOfShapeUpdatesRejectTheWholeBatch) {
   LiveOptions options;
   LiveFixture fx(options);
   const std::vector<EdgeUpdate> batch = {{true, 1, 1}, {true, 100000, 0}};
@@ -268,7 +380,7 @@ TEST(IncrementalPolicyTest, OutOfShapeUpdatesRejectTheWholeBatch) {
   EXPECT_EQ(fx.live.PendingEdges("g"), 0u);  // nothing buffered
 }
 
-TEST(IncrementalPolicyTest, UnknownGraphIsNotFound) {
+TEST(LiveSealPolicyTest, UnknownGraphIsNotFound) {
   LiveOptions options;
   LiveFixture fx(options);
   std::string error;

@@ -237,39 +237,6 @@ TEST(ReceiptFdTest, MoreThreadsThanSubsetsMatchesBup) {
   EXPECT_EQ(tips, BupDecompose(g, bup_options).tip_numbers);
 }
 
-TEST(ReceiptFdTest, SelectiveFdPeelsOnlyChosenSubsets) {
-  const BipartiteGraph g = ChungLuBipartite(300, 200, 1500, 0.6, 0.6, 163);
-  const TipOptions options = Options(8, 3);
-  PeelStats stats;
-  const CdResult cd = ReceiptCd(g, options, &stats);
-  ASSERT_GT(cd.subsets.size(), 2u);
-  TipOptions bup_options;
-  const std::vector<Count> bup = BupDecompose(g, bup_options).tip_numbers;
-  constexpr Count kUntouched = std::numeric_limits<Count>::max();
-  engine::WorkspacePool pool;
-
-  // Even subsets only; the span is one short, so the last subset is
-  // unselected whatever its parity.
-  std::vector<uint8_t> only(cd.subsets.size() - 1, 0);
-  for (size_t sid = 0; sid < only.size(); sid += 2) only[sid] = 1;
-  std::vector<Count> tips(g.num_u(), kUntouched);
-  ReceiptFd(g, cd, options, pool, tips, &stats, only);
-  for (VertexId u = 0; u < g.num_u(); ++u) {
-    const uint32_t sid = cd.subset_of[u];
-    if (sid < only.size() && only[sid] != 0) {
-      EXPECT_EQ(tips[u], bup[u]) << "u=" << u;
-    } else {
-      EXPECT_EQ(tips[u], kUntouched) << "u=" << u;
-    }
-  }
-
-  // An all-zero selection peels nothing.
-  const std::vector<uint8_t> none(cd.subsets.size(), 0);
-  std::vector<Count> untouched(g.num_u(), kUntouched);
-  ReceiptFd(g, cd, options, pool, untouched, &stats, none);
-  EXPECT_EQ(untouched, std::vector<Count>(g.num_u(), kUntouched));
-}
-
 TEST(ReceiptFdTest, MissingPredictedCostsFallBackToWedgeCounts) {
   // A CdResult without predicted costs orders FD by the induced wedge-count
   // pass instead, and still yields the reference tip numbers.
