@@ -198,8 +198,10 @@ class RangeDecomposer {
   using Id = typename PeelGraph::Id;
 
   /// `static_cost[e]` is the static peel-cost proxy of entity e (wedge
-  /// count for vertices, mark + scan cost for edges) driving both range
-  /// determination and — for vertices — the HUC cost model.
+  /// count for vertices, mark + scan cost for edges) driving range
+  /// determination and predicted_costs. For vertices it is also HUC's
+  /// first filter: a round re-counts only if its static cost exceeds
+  /// C_rcnt and then its live wedge count does too.
   /// `maintenance` may be nullptr (coarse wing); it must outlive Run().
   /// `control` (optional) is polled between rounds: on cancellation Run
   /// returns the ranges peeled so far, and every completed round reports
@@ -460,14 +462,13 @@ class RangeDecomposer {
       bool recounted = false;
       if constexpr (PeelGraph::kSupportsRecount) {
         if (maintenance_ != nullptr && alive_count > 0 &&
-            maintenance_->ShouldRecount(round_cost)) {
+            maintenance_->ShouldRecount(round_cost, active_)) {
           // Hybrid Update Computation (§4.1): this round's peeling would
-          // traverse more wedges than a full re-count.
+          // traverse more live wedges than a full re-count.
           ++stats->huc_recounts;
           maintenance_->BeginRecount();
           stats->wedges_cd +=
               pg_->RecountSupports(lo, *pool_, num_threads_, pool_->Get(0));
-          maintenance_->EndRecount();
           recounted = true;
           // The re-count rewrote every alive support behind the delta
           // tracking's back: rebuild the histogram now (later rounds still
@@ -670,9 +671,10 @@ SequentialPeelOutcome SequentialTipPeel(const BipartiteGraph& graph,
     --alive_count;
     if (config.stop_when_peeled && alive_count == 0) break;
 
-    if (config.use_huc && maintenance.ShouldRecount(ws.static_cost[u])) {
+    if (config.use_huc &&
+        maintenance.ShouldRecount(ws.static_cost[u], {&u, 1})) {
       // Re-counting this (small, induced) graph is cheaper than exploring
-      // the peeled vertex's wedges.
+      // the peeled vertex's live wedges.
       ++out.huc_recounts;
       maintenance.BeginRecount();
       out.wedges +=
@@ -682,7 +684,6 @@ SequentialPeelOutcome SequentialTipPeel(const BipartiteGraph& graph,
         support[lu] = std::max(theta, fresh[lu] + ws.external[lu]);
       }
       extractor.Rebuild(support);
-      maintenance.EndRecount();
     } else {
       const uint64_t wedges = PeelVertex</*kAtomic=*/false>(
           live, u, theta, support, ws,

@@ -24,6 +24,10 @@ namespace receipt {
 /// Between compactions, Degree()/Neighbors() may still include dead
 /// vertices; traversals must skip them via IsAlive(). After Compact() the
 /// lists of *live* vertices contain only live neighbors.
+///
+/// Compaction pays only for what changed: the view records the vertices
+/// killed since the last Compact(), and only their live neighbours' lists
+/// can hold a dead entry, so only those lists are filtered.
 class DynamicGraph {
  public:
   /// An empty graph; fill in with Reset(). Exists so DynamicGraphs can live
@@ -44,7 +48,8 @@ class DynamicGraph {
   /// Capacity of the internal arrays in elements (arena-reuse telemetry).
   size_t CapacityFootprint() const {
     return offsets_.capacity() + adjacency_.capacity() + degree_.capacity() +
-           alive_.capacity() + rank_.capacity();
+           alive_.capacity() + rank_.capacity() + mark_.capacity() +
+           killed_.capacity() + dirty_.capacity();
   }
 
   VertexId num_u() const { return num_u_; }
@@ -53,8 +58,15 @@ class DynamicGraph {
   bool IsU(VertexId w) const { return w < num_u_; }
 
   bool IsAlive(VertexId w) const { return alive_[w] != 0; }
-  /// Marks `w` dead. Does not touch adjacency (lazy; see Compact()).
-  void Kill(VertexId w) { alive_[w] = 0; }
+  /// Marks `w` dead and records it for the next Compact(). Does not touch
+  /// adjacency (lazy; see Compact()). Killing a dead vertex is a no-op. Not
+  /// thread-safe: peeling loops kill a round's vertices before forking.
+  void Kill(VertexId w) {
+    if (alive_[w] == 0) return;
+    alive_[w] = 0;
+    mark_[w] = 1;
+    killed_.push_back(w);
+  }
 
   /// Current degree: number of entries in the (possibly uncompacted)
   /// adjacency list. An upper bound on the live degree.
@@ -69,8 +81,17 @@ class DynamicGraph {
   VertexId Rank(VertexId w) const { return rank_[w]; }
 
   /// Removes dead entries from every live vertex's adjacency list, updating
-  /// degrees. O(current edge slots) with `num_threads` OpenMP threads.
-  void Compact(int num_threads);
+  /// degrees, and drops the lists of the vertices killed since the last
+  /// Compact(). Only the live neighbours of those vertices are filtered, so
+  /// the cost is the total length of the touched lists, not the graph's
+  /// size. Runs inline when that total is small, and on `num_threads`
+  /// OpenMP threads otherwise.
+  ///
+  /// If `recount_bound` is non-null it must hold RecountCostBound() as of
+  /// the previous Compact() (or Reset()); it is moved to the value after
+  /// this one by the terms of the edges the compaction removed or
+  /// re-degreed. The result equals a fresh RecountCostBound() exactly.
+  void Compact(int num_threads, Count* recount_bound = nullptr);
 
   /// Σ of current degrees over live vertices (≈ 2·live edges once
   /// compacted; an upper bound otherwise). Used for the DGM trigger.
@@ -91,6 +112,21 @@ class DynamicGraph {
   VertexId NumAlive(Side side) const;
 
  private:
+  /// Collects into dirty_ the live neighbours of the killed vertices,
+  /// marking them, and returns the total length of their lists. If
+  /// `killed_terms` is non-null, adds to it the min(d_k, d_x) terms of the
+  /// edges of every killed U vertex k.
+  uint64_t GatherDirty(int num_threads, bool parallel, Count* killed_terms);
+
+  /// Σ min(d_w, d_x) with current degrees over the edges from a dirty U
+  /// vertex w to a marked x.
+  Count DirtyPairTerms(int num_threads, bool parallel) const;
+
+  /// Drops the dead entries of w's list. If `track`, adds the min terms of
+  /// w's edges to unmarked vertices to `removed` (old degree of w) and
+  /// `added` (new degree).
+  void FilterList(VertexId w, bool track, Count& removed, Count& added);
+
   VertexId num_u_ = 0;
   VertexId num_v_ = 0;
   std::vector<EdgeOffset> offsets_;    // fixed slot layout from the source
@@ -98,6 +134,11 @@ class DynamicGraph {
   std::vector<uint64_t> degree_;       // live prefix length per vertex
   std::vector<uint8_t> alive_;
   std::vector<VertexId> rank_;
+  // Compaction bookkeeping, all empty / zero right after a Compact():
+  std::vector<uint8_t> mark_;       // 1 for killed_ and dirty_ members
+  std::vector<VertexId> killed_;    // killed since the last Compact()
+  std::vector<VertexId> dirty_;     // their live neighbours (Compact scratch)
+  std::vector<std::vector<VertexId>> gather_;  // per-thread GatherDirty out
 };
 
 }  // namespace receipt

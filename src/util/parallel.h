@@ -17,12 +17,20 @@ inline int MaxThreads() { return omp_get_max_threads(); }
 /// Returns the calling thread's id inside a parallel region (0 outside).
 inline int ThreadId() { return omp_get_thread_num(); }
 
+/// Item count below which the index-range helpers here run inline: under
+/// a few thousand cheap items, forking and joining a team costs more than
+/// the loop itself.
+inline constexpr size_t kParallelCutoff = 4096;
+
 /// Runs `fn(i)` for i in [0, n) across `num_threads` OpenMP threads with
 /// dynamic scheduling (the workloads in this library are highly skewed, e.g.
 /// wedge exploration per vertex, so static chunking load-balances poorly).
+/// Inputs below kParallelCutoff run inline: every caller does little work
+/// per index. Few heavy items belong in ParallelForWithContext, which
+/// always forks.
 template <typename Fn>
 void ParallelFor(size_t n, int num_threads, Fn&& fn) {
-  if (num_threads <= 1) {
+  if (num_threads <= 1 || n < kParallelCutoff) {
     for (size_t i = 0; i < n; ++i) fn(i);
     return;
   }
@@ -116,7 +124,7 @@ void ParallelFilterInto(size_t n, int num_threads, std::vector<T>& out,
                         Pred&& pred, Make&& make,
                         std::vector<size_t>* offsets_scratch = nullptr) {
   out.clear();
-  if (num_threads <= 1 || n < 4096) {
+  if (num_threads <= 1 || n < kParallelCutoff) {
     for (size_t i = 0; i < n; ++i) {
       if (pred(i)) out.push_back(make(i));
     }
@@ -160,7 +168,7 @@ void ParallelFilterInto(size_t n, int num_threads, std::vector<T>& out,
 template <typename T, typename Make>
 T ParallelReduceSum(size_t n, int num_threads, Make&& make,
                     std::vector<T>* partials_scratch = nullptr) {
-  if (num_threads <= 1 || n < 4096) {
+  if (num_threads <= 1 || n < kParallelCutoff) {
     T total{};
     for (size_t i = 0; i < n; ++i) total += make(i);
     return total;
@@ -190,7 +198,7 @@ T ParallelReduceSum(size_t n, int num_threads, Make&& make,
 /// sequentially.
 template <typename T, typename Make>
 T ParallelReduceMax(size_t n, int num_threads, Make&& make, T identity = T{}) {
-  if (num_threads <= 1 || n < 4096) {
+  if (num_threads <= 1 || n < kParallelCutoff) {
     T best = identity;
     for (size_t i = 0; i < n; ++i) best = std::max<T>(best, make(i));
     return best;

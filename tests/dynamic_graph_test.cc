@@ -120,6 +120,105 @@ TEST(DynamicGraphTest, KillAllYieldsEmptyLiveGraph) {
   }
 }
 
+// -- dirty-list compaction against a full-pass reference ---------------------
+
+/// A random graph with hub vertices on both sides and isolated vertices:
+/// `hubs` vertices per side take a quarter of the edges each way, and the
+/// last tenth of each side gets no edges at all.
+BipartiteGraph HubGraph(VertexId num_u, VertexId num_v, size_t num_edges,
+                        VertexId hubs, uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  const VertexId active_u = num_u - num_u / 10;
+  const VertexId active_v = num_v - num_v / 10;
+  std::uniform_int_distribution<VertexId> any_u(0, active_u - 1);
+  std::uniform_int_distribution<VertexId> any_v(0, active_v - 1);
+  std::uniform_int_distribution<VertexId> hub(0, hubs - 1);
+  std::vector<BipartiteGraph::Edge> edges;
+  for (size_t i = 0; i < num_edges; ++i) {
+    switch (i % 4) {
+      case 0:
+        edges.push_back({hub(rng), any_v(rng)});
+        break;
+      case 1:
+        edges.push_back({any_u(rng), hub(rng)});
+        break;
+      default:
+        edges.push_back({any_u(rng), any_v(rng)});
+    }
+  }
+  return BipartiteGraph::FromEdges(num_u, num_v, std::move(edges));
+}
+
+/// The old full-pass Compact(): filters every live list, empties every dead
+/// one. Lists start as the view's rank-ordered layout.
+void ReferenceCompact(const DynamicGraph& live,
+                      std::vector<std::vector<VertexId>>& lists) {
+  for (VertexId w = 0; w < live.num_vertices(); ++w) {
+    if (!live.IsAlive(w)) {
+      lists[w].clear();
+      continue;
+    }
+    std::erase_if(lists[w], [&live](VertexId x) { return !live.IsAlive(x); });
+  }
+}
+
+TEST(DynamicGraphTest, DirtyListCompactionMatchesFullPass) {
+  const std::vector<BipartiteGraph> graphs = {
+      HubGraph(3000, 2000, 40000, 8, 51), HubGraph(400, 300, 3000, 3, 53),
+      CompleteBipartite(5, 7), Star(30)};
+  for (size_t gi = 0; gi < graphs.size(); ++gi) {
+    const BipartiteGraph& g = graphs[gi];
+    const VertexId n = g.num_vertices();
+    for (const int threads : {1, 4}) {
+      SCOPED_TRACE("graph " + std::to_string(gi) + " threads " +
+                   std::to_string(threads));
+      DynamicGraph live = MakeLive(g);
+      std::vector<std::vector<VertexId>> lists(n);
+      for (VertexId w = 0; w < n; ++w) {
+        const auto nbrs = live.Neighbors(w);
+        lists[w].assign(nbrs.begin(), nbrs.end());
+      }
+      Count bound = live.RecountCostBound(threads);
+      std::mt19937_64 rng(57 + gi);
+      std::uniform_int_distribution<VertexId> any(0, n - 1);
+      for (int step = 0; step < 12; ++step) {
+        // Batches from single kills up to a fifth of the graph, on both
+        // sides, re-killing dead vertices; steps 3 and 7 kill nothing.
+        const size_t batch =
+            step == 3 || step == 7 ? 0 : 1 + rng() % (n / 5 + 1);
+        for (size_t i = 0; i < batch; ++i) {
+          const VertexId w = any(rng);
+          live.Kill(w);
+          if (i % 3 == 0) live.Kill(w);  // killing twice is a no-op
+        }
+        live.Compact(threads, &bound);
+        ReferenceCompact(live, lists);
+        for (VertexId w = 0; w < n; ++w) {
+          const auto nbrs = live.Neighbors(w);
+          ASSERT_EQ(live.Degree(w), lists[w].size()) << "vertex " << w;
+          ASSERT_TRUE(std::equal(nbrs.begin(), nbrs.end(), lists[w].begin()))
+              << "vertex " << w;
+          ASSERT_LE(live.LiveWedgeCount(w), g.WedgeCount(w)) << "vertex " << w;
+        }
+        ASSERT_EQ(bound, live.RecountCostBound(threads)) << "step " << step;
+        ASSERT_EQ(bound, live.RecountCostBound(1)) << "step " << step;
+      }
+    }
+  }
+}
+
+TEST(DynamicGraphTest, CompactWithoutKillsChangesNothing) {
+  const BipartiteGraph g = HubGraph(200, 150, 1500, 2, 59);
+  DynamicGraph live = MakeLive(g);
+  Count bound = live.RecountCostBound();
+  const Count before = bound;
+  live.Compact(4, &bound);
+  EXPECT_EQ(bound, before);
+  for (VertexId w = 0; w < g.num_vertices(); ++w) {
+    EXPECT_EQ(live.Degree(w), g.Degree(w));
+  }
+}
+
 // -- rank-order scatter against the per-list sort it replaced ---------------
 
 /// Reset's old layout: the source CSR with each list sorted by rank.

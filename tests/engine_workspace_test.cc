@@ -248,7 +248,9 @@ TEST(GraphMaintenanceTest, RecountDisabledWithoutHuc) {
   DynamicGraph live(g, g.DegreeDescendingRanks());
   engine::GraphMaintenance maintenance(live, /*use_huc=*/false,
                                        /*use_dgm=*/false, g.num_edges());
-  EXPECT_FALSE(maintenance.ShouldRecount(kInvalidCount - 1));
+  const VertexId peeled = 0;
+  live.Kill(peeled);
+  EXPECT_FALSE(maintenance.ShouldRecount(kInvalidCount - 1, {&peeled, 1}));
   maintenance.OnPeelWedges(1u << 30);
   EXPECT_EQ(maintenance.compactions(), 0u);
 }

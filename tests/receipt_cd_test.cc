@@ -6,11 +6,17 @@
 
 #include <gtest/gtest.h>
 
+#include <numeric>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "butterfly/butterfly_count.h"
+#include "engine/graph_maintenance.h"
+#include "graph/dynamic_graph.h"
 #include "graph/generators.h"
 #include "tip/bup.h"
+#include "tip/receipt.h"
 
 namespace receipt {
 namespace {
@@ -130,6 +136,83 @@ TEST(ReceiptCdTest, HucReducesWedgesOnSkewedGraph) {
   ReceiptCd(g, Options(10, 2, false, false), &without_huc);
   EXPECT_GT(with_huc.huc_recounts, 0u);
   EXPECT_LT(with_huc.wedges_cd, without_huc.wedges_cd);
+}
+
+/// Four spokes v0..v3 with eight degree-1 leaves each, two hubs h1, h2 on
+/// every spoke, and a separate K_{3,4} block. Leaves (support 0) die first;
+/// once DGM compacts them away each spoke has degree 2, so a hub's static
+/// wedge count (4 · 9) overstates its live one (4 · 1) ninefold.
+BipartiteGraph SpokeGraph() {
+  std::vector<BipartiteGraph::Edge> edges;
+  VertexId u = 0;
+  for (VertexId spoke = 0; spoke < 4; ++spoke) {
+    for (int leaf = 0; leaf < 8; ++leaf) edges.push_back({u++, spoke});
+  }
+  for (int hub = 0; hub < 2; ++hub, ++u) {
+    for (VertexId spoke = 0; spoke < 4; ++spoke) edges.push_back({u, spoke});
+  }
+  for (int x = 0; x < 3; ++x, ++u) {
+    for (VertexId y = 0; y < 4; ++y) edges.push_back({u, 4 + y});
+  }
+  return BipartiteGraph::FromEdges(u, 8, std::move(edges));
+}
+
+TEST(ReceiptCdTest, HucDecidesOnLiveWedges) {
+  const BipartiteGraph g = SpokeGraph();
+  const VertexId hubs[] = {32, 33};
+
+  // The rule itself: after the leaves die and are compacted away, the hubs'
+  // static cost exceeds C_rcnt but their live cost does not.
+  DynamicGraph live(g, g.DegreeDescendingRanks());
+  engine::GraphMaintenance maintenance(live, /*use_huc=*/true,
+                                       /*use_dgm=*/true, g.num_edges());
+  std::vector<VertexId> leaves(32);
+  std::iota(leaves.begin(), leaves.end(), 0);
+  Count leaf_cost = 0;
+  for (const VertexId leaf : leaves) {
+    live.Kill(leaf);
+    leaf_cost += g.WedgeCount(leaf);
+  }
+  // Nothing is compacted yet, so the leaves' live cost is their static one
+  // (32 · 9), above the initial bound 32 · 1 + 8 · 4 + 36.
+  EXPECT_EQ(maintenance.recount_bound(), 100u);
+  EXPECT_TRUE(maintenance.ShouldRecount(leaf_cost, leaves));
+  maintenance.BeginRecount();
+  // Hub edges 8 · min(4, 2) + block edges 12 · min(4, 3).
+  ASSERT_EQ(maintenance.recount_bound(), 16u + 36u);
+  ASSERT_EQ(maintenance.recount_bound(), live.RecountCostBound());
+  for (const VertexId h : hubs) live.Kill(h);
+  const Count static_cost = g.WedgeCount(32) + g.WedgeCount(33);
+  EXPECT_EQ(static_cost, 72u);
+  EXPECT_EQ(live.LiveWedgeCount(32) + live.LiveWedgeCount(33), 8u);
+  EXPECT_FALSE(maintenance.ShouldRecount(static_cost, hubs));
+
+  // End to end, P = 3: the ranges are {leaves}, {hubs}, {block}. Priced by
+  // static cost, CD would re-count the hub round too, and FD a late leaf pop
+  // (compactions shrink the leaf subgraph's C_rcnt below a leaf's static
+  // count). Priced by live wedges, only CD's leaf round re-counts.
+  const TipResult bup = BupDecompose(g, Options(3, 1));
+  PeelStats plain_stats;
+  const CdResult plain =
+      ReceiptCd(g, Options(3, 1, /*huc=*/false, /*dgm=*/false), &plain_stats);
+  ASSERT_EQ(plain.subsets.size(), 3u);
+  EXPECT_EQ(plain.subsets[1], (std::vector<VertexId>{32, 33}));
+  for (const int threads : {1, 2, 4}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    PeelStats stats;
+    const CdResult cd = ReceiptCd(g, Options(3, threads), &stats);
+    EXPECT_EQ(stats.huc_recounts, 1u);
+    EXPECT_EQ(cd.subsets, plain.subsets);
+    EXPECT_EQ(cd.subset_of, plain.subset_of);
+    EXPECT_EQ(cd.bounds, plain.bounds);
+    EXPECT_EQ(cd.init_support, plain.init_support);
+    EXPECT_EQ(cd.predicted_costs, plain.predicted_costs);
+    EXPECT_EQ(stats.sync_rounds, plain_stats.sync_rounds);
+
+    const TipResult receipt = ReceiptDecompose(g, Options(3, threads));
+    EXPECT_EQ(receipt.stats.huc_recounts, 1u);  // CD's one; FD makes none
+    EXPECT_EQ(receipt.tip_numbers, bup.tip_numbers);
+  }
 }
 
 TEST(ReceiptCdTest, SyncRoundsWellBelowVertexCount) {
