@@ -9,6 +9,7 @@
 #include <cctype>
 #include <cerrno>
 #include <cstring>
+#include <utility>
 
 namespace receipt::cluster {
 
@@ -138,6 +139,25 @@ bool HttpClient::Request(
   }
   response->body = raw.substr(header_end + 4);
   return true;
+}
+
+server::HttpResponse RelayUpstream(HttpClientResponse* upstream,
+                                   std::string_view request_id) {
+  server::HttpResponse response;
+  response.status = upstream->status;
+  response.body = std::move(upstream->body);
+  if (const auto it = upstream->headers.find("content-type");
+      it != upstream->headers.end()) {
+    response.content_type = it->second;
+  }
+  if (const auto it = upstream->headers.find("retry-after");
+      it != upstream->headers.end()) {
+    response.extra_headers.emplace_back("Retry-After", it->second);
+  }
+  if (!request_id.empty()) {
+    response.extra_headers.emplace_back("X-Request-Id", request_id);
+  }
+  return response;
 }
 
 }  // namespace receipt::cluster

@@ -4,8 +4,11 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
+
+#include "server/http_server.h"
 
 namespace receipt::cluster {
 
@@ -49,6 +52,12 @@ class HttpClient {
  private:
   int timeout_ms_;
 };
+
+/// The response a proxying hop sends back for `upstream`: its status, body
+/// (moved out), content type and Retry-After, plus `request_id` as
+/// X-Request-Id unless it is empty.
+server::HttpResponse RelayUpstream(HttpClientResponse* upstream,
+                                   std::string_view request_id);
 
 }  // namespace receipt::cluster
 

@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "durability/journal.h"
+#include "server/http_helpers.h"
 #include "service/live_graph.h"
 #include "util/json.h"
 
@@ -14,59 +15,13 @@ namespace receipt::cluster {
 
 namespace {
 
+using server::GraphNameFromBody;
+using server::GraphNameFromEdgesPath;
 using server::HttpRequest;
 using server::HttpResponse;
-
-HttpResponse JsonError(int status, const std::string& message) {
-  util::JsonWriter json;
-  json.BeginObject()
-      .Key("status").String("error")
-      .Key("error").String(message)
-      .EndObject();
-  HttpResponse response;
-  response.status = status;
-  response.body = json.Take();
-  return response;
-}
-
-int HttpStatusFor(service::Status status) {
-  switch (status) {
-    case service::Status::kOk: return 200;
-    case service::Status::kNotFound: return 404;
-    case service::Status::kBadRequest: return 400;
-    case service::Status::kCancelled: return 499;
-    case service::Status::kShutdown: return 503;
-  }
-  return 500;
-}
-
-/// The graph name a request addresses: the "graph" body field for
-/// /v1/decompose, the "name" field for /v1/graphs. Empty when absent —
-/// the caller delegates to the frontend, whose validation produces the
-/// right 400.
-std::string GraphNameFromBody(const std::string& body,
-                              std::string_view field) {
-  const auto json = util::JsonValue::Parse(body);
-  if (!json.has_value() || !json->IsObject()) return "";
-  std::string name;
-  json->GetString(std::string(field), &name);
-  return name;
-}
-
-/// /v1/graphs/{name}/edges -> name ("" when the path is not that shape).
-std::string GraphNameFromEdgesPath(const std::string& path) {
-  constexpr std::string_view kPrefix = "/v1/graphs/";
-  constexpr std::string_view kSuffix = "/edges";
-  if (path.size() <= kPrefix.size() + kSuffix.size() ||
-      path.compare(path.size() - kSuffix.size(), kSuffix.size(), kSuffix) !=
-          0) {
-    return "";
-  }
-  const std::string name = path.substr(
-      kPrefix.size(), path.size() - kPrefix.size() - kSuffix.size());
-  if (name.find('/') != std::string::npos) return "";
-  return name;
-}
+using server::HttpStatusFor;
+using server::JsonError;
+using server::QueryParam;
 
 /// `records` as one body of journal frames, in order.
 std::string EncodeFrames(const std::vector<durability::JournalRecord>& records) {
@@ -75,21 +30,6 @@ std::string EncodeFrames(const std::vector<durability::JournalRecord>& records) 
     frames += durability::EncodeFrame(record);
   }
   return frames;
-}
-
-std::string QueryParam(const std::string& query, std::string_view key) {
-  size_t pos = 0;
-  while (pos < query.size()) {
-    size_t end = query.find('&', pos);
-    if (end == std::string::npos) end = query.size();
-    const size_t eq = query.find('=', pos);
-    if (eq != std::string::npos && eq < end &&
-        std::string_view(query).substr(pos, eq - pos) == key) {
-      return query.substr(eq + 1, end - eq - 1);
-    }
-    pos = end + 1;
-  }
-  return "";
 }
 
 uint64_t MinEpochHeader(const HttpRequest& request) {
@@ -294,22 +234,11 @@ HttpResponse ClusterNode::ForwardToMember(const std::string& member_id,
                               "' is unreachable: " + error);
   }
   proxied_.fetch_add(1, std::memory_order_relaxed);
-  HttpResponse response;
-  response.status = upstream.status;
-  response.body = std::move(upstream.body);
-  if (const auto it = upstream.headers.find("content-type");
-      it != upstream.headers.end()) {
-    response.content_type = it->second;
-  }
-  if (const auto it = upstream.headers.find("x-request-id");
-      it != upstream.headers.end()) {
-    response.extra_headers.emplace_back("X-Request-Id", it->second);
-  }
-  if (const auto it = upstream.headers.find("retry-after");
-      it != upstream.headers.end()) {
-    response.extra_headers.emplace_back("Retry-After", it->second);
-  }
-  return response;
+  // Echo the upstream's id: it names the trace the upstream recorded.
+  const auto id = upstream.headers.find("x-request-id");
+  return RelayUpstream(&upstream, id != upstream.headers.end()
+                                      ? std::string_view(id->second)
+                                      : std::string_view());
 }
 
 HttpResponse ClusterNode::HandleDecompose(const HttpRequest& request) {

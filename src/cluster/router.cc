@@ -5,29 +5,18 @@
 #include <utility>
 
 #include "obs/trace.h"
+#include "server/http_helpers.h"
 #include "util/json.h"
 
 namespace receipt::cluster {
 
 namespace {
 
+using server::GraphNameFromBody;
+using server::GraphNameFromEdgesPath;
 using server::HttpRequest;
 using server::HttpResponse;
-
-HttpResponse JsonError(int status, const std::string& message) {
-  util::JsonWriter json;
-  json.BeginObject()
-      .Key("status").String("error")
-      .Key("error").String(message)
-      .EndObject();
-  HttpResponse response;
-  response.status = status;
-  response.body = json.Take();
-  if (status == 429 || status == 503) {
-    response.extra_headers.emplace_back("Retry-After", "1");
-  }
-  return response;
-}
+using server::JsonError;
 
 std::string ClientId(const HttpRequest& request) {
   const auto it = request.headers.find("x-client-id");
@@ -42,51 +31,11 @@ std::string RequestId(const HttpRequest& request) {
   return obs::FormatTraceId(obs::MintTraceId());
 }
 
-std::string GraphNameFromBody(const std::string& body,
-                              std::string_view field) {
-  const auto json = util::JsonValue::Parse(body);
-  if (!json.has_value() || !json->IsObject()) return "";
-  std::string name;
-  json->GetString(std::string(field), &name);
-  return name;
-}
-
-std::string GraphNameFromEdgesPath(const std::string& path) {
-  constexpr std::string_view kPrefix = "/v1/graphs/";
-  constexpr std::string_view kSuffix = "/edges";
-  if (path.size() <= kPrefix.size() + kSuffix.size() ||
-      path.compare(path.size() - kSuffix.size(), kSuffix.size(), kSuffix) !=
-          0) {
-    return "";
-  }
-  const std::string name = path.substr(
-      kPrefix.size(), path.size() - kPrefix.size() - kSuffix.size());
-  if (name.find('/') != std::string::npos) return "";
-  return name;
-}
-
 uint64_t EpochFromResponse(const std::string& body, std::string_view field) {
   const auto json = util::JsonValue::Parse(body);
   if (!json.has_value() || !json->IsObject()) return 0;
   const util::JsonValue* epoch = json->Find(std::string(field));
   return epoch != nullptr && epoch->IsInt() ? epoch->AsUint() : 0;
-}
-
-HttpResponse RelayUpstream(HttpClientResponse upstream,
-                           const std::string& request_id) {
-  HttpResponse response;
-  response.status = upstream.status;
-  response.body = std::move(upstream.body);
-  if (const auto it = upstream.headers.find("content-type");
-      it != upstream.headers.end()) {
-    response.content_type = it->second;
-  }
-  if (const auto it = upstream.headers.find("retry-after");
-      it != upstream.headers.end()) {
-    response.extra_headers.emplace_back("Retry-After", it->second);
-  }
-  response.extra_headers.emplace_back("X-Request-Id", request_id);
-  return response;
 }
 
 /// Statuses worth trying another replica for: the replica is down,
@@ -256,7 +205,7 @@ HttpResponse Router::HandleDecompose(const HttpRequest& request) {
       }
       if (ShouldFailOver(upstream.status)) {
         failovers_.fetch_add(1, std::memory_order_relaxed);
-        last_response = RelayUpstream(std::move(upstream), request_id);
+        last_response = RelayUpstream(&upstream, request_id);
         continue;
       }
       reads_routed_.fetch_add(1, std::memory_order_relaxed);
@@ -266,7 +215,7 @@ HttpResponse Router::HandleDecompose(const HttpRequest& request) {
         ObserveEpoch(graph, epoch);
         RecordTrace(request, request_id, /*read=*/true, graph, epoch);
       }
-      return RelayUpstream(std::move(upstream), request_id);
+      return RelayUpstream(&upstream, request_id);
     }
   }
   no_replica_.fetch_add(1, std::memory_order_relaxed);
@@ -308,7 +257,7 @@ HttpResponse Router::HandleWrite(const HttpRequest& request) {
     ObserveEpoch(graph, epoch);
     RecordTrace(request, request_id, /*read=*/false, graph, epoch);
   }
-  return RelayUpstream(std::move(upstream), request_id);
+  return RelayUpstream(&upstream, request_id);
 }
 
 HttpResponse Router::HandleListGraphs(const HttpRequest& request) {
@@ -323,7 +272,7 @@ HttpResponse Router::HandleListGraphs(const HttpRequest& request) {
       HttpClientResponse upstream;
       if (Forward(*member, request, {{"X-Request-Id", request_id}},
                   &upstream)) {
-        return RelayUpstream(std::move(upstream), request_id);
+        return RelayUpstream(&upstream, request_id);
       }
     }
   }
@@ -379,15 +328,7 @@ HttpResponse Router::HandleStatz(const HttpRequest&) {
 }
 
 HttpResponse Router::HandleRoute(const HttpRequest& request) {
-  std::string graph;
-  const std::string& query = request.query;
-  const size_t pos = query.find("graph=");
-  if (pos != std::string::npos) {
-    const size_t end = query.find('&', pos);
-    graph = query.substr(pos + 6, end == std::string::npos
-                                      ? std::string::npos
-                                      : end - pos - 6);
-  }
+  const std::string graph = server::QueryParam(request.query, "graph");
   if (graph.empty()) {
     return JsonError(400, "missing required query parameter 'graph'");
   }

@@ -20,6 +20,8 @@ constexpr uint64_t kSegmentHeaderBytes = 8 + 4 + 8;
 // Frames above this are rejected as corruption rather than attempted as a
 // 4GB allocation.
 constexpr uint32_t kMaxFrameBytes = 1u << 30;
+// kBatch: fsync once this many unsynced bytes accumulate.
+constexpr uint64_t kBatchSyncBytes = 256ull << 10;
 
 std::string SegmentName(uint64_t seq) {
   char buf[32];
@@ -210,7 +212,8 @@ bool Journal::SyncLocked(std::string* error) {
   return true;
 }
 
-bool Journal::Append(const JournalRecord& record, std::string* error) {
+bool Journal::Append(const JournalRecord& record, std::string* error,
+                     uint64_t* bytes) {
   std::string frame = EncodeFrame(record);
   std::lock_guard<std::mutex> lock(mu_);
   if (broken_) {
@@ -247,7 +250,7 @@ bool Journal::Append(const JournalRecord& record, std::string* error) {
   util::io::CrashPoint("journal.append.pre-fsync");
   bool need_sync = options_.fsync == FsyncPolicy::kAlways ||
                    (options_.fsync == FsyncPolicy::kBatch &&
-                    unsynced_bytes_ >= options_.batch_bytes);
+                    unsynced_bytes_ >= kBatchSyncBytes);
   if (need_sync && !SyncLocked(error)) {
     // The record reached the page cache but not necessarily the platter;
     // the caller must not ack. Roll back so the acked prefix stays exact.
@@ -266,6 +269,7 @@ bool Journal::Append(const JournalRecord& record, std::string* error) {
   }
   stats_.appends += 1;
   stats_.bytes_written += frame.size();
+  if (bytes != nullptr) *bytes = frame.size();
   return true;
 }
 

@@ -16,7 +16,7 @@
 namespace receipt::durability {
 
 /// When appends reach the disk. `kAlways` fsyncs every record (acknowledged
-/// means power-loss durable), `kBatch` fsyncs once at least `batch_bytes`
+/// means power-loss durable), `kBatch` fsyncs once at least 256 KiB
 /// are unsynced (acknowledged means process-crash durable, power-loss
 /// durable within one batch window), `kOff` never fsyncs (process-crash
 /// durable only — the page cache still survives kill -9).
@@ -64,8 +64,6 @@ struct JournalOptions {
   FsyncPolicy fsync = FsyncPolicy::kAlways;
   /// Rotate to a new segment once the current one exceeds this.
   uint64_t segment_bytes = 64ull << 20;
-  /// kBatch: fsync once this many unsynced bytes accumulate.
-  uint64_t batch_bytes = 256ull << 10;
 };
 
 struct JournalStats {
@@ -95,8 +93,10 @@ class Journal {
 
   /// Encodes, frames, and writes `record`; fsyncs per policy. Returns true
   /// only once the record is durable to the policy's standard — the
-  /// caller's acknowledgment gate.
-  bool Append(const JournalRecord& record, std::string* error);
+  /// caller's acknowledgment gate. `bytes` (optional) receives the size of
+  /// the frame written.
+  bool Append(const JournalRecord& record, std::string* error,
+              uint64_t* bytes = nullptr);
 
   /// Forces an fsync regardless of policy (no-op if nothing is unsynced).
   bool Sync(std::string* error);

@@ -23,7 +23,6 @@ std::unique_ptr<DurabilityManager> DurabilityManager::Open(
   journal_options.dir = manager->journal_dir();
   journal_options.fsync = options.fsync;
   journal_options.segment_bytes = options.segment_bytes;
-  journal_options.batch_bytes = options.batch_bytes;
   manager->journal_ = Journal::Open(journal_options, error);
   if (manager->journal_ == nullptr) return nullptr;
   if (obs != nullptr) {
@@ -55,11 +54,8 @@ void DurabilityManager::SeedCoverage(
 bool DurabilityManager::AppendInstrumented(const JournalRecord& record,
                                            std::string* error) {
   WallTimer timer;
-  size_t bytes = 0;
-  bool ok = journal_->Append(record, error);
-  if (ok && journal_appends_ != nullptr) {
-    bytes = EncodeFrame(record).size();
-  }
+  uint64_t bytes = 0;
+  const bool ok = journal_->Append(record, error, &bytes);
   if (ok) {
     if (journal_appends_ != nullptr) journal_appends_->Increment();
     if (journal_bytes_ != nullptr) journal_bytes_->Increment(bytes);

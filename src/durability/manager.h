@@ -18,7 +18,6 @@ struct DurabilityOptions {
   std::string data_dir;
   FsyncPolicy fsync = FsyncPolicy::kAlways;
   uint64_t segment_bytes = 64ull << 20;
-  uint64_t batch_bytes = 256ull << 10;
   /// Write a snapshot after every seal (and truncate covered journal
   /// segments). Off leaves the journal to grow until an admin snapshot.
   bool snapshot_on_seal = true;

@@ -6,11 +6,9 @@
 
 namespace receipt::obs {
 
-/// The one observability bundle a process shares between its service,
-/// HTTP front-end, and CLI: a metrics registry and a span flight
-/// recorder. DecompositionService owns a private one when the embedder
-/// does not supply theirs, so instruments always exist and call sites
-/// never null-check.
+/// A metrics registry and a span flight recorder. Each DecompositionService
+/// owns one, which its HTTP front-end and the CLI report through too, so
+/// instruments always exist and call sites never null-check.
 struct Observability {
   MetricsRegistry metrics;
   TraceRecorder traces{4096};

@@ -11,6 +11,7 @@
 
 #include "graph/generators.h"
 #include "obs/trace.h"
+#include "server/http_helpers.h"
 #include "util/json.h"
 
 namespace receipt::server {
@@ -21,36 +22,12 @@ using service::Request;
 using service::Response;
 using service::Status;
 
-HttpResponse JsonError(int status, const std::string& message) {
-  util::JsonWriter writer;
-  writer.BeginObject()
-      .Key("status").String("error")
-      .Key("error").String(message)
-      .EndObject();
-  HttpResponse response;
-  response.status = status;
-  response.body = writer.Take();
-  // Shed load honestly: every overload/unavailable rejection tells clients
-  // when a retry is worth attempting, so well-behaved clients back off
-  // instead of retry-storming.
-  if (status == 429 || status == 503) {
-    response.extra_headers.emplace_back("Retry-After", "1");
-  }
-  return response;
-}
-
-/// Service terminal status → HTTP status. Cancellation surfaces as 499
-/// (client-closed-request): the only cancels a connected client can see are
-/// non-drain shutdown races.
-int HttpStatusFor(Status status) {
-  switch (status) {
-    case Status::kOk: return 200;
-    case Status::kNotFound: return 404;
-    case Status::kBadRequest: return 400;
-    case Status::kCancelled: return 499;
-    case Status::kShutdown: return 503;
-  }
-  return 500;
+/// The request's trace identity: its X-Request-Id (see
+/// obs::ParseOrMintTraceId), else a freshly minted id.
+uint64_t TraceIdFor(const HttpRequest& request) {
+  const auto it = request.headers.find("x-request-id");
+  return it != request.headers.end() ? obs::ParseOrMintTraceId(it->second)
+                                     : obs::MintTraceId();
 }
 
 /// The one description of a resident graph both /v1/graphs responses share.
@@ -164,13 +141,7 @@ HttpResponse DecompositionHttpFrontend::HandleDecompose(
 
   // Mint (or accept) the request's trace identity before anything can fail,
   // so even a 400 carries the id the client can look up.
-  uint64_t trace_id = 0;
-  if (const auto it = http_request.headers.find("x-request-id");
-      it != http_request.headers.end()) {
-    trace_id = obs::ParseOrMintTraceId(it->second);
-  } else {
-    trace_id = obs::MintTraceId();
-  }
+  const uint64_t trace_id = TraceIdFor(http_request);
   obs::TraceContext trace{&obs_->traces, trace_id};
   const std::string trace_id_text = obs::FormatTraceId(trace_id);
 
@@ -375,27 +346,12 @@ HttpResponse DecompositionHttpFrontend::HandleGraphEdges(
 
   // Path: /v1/graphs/{name}/edges (the registration route is the exact
   // match "/v1/graphs", so everything under the prefix lands here).
-  constexpr std::string_view kPrefix = "/v1/graphs/";
-  constexpr std::string_view kSuffix = "/edges";
-  const std::string& path = http_request.path;
-  if (path.size() <= kPrefix.size() + kSuffix.size() ||
-      path.compare(path.size() - kSuffix.size(), kSuffix.size(),
-                   kSuffix) != 0) {
-    return JsonError(404, "no such endpoint; use /v1/graphs/{name}/edges");
-  }
-  const std::string name = path.substr(
-      kPrefix.size(), path.size() - kPrefix.size() - kSuffix.size());
-  if (name.empty() || name.find('/') != std::string::npos) {
+  const std::string name = GraphNameFromEdgesPath(http_request.path);
+  if (name.empty()) {
     return JsonError(404, "no such endpoint; use /v1/graphs/{name}/edges");
   }
 
-  uint64_t trace_id = 0;
-  if (const auto it = http_request.headers.find("x-request-id");
-      it != http_request.headers.end()) {
-    trace_id = obs::ParseOrMintTraceId(it->second);
-  } else {
-    trace_id = obs::MintTraceId();
-  }
+  const uint64_t trace_id = TraceIdFor(http_request);
   obs::TraceContext trace{&obs_->traces, trace_id};
   const std::string trace_id_text = obs::FormatTraceId(trace_id);
   auto finish = [&](HttpResponse response) {

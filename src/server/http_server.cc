@@ -409,10 +409,9 @@ bool HttpServer::ServeOneRequest(int fd, std::string* buffer_ptr,
           std::chrono::steady_clock::now() - serve_start)
           .count());
 
-  // Persistence: the server opts in (options + request cap), then the
-  // client's Connection header (or HTTP/1.0 default) can still close.
-  bool keep = options_.keep_alive &&
-              served_so_far + 1 < options_.max_requests_per_connection;
+  // Persistence: the server opts in (request cap), then the client's
+  // Connection header (or HTTP/1.0 default) can still close.
+  bool keep = served_so_far + 1 < options_.max_requests_per_connection;
   if (const auto it = request.headers.find("connection");
       it != request.headers.end()) {
     const std::string token = ToLower(it->second);

@@ -15,11 +15,15 @@ namespace receipt::service {
 
 namespace {
 
+/// Max requests one worker executes back-to-back per queue pop. Batching
+/// groups queued requests targeting the same graph epoch so they run on
+/// scratch that is already warm for exactly that graph shape.
+constexpr size_t kMaxBatch = 8;
+
 ServiceOptions NormalizeOptions(ServiceOptions options) {
   // A zero-capacity queue can never admit work: Submit would block forever
   // and zero-worker Execute would spin.
   options.queue_capacity = std::max<size_t>(1, options.queue_capacity);
-  options.max_batch = std::max<size_t>(1, options.max_batch);
   return options;
 }
 
@@ -30,12 +34,6 @@ DecompositionService::DecompositionService(GraphRegistry& registry,
     : registry_(&registry),
       options_(NormalizeOptions(options)),
       cache_(options.cache_bytes) {
-  if (options_.observability != nullptr) {
-    obs_ = options_.observability;
-  } else {
-    owned_obs_ = std::make_unique<obs::Observability>();
-    obs_ = owned_obs_.get();
-  }
   RegisterInstruments();
 
   LiveOptions live_options;
@@ -43,20 +41,19 @@ DecompositionService::DecompositionService(GraphRegistry& registry,
       std::max<size_t>(1, options_.live_max_pending_edges);
   live_options.max_staleness_ms = options_.live_max_staleness_ms;
   live_ = std::make_unique<LiveGraphManager>(*registry_, cache_, live_options,
-                                             *obs_);
+                                             obs_);
 
   if (!options_.data_dir.empty()) {
     durability::DurabilityOptions durability_options;
     durability_options.data_dir = options_.data_dir;
     durability_options.fsync = options_.durability_fsync;
     durability_options.segment_bytes = options_.journal_segment_bytes;
-    durability_options.batch_bytes = options_.journal_batch_bytes;
     durability_options.snapshot_on_seal = options_.snapshot_on_seal;
     // Recovery runs before the worker pool exists, so replayed seals never
     // race live traffic. Failure leaves the service up but in-memory only
     // (durability_error_ set) — the embedder decides whether to abort.
     durability_ = durability::OpenWithRecovery(
-        durability_options, *registry_, *live_, obs_, &recovery_report_,
+        durability_options, *registry_, *live_, &obs_, &recovery_report_,
         &durability_error_);
   }
 
@@ -72,7 +69,7 @@ DecompositionService::DecompositionService(GraphRegistry& registry,
 DecompositionService::~DecompositionService() { Shutdown(/*drain=*/true); }
 
 void DecompositionService::RegisterInstruments() {
-  obs::MetricsRegistry& m = obs_->metrics;
+  obs::MetricsRegistry& m = obs_.metrics;
   constexpr Status kStatuses[] = {Status::kOk, Status::kNotFound,
                                   Status::kBadRequest, Status::kCancelled,
                                   Status::kShutdown};
@@ -317,7 +314,7 @@ DecompositionService::PopBatchLocked() {
   const uint64_t epoch = batch.front()->handle.epoch();
   for (auto it = queue_.begin();
        it != queue_.end() && queue_.size() > waiting_workers_ &&
-       batch.size() < options_.max_batch;) {
+       batch.size() < kMaxBatch;) {
     if ((*it)->handle.epoch() == epoch) {
       batch.push_back(std::move(*it));
       it = queue_.erase(it);

@@ -39,11 +39,6 @@ struct ServiceOptions {
   /// ResultCache byte budget; 0 disables caching.
   size_t cache_bytes = size_t{64} << 20;
 
-  /// Max requests one worker executes back-to-back per queue pop. Batching
-  /// groups queued requests targeting the same graph epoch so they run on
-  /// scratch that is already warm for exactly that graph shape.
-  size_t max_batch = 8;
-
   /// Live-update seal policy (see LiveOptions): buffered edge updates per
   /// graph before a seal is forced, …
   size_t live_max_pending_edges = 4096;
@@ -62,20 +57,12 @@ struct ServiceOptions {
   /// per accepted batch, "batch" amortizes, "off" trusts the page cache.
   durability::FsyncPolicy durability_fsync = durability::FsyncPolicy::kAlways;
 
-  /// Journal segment rotation threshold and kBatch fsync coalescing window.
+  /// Journal segment rotation threshold.
   uint64_t journal_segment_bytes = 64ull << 20;
-  uint64_t journal_batch_bytes = 256ull << 10;
 
   /// Write a snapshot (and truncate covered journal segments) after every
   /// live seal.
   bool snapshot_on_seal = true;
-
-  /// Metrics registry + trace flight recorder the service reports through.
-  /// When null the service owns a private bundle, so instruments always
-  /// exist; embedders (the HTTP front-end, the CLI) pass one shared bundle
-  /// so request metrics, engine spans and transport metrics land in the
-  /// same /metrics exposition. Must outlive the service when set.
-  obs::Observability* observability = nullptr;
 };
 
 /// The decomposition serving layer: turns the one-shot drivers into a
@@ -195,10 +182,10 @@ class DecompositionService {
   /// thread at any time — /statz and /metrics scrape it live.
   uint64_t WorkspaceGrowths() const;
 
-  /// The bundle this service reports through: the one passed in
-  /// ServiceOptions, else the service-owned fallback. Front-ends render
-  /// /metrics and /v1/traces from it.
-  obs::Observability& observability() const { return *obs_; }
+  /// The metrics registry + trace flight recorder this service owns and
+  /// reports through. Its HTTP front-end and the CLI report through it too,
+  /// and render /metrics and /v1/traces from it.
+  obs::Observability& observability() { return obs_; }
 
   /// Latency histograms for quantile summaries (/statz, CLI drain): end to
   /// end from admission to response, dequeue-to-start queue wait, and
@@ -315,7 +302,7 @@ class DecompositionService {
                                           std::shared_ptr<Task>* out_task =
                                               nullptr);
   void WorkerMain(Worker& worker);
-  /// Pops the front task plus up to max_batch-1 queued tasks on the same
+  /// Pops the front task plus up to kMaxBatch-1 queued tasks on the same
   /// graph epoch. Caller holds the mutex and guarantees a non-empty queue.
   std::vector<std::shared_ptr<Task>> PopBatchLocked();
   void ExecuteTask(const std::shared_ptr<Task>& task,
@@ -325,18 +312,16 @@ class DecompositionService {
 
   GraphRegistry* registry_;
   const ServiceOptions options_;
+  /// Declared before everything that reports through it.
+  obs::Observability obs_;
   ResultCache cache_;
-  /// Constructed in the ctor body once obs_ is resolved; never null after.
+  /// Constructed in the ctor body; never null after.
   std::unique_ptr<LiveGraphManager> live_;
   /// Non-null iff options.data_dir was set and recovery succeeded.
   std::unique_ptr<durability::DurabilityManager> durability_;
   durability::RecoveryReport recovery_report_;
   std::string durability_error_;
 
-  /// Owned fallback bundle (allocated iff options.observability == null);
-  /// obs_ always points at the live bundle.
-  std::unique_ptr<obs::Observability> owned_obs_;
-  obs::Observability* obs_ = nullptr;
   /// Cached instrument handles (stable pointers into the registry).
   obs::Counter* requests_by_outcome_[5] = {};
   obs::Counter* cache_hits_total_ = nullptr;

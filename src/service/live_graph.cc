@@ -81,7 +81,7 @@ Status LiveGraphManager::TrackLocked(LiveGraphState& state,
     if (error != nullptr) *error = "partitions must be positive";
     return Status::kBadRequest;
   }
-  threads = threads > 0 ? threads : std::max(1, options_.seal_threads);
+  threads = std::max(1, threads);
   std::shared_ptr<Payload> payload =
       Decompose(state, config, state.handle.graph(), threads);
   {
@@ -365,7 +365,7 @@ std::vector<JournalRecord> LiveGraphManager::StateRecords(
 void LiveGraphManager::SealLocked(LiveGraphState& state, uint64_t new_epoch,
                                   int threads, ApplyResult* result) {
   const WallTimer timer;
-  threads = threads > 0 ? threads : std::max(1, options_.seal_threads);
+  threads = std::max(1, threads);
   const GraphHandle old_handle = state.handle;  // keeps the old graph alive
   const BipartiteGraph& old_graph = old_handle.graph();
 

@@ -25,7 +25,7 @@ namespace receipt::service {
 /// within a batch the last operation on a (u, v) pair wins.
 using EdgeUpdate = durability::EdgeOp;
 
-/// Seal policy and engine knobs for the live-update path.
+/// Seal policy for the live-update path.
 struct LiveOptions {
   /// Seal (fold the pending batch into a new epoch) once this many updates
   /// are buffered.
@@ -35,9 +35,6 @@ struct LiveOptions {
   /// the next ApplyEdges call — the manager has no timer thread. 0
   /// disables age-based sealing.
   uint64_t max_staleness_ms = 0;
-
-  /// OpenMP threads for seal-time engine runs when the caller passes none.
-  int seal_threads = 1;
 };
 
 /// A decomposition configuration kept up to date across seals. kTipU/kTipV
@@ -122,7 +119,7 @@ class LiveGraphManager {
   ///   kEdgeBatch   buffers record.updates at record.epoch
   ///   kSeal        folds the buffer into record.new_epoch, running every
   ///                tracked configuration on `threads` engine threads
-  ///                (0 = seal_threads)
+  ///                (0 = one thread)
   ///
   /// A batch or seal whose epoch is not the graph's current one, or that
   /// names an unregistered graph, fails with chain_mismatch set.

@@ -779,5 +779,62 @@ TEST_F(ClusterFixture, RouteEndpointAgreesAcrossAllMembers) {
   EXPECT_EQ(expected, HashRing(ids_).Owner("g"));
 }
 
+TEST_F(ClusterFixture, RouterRouteLookupMatchesTheWholeGraphKey) {
+  StartCluster();
+  std::vector<ClusterMember> members;
+  for (const std::string& id : ids_) {
+    members.push_back(ClusterMember{id, "127.0.0.1", replicas_[id]->port()});
+  }
+  RouterOptions options;
+  options.replication_factor = kReplication;
+  options.health_interval_ms = 0;
+  Router router(members, options);
+  std::string error;
+  ASSERT_TRUE(router.Start(&error)) << error;
+
+  // "subgraph=x" must not be read as graph "x".
+  const auto response =
+      Get(router.port(), "/v1/cluster/route?subgraph=x&graph=g1");
+  ASSERT_EQ(response.status, 200) << response.body;
+  const auto json = util::JsonValue::Parse(response.body);
+  ASSERT_TRUE(json.has_value());
+  std::string graph;
+  std::string owner;
+  ASSERT_TRUE(json->GetString("graph", &graph));
+  ASSERT_TRUE(json->GetString("owner", &owner));
+  EXPECT_EQ(graph, "g1");
+  EXPECT_EQ(owner, HashRing(ids_).Owner("g1"));
+
+  EXPECT_EQ(Get(router.port(), "/v1/cluster/route?subgraph=x").status, 400);
+  router.Stop();
+}
+
+TEST_F(ClusterFixture, NodeUnavailableAnswersCarryRetryAfter) {
+  StartCluster();
+  const std::string owner = HashRing(ids_).Owner("g");
+  std::string other;
+  for (const std::string& id : ids_) {
+    if (id != owner) other = id;
+  }
+  ClusterNode& node = *replicas_[other]->node;
+
+  // The owner's port closed: the forward cannot connect.
+  replicas_[owner]->Stop();
+  auto response =
+      Post(replicas_[other]->port(), "/v1/decompose", kDecomposeBody);
+  EXPECT_EQ(response.status, 503) << response.body;
+  EXPECT_NE(response.body.find("is unreachable"), std::string::npos)
+      << response.body;
+  EXPECT_EQ(response.headers["retry-after"], "1");
+
+  // No endpoint known for the owner at all.
+  node.SetMemberEndpoint(owner, "127.0.0.1", 0);
+  response = Post(replicas_[other]->port(), "/v1/decompose", kDecomposeBody);
+  EXPECT_EQ(response.status, 503) << response.body;
+  EXPECT_NE(response.body.find("no endpoint known"), std::string::npos)
+      << response.body;
+  EXPECT_EQ(response.headers["retry-after"], "1");
+}
+
 }  // namespace
 }  // namespace receipt::cluster

@@ -587,11 +587,10 @@ TEST(Snapshot, FailedRenameLeavesPreviousSnapshot) {
 /// them, but owned directly so tests can tear the stack down (the "crash")
 /// and recover into a fresh one.
 struct DurableStack {
-  explicit DurableStack(const std::string& data_dir,
-                        const LiveOptions& live_options = {}) {
+  explicit DurableStack(const std::string& data_dir) {
     cache = std::make_unique<service::ResultCache>(size_t{64} << 20);
     obs = std::make_unique<obs::Observability>();
-    live = std::make_unique<LiveGraphManager>(registry, *cache, live_options,
+    live = std::make_unique<LiveGraphManager>(registry, *cache, LiveOptions{},
                                               *obs);
     DurabilityOptions options;
     options.data_dir = data_dir;
@@ -899,6 +898,55 @@ TEST(Recovery, AdminSnapshotCoversPendingAndTruncatesReplay) {
   EXPECT_EQ(recovered.live->PendingEdges("g"), 2u);
 }
 
+// receipt_journal_bytes_total counts the frames the journal wrote, once:
+// the metric, JournalStats and the segment files all agree.
+TEST(Recovery, JournalBytesMetricMatchesTheFramesOnDisk) {
+  TempDir dir;
+  DurableStack stack(dir.path());
+  ASSERT_NE(stack.durability, nullptr) << stack.error;
+
+  JournalRecord reg;
+  reg.type = JournalRecord::Type::kRegister;
+  reg.graph = "g";
+  reg.epoch = stack.registry.AllocateEpoch();
+  const BipartiteGraph graph = ChungLuBipartite(40, 30, 150, 0.5, 0.5, 9);
+  reg.num_u = graph.num_u();
+  reg.num_v = graph.num_v();
+  reg.edges = graph.ToEdges();
+  ASSERT_EQ(stack.live->Apply(reg).status, service::Status::kOk);
+  uint64_t frame_bytes = EncodeFrame(reg).size();
+
+  for (uint32_t i = 0; i < 4; ++i) {
+    const std::vector<EdgeUpdate> batch = {{true, i, i + 1}, {false, 0, i}};
+    const bool seal = i == 3;
+    const service::ApplyResult result =
+        stack.live->ApplyEdges("g", batch, seal);
+    ASSERT_EQ(result.status, service::Status::kOk) << result.error;
+    ASSERT_EQ(result.records.size(), seal ? 2u : 1u);
+    for (const JournalRecord& record : result.records) {
+      frame_bytes += EncodeFrame(record).size();
+    }
+  }
+  ASSERT_EQ(stack.durability->stats().journal.appends, 6u);
+
+  const uint64_t metric =
+      stack.obs->metrics
+          .GetCounter("receipt_journal_bytes_total", "Journal bytes written")
+          ->Value();
+  EXPECT_EQ(metric, frame_bytes);
+  EXPECT_EQ(stack.durability->stats().journal.bytes_written, frame_bytes);
+
+  // On disk: each segment is a 20-byte header (magic, version, sequence)
+  // followed by the frames.
+  const std::string journal_dir =
+      DurabilityManager::JournalDirFor(dir.path());
+  uint64_t disk_bytes = 0;
+  for (const std::string& name : io::ListDir(journal_dir, nullptr)) {
+    disk_bytes += std::filesystem::file_size(journal_dir + "/" + name) - 20;
+  }
+  EXPECT_EQ(disk_bytes, frame_bytes);
+}
+
 // ---------------------------------------------------------------------------
 // The property: randomized crashes under churn never lose an acked batch
 // ---------------------------------------------------------------------------
@@ -966,10 +1014,7 @@ TEST(CrashProperty, AckedBatchesSurviveAnyInjectedCrash) {
     size_t acked = 0;
     size_t attempted = 0;
     {
-      LiveOptions live_options;
-      live_options.seal_threads = 2;
-      // Small journal segments so rotation sites are actually reachable.
-      DurableStack stack(dir.path(), live_options);
+      DurableStack stack(dir.path());
       ASSERT_NE(stack.durability, nullptr) << stack.error;
       stack.Register("g", initial);
       ASSERT_EQ(stack.live->Track("g", LiveConfig{RequestKind::kTipU, 8}, 2,

@@ -21,6 +21,7 @@
 #include "graph/generators.h"
 #include "graph/graph_io.h"
 #include "server/decomposition_http.h"
+#include "server/http_helpers.h"
 #include "server/http_server.h"
 #include "service/decomposition_service.h"
 #include "service/graph_registry.h"
@@ -656,7 +657,7 @@ TEST(HttpServerTest, IdleKeepAliveConnectionTimesOutSilently) {
 
 TEST(HttpServerTest, KeepAliveDisabledRestoresSingleRequestConnections) {
   HttpServerOptions http_options;
-  http_options.keep_alive = false;
+  http_options.max_requests_per_connection = 1;
   TestServer ts({}, 4, http_options);
 
   const int fd = ConnectLoopback(ts.port());
@@ -721,6 +722,62 @@ TEST(JsonTest, ParserRejectsMalformedDocuments) {
   // Depth bomb: fails cleanly instead of blowing the stack.
   EXPECT_FALSE(
       util::JsonValue::Parse(std::string(10000, '[')).has_value());
+}
+
+// The request helpers the frontend, the cluster node and the router share.
+TEST(HttpHelpersTest, GraphNameFromEdgesPathAcceptsOnlyOneSegmentNames) {
+  EXPECT_EQ(GraphNameFromEdgesPath("/v1/graphs/g1/edges"), "g1");
+  EXPECT_EQ(GraphNameFromEdgesPath("/v1/graphs//edges"), "");
+  EXPECT_EQ(GraphNameFromEdgesPath("/v1/graphs/a/b/edges"), "");
+  EXPECT_EQ(GraphNameFromEdgesPath("/v1/graphs/edges"), "");
+  EXPECT_EQ(GraphNameFromEdgesPath("/v1/graphs"), "");
+  EXPECT_EQ(GraphNameFromEdgesPath("/v1/graphs/g1/edgesx"), "");
+}
+
+TEST(HttpHelpersTest, QueryParamMatchesWholeKeysOnly) {
+  EXPECT_EQ(QueryParam("subgraph=x&graph=g1", "graph"), "g1");
+  EXPECT_EQ(QueryParam("graph=g1&subgraph=x", "graph"), "g1");
+  EXPECT_EQ(QueryParam("subgraph=x", "graph"), "");
+  EXPECT_EQ(QueryParam("graph=&threads=2", "graph"), "");
+  EXPECT_EQ(QueryParam("graph=&threads=2", "threads"), "2");
+  EXPECT_EQ(QueryParam("threads=2", "pending"), "");
+  EXPECT_EQ(QueryParam("", "graph"), "");
+  EXPECT_EQ(QueryParam("graph&pending=3", "graph"), "");
+  EXPECT_EQ(QueryParam("graph&pending=3", "pending"), "3");
+}
+
+TEST(HttpHelpersTest, JsonErrorAddsRetryAfterOnlyOn429And503) {
+  for (const int status : {400, 404, 409, 412, 429, 499, 500, 503}) {
+    const HttpResponse response = JsonError(status, "boom");
+    EXPECT_EQ(response.status, status);
+    EXPECT_EQ(response.body, R"({"status":"error","error":"boom"})");
+    EXPECT_EQ(response.content_type, "application/json");
+    const bool retry = status == 429 || status == 503;
+    if (retry) {
+      ASSERT_EQ(response.extra_headers.size(), 1u) << status;
+      EXPECT_EQ(response.extra_headers[0].first, "Retry-After");
+      EXPECT_EQ(response.extra_headers[0].second, "1");
+    } else {
+      EXPECT_TRUE(response.extra_headers.empty()) << status;
+    }
+  }
+}
+
+TEST(HttpHelpersTest, HttpStatusForCoversEveryServiceStatus) {
+  EXPECT_EQ(HttpStatusFor(service::Status::kOk), 200);
+  EXPECT_EQ(HttpStatusFor(service::Status::kNotFound), 404);
+  EXPECT_EQ(HttpStatusFor(service::Status::kBadRequest), 400);
+  EXPECT_EQ(HttpStatusFor(service::Status::kCancelled), 499);
+  EXPECT_EQ(HttpStatusFor(service::Status::kShutdown), 503);
+}
+
+TEST(HttpHelpersTest, GraphNameFromBodyReadsOneStringField) {
+  EXPECT_EQ(GraphNameFromBody(R"({"graph":"g1","kind":"tip-U"})", "graph"),
+            "g1");
+  EXPECT_EQ(GraphNameFromBody(R"({"name":"g2"})", "graph"), "");
+  EXPECT_EQ(GraphNameFromBody(R"({"graph":7})", "graph"), "");
+  EXPECT_EQ(GraphNameFromBody(R"(["graph"])", "graph"), "");
+  EXPECT_EQ(GraphNameFromBody("{not json", "graph"), "");
 }
 
 }  // namespace
