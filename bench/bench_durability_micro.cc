@@ -67,7 +67,8 @@ bool RunAppends(const std::string& dir, FsyncPolicy policy, AppendRun* run) {
   options.dir = dir;
   options.fsync = policy;
   std::string error;
-  std::unique_ptr<Journal> journal = Journal::Open(options, &error);
+  obs::MetricsRegistry metrics;
+  std::unique_ptr<Journal> journal = Journal::Open(options, metrics, &error);
   if (journal == nullptr) {
     std::fprintf(stderr, "journal open: %s\n", error.c_str());
     return false;

@@ -261,22 +261,61 @@ HttpResponse Router::HandleWrite(const HttpRequest& request) {
 }
 
 HttpResponse Router::HandleListGraphs(const HttpRequest& request) {
+  // A member lists only the graphs it holds, so ask every member and merge
+  // by name; a replica that lags the owner loses to the higher epoch.
+  struct GraphInfo {
+    uint64_t epoch = 0;
+    uint64_t num_u = 0;
+    uint64_t num_v = 0;
+    uint64_t num_edges = 0;
+  };
   const std::string request_id = RequestId(request);
-  for (const bool healthy_only : {true, false}) {
-    for (const auto& [id, member] : members_) {
-      if (member->endpoint.port == 0) continue;
-      if (healthy_only !=
-          member->healthy.load(std::memory_order_relaxed)) {
-        continue;
-      }
-      HttpClientResponse upstream;
-      if (Forward(*member, request, {{"X-Request-Id", request_id}},
-                  &upstream)) {
-        return RelayUpstream(&upstream, request_id);
-      }
+  std::map<std::string, GraphInfo> graphs;
+  bool answered = false;
+  for (const auto& [id, member] : members_) {
+    if (member->endpoint.port == 0) continue;
+    HttpClientResponse upstream;
+    if (!Forward(*member, request, {{"X-Request-Id", request_id}},
+                 &upstream) ||
+        upstream.status != 200) {
+      continue;
+    }
+    const auto json = util::JsonValue::Parse(upstream.body);
+    const util::JsonValue* list =
+        json.has_value() && json->IsObject() ? json->Find("graphs") : nullptr;
+    if (list == nullptr || !list->IsArray()) continue;
+    answered = true;
+    for (const util::JsonValue& item : list->Items()) {
+      std::string name;
+      if (!item.IsObject() || !item.GetString("name", &name)) continue;
+      const auto field = [&item](const char* key) -> uint64_t {
+        const util::JsonValue* value = item.Find(key);
+        return value != nullptr && value->IsInt() ? value->AsUint() : 0;
+      };
+      const GraphInfo info{field("epoch"), field("num_u"), field("num_v"),
+                           field("num_edges")};
+      const auto [it, inserted] = graphs.emplace(name, info);
+      if (!inserted && info.epoch > it->second.epoch) it->second = info;
     }
   }
-  return JsonError(503, "no replica is reachable");
+  if (!answered) return JsonError(503, "no replica is reachable");
+
+  util::JsonWriter json;
+  json.BeginObject().Key("graphs").BeginArray();
+  for (const auto& [name, info] : graphs) {
+    json.BeginObject()
+        .Key("name").String(name)
+        .Key("epoch").Uint(info.epoch)
+        .Key("num_u").Uint(info.num_u)
+        .Key("num_v").Uint(info.num_v)
+        .Key("num_edges").Uint(info.num_edges)
+        .EndObject();
+  }
+  json.EndArray().EndObject();
+  HttpResponse response;
+  response.body = json.Take();
+  response.extra_headers.emplace_back("X-Request-Id", request_id);
+  return response;
 }
 
 HttpResponse Router::HandleHealthz(const HttpRequest&) {

@@ -41,6 +41,8 @@ struct RouterOptions {
 ///           going backwards in time (monotonic reads by construction).
 ///   writes  POST /v1/graphs and /v1/graphs/{name}/edges go to the shard
 ///           owner; the owner replicates (see ClusterNode).
+///   list    GET /v1/graphs asks every member and merges the lists by
+///           name, keeping each graph's highest-epoch entry.
 ///   health  a prober thread GETs /healthz on every replica; transport
 ///           failures also mark a replica down passively. Requests fail
 ///           over on down/412/429/5xx responses and the first healthy

@@ -161,7 +161,25 @@ FrameStatus DecodeFrame(std::string_view bytes, JournalRecord* record,
   return FrameStatus::kOk;
 }
 
+Journal::Journal(const JournalOptions& options,
+                 obs::MetricsRegistry& metrics)
+    : options_(options),
+      appends_(metrics.GetCounter("receipt_journal_appends_total",
+                                  "Journal records appended")),
+      append_failures_(metrics.GetCounter(
+          "receipt_journal_append_failures_total", "Journal append failures")),
+      bytes_written_(metrics.GetCounter("receipt_journal_bytes_total",
+                                        "Journal bytes written")),
+      fsyncs_(metrics.GetCounter("receipt_journal_fsyncs_total",
+                                 "Journal segment fsyncs")),
+      rotations_(metrics.GetCounter("receipt_journal_rotations_total",
+                                    "Journal segment rotations")),
+      segments_dropped_(
+          metrics.GetCounter("receipt_journal_segments_dropped_total",
+                             "Journal segments deleted under a snapshot")) {}
+
 std::unique_ptr<Journal> Journal::Open(const JournalOptions& options,
+                                       obs::MetricsRegistry& metrics,
                                        std::string* error) {
   if (!util::io::EnsureDir(options.dir, error)) return nullptr;
   uint64_t max_seq = 0;
@@ -169,10 +187,9 @@ std::unique_ptr<Journal> Journal::Open(const JournalOptions& options,
     uint64_t seq = 0;
     if (ParseSegmentName(name, &seq)) max_seq = std::max(max_seq, seq);
   }
-  std::unique_ptr<Journal> journal(new Journal(options));
+  std::unique_ptr<Journal> journal(new Journal(options, metrics));
   journal->segment_seq_ = max_seq;  // RotateLocked bumps to max_seq + 1
   if (!journal->RotateLocked(error)) return nullptr;
-  journal->stats_.rotations = 0;  // the opening segment is not a rotation
   return journal;
 }
 
@@ -200,25 +217,22 @@ bool Journal::RotateLocked(std::string* error) {
   segment_ = std::move(file);
   segment_size_ = kSegmentHeaderBytes;
   unsynced_bytes_ = 0;
-  stats_.rotations += 1;
-  stats_.current_segment = segment_seq_;
   return true;
 }
 
 bool Journal::SyncLocked(std::string* error) {
   if (!segment_.Sync(error)) return false;
   unsynced_bytes_ = 0;
-  stats_.fsyncs += 1;
+  fsyncs_->Increment();
   return true;
 }
 
-bool Journal::Append(const JournalRecord& record, std::string* error,
-                     uint64_t* bytes) {
+bool Journal::Append(const JournalRecord& record, std::string* error) {
   std::string frame = EncodeFrame(record);
   std::lock_guard<std::mutex> lock(mu_);
   if (broken_) {
     if (error != nullptr) *error = "journal is broken (fail-stop)";
-    stats_.append_failures += 1;
+    append_failures_->Increment();
     return false;
   }
   if (segment_size_ >= options_.segment_bytes) {
@@ -226,10 +240,12 @@ bool Journal::Append(const JournalRecord& record, std::string* error,
       // segment_seq_ may already be bumped with no file installed; the
       // writer's position is no longer trustworthy. Fail-stop.
       broken_ = true;
-      stats_.broken = true;
-      stats_.append_failures += 1;
+      append_failures_->Increment();
       return false;
     }
+    // Counted here, not in RotateLocked: the segment Open starts is not a
+    // rotation.
+    rotations_->Increment();
   }
   uint64_t pre_offset = segment_size_;
   util::io::CrashPoint("journal.append.pre-write");
@@ -240,9 +256,8 @@ bool Journal::Append(const JournalRecord& record, std::string* error,
     std::string trunc_error;
     if (!segment_.Truncate(pre_offset, &trunc_error)) {
       broken_ = true;
-      stats_.broken = true;
     }
-    stats_.append_failures += 1;
+    append_failures_->Increment();
     return false;
   }
   segment_size_ += frame.size();
@@ -262,14 +277,12 @@ bool Journal::Append(const JournalRecord& record, std::string* error,
                             : 0;
     } else {
       broken_ = true;
-      stats_.broken = true;
     }
-    stats_.append_failures += 1;
+    append_failures_->Increment();
     return false;
   }
-  stats_.appends += 1;
-  stats_.bytes_written += frame.size();
-  if (bytes != nullptr) *bytes = frame.size();
+  appends_->Increment();
+  bytes_written_->Increment(frame.size());
   return true;
 }
 
@@ -297,7 +310,7 @@ void Journal::DropSegmentsBelow(uint64_t min_seq) {
     if (!ParseSegmentName(name, &seq)) continue;
     if (seq >= min_seq || seq == segment_seq_) continue;
     if (util::io::RemoveFile(options_.dir + "/" + name, nullptr)) {
-      stats_.segments_dropped += 1;
+      segments_dropped_->Increment();
       dropped = true;
     }
   }
@@ -305,8 +318,17 @@ void Journal::DropSegmentsBelow(uint64_t min_seq) {
 }
 
 JournalStats Journal::stats() {
+  JournalStats stats;
+  stats.appends = appends_->Value();
+  stats.append_failures = append_failures_->Value();
+  stats.bytes_written = bytes_written_->Value();
+  stats.fsyncs = fsyncs_->Value();
+  stats.rotations = rotations_->Value();
+  stats.segments_dropped = segments_dropped_->Value();
   std::lock_guard<std::mutex> lock(mu_);
-  return stats_;
+  stats.current_segment = segment_seq_;
+  stats.broken = broken_;
+  return stats;
 }
 
 bool ScanJournal(

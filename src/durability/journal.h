@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "graph/bipartite_graph.h"
+#include "obs/metrics.h"
 #include "util/io.h"
 
 namespace receipt::durability {
@@ -66,6 +67,8 @@ struct JournalOptions {
   uint64_t segment_bytes = 64ull << 20;
 };
 
+/// The counters are reads of the journal's receipt_journal_* instruments;
+/// current_segment and broken are read from the journal's own state.
 struct JournalStats {
   uint64_t appends = 0;
   uint64_t append_failures = 0;
@@ -87,16 +90,17 @@ class Journal {
   /// Opens for writing, always starting a fresh segment numbered above any
   /// existing one (recovery reads the old ones; the writer never appends
   /// to a tail whose validity it has not examined).
+  /// Counts appends, bytes, fsyncs, rotations and dropped segments in
+  /// `metrics`.
   static std::unique_ptr<Journal> Open(const JournalOptions& options,
+                                       obs::MetricsRegistry& metrics,
                                        std::string* error);
   ~Journal();
 
   /// Encodes, frames, and writes `record`; fsyncs per policy. Returns true
   /// only once the record is durable to the policy's standard — the
-  /// caller's acknowledgment gate. `bytes` (optional) receives the size of
-  /// the frame written.
-  bool Append(const JournalRecord& record, std::string* error,
-              uint64_t* bytes = nullptr);
+  /// caller's acknowledgment gate.
+  bool Append(const JournalRecord& record, std::string* error);
 
   /// Forces an fsync regardless of policy (no-op if nothing is unsynced).
   bool Sync(std::string* error);
@@ -115,18 +119,24 @@ class Journal {
   const std::string& dir() const { return options_.dir; }
 
  private:
-  explicit Journal(const JournalOptions& options) : options_(options) {}
+  Journal(const JournalOptions& options, obs::MetricsRegistry& metrics);
   bool RotateLocked(std::string* error);
   bool SyncLocked(std::string* error);
 
   JournalOptions options_;
+  obs::Counter* const appends_;
+  obs::Counter* const append_failures_;
+  obs::Counter* const bytes_written_;
+  obs::Counter* const fsyncs_;
+  obs::Counter* const rotations_;
+  obs::Counter* const segments_dropped_;
+
   std::mutex mu_;
   util::io::File segment_;
   uint64_t segment_seq_ = 0;
   uint64_t segment_size_ = 0;
   uint64_t unsynced_bytes_ = 0;
   bool broken_ = false;
-  JournalStats stats_;
 };
 
 /// Everything ScanJournal learned besides the records themselves.

@@ -8,7 +8,7 @@
 
 #include "durability/journal.h"
 #include "durability/snapshot.h"
-#include "obs/observability.h"
+#include "obs/metrics.h"
 
 namespace receipt::durability {
 
@@ -23,6 +23,8 @@ struct DurabilityOptions {
   bool snapshot_on_seal = true;
 };
 
+/// Snapshot counts are reads of receipt_snapshot_*_total; the policy
+/// fields are the manager's options.
 struct DurabilityStats {
   JournalStats journal;
   uint64_t snapshots_written = 0;
@@ -37,10 +39,10 @@ struct DurabilityStats {
 /// layer — `recovery.{h,cc}` is the one file that bridges the two.
 class DurabilityManager {
  public:
-  /// Creates directories, opens a fresh journal segment. `obs` may be
-  /// null (instruments are skipped).
+  /// Creates directories, opens a fresh journal segment. The journal and
+  /// the snapshot writer count their events in `metrics`.
   static std::unique_ptr<DurabilityManager> Open(
-      const DurabilityOptions& options, obs::Observability* obs,
+      const DurabilityOptions& options, obs::MetricsRegistry& metrics,
       std::string* error);
 
   /// Recovery seeding: graph -> lowest journal segment still holding
@@ -60,10 +62,7 @@ class DurabilityManager {
 
   bool snapshot_on_seal() const { return options_.snapshot_on_seal; }
   const std::string& data_dir() const { return options_.data_dir; }
-  std::string journal_dir() const { return options_.data_dir + "/journal"; }
-  std::string snapshot_dir() const {
-    return options_.data_dir + "/snapshots";
-  }
+  std::string snapshot_dir() const { return SnapshotDirFor(options_.data_dir); }
 
   DurabilityStats stats();
 
@@ -75,26 +74,21 @@ class DurabilityManager {
   }
 
  private:
-  explicit DurabilityManager(const DurabilityOptions& options)
-      : options_(options) {}
-  bool AppendInstrumented(const JournalRecord& record, std::string* error);
+  DurabilityManager(const DurabilityOptions& options,
+                    std::unique_ptr<Journal> journal,
+                    obs::MetricsRegistry& metrics);
 
   DurabilityOptions options_;
   std::unique_ptr<Journal> journal_;
-  obs::Counter* journal_appends_ = nullptr;
-  obs::Counter* journal_bytes_ = nullptr;
-  obs::Counter* journal_failures_ = nullptr;
-  obs::Counter* snapshot_writes_ = nullptr;
-  obs::Counter* snapshot_failures_counter_ = nullptr;
-  obs::Histogram* append_latency_ = nullptr;
-  obs::Histogram* snapshot_latency_ = nullptr;
+  obs::Counter* const snapshots_written_;
+  obs::Counter* const snapshot_failures_;
+  obs::Histogram* const append_latency_;
+  obs::Histogram* const snapshot_latency_;
 
   std::mutex mu_;
   /// graph -> lowest journal segment whose records the graph still needs
   /// on replay. Min over all graphs = the truncation floor.
   std::map<std::string, uint64_t> needed_segment_;
-  uint64_t snapshots_written_ = 0;
-  uint64_t snapshot_failures_ = 0;
 };
 
 }  // namespace receipt::durability

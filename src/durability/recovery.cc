@@ -19,7 +19,7 @@ bool EndsWith(const std::string& s, const std::string& suffix) {
 
 std::unique_ptr<DurabilityManager> OpenWithRecovery(
     const DurabilityOptions& options, service::GraphRegistry& registry,
-    service::LiveGraphManager& live, obs::Observability* obs,
+    service::LiveGraphManager& live, obs::MetricsRegistry& metrics,
     RecoveryReport* report, std::string* error) {
   WallTimer timer;
   *report = RecoveryReport{};
@@ -116,7 +116,7 @@ std::unique_ptr<DurabilityManager> OpenWithRecovery(
 
   // -- 3. open the journal for the new life of the process ----------------
   std::unique_ptr<DurabilityManager> manager =
-      DurabilityManager::Open(options, obs, error);
+      DurabilityManager::Open(options, metrics, error);
   if (manager == nullptr) return nullptr;
   manager->SeedCoverage(needed_segment);
   live.SetDurability(manager.get());

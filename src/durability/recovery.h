@@ -5,7 +5,7 @@
 #include <string>
 
 #include "durability/manager.h"
-#include "obs/observability.h"
+#include "obs/metrics.h"
 #include "service/graph_registry.h"
 #include "service/live_graph.h"
 
@@ -47,7 +47,7 @@ struct RecoveryReport {
 /// start, not an error.
 std::unique_ptr<DurabilityManager> OpenWithRecovery(
     const DurabilityOptions& options, service::GraphRegistry& registry,
-    service::LiveGraphManager& live, obs::Observability* obs,
+    service::LiveGraphManager& live, obs::MetricsRegistry& metrics,
     RecoveryReport* report, std::string* error);
 
 }  // namespace receipt::durability

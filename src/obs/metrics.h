@@ -35,6 +35,11 @@ class Gauge {
   void Set(uint64_t value) {
     value_.store(value, std::memory_order_relaxed);
   }
+  /// Moves the level by `delta` (either sign): for a level that several
+  /// owners adjust concurrently, such as edges buffered across graphs.
+  void Add(int64_t delta) {
+    value_.fetch_add(static_cast<uint64_t>(delta), std::memory_order_relaxed);
+  }
   uint64_t Value() const { return value_.load(std::memory_order_relaxed); }
 
  private:

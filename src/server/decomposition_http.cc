@@ -95,9 +95,33 @@ DecompositionHttpFrontend::DecompositionHttpFrontend(
       service_(&service),
       server_(&server),
       obs_(&service.observability()) {
-  http_request_seconds_ = obs_->metrics.GetHistogram(
+  obs::MetricsRegistry& m = obs_->metrics;
+  http_request_seconds_ = m.GetHistogram(
       "receipt_http_request_seconds",
       "Wall time of /v1/decompose handling, socket parse to response body");
+  constexpr const char* kRoutePaths[kNumRoutes] = {
+      "/v1/decompose",      "/v1/graphs", "/v1/graphs/{name}/edges",
+      "/v1/admin/snapshot", "/healthz",   "/statz",
+      "/metrics",           "/v1/traces", "/v1/traces/{id}"};
+  for (size_t route = 0; route < kNumRoutes; ++route) {
+    requests_[route] =
+        m.GetCounter("receipt_http_requests_total",
+                     "HTTP requests dispatched to a handler, by path",
+                     {{"path", kRoutePaths[route]}});
+  }
+  rejected_busy_ = m.GetCounter(
+      "receipt_http_rejected_busy_total",
+      "Decompose requests refused with 429 because the queue was full");
+  disconnect_cancels_ = m.GetCounter(
+      "receipt_http_disconnect_cancels_total",
+      "Decompose tickets abandoned because the client disconnected");
+  graphs_registered_ = m.GetCounter("receipt_http_graphs_registered_total",
+                                    "Graphs registered over POST /v1/graphs");
+  edge_batches_ = m.GetCounter("receipt_http_edge_batches_total",
+                               "Edge batches accepted over HTTP");
+  snapshots_taken_ = m.GetCounter(
+      "receipt_http_snapshots_taken_total",
+      "Graph snapshots written by POST /v1/admin/snapshot");
   if (!register_routes) return;
   server.Handle("POST", "/v1/decompose",
                 [this](const HttpRequest& r) { return HandleDecompose(r); });
@@ -125,19 +149,10 @@ DecompositionHttpFrontend::DecompositionHttpFrontend(
   });
 }
 
-void DecompositionHttpFrontend::CountHttpRequest(const std::string& path) {
-  obs_->metrics
-      .GetCounter("receipt_http_requests_total",
-                  "HTTP requests dispatched to a handler, by path",
-                  {{"path", path}})
-      ->Increment();
-}
-
 HttpResponse DecompositionHttpFrontend::HandleDecompose(
     const HttpRequest& http_request) {
   const uint64_t handler_start_ns = obs::TraceRecorder::NowNs();
-  decompose_requests_.fetch_add(1, std::memory_order_relaxed);
-  CountHttpRequest("/v1/decompose");
+  CountHttpRequest(kDecompose);
 
   // Mint (or accept) the request's trace identity before anything can fail,
   // so even a 400 carries the id the client can look up.
@@ -172,7 +187,7 @@ HttpResponse DecompositionHttpFrontend::HandleDecompose(
 
   auto ticket = service_->TrySubmitTicket(request);
   if (!ticket) {
-    rejected_busy_.fetch_add(1, std::memory_order_relaxed);
+    rejected_busy_->Increment();
     return finish(JsonError(429, "request queue is full"));
   }
 
@@ -186,7 +201,7 @@ HttpResponse DecompositionHttpFrontend::HandleDecompose(
       break;
     }
     if (http_request.ClientDisconnected()) {
-      disconnect_cancels_.fetch_add(1, std::memory_order_relaxed);
+      disconnect_cancels_->Increment();
       service_->Abandon(*ticket);
       // 499 is written into a dead socket — harmless — but keeps the
       // response path uniform and the stats honest.
@@ -207,7 +222,7 @@ HttpResponse DecompositionHttpFrontend::HandleDecompose(
 }
 
 HttpResponse DecompositionHttpFrontend::HandleMetrics(const HttpRequest&) {
-  CountHttpRequest("/metrics");
+  CountHttpRequest(kMetrics);
   HttpResponse response;
   response.content_type = "text/plain; version=0.0.4; charset=utf-8";
   response.body = obs_->metrics.RenderPrometheus();
@@ -216,7 +231,7 @@ HttpResponse DecompositionHttpFrontend::HandleMetrics(const HttpRequest&) {
 
 HttpResponse DecompositionHttpFrontend::HandleTraces(
     const HttpRequest& http_request) {
-  CountHttpRequest("/v1/traces");
+  CountHttpRequest(kTraces);
   size_t limit = 256;
   if (http_request.query.compare(0, 6, "limit=") == 0) {
     const std::string value = http_request.query.substr(6);
@@ -244,7 +259,7 @@ HttpResponse DecompositionHttpFrontend::HandleTraces(
 
 HttpResponse DecompositionHttpFrontend::HandleTraceById(
     const HttpRequest& http_request) {
-  CountHttpRequest("/v1/traces/{id}");
+  CountHttpRequest(kTraceById);
   constexpr std::string_view kPrefix = "/v1/traces/";
   const std::string id_text = http_request.path.substr(kPrefix.size());
   uint64_t trace_id = 0;
@@ -268,7 +283,7 @@ HttpResponse DecompositionHttpFrontend::HandleTraceById(
 }
 
 HttpResponse DecompositionHttpFrontend::HandleListGraphs(const HttpRequest&) {
-  CountHttpRequest("/v1/graphs");
+  CountHttpRequest(kGraphs);
   util::JsonWriter writer;
   writer.BeginObject().Key("graphs").BeginArray();
   for (const std::string& name : registry_->Names()) {
@@ -286,7 +301,7 @@ HttpResponse DecompositionHttpFrontend::HandleListGraphs(const HttpRequest&) {
 
 HttpResponse DecompositionHttpFrontend::HandleRegisterGraph(
     const HttpRequest& http_request) {
-  CountHttpRequest("/v1/graphs");
+  CountHttpRequest(kGraphs);
   std::string error;
   const auto json = util::JsonValue::Parse(http_request.body, &error);
   if (!json) return JsonError(400, "malformed JSON: " + error);
@@ -323,7 +338,7 @@ HttpResponse DecompositionHttpFrontend::HandleRegisterGraph(
   if (status != Status::kOk) {
     return JsonError(HttpStatusFor(status), error);
   }
-  graphs_registered_.fetch_add(1, std::memory_order_relaxed);
+  graphs_registered_->Increment();
 
   const service::GraphHandle handle = registry_->Acquire(name);
   if (!handle) {
@@ -342,7 +357,7 @@ HttpResponse DecompositionHttpFrontend::HandleRegisterGraph(
 
 HttpResponse DecompositionHttpFrontend::HandleGraphEdges(
     const HttpRequest& http_request, service::ApplyResult* applied) {
-  CountHttpRequest("/v1/graphs/{name}/edges");
+  CountHttpRequest(kGraphEdges);
 
   // Path: /v1/graphs/{name}/edges (the registration route is the exact
   // match "/v1/graphs", so everything under the prefix lands here).
@@ -443,7 +458,7 @@ HttpResponse DecompositionHttpFrontend::HandleGraphEdges(
   if (result.status != Status::kOk) {
     return finish(JsonError(HttpStatusFor(result.status), result.error));
   }
-  edge_batches_.fetch_add(1, std::memory_order_relaxed);
+  edge_batches_->Increment();
 
   util::JsonWriter writer;
   writer.BeginObject()
@@ -473,7 +488,7 @@ HttpResponse DecompositionHttpFrontend::HandleGraphEdges(
 
 HttpResponse DecompositionHttpFrontend::HandleAdminSnapshot(
     const HttpRequest& http_request) {
-  CountHttpRequest("/v1/admin/snapshot");
+  CountHttpRequest(kAdminSnapshot);
   if (!service_->durable()) {
     return JsonError(
         400, "durability is not enabled; start the server with --data-dir");
@@ -504,7 +519,7 @@ HttpResponse DecompositionHttpFrontend::HandleAdminSnapshot(
       return JsonError(HttpStatusFor(status),
                        "snapshot of '" + name + "' failed: " + error);
     }
-    snapshots_taken_.fetch_add(1, std::memory_order_relaxed);
+    snapshots_taken_->Increment();
     writer.String(name);
   }
   writer.EndArray().EndObject();
@@ -514,7 +529,7 @@ HttpResponse DecompositionHttpFrontend::HandleAdminSnapshot(
 }
 
 HttpResponse DecompositionHttpFrontend::HandleHealthz(const HttpRequest&) {
-  CountHttpRequest("/healthz");
+  CountHttpRequest(kHealthz);
   util::JsonWriter writer;
   writer.BeginObject()
       .Key("status").String("ok")
@@ -526,11 +541,12 @@ HttpResponse DecompositionHttpFrontend::HandleHealthz(const HttpRequest&) {
 }
 
 HttpResponse DecompositionHttpFrontend::HandleStatz(const HttpRequest&) {
-  CountHttpRequest("/statz");
+  CountHttpRequest(kStatz);
   const service::DecompositionService::Stats service_stats =
       service_->stats();
   const service::ResultCache::Stats cache = service_->cache_stats();
   const HttpServer::Stats http = server_->stats();
+  const Stats frontend = stats();
   const size_t workers = static_cast<size_t>(service_->num_workers());
   const size_t idle = std::min(service_->IdleWorkers(), workers);
   const uint64_t cache_lookups = cache.hits + cache.misses;
@@ -584,18 +600,12 @@ HttpResponse DecompositionHttpFrontend::HandleStatz(const HttpRequest&) {
       .Key("responses_4xx").Uint(http.responses_4xx)
       .Key("responses_5xx").Uint(http.responses_5xx)
       .Key("parse_failures").Uint(http.parse_failures)
-      .Key("decompose_requests")
-      .Uint(decompose_requests_.load(std::memory_order_relaxed))
-      .Key("rejected_busy")
-      .Uint(rejected_busy_.load(std::memory_order_relaxed))
-      .Key("disconnect_cancels")
-      .Uint(disconnect_cancels_.load(std::memory_order_relaxed))
-      .Key("graphs_registered")
-      .Uint(graphs_registered_.load(std::memory_order_relaxed))
-      .Key("edge_batches")
-      .Uint(edge_batches_.load(std::memory_order_relaxed))
-      .Key("snapshots_taken")
-      .Uint(snapshots_taken_.load(std::memory_order_relaxed))
+      .Key("decompose_requests").Uint(frontend.decompose_requests)
+      .Key("rejected_busy").Uint(frontend.rejected_busy)
+      .Key("disconnect_cancels").Uint(frontend.disconnect_cancels)
+      .Key("graphs_registered").Uint(frontend.graphs_registered)
+      .Key("edge_batches").Uint(frontend.edge_batches)
+      .Key("snapshots_taken").Uint(frontend.snapshots_taken)
       .EndObject();
   const service::LiveGraphManager::Stats live = service_->live().stats();
   writer.Key("live")
@@ -605,6 +615,7 @@ HttpResponse DecompositionHttpFrontend::HandleStatz(const HttpRequest&) {
       .Key("pending_edges").Uint(live.pending_edges)
       .Key("seals").Uint(live.seals_total)
       .Key("runs_full").Uint(live.runs_full)
+      .Key("baselines_built").Uint(live.baselines_built)
       .EndObject();
   writer.Key("durability").BeginObject();
   writer.Key("enabled").Bool(service_->durable());
@@ -659,14 +670,12 @@ HttpResponse DecompositionHttpFrontend::HandleStatz(const HttpRequest&) {
 
 DecompositionHttpFrontend::Stats DecompositionHttpFrontend::stats() const {
   Stats stats;
-  stats.decompose_requests =
-      decompose_requests_.load(std::memory_order_relaxed);
-  stats.rejected_busy = rejected_busy_.load(std::memory_order_relaxed);
-  stats.disconnect_cancels =
-      disconnect_cancels_.load(std::memory_order_relaxed);
-  stats.graphs_registered = graphs_registered_.load(std::memory_order_relaxed);
-  stats.edge_batches = edge_batches_.load(std::memory_order_relaxed);
-  stats.snapshots_taken = snapshots_taken_.load(std::memory_order_relaxed);
+  stats.decompose_requests = requests_[kDecompose]->Value();
+  stats.rejected_busy = rejected_busy_->Value();
+  stats.disconnect_cancels = disconnect_cancels_->Value();
+  stats.graphs_registered = graphs_registered_->Value();
+  stats.edge_batches = edge_batches_->Value();
+  stats.snapshots_taken = snapshots_taken_->Value();
   return stats;
 }
 

@@ -1,7 +1,7 @@
 #ifndef RECEIPT_SERVER_DECOMPOSITION_HTTP_H_
 #define RECEIPT_SERVER_DECOMPOSITION_HTTP_H_
 
-#include <atomic>
+#include <array>
 #include <cstdint>
 
 #include "obs/observability.h"
@@ -65,6 +65,9 @@ class DecompositionHttpFrontend {
   HttpResponse HandleTraces(const HttpRequest& request);
   HttpResponse HandleTraceById(const HttpRequest& request);
 
+  /// Reads of the frontend's registry instruments: decompose_requests is
+  /// receipt_http_requests_total{path="/v1/decompose"}, the rest are
+  /// receipt_http_<field>_total.
   struct Stats {
     uint64_t decompose_requests = 0;
     uint64_t rejected_busy = 0;       ///< 429s from queue admission
@@ -76,9 +79,21 @@ class DecompositionHttpFrontend {
   Stats stats() const;
 
  private:
-  /// Bump receipt_http_requests_total{path=...}, lazily registering the
-  /// label child on first sight of the path.
-  void CountHttpRequest(const std::string& path);
+  /// The routes counted in receipt_http_requests_total, one path label
+  /// each (both /v1/graphs methods share one).
+  enum Route : size_t {
+    kDecompose,
+    kGraphs,
+    kGraphEdges,
+    kAdminSnapshot,
+    kHealthz,
+    kStatz,
+    kMetrics,
+    kTraces,
+    kTraceById,
+    kNumRoutes
+  };
+  void CountHttpRequest(Route route) { requests_[route]->Increment(); }
 
   service::GraphRegistry* registry_;
   service::DecompositionService* service_;
@@ -86,12 +101,13 @@ class DecompositionHttpFrontend {
   obs::Observability* obs_;
   obs::Histogram* http_request_seconds_;
 
-  std::atomic<uint64_t> decompose_requests_{0};
-  std::atomic<uint64_t> rejected_busy_{0};
-  std::atomic<uint64_t> disconnect_cancels_{0};
-  std::atomic<uint64_t> graphs_registered_{0};
-  std::atomic<uint64_t> edge_batches_{0};
-  std::atomic<uint64_t> snapshots_taken_{0};
+  /// Resolved once at construction, so every path renders from the start.
+  std::array<obs::Counter*, kNumRoutes> requests_;
+  obs::Counter* rejected_busy_;
+  obs::Counter* disconnect_cancels_;
+  obs::Counter* graphs_registered_;
+  obs::Counter* edge_batches_;
+  obs::Counter* snapshots_taken_;
 };
 
 }  // namespace receipt::server

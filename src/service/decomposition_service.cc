@@ -33,7 +33,7 @@ DecompositionService::DecompositionService(GraphRegistry& registry,
                                            const ServiceOptions& options)
     : registry_(&registry),
       options_(NormalizeOptions(options)),
-      cache_(options.cache_bytes) {
+      cache_(options.cache_bytes, obs_.metrics) {
   RegisterInstruments();
 
   LiveOptions live_options;
@@ -41,7 +41,7 @@ DecompositionService::DecompositionService(GraphRegistry& registry,
       std::max<size_t>(1, options_.live_max_pending_edges);
   live_options.max_staleness_ms = options_.live_max_staleness_ms;
   live_ = std::make_unique<LiveGraphManager>(*registry_, cache_, live_options,
-                                             obs_);
+                                             obs_.metrics);
 
   if (!options_.data_dir.empty()) {
     durability::DurabilityOptions durability_options;
@@ -53,8 +53,8 @@ DecompositionService::DecompositionService(GraphRegistry& registry,
     // race live traffic. Failure leaves the service up but in-memory only
     // (durability_error_ set) — the embedder decides whether to abort.
     durability_ = durability::OpenWithRecovery(
-        durability_options, *registry_, *live_, &obs_, &recovery_report_,
-        &durability_error_);
+        durability_options, *registry_, *live_, obs_.metrics,
+        &recovery_report_, &durability_error_);
   }
 
   const int num_workers = std::max(0, options_.num_workers);
@@ -79,8 +79,16 @@ void DecompositionService::RegisterInstruments() {
                      "Decomposition requests resolved, by outcome.",
                      {{"outcome", StatusName(s)}});
   }
-  cache_hits_total_ = m.GetCounter(
-      "receipt_cache_hits_total", "Responses served from the ResultCache.");
+  submitted_total_ = m.GetCounter("receipt_service_submitted_total",
+                                  "Submit/TrySubmit calls accepted.");
+  completed_total_ = m.GetCounter("receipt_service_completed_total",
+                                  "Queued requests whose future resolved.");
+  batched_follow_ons_total_ = m.GetCounter(
+      "receipt_service_batched_follow_ons_total",
+      "Extra same-graph requests a worker took with one queue pop.");
+  abandoned_total_ = m.GetCounter(
+      "receipt_service_abandoned_total",
+      "Tickets whose submitter walked away (client disconnect).");
   coalesced_total_ = m.GetCounter(
       "receipt_coalesced_total",
       "Submits joined to an identical in-flight request.");
@@ -171,9 +179,9 @@ void DecompositionService::Abandon(Ticket& ticket) {
   const auto task = ticket.task_.lock();
   ticket.task_.reset();  // a second Abandon on this ticket is a no-op
   if (task == nullptr) return;
+  abandoned_total_->Increment();
   std::lock_guard<std::mutex> lock(mu_);
   ++task->abandoned;
-  ++stats_.abandoned;
   // Interest = the original ticketed submitter + every coalesced twin.
   // The run is only cancelled once nobody is left to read the result.
   if (task->abandoned > task->extra_submitters) task->control.RequestCancel();
@@ -238,11 +246,8 @@ std::shared_future<Response> DecompositionService::SubmitImpl(
     response.payload = std::move(hit);
     response.cache_hit = true;
     response.graph_epoch = cache_key.epoch;
-    cache_hits_total_->Increment();
+    submitted_total_->Increment();
     OutcomeCounter(Status::kOk)->Increment();
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.submitted;
-    ++stats_.cache_hits;
     return ReadyResponse(std::move(response));
   }
 
@@ -263,8 +268,7 @@ std::shared_future<Response> DecompositionService::SubmitImpl(
       if (auto twin = it->second.lock();
           twin != nullptr && !twin->control.Cancelled()) {
         ++twin->extra_submitters;
-        ++stats_.submitted;
-        ++stats_.coalesced;
+        submitted_total_->Increment();
         coalesced_total_->Increment();
         // Instantaneous marker on the *joining* request's trace pointing
         // at the run it attached to; the engine spans live on the first
@@ -296,7 +300,7 @@ std::shared_future<Response> DecompositionService::SubmitImpl(
   task->enqueue_ns = obs::TraceRecorder::NowNs();
   queue_.push_back(task);
   inflight_[coalesce_key] = task;
-  ++stats_.submitted;
+  submitted_total_->Increment();
   queue_not_empty_.notify_one();
   if (out_task != nullptr) *out_task = task;
   return task->future;
@@ -318,7 +322,7 @@ DecompositionService::PopBatchLocked() {
     if ((*it)->handle.epoch() == epoch) {
       batch.push_back(std::move(*it));
       it = queue_.erase(it);
-      ++stats_.batched_follow_ons;
+      batched_follow_ons_total_->Increment();
     } else {
       ++it;
     }
@@ -384,17 +388,10 @@ void DecompositionService::ExecuteTask(const std::shared_ptr<Task>& task,
   if (auto hit = cache_.Get(task->cache_key)) {
     response.payload = std::move(hit);
     response.cache_hit = true;
-    cache_hits_total_->Increment();
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.cache_hits;
   } else if (task->control.Cancelled()) {
     response.status = Status::kCancelled;
     response.error = "cancelled before execution";
   } else {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.engine_runs;
-    }
     engine_runs_total_->Increment();
     response = RunEngine(*task, pool);
     if (response.status == Status::kOk) {
@@ -476,6 +473,7 @@ Response DecompositionService::RunEngine(Task& task,
 void DecompositionService::FinishTask(const std::shared_ptr<Task>& task,
                                       Response response) {
   OutcomeCounter(response.status)->Increment();
+  completed_total_->Increment();
   if (task->enqueue_ns != 0) {
     const uint64_t now = obs::TraceRecorder::NowNs();
     if (now > task->enqueue_ns) {
@@ -485,8 +483,6 @@ void DecompositionService::FinishTask(const std::shared_ptr<Task>& task,
   {
     std::lock_guard<std::mutex> lock(mu_);
     response.coalesced = task->extra_submitters > 0;
-    ++stats_.completed;
-    if (response.status == Status::kCancelled) ++stats_.cancelled;
     const auto it = inflight_.find(task->coalesce_key);
     if (it != inflight_.end()) {
       const auto current = it->second.lock();
@@ -536,8 +532,16 @@ void DecompositionService::Shutdown(bool drain) {
 }
 
 DecompositionService::Stats DecompositionService::stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return stats_;
+  Stats stats;
+  stats.submitted = submitted_total_->Value();
+  stats.completed = completed_total_->Value();
+  stats.cache_hits = cache_.stats().hits;
+  stats.coalesced = coalesced_total_->Value();
+  stats.engine_runs = engine_runs_total_->Value();
+  stats.batched_follow_ons = batched_follow_ons_total_->Value();
+  stats.cancelled = RequestsWithOutcome(Status::kCancelled);
+  stats.abandoned = abandoned_total_->Value();
+  return stats;
 }
 
 ResultCache::Stats DecompositionService::cache_stats() const {

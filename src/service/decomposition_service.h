@@ -155,6 +155,9 @@ class DecompositionService {
   /// Idempotent; the destructor calls Shutdown(true).
   void Shutdown(bool drain = true);
 
+  /// Reads of the registry instruments that count each event once:
+  /// cache_hits is receipt_cache_hits_total and cancelled is
+  /// receipt_requests_total{outcome="cancelled"}.
   struct Stats {
     uint64_t submitted = 0;    ///< Submit/TrySubmit calls accepted
     uint64_t completed = 0;    ///< tasks whose future was fulfilled
@@ -324,9 +327,12 @@ class DecompositionService {
 
   /// Cached instrument handles (stable pointers into the registry).
   obs::Counter* requests_by_outcome_[5] = {};
-  obs::Counter* cache_hits_total_ = nullptr;
+  obs::Counter* submitted_total_ = nullptr;
+  obs::Counter* completed_total_ = nullptr;
   obs::Counter* coalesced_total_ = nullptr;
   obs::Counter* engine_runs_total_ = nullptr;
+  obs::Counter* batched_follow_ons_total_ = nullptr;
+  obs::Counter* abandoned_total_ = nullptr;
   obs::Histogram* request_latency_ = nullptr;
   obs::Histogram* queue_wait_ = nullptr;
   obs::Histogram* engine_seconds_ = nullptr;
@@ -351,7 +357,6 @@ class DecompositionService {
   size_t waiting_workers_ = 0;  ///< workers blocked on queue_not_empty_
   bool stopping_ = false;
   bool joined_ = false;
-  Stats stats_;
 
   std::vector<std::unique_ptr<Worker>> workers_;
   std::mutex inline_mu_;               ///< serializes RunQueuedInline

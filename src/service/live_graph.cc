@@ -25,23 +25,27 @@ Algorithm AlgorithmFor(RequestKind kind) {
 
 LiveGraphManager::LiveGraphManager(GraphRegistry& registry, ResultCache& cache,
                                    const LiveOptions& options,
-                                   obs::Observability& obs)
-    : registry_(&registry), cache_(&cache), options_(options), obs_(&obs) {
-  RegisterInstruments();
-}
-
-void LiveGraphManager::RegisterInstruments() {
-  obs::MetricsRegistry& m = obs_->metrics;
-  seal_runs_ = m.GetCounter("receipt_live_seal_runs_total",
-                            "Per-configuration live-seal engine runs.");
-  updates_total_ = m.GetCounter("receipt_live_updates_total",
-                                "Edge updates buffered into live graphs.");
-  pending_gauge_ =
-      m.GetGauge("receipt_live_pending_edges",
-                 "Edge updates currently buffered across live graphs.");
-  seal_seconds_ = m.GetHistogram("receipt_live_seal_seconds",
-                                 "Wall time of live-update seals.");
-}
+                                   obs::MetricsRegistry& metrics)
+    : registry_(&registry),
+      cache_(&cache),
+      options_(options),
+      batches_total_(metrics.GetCounter(
+          "receipt_live_batches_total",
+          "Edge batches buffered into live graphs.")),
+      updates_total_(metrics.GetCounter(
+          "receipt_live_updates_total",
+          "Edge updates buffered into live graphs.")),
+      seal_runs_(metrics.GetCounter(
+          "receipt_live_seal_runs_total",
+          "Per-configuration live-seal engine runs.")),
+      baselines_built_(metrics.GetCounter(
+          "receipt_live_baselines_built_total",
+          "Decompositions run to start tracking a live configuration.")),
+      pending_edges_(metrics.GetGauge(
+          "receipt_live_pending_edges",
+          "Edge updates currently buffered across live graphs.")),
+      seal_seconds_(metrics.GetHistogram("receipt_live_seal_seconds",
+                                         "Wall time of live-update seals.")) {}
 
 LiveGraphManager::LiveGraphState* LiveGraphManager::GetOrCreateState(
     const std::string& name, bool registering) {
@@ -84,10 +88,7 @@ Status LiveGraphManager::TrackLocked(LiveGraphState& state,
   threads = std::max(1, threads);
   std::shared_ptr<Payload> payload =
       Decompose(state, config, state.handle.graph(), threads);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.baselines_built;
-  }
+  baselines_built_->Increment();
   // A tracked configuration is always answerable from cache on the sealed
   // epoch — starting with the one it was just tracked on.
   cache_->Put(CacheKey{state.name, state.handle.epoch(), config.kind,
@@ -247,12 +248,9 @@ bool LiveGraphManager::ApplyLocked(LiveGraphState& state,
       }
       state.pending.insert(state.pending.end(), record.updates.begin(),
                            record.updates.end());
+      batches_total_->Increment();
       updates_total_->Increment(count);
-      std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.batches_total;
-      stats_.updates_total += count;
-      stats_.pending_edges += count;
-      pending_gauge_->Set(stats_.pending_edges);
+      pending_edges_->Add(static_cast<int64_t>(count));
       break;
     }
     case JournalRecord::Type::kSeal:
@@ -271,11 +269,7 @@ void LiveGraphManager::ResetLocked(LiveGraphState& state, GraphHandle handle) {
 }
 
 void LiveGraphManager::ClearPendingLocked(LiveGraphState& state) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stats_.pending_edges -= state.pending.size();
-    pending_gauge_->Set(stats_.pending_edges);
-  }
+  pending_edges_->Add(-static_cast<int64_t>(state.pending.size()));
   state.pending.clear();
   state.first_pending_ns = 0;
 }
@@ -429,11 +423,6 @@ void LiveGraphManager::SealLocked(LiveGraphState& state, uint64_t new_epoch,
   seal_seconds_->ObserveSeconds(result->seal_seconds);
 
   seal_runs_->Increment(result->reports.size());
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.seals_total;
-    stats_.runs_full += result->reports.size();
-  }
 
   // Snapshot-on-seal compacts the journal to (roughly) one snapshot per
   // graph plus the records since. Recovery has no durability layer yet,
@@ -514,9 +503,7 @@ Status LiveGraphManager::RestoreSnapshot(const durability::SnapshotData& data,
   state->pending = data.pending;
   if (!state->pending.empty()) {
     state->first_pending_ns = obs::TraceRecorder::NowNs();
-    std::lock_guard<std::mutex> stats_lock(mu_);
-    stats_.pending_edges += state->pending.size();
-    pending_gauge_->Set(stats_.pending_edges);
+    pending_edges_->Add(static_cast<int64_t>(state->pending.size()));
   }
 
   for (const auto& config : data.configs) {
@@ -561,8 +548,14 @@ size_t LiveGraphManager::PendingEdges(const std::string& name) const {
 }
 
 LiveGraphManager::Stats LiveGraphManager::stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return stats_;
+  Stats stats;
+  stats.batches_total = batches_total_->Value();
+  stats.updates_total = updates_total_->Value();
+  stats.seals_total = seal_seconds_->Count();
+  stats.runs_full = seal_runs_->Value();
+  stats.baselines_built = baselines_built_->Value();
+  stats.pending_edges = pending_edges_->Value();
+  return stats;
 }
 
 }  // namespace receipt::service

@@ -12,7 +12,7 @@
 #include "durability/manager.h"
 #include "engine/workspace.h"
 #include "graph/bipartite_graph.h"
-#include "obs/observability.h"
+#include "obs/metrics.h"
 #include "service/graph_registry.h"
 #include "service/result_cache.h"
 #include "service/service_types.h"
@@ -93,8 +93,9 @@ struct ApplyResult {
 /// themselves thread-safe.
 class LiveGraphManager {
  public:
+  /// Counts its events in `metrics` (receipt_live_*); stats() reads them.
   LiveGraphManager(GraphRegistry& registry, ResultCache& cache,
-                   const LiveOptions& options, obs::Observability& obs);
+                   const LiveOptions& options, obs::MetricsRegistry& metrics);
   LiveGraphManager(const LiveGraphManager&) = delete;
   LiveGraphManager& operator=(const LiveGraphManager&) = delete;
 
@@ -242,22 +243,21 @@ class LiveGraphManager {
                                      const BipartiteGraph& graph,
                                      int threads);
 
-  void RegisterInstruments();
-
   GraphRegistry* registry_;
   ResultCache* cache_;
   const LiveOptions options_;
-  obs::Observability* obs_;
   durability::DurabilityManager* durability_ = nullptr;
 
-  obs::Counter* seal_runs_ = nullptr;
-  obs::Counter* updates_total_ = nullptr;
-  obs::Gauge* pending_gauge_ = nullptr;
-  obs::Histogram* seal_seconds_ = nullptr;
+  obs::Counter* const batches_total_;
+  obs::Counter* const updates_total_;
+  obs::Counter* const seal_runs_;  ///< Stats::runs_full
+  obs::Counter* const baselines_built_;
+  obs::Gauge* const pending_edges_;
+  /// Observed once per seal, so its count is Stats::seals_total.
+  obs::Histogram* const seal_seconds_;
 
-  mutable std::mutex mu_;  ///< guards states_ and stats_
+  mutable std::mutex mu_;  ///< guards states_
   std::map<std::string, std::unique_ptr<LiveGraphState>> states_;
-  Stats stats_;
 };
 
 }  // namespace receipt::service

@@ -2,15 +2,31 @@
 
 namespace receipt::service {
 
+ResultCache::ResultCache(size_t byte_budget, obs::MetricsRegistry& metrics)
+    : budget_(byte_budget),
+      hits_(metrics.GetCounter("receipt_cache_hits_total",
+                               "Responses served from the ResultCache.")),
+      misses_(metrics.GetCounter("receipt_cache_misses_total",
+                                 "ResultCache lookups that found nothing.")),
+      insertions_(
+          metrics.GetCounter("receipt_cache_insertions_total",
+                             "Payloads inserted into the ResultCache.")),
+      evictions_(metrics.GetCounter(
+          "receipt_cache_evictions_total",
+          "ResultCache entries evicted to hold the byte budget.")),
+      epoch_drops_(metrics.GetCounter(
+          "receipt_cache_epoch_drops_total",
+          "ResultCache entries dropped because their epoch died.")) {}
+
 std::shared_ptr<const Payload> ResultCache::Get(const CacheKey& key) {
   std::lock_guard<std::mutex> lock(mu_);
   const auto it = index_.find(key);
   if (it == index_.end()) {
-    ++stats_.misses;
+    misses_->Increment();
     return nullptr;
   }
   lru_.splice(lru_.begin(), lru_, it->second);
-  ++stats_.hits;
+  hits_->Increment();
   return it->second->second;
 }
 
@@ -31,7 +47,7 @@ void ResultCache::Put(const CacheKey& key,
     bytes_ += payload->ApproxBytes();
     lru_.emplace_front(key, std::move(payload));
     index_[key] = lru_.begin();
-    ++stats_.insertions;
+    insertions_->Increment();
   }
   EvictOverBudgetLocked();
 }
@@ -49,7 +65,7 @@ size_t ResultCache::DropEpoch(uint64_t epoch) {
     it = lru_.erase(it);
     ++dropped;
   }
-  stats_.epoch_drops += dropped;
+  epoch_drops_->Increment(dropped);
   return dropped;
 }
 
@@ -59,16 +75,21 @@ void ResultCache::EvictOverBudgetLocked() {
     bytes_ -= payload->ApproxBytes();
     index_.erase(key);
     lru_.pop_back();
-    ++stats_.evictions;
+    evictions_->Increment();
   }
 }
 
 ResultCache::Stats ResultCache::stats() const {
+  Stats stats;
+  stats.hits = hits_->Value();
+  stats.misses = misses_->Value();
+  stats.insertions = insertions_->Value();
+  stats.evictions = evictions_->Value();
+  stats.epoch_drops = epoch_drops_->Value();
   std::lock_guard<std::mutex> lock(mu_);
-  Stats snapshot = stats_;
-  snapshot.bytes = bytes_;
-  snapshot.entries = lru_.size();
-  return snapshot;
+  stats.bytes = bytes_;
+  stats.entries = lru_.size();
+  return stats;
 }
 
 }  // namespace receipt::service

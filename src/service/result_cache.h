@@ -9,6 +9,7 @@
 #include <unordered_map>
 #include <utility>
 
+#include "obs/metrics.h"
 #include "service/service_types.h"
 
 namespace receipt::service {
@@ -52,9 +53,11 @@ struct CacheKeyHash {
 /// safe (readers keep their reference; the bytes are reclaimed when the
 /// last one drops). A zero budget disables caching entirely — Get always
 /// misses and Put is a no-op — which the tests use to force engine runs.
+/// Hits, misses, insertions, evictions and epoch drops are counted once,
+/// in `metrics` (receipt_cache_*_total); stats() reads them back.
 class ResultCache {
  public:
-  explicit ResultCache(size_t byte_budget) : budget_(byte_budget) {}
+  ResultCache(size_t byte_budget, obs::MetricsRegistry& metrics);
   ResultCache(const ResultCache&) = delete;
   ResultCache& operator=(const ResultCache&) = delete;
 
@@ -91,11 +94,16 @@ class ResultCache {
   void EvictOverBudgetLocked();
 
   const size_t budget_;
+  obs::Counter* const hits_;
+  obs::Counter* const misses_;
+  obs::Counter* const insertions_;
+  obs::Counter* const evictions_;
+  obs::Counter* const epoch_drops_;
+
   mutable std::mutex mu_;
   size_t bytes_ = 0;
   LruList lru_;  ///< front = most recently used
   std::unordered_map<CacheKey, LruList::iterator, CacheKeyHash> index_;
-  Stats stats_;
 };
 
 }  // namespace receipt::service

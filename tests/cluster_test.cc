@@ -609,6 +609,66 @@ TEST_F(ClusterFixture, RouterEchoesTheCallersRequestId) {
   router.Stop();
 }
 
+TEST_F(ClusterFixture, RouterListsEveryGraphInTheCluster) {
+  StartCluster();
+  // A graph "a" does not hold: "a" is the first member in id order, so a
+  // router that relays one member's list would miss it.
+  std::string away;
+  for (int i = 0; away.empty(); ++i) {
+    const std::string name = "g" + std::to_string(i);
+    const std::vector<std::string> holders = Holders(name);
+    if (std::find(holders.begin(), holders.end(), "a") == holders.end()) {
+      away = name;
+    }
+  }
+  RegisterGraph(replicas_["a"]->port(), away);
+  RegisterGraph(replicas_["a"]->port(), "g");
+  const auto sealed =
+      Post(Owner(away).port(), "/v1/graphs/" + away + "/edges",
+           "{\"edges\":[{\"op\":\"insert\",\"u\":1,\"v\":2}],"
+           "\"seal\":true}");
+  ASSERT_EQ(sealed.status, 200) << sealed.body;
+
+  std::vector<ClusterMember> members;
+  for (const std::string& id : ids_) {
+    members.push_back(ClusterMember{id, "127.0.0.1", replicas_[id]->port()});
+  }
+  RouterOptions options;
+  options.replication_factor = kReplication;
+  options.health_interval_ms = 0;
+  Router router(members, options);
+  std::string error;
+  ASSERT_TRUE(router.Start(&error)) << error;
+
+  const auto listed = Get(router.port(), "/v1/graphs");
+  ASSERT_EQ(listed.status, 200) << listed.body;
+  const auto json = util::JsonValue::Parse(listed.body);
+  ASSERT_TRUE(json.has_value()) << listed.body;
+  const util::JsonValue* graphs = json->Find("graphs");
+  ASSERT_NE(graphs, nullptr) << listed.body;
+  std::map<std::string, uint64_t> epochs;
+  for (const util::JsonValue& item : graphs->Items()) {
+    std::string name;
+    ASSERT_TRUE(item.GetString("name", &name)) << listed.body;
+    EXPECT_TRUE(epochs.emplace(name, item.Find("epoch")->AsUint()).second)
+        << name << " listed twice: " << listed.body;
+    int64_t num_u = 0;
+    ASSERT_TRUE(item.GetInt("num_u", &num_u));
+    EXPECT_EQ(num_u, 60) << name;
+  }
+  // Each graph at its owner's (newest) epoch.
+  std::map<std::string, uint64_t> expected;
+  for (const std::string& name : {away, std::string("g")}) {
+    expected[name] = Owner(name).registry->Acquire(name).epoch();
+  }
+  EXPECT_EQ(epochs, expected) << listed.body;
+
+  // Only when no member answers is the list unavailable.
+  for (auto& [id, replica] : replicas_) replica->Stop();
+  EXPECT_EQ(Get(router.port(), "/v1/graphs").status, 503);
+  router.Stop();
+}
+
 TEST_F(ClusterFixture, CrashedFollowerRejoinsFromItsOwnDataDir) {
   StartCluster(/*proxy=*/true, /*durable=*/true);
   RegisterGraph(Owner("g").port(), "g");

@@ -29,7 +29,7 @@
 #include "durability/recovery.h"
 #include "durability/snapshot.h"
 #include "graph/generators.h"
-#include "obs/observability.h"
+#include "obs/metrics.h"
 #include "service/decomposition_service.h"
 #include "service/graph_registry.h"
 #include "service/live_graph.h"
@@ -127,7 +127,8 @@ TEST(FaultInjection, CrashPointExitsChildProcess) {
     JournalOptions options;
     options.dir = dir.path();
     std::string error;
-    std::unique_ptr<Journal> journal = Journal::Open(options, &error);
+    obs::MetricsRegistry metrics;
+    std::unique_ptr<Journal> journal = Journal::Open(options, metrics, &error);
     if (journal == nullptr) ::_exit(4);
     journal->Append(BatchRecord("g", 1, {{true, 1, 2}}), &error);
     ::_exit(5);  // the crash point should never let us get here
@@ -182,7 +183,8 @@ TEST(Journal, AppendScanRoundTrip) {
   options.dir = dir.path();
   std::string error;
   {
-    std::unique_ptr<Journal> journal = Journal::Open(options, &error);
+    obs::MetricsRegistry metrics;
+    std::unique_ptr<Journal> journal = Journal::Open(options, metrics, &error);
     ASSERT_NE(journal, nullptr) << error;
 
     JournalRecord reg;
@@ -244,7 +246,8 @@ TEST(Journal, RotationAndSegmentDrop) {
   options.segment_bytes = 256;  // force rotation every couple of records
   options.fsync = FsyncPolicy::kOff;
   std::string error;
-  std::unique_ptr<Journal> journal = Journal::Open(options, &error);
+  obs::MetricsRegistry metrics;
+  std::unique_ptr<Journal> journal = Journal::Open(options, metrics, &error);
   ASSERT_NE(journal, nullptr) << error;
   for (int i = 0; i < 20; ++i) {
     std::vector<EdgeOp> ops(8, EdgeOp{true, static_cast<uint32_t>(i), 0});
@@ -279,7 +282,8 @@ TEST(Journal, TornTailTruncatedOnScan) {
   std::string error;
   std::string segment_path;
   {
-    std::unique_ptr<Journal> journal = Journal::Open(options, &error);
+    obs::MetricsRegistry metrics;
+    std::unique_ptr<Journal> journal = Journal::Open(options, metrics, &error);
     ASSERT_NE(journal, nullptr) << error;
     ASSERT_TRUE(journal->Append(BatchRecord("g", 1, {{true, 1, 1}}), &error));
     ASSERT_TRUE(journal->Append(BatchRecord("g", 1, {{true, 2, 2}}), &error));
@@ -328,7 +332,8 @@ TEST(Journal, CorruptCrcRejected) {
   std::string error;
   std::string segment_path;
   {
-    std::unique_ptr<Journal> journal = Journal::Open(options, &error);
+    obs::MetricsRegistry metrics;
+    std::unique_ptr<Journal> journal = Journal::Open(options, metrics, &error);
     ASSERT_NE(journal, nullptr) << error;
     ASSERT_TRUE(journal->Append(BatchRecord("g", 1, {{true, 1, 1}}), &error));
     segment_path =
@@ -359,7 +364,8 @@ TEST(Journal, VersionMismatchRefused) {
   std::string error;
   std::string segment_path;
   {
-    std::unique_ptr<Journal> journal = Journal::Open(options, &error);
+    obs::MetricsRegistry metrics;
+    std::unique_ptr<Journal> journal = Journal::Open(options, metrics, &error);
     ASSERT_NE(journal, nullptr) << error;
     ASSERT_TRUE(journal->Append(BatchRecord("g", 1, {{true, 1, 1}}), &error));
     segment_path =
@@ -390,7 +396,8 @@ TEST(Journal, InjectedWriteFailureLeavesAckedPrefix) {
   JournalOptions options;
   options.dir = dir.path();
   std::string error;
-  std::unique_ptr<Journal> journal = Journal::Open(options, &error);
+  obs::MetricsRegistry metrics;
+  std::unique_ptr<Journal> journal = Journal::Open(options, metrics, &error);
   ASSERT_NE(journal, nullptr) << error;
   ASSERT_TRUE(journal->Append(BatchRecord("g", 1, {{true, 1, 1}}), &error));
 
@@ -426,7 +433,8 @@ TEST(Journal, TornWriteWithHaltBreaksJournal) {
   JournalOptions options;
   options.dir = dir.path();
   std::string error;
-  std::unique_ptr<Journal> journal = Journal::Open(options, &error);
+  obs::MetricsRegistry metrics;
+  std::unique_ptr<Journal> journal = Journal::Open(options, metrics, &error);
   ASSERT_NE(journal, nullptr) << error;
   ASSERT_TRUE(journal->Append(BatchRecord("g", 1, {{true, 1, 1}}), &error));
 
@@ -587,15 +595,17 @@ TEST(Snapshot, FailedRenameLeavesPreviousSnapshot) {
 /// them, but owned directly so tests can tear the stack down (the "crash")
 /// and recover into a fresh one.
 struct DurableStack {
-  explicit DurableStack(const std::string& data_dir) {
-    cache = std::make_unique<service::ResultCache>(size_t{64} << 20);
-    obs = std::make_unique<obs::Observability>();
+  explicit DurableStack(
+      const std::string& data_dir,
+      uint64_t segment_bytes = DurabilityOptions{}.segment_bytes) {
+    cache = std::make_unique<service::ResultCache>(size_t{64} << 20, metrics);
     live = std::make_unique<LiveGraphManager>(registry, *cache, LiveOptions{},
-                                              *obs);
+                                              metrics);
     DurabilityOptions options;
     options.data_dir = data_dir;
-    durability = OpenWithRecovery(options, registry, *live, obs.get(),
-                                  &report, &error);
+    options.segment_bytes = segment_bytes;
+    durability = OpenWithRecovery(options, registry, *live, metrics, &report,
+                                  &error);
   }
 
   /// What the service's RegisterGraph does: one kRegister record at a
@@ -634,8 +644,8 @@ struct DurableStack {
   }
 
   service::GraphRegistry registry;
+  obs::MetricsRegistry metrics;
   std::unique_ptr<service::ResultCache> cache;
-  std::unique_ptr<obs::Observability> obs;
   std::unique_ptr<LiveGraphManager> live;
   std::unique_ptr<DurabilityManager> durability;
   RecoveryReport report;
@@ -930,7 +940,7 @@ TEST(Recovery, JournalBytesMetricMatchesTheFramesOnDisk) {
   ASSERT_EQ(stack.durability->stats().journal.appends, 6u);
 
   const uint64_t metric =
-      stack.obs->metrics
+      stack.metrics
           .GetCounter("receipt_journal_bytes_total", "Journal bytes written")
           ->Value();
   EXPECT_EQ(metric, frame_bytes);
@@ -985,6 +995,9 @@ TEST(CrashProperty, AckedBatchesSurviveAnyInjectedCrash) {
       {nullptr, 4, 10},  // torn write + dead disk mid-churn
       {nullptr, 7, 3},
   };
+  // A few records per segment, so the churn rotates and truncates the
+  // journal and every site above is actually reached.
+  constexpr uint64_t kSegmentBytes = 300;
 
   for (size_t scenario_index = 0; scenario_index < std::size(scenarios);
        ++scenario_index) {
@@ -1014,7 +1027,7 @@ TEST(CrashProperty, AckedBatchesSurviveAnyInjectedCrash) {
     size_t acked = 0;
     size_t attempted = 0;
     {
-      DurableStack stack(dir.path());
+      DurableStack stack(dir.path(), kSegmentBytes);
       ASSERT_NE(stack.durability, nullptr) << stack.error;
       stack.Register("g", initial);
       ASSERT_EQ(stack.live->Track("g", LiveConfig{RequestKind::kTipU, 8}, 2,
@@ -1047,8 +1060,12 @@ TEST(CrashProperty, AckedBatchesSurviveAnyInjectedCrash) {
       }
       io::ClearFaultPlan();
     }  // crash
+    // The injected fault fired: a scenario that acks every batch tests
+    // nothing.
+    EXPECT_LT(attempted, batches.size())
+        << "acked=" << acked << " attempted=" << attempted;
 
-    DurableStack recovered(dir.path());
+    DurableStack recovered(dir.path(), kSegmentBytes);
     ASSERT_NE(recovered.durability, nullptr) << recovered.error;
     const std::vector<Edge> state = recovered.LogicalEdges("g");
 

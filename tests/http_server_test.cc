@@ -1,8 +1,9 @@
 // Tests for the HTTP front-end: a raw loopback client drives the real
 // POSIX-socket server end to end — happy-path decompositions bit-identical
 // to the direct drivers, queue-admission 429s, malformed-body 400s,
-// disconnect-triggered cancellation, graceful shutdown draining, and the
-// healthz/statz introspection endpoints.
+// disconnect-triggered cancellation, graceful shutdown draining, the
+// healthz/statz introspection endpoints, and the agreement of every
+// serving component's stats() with /metrics and /statz.
 
 #include <gtest/gtest.h>
 
@@ -12,7 +13,11 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <cstdlib>
 #include <cstring>
+#include <filesystem>
+#include <functional>
+#include <initializer_list>
 #include <optional>
 #include <string>
 #include <thread>
@@ -463,6 +468,233 @@ TEST(HttpServerTest, HealthzAndStatzReportServingState) {
   const util::JsonValue* workers = json.Find("workers");
   ASSERT_NE(workers, nullptr);
   EXPECT_EQ(workers->Find("total")->AsUint(), 2u);
+}
+
+/// The value of one `name` sample in a Prometheus exposition.
+uint64_t MetricSample(const std::string& text, const std::string& name) {
+  const size_t pos = text.find("\n" + name + " ");
+  EXPECT_NE(pos, std::string::npos) << "missing sample: " << name;
+  if (pos == std::string::npos) return 0;
+  return std::strtoull(text.c_str() + pos + name.size() + 2, nullptr, 10);
+}
+
+/// Polls `done` until it holds; fails the test after ten seconds.
+void WaitFor(const std::function<bool()>& done, const char* what) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!done()) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline) << what;
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+}
+
+// Each serving event is counted once, in the registry: every stats() field
+// of the service, the cache, the live manager, the durability layer and the
+// HTTP front-end equals its /metrics sample and its /statz key after a run
+// that takes every counted path.
+TEST(HttpServerTest, StatsMetricsAndStatzAgree) {
+  char dir_template[] = "/tmp/receipt_http_agree_XXXXXX";
+  ASSERT_NE(::mkdtemp(dir_template), nullptr);
+  const std::string dir = dir_template;
+  const std::string graph_file = dir + "/g.konect";
+  ASSERT_TRUE(SaveKonect(G1(), graph_file));
+
+  ServiceOptions options;
+  options.num_workers = 0;  // the test decides when queued work runs
+  options.queue_capacity = 1;
+  options.data_dir = dir + "/data";
+  {
+    TestServer ts(options);
+    ASSERT_TRUE(ts.service.durable()) << ts.service.durability_error();
+    ASSERT_EQ(Fetch(ts.port(), "POST", "/v1/graphs",
+                    R"({"name": "g", "path": ")" + graph_file + R"("})")
+                  .status,
+              200);
+
+    // A miss and a coalesced twin: both wait on one queued run.
+    const std::string tip_u = R"({"graph": "g", "kind": "tip-U", )"
+                              R"("algo": "RECEIPT", "partitions": 6})";
+    std::thread miss([&] {
+      EXPECT_EQ(Fetch(ts.port(), "POST", "/v1/decompose", tip_u).status, 200);
+    });
+    WaitFor([&] { return ts.service.QueueDepth() == 1; }, "miss never queued");
+    std::thread twin([&] {
+      EXPECT_EQ(Fetch(ts.port(), "POST", "/v1/decompose", tip_u).status, 200);
+    });
+    WaitFor([&] { return ts.service.stats().coalesced == 1; },
+            "twin never coalesced");
+    ts.service.RunQueuedInline();
+    miss.join();
+    twin.join();
+    // A hit.
+    ASSERT_EQ(Fetch(ts.port(), "POST", "/v1/decompose", tip_u).status, 200);
+
+    // A client that vanishes while its request holds the only queue slot,
+    // and a 429 for the request behind it.
+    const int vanishing =
+        SendRequest(ts.port(), "POST", "/v1/decompose",
+                    R"({"graph": "g", "kind": "tip-V", "algo": "BUP"})");
+    WaitFor([&] { return ts.service.QueueDepth() == 1; },
+            "vanishing request never queued");
+    EXPECT_EQ(Fetch(ts.port(), "POST", "/v1/decompose",
+                    R"({"graph": "g", "kind": "tip-U", "algo": "BUP"})")
+                  .status,
+              429);
+    ::close(vanishing);
+    WaitFor([&] { return ts.service.stats().abandoned == 1; },
+            "disconnect never noticed");
+    ts.service.RunQueuedInline();
+
+    // An edge batch that starts tracking, a sealing batch, an admin
+    // snapshot.
+    ASSERT_EQ(
+        Fetch(ts.port(), "POST", "/v1/graphs/g/edges",
+              R"({"edges": [{"op": "insert", "u": 1, "v": 2}],
+                  "track": [{"kind": "tip-U", "partitions": 6}]})")
+            .status,
+        200);
+    ASSERT_EQ(Fetch(ts.port(), "POST", "/v1/graphs/g/edges",
+                    R"({"edges": [{"op": "delete", "u": 0, "v": 0}],
+                        "seal": true})")
+                  .status,
+              200);
+    ASSERT_EQ(Fetch(ts.port(), "POST", "/v1/admin/snapshot", "").status,
+              200);
+
+    const ClientResult metrics = Fetch(ts.port(), "GET", "/metrics");
+    ASSERT_EQ(metrics.status, 200);
+    const ClientResult statz_response = Fetch(ts.port(), "GET", "/statz");
+    ASSERT_EQ(statz_response.status, 200);
+    const util::JsonValue statz = ParseBody(statz_response);
+    const auto statz_uint = [&statz](std::initializer_list<const char*> path) {
+      const util::JsonValue* value = &statz;
+      for (const char* key : path) {
+        value = value->Find(key);
+        EXPECT_NE(value, nullptr) << "missing /statz key " << key;
+        if (value == nullptr) return uint64_t{0};
+      }
+      return value->AsUint();
+    };
+    // One stats() field against its sample and its /statz key.
+    const auto agree = [&](uint64_t field, const std::string& sample,
+                           std::initializer_list<const char*> statz_path) {
+      SCOPED_TRACE(sample);
+      EXPECT_EQ(field, MetricSample(metrics.body, sample));
+      EXPECT_EQ(field, statz_uint(statz_path));
+    };
+
+    const DecompositionService::Stats service = ts.service.stats();
+    agree(service.submitted, "receipt_service_submitted_total",
+          {"requests", "submitted"});
+    agree(service.completed, "receipt_service_completed_total",
+          {"requests", "completed"});
+    agree(service.cache_hits, "receipt_cache_hits_total",
+          {"requests", "cache_hits"});
+    agree(service.coalesced, "receipt_coalesced_total",
+          {"requests", "coalesced"});
+    agree(service.engine_runs, "receipt_engine_runs_total",
+          {"requests", "engine_runs"});
+    agree(service.batched_follow_ons,
+          "receipt_service_batched_follow_ons_total",
+          {"requests", "batched_follow_ons"});
+    agree(service.cancelled, "receipt_requests_total{outcome=\"cancelled\"}",
+          {"requests", "cancelled"});
+    agree(service.abandoned, "receipt_service_abandoned_total",
+          {"requests", "abandoned"});
+    EXPECT_EQ(service.submitted, 4u);  // miss, twin, hit, vanishing
+    EXPECT_EQ(service.completed, 2u);  // the miss's run, the cancelled one
+    EXPECT_EQ(service.cache_hits, 1u);
+    EXPECT_EQ(service.coalesced, 1u);
+    EXPECT_EQ(service.engine_runs, 1u);
+    EXPECT_EQ(service.cancelled, 1u);
+    EXPECT_EQ(service.abandoned, 1u);
+
+    const service::ResultCache::Stats cache = ts.service.cache_stats();
+    agree(cache.hits, "receipt_cache_hits_total", {"cache", "hits"});
+    agree(cache.misses, "receipt_cache_misses_total", {"cache", "misses"});
+    agree(cache.insertions, "receipt_cache_insertions_total",
+          {"cache", "insertions"});
+    agree(cache.evictions, "receipt_cache_evictions_total",
+          {"cache", "evictions"});
+    agree(cache.epoch_drops, "receipt_cache_epoch_drops_total",
+          {"cache", "epoch_drops"});
+    EXPECT_EQ(cache.bytes, statz_uint({"cache", "bytes"}));
+    EXPECT_EQ(cache.entries, statz_uint({"cache", "entries"}));
+    EXPECT_GE(cache.epoch_drops, 1u);  // the seal killed the first epoch
+
+    const service::LiveGraphManager::Stats live = ts.service.live().stats();
+    agree(live.batches_total, "receipt_live_batches_total",
+          {"live", "batches"});
+    agree(live.updates_total, "receipt_live_updates_total",
+          {"live", "updates"});
+    agree(live.seals_total, "receipt_live_seal_seconds_count",
+          {"live", "seals"});
+    agree(live.runs_full, "receipt_live_seal_runs_total",
+          {"live", "runs_full"});
+    agree(live.baselines_built, "receipt_live_baselines_built_total",
+          {"live", "baselines_built"});
+    agree(live.pending_edges, "receipt_live_pending_edges",
+          {"live", "pending_edges"});
+    EXPECT_EQ(live.batches_total, 2u);
+    EXPECT_EQ(live.seals_total, 1u);
+    EXPECT_EQ(live.runs_full, 1u);
+    EXPECT_EQ(live.baselines_built, 1u);
+    EXPECT_EQ(live.pending_edges, 0u);
+    EXPECT_EQ(live.runs_incremental, 0u);
+    EXPECT_EQ(live.ranges_reused, 0u);
+    EXPECT_EQ(live.ranges_repeeled, 0u);
+
+    const durability::DurabilityStats durable =
+        ts.service.durability()->stats();
+    agree(durable.journal.appends, "receipt_journal_appends_total",
+          {"durability", "journal", "appends"});
+    agree(durable.journal.append_failures,
+          "receipt_journal_append_failures_total",
+          {"durability", "journal", "append_failures"});
+    agree(durable.journal.bytes_written, "receipt_journal_bytes_total",
+          {"durability", "journal", "bytes_written"});
+    agree(durable.journal.fsyncs, "receipt_journal_fsyncs_total",
+          {"durability", "journal", "fsyncs"});
+    agree(durable.journal.rotations, "receipt_journal_rotations_total",
+          {"durability", "journal", "rotations"});
+    agree(durable.journal.segments_dropped,
+          "receipt_journal_segments_dropped_total",
+          {"durability", "journal", "segments_dropped"});
+    EXPECT_EQ(durable.journal.current_segment,
+              statz_uint({"durability", "journal", "current_segment"}));
+    EXPECT_EQ(durable.journal.broken,
+              statz.Find("durability")->Find("journal")->Find("broken")
+                  ->AsBool());
+    agree(durable.snapshots_written, "receipt_snapshot_writes_total",
+          {"durability", "snapshots", "written"});
+    agree(durable.snapshot_failures, "receipt_snapshot_failures_total",
+          {"durability", "snapshots", "failures"});
+    // Registration, two batches, one seal.
+    EXPECT_EQ(durable.journal.appends, 4u);
+    EXPECT_EQ(durable.snapshots_written, 2u);  // on seal, then by admin
+
+    const DecompositionHttpFrontend::Stats http = ts.frontend->stats();
+    agree(http.decompose_requests,
+          "receipt_http_requests_total{path=\"/v1/decompose\"}",
+          {"http", "decompose_requests"});
+    agree(http.rejected_busy, "receipt_http_rejected_busy_total",
+          {"http", "rejected_busy"});
+    agree(http.disconnect_cancels, "receipt_http_disconnect_cancels_total",
+          {"http", "disconnect_cancels"});
+    agree(http.graphs_registered, "receipt_http_graphs_registered_total",
+          {"http", "graphs_registered"});
+    agree(http.edge_batches, "receipt_http_edge_batches_total",
+          {"http", "edge_batches"});
+    agree(http.snapshots_taken, "receipt_http_snapshots_taken_total",
+          {"http", "snapshots_taken"});
+    EXPECT_EQ(http.decompose_requests, 5u);
+    EXPECT_EQ(http.rejected_busy, 1u);
+    EXPECT_EQ(http.disconnect_cancels, 1u);
+    EXPECT_EQ(http.graphs_registered, 1u);
+    EXPECT_EQ(http.edge_batches, 2u);
+    EXPECT_EQ(http.snapshots_taken, 1u);
+  }
+  std::filesystem::remove_all(dir);
 }
 
 TEST(HttpServerTest, EdgeUpdateSealMatchesDirectDecomposeOfFinalGraph) {

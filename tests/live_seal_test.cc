@@ -16,7 +16,7 @@
 
 #include "durability/snapshot.h"
 #include "graph/generators.h"
-#include "obs/observability.h"
+#include "obs/metrics.h"
 #include "service/graph_registry.h"
 #include "service/live_graph.h"
 #include "service/result_cache.h"
@@ -66,13 +66,14 @@ struct LiveFixture {
   explicit LiveFixture(const LiveOptions& options, uint64_t seed = 11,
                        VertexId nu = 150, VertexId nv = 120,
                        uint64_t edges = 700)
-      : cache(size_t{64} << 20), live(registry, cache, options, obs) {
+      : cache(size_t{64} << 20, metrics),
+        live(registry, cache, options, metrics) {
     registry.Register("g", ChungLuBipartite(nu, nv, edges, 0.6, 0.6, seed));
   }
 
   GraphRegistry registry;
+  obs::MetricsRegistry metrics;
   ResultCache cache;
-  obs::Observability obs;
   LiveGraphManager live;
 };
 
@@ -237,9 +238,9 @@ TEST(LiveSnapshotTest, NumbersOfTheWrongLengthAreRejected) {
   for (const RequestKind kind :
        {RequestKind::kTipU, RequestKind::kTipV, RequestKind::kWing}) {
     GraphRegistry registry;
-    ResultCache cache(size_t{1} << 20);
-    obs::Observability obs;
-    LiveGraphManager live(registry, cache, LiveOptions{}, obs);
+    obs::MetricsRegistry metrics;
+    ResultCache cache(size_t{1} << 20, metrics);
+    LiveGraphManager live(registry, cache, LiveOptions{}, metrics);
     durability::SnapshotData data;
     data.graph = "g";
     data.epoch = 3;
@@ -293,9 +294,9 @@ TEST(LiveSnapshotTest, SnapshotsWithBoundsAndSupportsStillRestore) {
   LiveOptions options;
   options.max_pending_edges = size_t{1} << 30;
   GraphRegistry registry;
-  ResultCache cache(size_t{64} << 20);
-  obs::Observability obs;
-  LiveGraphManager live(registry, cache, options, obs);
+  obs::MetricsRegistry metrics;
+  ResultCache cache(size_t{64} << 20, metrics);
+  LiveGraphManager live(registry, cache, options, metrics);
   std::string error;
   ASSERT_EQ(live.RestoreSnapshot(data, &error), Status::kOk) << error;
   EXPECT_EQ(registry.Acquire("g").epoch(), 5u);
@@ -392,7 +393,8 @@ TEST(LiveSealPolicyTest, UnknownGraphIsNotFound) {
 }
 
 TEST(ResultCacheTest, DropEpochRemovesExactlyThatEpoch) {
-  ResultCache cache(size_t{1} << 20);
+  obs::MetricsRegistry metrics;
+  ResultCache cache(size_t{1} << 20, metrics);
   auto payload = std::make_shared<Payload>();
   payload->numbers = {1, 2, 3};
   const CacheKey old_key{"g", 1, RequestKind::kTipU, Algorithm::kReceipt, 6};

@@ -16,7 +16,7 @@
 #include "engine/peel_control.h"
 #include "graph/generators.h"
 #include "graph/graph_io.h"
-#include "obs/observability.h"
+#include "obs/metrics.h"
 #include "service/decomposition_service.h"
 #include "service/graph_registry.h"
 #include "service/live_graph.h"
@@ -105,7 +105,8 @@ TEST(ResultCacheTest, LruEvictionUnderByteBudget) {
     return payload;
   };
   const size_t one = make_payload(100)->ApproxBytes();
-  ResultCache cache(2 * one);
+  obs::MetricsRegistry metrics;
+  ResultCache cache(2 * one, metrics);
 
   const CacheKey a{"g", 1, RequestKind::kTipU, Algorithm::kReceipt, 6};
   const CacheKey b{"g", 2, RequestKind::kTipU, Algorithm::kReceipt, 6};
@@ -120,7 +121,7 @@ TEST(ResultCacheTest, LruEvictionUnderByteBudget) {
   EXPECT_EQ(cache.stats().evictions, 1u);
   EXPECT_LE(cache.stats().bytes, 2 * one);
 
-  ResultCache disabled(0);
+  ResultCache disabled(0, metrics);
   disabled.Put(a, make_payload(10));
   EXPECT_EQ(disabled.Get(a), nullptr);
   EXPECT_EQ(disabled.stats().entries, 0u);
@@ -552,11 +553,11 @@ TEST(DecompositionServiceTest, NonDrainingShutdownCancelsQueuedWork) {
 // a seal reuse it (the seal refreshed it); an explicit Track() rebuilds.
 TEST(LiveTrackingTest, TrackedBatchesReuseTheBaseline) {
   GraphRegistry registry;
-  ResultCache cache(size_t{16} << 20);
-  obs::Observability obs;
+  obs::MetricsRegistry metrics;
+  ResultCache cache(size_t{16} << 20, metrics);
   LiveOptions options;
   options.max_pending_edges = size_t{1} << 30;  // seal only when forced
-  LiveGraphManager live(registry, cache, options, obs);
+  LiveGraphManager live(registry, cache, options, metrics);
   registry.Register("g", ChungLuBipartite(400, 300, 2000, 0.6, 0.6, 7));
   const std::vector<LiveConfig> track = {{RequestKind::kTipU, 10}};
   const std::vector<BipartiteGraph::Edge> edges =
