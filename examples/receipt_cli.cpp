@@ -151,7 +151,7 @@ int Usage() {
       "            [--workers W] [--clients C] [--requests N] [--threads T]\n"
       "            [--partitions P] [--cache-mb MB] [--queue-capacity N]\n"
       "            [--http-port PORT] [--http-threads N]\n"
-      "            [--max-pending-edges N] [--max-staleness-ms MS]\n"
+      "            [--max-pending-edges N]\n"
       "            [--live-track tip-U:150,wing:8]\n"
       "            [--data-dir DIR] [--fsync always|batch|off]\n"
       "            [--journal-segment-mb MB] [--snapshot-on-seal[=off]]\n"
@@ -169,7 +169,8 @@ int Usage() {
       "            (front-end for a replica set: spreads reads over healthy\n"
       "             holders, steers writes to the shard owner, fails over,\n"
       "             and appends one JSONL client-trace record per acked op\n"
-      "             for tools/consistency_check)\n"
+      "             for tools/consistency_check; GET /statz and GET /metrics\n"
+      "             report its counters)\n"
       "  update    --graph NAME --batch FILE|-  [--host H] [--port P]\n"
       "            [--seal] [--threads T] [--track tip-U:150,wing:8]\n"
       "            [--retries N] [--retry-base-ms MS]\n"
@@ -906,8 +907,6 @@ int CmdServe(const Args& args) {
     return 1;
   }
   service_options.live_max_pending_edges = static_cast<size_t>(max_pending);
-  service_options.live_max_staleness_ms =
-      static_cast<uint64_t>(args.GetInt("max-staleness-ms", 0));
   std::vector<service::LiveConfig> live_track;
   if (!ParseTrackSpecs(args.Get("live-track"), &live_track)) return 1;
 

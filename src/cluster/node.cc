@@ -53,6 +53,13 @@ std::vector<std::pair<std::string, std::string>> PropagatedHeaders(
   return headers;
 }
 
+/// receipt_cluster_<field>_total in `service`'s registry.
+obs::Counter* ClusterCounter(service::DecompositionService& service,
+                             const std::string& field, const char* help) {
+  return service.observability().metrics.GetCounter(
+      "receipt_cluster_" + field + "_total", help);
+}
+
 }  // namespace
 
 bool ParseClusterMembers(const std::string& spec,
@@ -117,7 +124,28 @@ ClusterNode::ClusterNode(const ClusterNodeOptions& options,
         for (const ClusterMember& m : options.members) ids.push_back(m.id);
         return ids;
       }()),
-      client_(options.peer_timeout_ms) {
+      client_(options.peer_timeout_ms),
+      local_reads_(ClusterCounter(service, "local_reads",
+                                  "Decomposes served from this replica")),
+      proxied_(ClusterCounter(service, "proxied",
+                              "Requests answered by proxying to a peer")),
+      redirected_(ClusterCounter(service, "redirected",
+                                 "Requests answered 307 to their owner")),
+      stale_rejects_(ClusterCounter(
+          service, "stale_rejects",
+          "Reads refused 412: replica below X-Cluster-Min-Epoch")),
+      replicated_out_(ClusterCounter(
+          service, "replicated_out",
+          "Write fan-outs a holder applied, one per holder per write")),
+      replication_failures_(ClusterCounter(
+          service, "replication_failures",
+          "Write fan-outs to a holder that failed or were refused")),
+      chain_syncs_(ClusterCounter(
+          service, "chain_syncs",
+          "Full-state syncs sent to a holder whose chain diverged")),
+      replicated_applies_(ClusterCounter(
+          service, "replicated_applies",
+          "Bodies of journal frames applied from the owner")) {
   for (const ClusterMember& member : options.members) {
     members_[member.id] = member;
   }
@@ -189,15 +217,14 @@ std::vector<std::string> ClusterNode::HoldersOf(
 
 ClusterNode::Stats ClusterNode::stats() const {
   Stats s;
-  s.local_reads = local_reads_.load(std::memory_order_relaxed);
-  s.proxied = proxied_.load(std::memory_order_relaxed);
-  s.redirected = redirected_.load(std::memory_order_relaxed);
-  s.stale_rejects = stale_rejects_.load(std::memory_order_relaxed);
-  s.replicated_out = replicated_out_.load(std::memory_order_relaxed);
-  s.replication_failures =
-      replication_failures_.load(std::memory_order_relaxed);
-  s.chain_syncs = chain_syncs_.load(std::memory_order_relaxed);
-  s.replicated_applies = replicated_applies_.load(std::memory_order_relaxed);
+  s.local_reads = local_reads_->Value();
+  s.proxied = proxied_->Value();
+  s.redirected = redirected_->Value();
+  s.stale_rejects = stale_rejects_->Value();
+  s.replicated_out = replicated_out_->Value();
+  s.replication_failures = replication_failures_->Value();
+  s.chain_syncs = chain_syncs_->Value();
+  s.replicated_applies = replicated_applies_->Value();
   return s;
 }
 
@@ -211,7 +238,7 @@ HttpResponse ClusterNode::ForwardToMember(const std::string& member_id,
   std::string target = request.path;
   if (!request.query.empty()) target += "?" + request.query;
   if (!options_.proxy) {
-    redirected_.fetch_add(1, std::memory_order_relaxed);
+    redirected_->Increment();
     HttpResponse response;
     response.status = 307;
     response.extra_headers.emplace_back(
@@ -233,7 +260,7 @@ HttpResponse ClusterNode::ForwardToMember(const std::string& member_id,
     return JsonError(503, "cluster member '" + member.id +
                               "' is unreachable: " + error);
   }
-  proxied_.fetch_add(1, std::memory_order_relaxed);
+  proxied_->Increment();
   // Echo the upstream's id: it names the trace the upstream recorded.
   const auto id = upstream.headers.find("x-request-id");
   return RelayUpstream(&upstream, id != upstream.headers.end()
@@ -251,14 +278,14 @@ HttpResponse ClusterNode::HandleDecompose(const HttpRequest& request) {
     // qualifies — it minted the epoch).
     const uint64_t min_epoch = MinEpochHeader(request);
     if (min_epoch != 0 && handle.epoch() < min_epoch) {
-      stale_rejects_.fetch_add(1, std::memory_order_relaxed);
+      stale_rejects_->Increment();
       return JsonError(412, "replica '" + options_.self_id + "' holds '" +
                                 graph + "' at epoch " +
                                 std::to_string(handle.epoch()) +
                                 ", below required " +
                                 std::to_string(min_epoch));
     }
-    local_reads_.fetch_add(1, std::memory_order_relaxed);
+    local_reads_->Increment();
     return frontend_->HandleDecompose(request);
   }
 
@@ -324,24 +351,19 @@ void ClusterNode::Replicate(const std::string& name,
     if (holder == options_.self_id) continue;
     const ClusterMember member = MemberById(holder);
     HttpClientResponse peer;
-    if (!PostFrames(member, frames, query, &peer)) {
-      // Down or unreachable: it will 409 on its next replicated write
-      // after rejoining, which triggers the sync below.
-      replication_failures_.fetch_add(1, std::memory_order_relaxed);
-      continue;
-    }
-    if (peer.status == 409) {
+    // A holder that is down or unreachable fails here; it will 409 on its
+    // next replicated write after rejoining, which triggers the sync below.
+    bool sent = PostFrames(member, frames, query, &peer);
+    if (sent && peer.status == 409) {
       // Diverged chain (the follower missed records while down): catch it
       // up with the records that rebuild the current state instead.
-      chain_syncs_.fetch_add(1, std::memory_order_relaxed);
-      if (!PostFrames(member,
-                      EncodeFrames(service_->live().StateRecords(name)), "",
-                      &peer)) {
-        peer.status = 0;
-      }
+      chain_syncs_->Increment();
+      sent = PostFrames(member,
+                        EncodeFrames(service_->live().StateRecords(name)), "",
+                        &peer);
     }
-    (peer.status == 200 ? replicated_out_ : replication_failures_)
-        .fetch_add(1, std::memory_order_relaxed);
+    (sent && peer.status == 200 ? replicated_out_ : replication_failures_)
+        ->Increment();
   }
 }
 
@@ -390,7 +412,7 @@ HttpResponse ClusterNode::HandleClusterApply(const HttpRequest& request) {
           result.error);
     }
   }
-  replicated_applies_.fetch_add(1, std::memory_order_relaxed);
+  replicated_applies_->Increment();
   util::JsonWriter out;
   out.BeginObject()
       .Key("status").String("ok")

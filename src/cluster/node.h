@@ -1,7 +1,6 @@
 #ifndef RECEIPT_CLUSTER_NODE_H_
 #define RECEIPT_CLUSTER_NODE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <mutex>
@@ -10,6 +9,7 @@
 
 #include "cluster/hash_ring.h"
 #include "cluster/http_client.h"
+#include "obs/metrics.h"
 #include "server/decomposition_http.h"
 #include "server/http_server.h"
 #include "service/decomposition_service.h"
@@ -98,6 +98,8 @@ class ClusterNode {
   /// Holder ids for `graph`, owner first.
   std::vector<std::string> HoldersOf(const std::string& graph) const;
 
+  /// Reads of the node's instruments, receipt_cluster_<field>_total in
+  /// the service's registry (so the replica's /metrics shows them).
   struct Stats {
     uint64_t local_reads = 0;        ///< decomposes served from this replica
     uint64_t proxied = 0;            ///< requests answered via a peer
@@ -150,14 +152,14 @@ class ClusterNode {
   /// followers see batches in the owner's journal order.
   std::mutex write_mu_;
 
-  std::atomic<uint64_t> local_reads_{0};
-  std::atomic<uint64_t> proxied_{0};
-  std::atomic<uint64_t> redirected_{0};
-  std::atomic<uint64_t> stale_rejects_{0};
-  std::atomic<uint64_t> replicated_out_{0};
-  std::atomic<uint64_t> replication_failures_{0};
-  std::atomic<uint64_t> chain_syncs_{0};
-  std::atomic<uint64_t> replicated_applies_{0};
+  obs::Counter* const local_reads_;
+  obs::Counter* const proxied_;
+  obs::Counter* const redirected_;
+  obs::Counter* const stale_rejects_;
+  obs::Counter* const replicated_out_;
+  obs::Counter* const replication_failures_;
+  obs::Counter* const chain_syncs_;
+  obs::Counter* const replicated_applies_;
 };
 
 }  // namespace receipt::cluster

@@ -45,6 +45,13 @@ bool ShouldFailOver(int status) {
   return status == 412 || status == 429 || status >= 500;
 }
 
+/// receipt_router_<field>_total in `server`'s registry.
+obs::Counter* RouterCounter(server::HttpServer& server,
+                            const std::string& field, const char* help) {
+  return server.metrics().GetCounter("receipt_router_" + field + "_total",
+                                     help);
+}
+
 }  // namespace
 
 Router::Router(std::vector<ClusterMember> members,
@@ -57,7 +64,17 @@ Router::Router(std::vector<ClusterMember> members,
         return ids;
       }()),
       client_(options.peer_timeout_ms),
-      server_(options.http) {
+      server_(options.http),
+      reads_routed_(RouterCounter(server_, "reads_routed",
+                                  "Reads relayed from a holder")),
+      writes_routed_(RouterCounter(server_, "writes_routed",
+                                   "Writes relayed from the shard owner")),
+      failovers_(RouterCounter(
+          server_, "failovers",
+          "Read attempts retried on another holder (down/412/429/5xx)")),
+      no_replica_(RouterCounter(
+          server_, "no_replica",
+          "Requests answered 503: no holder or owner could serve them")) {
   for (ClusterMember& member : members) {
     auto entry = std::make_unique<Member>();
     entry->endpoint = std::move(member);
@@ -80,6 +97,9 @@ Router::Router(std::vector<ClusterMember> members,
   });
   server_.Handle("GET", "/statz", [this](const HttpRequest& r) {
     return HandleStatz(r);
+  });
+  server_.Handle("GET", "/metrics", [this](const HttpRequest& r) {
+    return HandleMetrics(r);
   });
   server_.Handle("GET", "/v1/cluster/route", [this](const HttpRequest& r) {
     return HandleRoute(r);
@@ -110,10 +130,10 @@ uint16_t Router::port() const { return server_.port(); }
 
 Router::Stats Router::stats() const {
   Stats s;
-  s.reads_routed = reads_routed_.load(std::memory_order_relaxed);
-  s.writes_routed = writes_routed_.load(std::memory_order_relaxed);
-  s.failovers = failovers_.load(std::memory_order_relaxed);
-  s.no_replica = no_replica_.load(std::memory_order_relaxed);
+  s.reads_routed = reads_routed_->Value();
+  s.writes_routed = writes_routed_->Value();
+  s.failovers = failovers_->Value();
+  s.no_replica = no_replica_->Value();
   s.trace_records = trace_log_.records_written();
   for (const auto& [id, member] : members_) {
     if (member->healthy.load(std::memory_order_relaxed)) {
@@ -199,16 +219,13 @@ HttpResponse Router::HandleDecompose(const HttpRequest& request) {
         continue;
       }
       HttpClientResponse upstream;
-      if (!Forward(*member, request, headers, &upstream)) {
-        failovers_.fetch_add(1, std::memory_order_relaxed);
+      const bool forwarded = Forward(*member, request, headers, &upstream);
+      if (!forwarded || ShouldFailOver(upstream.status)) {
+        failovers_->Increment();
+        if (forwarded) last_response = RelayUpstream(&upstream, request_id);
         continue;
       }
-      if (ShouldFailOver(upstream.status)) {
-        failovers_.fetch_add(1, std::memory_order_relaxed);
-        last_response = RelayUpstream(&upstream, request_id);
-        continue;
-      }
-      reads_routed_.fetch_add(1, std::memory_order_relaxed);
+      reads_routed_->Increment();
       if (upstream.status == 200) {
         const uint64_t epoch =
             EpochFromResponse(upstream.body, "graph_epoch");
@@ -218,7 +235,7 @@ HttpResponse Router::HandleDecompose(const HttpRequest& request) {
       return RelayUpstream(&upstream, request_id);
     }
   }
-  no_replica_.fetch_add(1, std::memory_order_relaxed);
+  no_replica_->Increment();
   if (last_response.has_value()) return std::move(*last_response);
   return JsonError(503, "no replica holding '" + graph + "' is reachable");
 }
@@ -247,11 +264,11 @@ HttpResponse Router::HandleWrite(const HttpRequest& request) {
 
   HttpClientResponse upstream;
   if (!Forward(*member, request, headers, &upstream)) {
-    no_replica_.fetch_add(1, std::memory_order_relaxed);
+    no_replica_->Increment();
     return JsonError(503, "shard owner '" + owner + "' for '" + graph +
                               "' is unreachable");
   }
-  writes_routed_.fetch_add(1, std::memory_order_relaxed);
+  writes_routed_->Increment();
   if (upstream.status == 200) {
     const uint64_t epoch = EpochFromResponse(upstream.body, "epoch");
     ObserveEpoch(graph, epoch);
@@ -364,6 +381,10 @@ HttpResponse Router::HandleStatz(const HttpRequest&) {
   HttpResponse response;
   response.body = json.Take();
   return response;
+}
+
+HttpResponse Router::HandleMetrics(const HttpRequest&) {
+  return server::PrometheusText(server_.metrics().RenderPrometheus());
 }
 
 HttpResponse Router::HandleRoute(const HttpRequest& request) {

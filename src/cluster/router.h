@@ -14,6 +14,7 @@
 #include "cluster/http_client.h"
 #include "cluster/node.h"
 #include "obs/client_trace.h"
+#include "obs/metrics.h"
 #include "server/http_server.h"
 
 namespace receipt::cluster {
@@ -43,6 +44,9 @@ struct RouterOptions {
 ///           owner; the owner replicates (see ClusterNode).
 ///   list    GET /v1/graphs asks every member and merges the lists by
 ///           name, keeping each graph's highest-epoch entry.
+///   metrics GET /metrics renders the router's HTTP server registry:
+///           its receipt_transport_* families and the router's own
+///           receipt_router_<field>_total counters.
 ///   health  a prober thread GETs /healthz on every replica; transport
 ///           failures also mark a replica down passively. Requests fail
 ///           over on down/412/429/5xx responses and the first healthy
@@ -65,6 +69,8 @@ class Router {
   void Stop();
   uint16_t port() const;
 
+  /// The four counters are reads of registry instruments; trace_records
+  /// and healthy_replicas are state, read from the object.
   struct Stats {
     uint64_t reads_routed = 0;
     uint64_t writes_routed = 0;
@@ -86,6 +92,7 @@ class Router {
   server::HttpResponse HandleListGraphs(const server::HttpRequest& request);
   server::HttpResponse HandleHealthz(const server::HttpRequest& request);
   server::HttpResponse HandleStatz(const server::HttpRequest& request);
+  server::HttpResponse HandleMetrics(const server::HttpRequest& request);
   server::HttpResponse HandleRoute(const server::HttpRequest& request);
 
   /// Forwards to one member; false on transport failure (marks it down).
@@ -114,12 +121,13 @@ class Router {
 
   std::thread prober_;
   std::atomic<bool> stopping_{false};
-  std::atomic<uint64_t> rr_{0};
+  std::atomic<size_t> rr_{0};  ///< round-robin cursor over holders
 
-  std::atomic<uint64_t> reads_routed_{0};
-  std::atomic<uint64_t> writes_routed_{0};
-  std::atomic<uint64_t> failovers_{0};
-  std::atomic<uint64_t> no_replica_{0};
+  /// Instruments of server_.metrics().
+  obs::Counter* const reads_routed_;
+  obs::Counter* const writes_routed_;
+  obs::Counter* const failovers_;
+  obs::Counter* const no_replica_;
 };
 
 }  // namespace receipt::cluster

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstdio>
+#include <cstring>
 
 namespace receipt::obs {
 namespace {
@@ -57,17 +58,24 @@ void TraceRecorder::Record(uint64_t trace_id, const char* name,
                            uint64_t arg) {
   const uint64_t ticket = next_.fetch_add(1, std::memory_order_relaxed) + 1;
   Slot& slot = slots_[ticket & mask_];
-  // Invalidate, write, publish: a reader that raced the rewrite sees seq 0
-  // or mismatched tickets around its copy and discards it.
-  slot.seq.store(0, std::memory_order_release);
-  slot.span.trace_id = trace_id;
-  slot.span.start_ns = start_ns;
-  slot.span.duration_ns = duration_ns;
-  slot.span.arg = arg;
+  // Claim the slot from an older, published span. Acquire orders these
+  // stores after that span's; a newer ticket or an unfinished writer keeps
+  // the slot, and this span is dropped.
+  uint64_t seq = slot.seq.load(std::memory_order_relaxed);
+  do {
+    if ((seq & kWriting) != 0 || seq >= ticket) return;
+  } while (!slot.seq.compare_exchange_weak(seq, ticket | kWriting,
+                                           std::memory_order_acquire,
+                                           std::memory_order_relaxed));
+  uint64_t words[kWords] = {trace_id, start_ns, duration_ns, arg};
   const size_t len =
       std::min(::strlen(name), TraceSpan::kNameCapacity - 1);
-  std::memcpy(slot.span.name, name, len);
-  std::memset(slot.span.name + len, 0, TraceSpan::kNameCapacity - len);
+  std::memcpy(&words[4], name, len);
+  // Release stores: a reader whose acquire load sees any of these words
+  // also sees the claim in its seq re-check.
+  for (size_t i = 0; i < kWords; ++i) {
+    slot.words[i].store(words[i], std::memory_order_release);
+  }
   slot.seq.store(ticket, std::memory_order_release);
 }
 
@@ -76,18 +84,26 @@ std::vector<TraceSpan> TraceRecorder::Snapshot(size_t limit) const {
   const size_t capacity = mask_ + 1;
   std::vector<TraceSpan> out;
   out.reserve(std::min<uint64_t>({newest, capacity, limit}));
-  // Walk tickets newest → oldest; any slot rewritten mid-copy fails the
-  // seq double-check and is skipped.
+  // Walk tickets newest → oldest; a slot that holds another ticket (or is
+  // mid-write) fails the seq check, and one rewritten mid-copy fails the
+  // re-check.
   const uint64_t oldest = newest > capacity ? newest - capacity + 1 : 1;
   for (uint64_t ticket = newest; ticket >= oldest && out.size() < limit;
        --ticket) {
     const Slot& slot = slots_[ticket & mask_];
-    const uint64_t seq_before = slot.seq.load(std::memory_order_acquire);
-    if (seq_before != ticket) continue;
-    TraceSpan copy = slot.span;
-    std::atomic_thread_fence(std::memory_order_acquire);
+    if (slot.seq.load(std::memory_order_acquire) != ticket) continue;
+    // Acquire loads keep the re-check below after every word load.
+    uint64_t words[kWords] = {};
+    for (size_t i = 0; i < kWords; ++i) {
+      words[i] = slot.words[i].load(std::memory_order_acquire);
+    }
     if (slot.seq.load(std::memory_order_relaxed) != ticket) continue;
-    out.push_back(copy);
+    TraceSpan& span = out.emplace_back();
+    span.trace_id = words[0];
+    span.start_ns = words[1];
+    span.duration_ns = words[2];
+    span.arg = words[3];
+    std::memcpy(span.name, &words[4], TraceSpan::kNameCapacity);
   }
   return out;
 }

@@ -31,12 +31,15 @@ struct TraceSpan {
   }
 };
 
-/// Fixed-capacity lock-free span ring. Writers claim a slot with one
-/// fetch_add and publish with a sequence-number protocol (invalidate →
-/// write payload → publish ticket); readers copy a slot and re-check its
-/// sequence, discarding torn reads. New spans overwrite the oldest — the
-/// ring is a flight recorder, not a durable log. All operations are
-/// allocation-free after construction.
+/// Fixed-capacity lock-free span ring. A writer takes a ticket with one
+/// fetch_add, claims the ticket's slot with a compare-and-swap on the
+/// slot's sequence word (marking it being written), stores the span and
+/// publishes its ticket; readers copy a slot and re-check its sequence,
+/// discarding torn reads. New spans overwrite the oldest — the ring is a
+/// flight recorder, not a durable log. A writer whose slot already holds
+/// a newer ticket, or is still being written by a writer the ring has
+/// lapped, drops its span, so no two writers ever store into one slot.
+/// All operations are allocation-free after construction.
 class TraceRecorder {
  public:
   explicit TraceRecorder(size_t capacity = 4096);
@@ -63,11 +66,20 @@ class TraceRecorder {
   }
 
  private:
+  /// trace_id, start_ns, duration_ns, arg, then the name bytes.
+  static constexpr size_t kWords = 4 + TraceSpan::kNameCapacity / 8;
+  static_assert(TraceSpan::kNameCapacity % 8 == 0);
+  /// Set in a slot's seq while its claimer is still storing the words.
+  static constexpr uint64_t kWriting = uint64_t{1} << 63;
+
   struct Slot {
-    /// 0 = never written / being rewritten; otherwise the 1-based ticket
-    /// of the write that produced `span`.
+    /// 0 = never written; otherwise the 1-based ticket of the span the
+    /// words hold, or are being written with (kWriting set).
     std::atomic<uint64_t> seq{0};
-    TraceSpan span;
+    /// The span as atomic words, so a reader racing a writer reads a mix
+    /// of old and new words (which the seq re-check discards), never a
+    /// data race.
+    std::atomic<uint64_t> words[kWords] = {};
   };
 
   // unique_ptr<Slot[]> rather than vector<Slot>: atomics make Slot

@@ -223,10 +223,10 @@ HttpResponse DecompositionHttpFrontend::HandleDecompose(
 
 HttpResponse DecompositionHttpFrontend::HandleMetrics(const HttpRequest&) {
   CountHttpRequest(kMetrics);
-  HttpResponse response;
-  response.content_type = "text/plain; version=0.0.4; charset=utf-8";
-  response.body = obs_->metrics.RenderPrometheus();
-  return response;
+  // The service's families, then the transport's: disjoint names, so
+  // every family keeps one # TYPE line.
+  return PrometheusText(obs_->metrics.RenderPrometheus() +
+                        server_->metrics().RenderPrometheus());
 }
 
 HttpResponse DecompositionHttpFrontend::HandleTraces(
@@ -597,6 +597,7 @@ HttpResponse DecompositionHttpFrontend::HandleStatz(const HttpRequest&) {
       .Key("requests").Uint(http.requests)
       .Key("keepalive_reuses").Uint(http.keepalive_reuses)
       .Key("responses_2xx").Uint(http.responses_2xx)
+      .Key("responses_3xx").Uint(http.responses_3xx)
       .Key("responses_4xx").Uint(http.responses_4xx)
       .Key("responses_5xx").Uint(http.responses_5xx)
       .Key("parse_failures").Uint(http.parse_failures)

@@ -27,7 +27,10 @@ namespace receipt::server {
 ///                        service's live policy or an explicit "seal":true
 ///   GET  /healthz        liveness
 ///   GET  /statz          queue depth, cache hit rate, worker utilization
-///   GET  /metrics        Prometheus text exposition of every instrument
+///   GET  /metrics        Prometheus text exposition of every instrument:
+///                        the service's registry (a cluster node's
+///                        receipt_cluster_* included), then the server's
+///                        receipt_transport_* families
 ///   GET  /v1/traces      recent spans from the trace ring (?limit=N)
 ///   GET  /v1/traces/{id} all spans of one trace, oldest first
 ///

@@ -1,5 +1,7 @@
 #include "server/http_helpers.h"
 
+#include <utility>
+
 #include "util/json.h"
 
 namespace receipt::server {
@@ -16,6 +18,13 @@ HttpResponse JsonError(int status, const std::string& message) {
   if (status == 429 || status == 503) {
     response.extra_headers.emplace_back("Retry-After", "1");
   }
+  return response;
+}
+
+HttpResponse PrometheusText(std::string exposition) {
+  HttpResponse response;
+  response.content_type = "text/plain; version=0.0.4; charset=utf-8";
+  response.body = std::move(exposition);
   return response;
 }
 

@@ -14,6 +14,9 @@ namespace receipt::server {
 /// retry-storming.
 HttpResponse JsonError(int status, const std::string& message);
 
+/// A GET /metrics answer: `exposition` as Prometheus text format 0.0.4.
+HttpResponse PrometheusText(std::string exposition);
+
 /// Service terminal status → HTTP status. Cancellation surfaces as 499
 /// (client-closed-request): the only cancels a connected client can see are
 /// non-drain shutdown races.

@@ -44,6 +44,9 @@ std::string ToLower(std::string text) {
   return text;
 }
 
+constexpr const char* kConnectionsHelp =
+    "TCP connections accepted, by whether a handler queue slot was free";
+
 enum class RecvStatus { kData, kEof, kTimeout, kError };
 
 /// recv() the next chunk into `buffer`, growing it.
@@ -105,7 +108,30 @@ bool HttpRequest::ClientDisconnected() const {
   return false;
 }
 
-HttpServer::HttpServer(const HttpServerOptions& options) : options_(options) {}
+HttpServer::HttpServer(const HttpServerOptions& options)
+    : options_(options),
+      connections_accepted_(metrics_.GetCounter(
+          "receipt_transport_connections_total", kConnectionsHelp,
+          {{"outcome", "accepted"}})),
+      connections_rejected_(metrics_.GetCounter(
+          "receipt_transport_connections_total", kConnectionsHelp,
+          {{"outcome", "rejected"}})),
+      requests_(metrics_.GetCounter(
+          "receipt_transport_requests_total",
+          "Requests parsed and dispatched to a registered handler")),
+      keepalive_reuses_(metrics_.GetCounter(
+          "receipt_transport_keepalive_reuses_total",
+          "Dispatched requests beyond the first on their connection")),
+      parse_failures_(metrics_.GetCounter(
+          "receipt_transport_parse_failures_total",
+          "Requests refused as malformed, oversized or timed out")) {
+  constexpr const char* kClasses[] = {"2xx", "3xx", "4xx", "5xx"};
+  for (size_t i = 0; i < responses_.size(); ++i) {
+    responses_[i] = metrics_.GetCounter("receipt_transport_responses_total",
+                                        "Responses written, by status class",
+                                        {{"class", kClasses[i]}});
+  }
+}
 
 HttpServer::~HttpServer() { Stop(); }
 
@@ -211,10 +237,10 @@ void HttpServer::AcceptLoop() {
         return;
       }
       if (pending_.size() >= options_.max_pending_connections) {
-        ++stats_.connections_rejected;
+        connections_rejected_->Increment();
         reject = true;
       } else {
-        ++stats_.connections_accepted;
+        connections_accepted_->Increment();
         pending_.push_back(fd);
       }
     }
@@ -293,10 +319,7 @@ bool HttpServer::ServeOneRequest(int fd, std::string* buffer_ptr,
   // Parse failures always close the connection: the buffer may be left
   // mid-request, so resynchronizing on the next one is not possible.
   auto parse_failure = [&](int status, const std::string& message) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.parse_failures;
-    }
+    parse_failures_->Increment();
     HttpResponse response;
     response.status = status;
     std::string body = "{\"status\":\"error\",\"error\":\"" + message + "\"}";
@@ -452,30 +475,17 @@ bool HttpServer::ServeOneRequest(int fd, std::string* buffer_ptr,
     response.extra_headers.emplace_back("Allow", std::move(allow));
     response.body = "{\"status\":\"error\",\"error\":\"method not allowed\"}";
   } else {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.requests;
-      if (served_so_far > 0) ++stats_.keepalive_reuses;
-    }
+    requests_->Increment();
+    if (served_so_far > 0) keepalive_reuses_->Increment();
     response = method_it->second(request);
   }
   WriteResponse(fd, response, keep);
   return keep;
 }
 
-void HttpServer::CountResponse(int status) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (status < 300) {
-    ++stats_.responses_2xx;
-  } else if (status < 500) {
-    ++stats_.responses_4xx;
-  } else {
-    ++stats_.responses_5xx;
-  }
-}
-
 void HttpServer::WriteResponse(int fd, const HttpResponse& response,
                                bool keep_alive) {
+  responses_[std::clamp(response.status / 100, 2, 5) - 2]->Increment();
   std::string head = "HTTP/1.1 " + std::to_string(response.status) + " " +
                      StatusReason(response.status) + "\r\n";
   head += "Content-Type: " + response.content_type + "\r\n";
@@ -488,12 +498,20 @@ void HttpServer::WriteResponse(int fd, const HttpResponse& response,
   if (SendAll(fd, head.data(), head.size())) {
     SendAll(fd, response.body.data(), response.body.size());
   }
-  CountResponse(response.status);
 }
 
 HttpServer::Stats HttpServer::stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return stats_;
+  Stats s;
+  s.connections_accepted = connections_accepted_->Value();
+  s.connections_rejected = connections_rejected_->Value();
+  s.requests = requests_->Value();
+  s.keepalive_reuses = keepalive_reuses_->Value();
+  s.responses_2xx = responses_[0]->Value();
+  s.responses_3xx = responses_[1]->Value();
+  s.responses_4xx = responses_[2]->Value();
+  s.responses_5xx = responses_[3]->Value();
+  s.parse_failures = parse_failures_->Value();
+  return s;
 }
 
 }  // namespace receipt::server

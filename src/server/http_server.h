@@ -1,6 +1,7 @@
 #ifndef RECEIPT_SERVER_HTTP_SERVER_H_
 #define RECEIPT_SERVER_HTTP_SERVER_H_
 
+#include <array>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -11,6 +12,8 @@
 #include <thread>
 #include <utility>
 #include <vector>
+
+#include "obs/metrics.h"
 
 namespace receipt::server {
 
@@ -94,6 +97,9 @@ using HttpHandler = std::function<HttpResponse(const HttpRequest&)>;
 /// (no new connections), then handler threads drain every already-accepted
 /// connection to a complete response before joining. In-flight requests are
 /// never truncated mid-response.
+///
+/// Transport counters are instruments of the server's own registry
+/// (metrics()), registered at construction; stats() reads them.
 class HttpServer {
  public:
   explicit HttpServer(const HttpServerOptions& options = {});
@@ -122,12 +128,22 @@ class HttpServer {
   /// The bound port (useful with options.port == 0).
   uint16_t port() const { return port_; }
 
+  /// The registry holding the transport counters: the
+  /// receipt_transport_* families. Whoever serves /metrics on this server
+  /// renders it.
+  obs::MetricsRegistry& metrics() { return metrics_; }
+
+  /// Reads of the transport instruments: connections_* are
+  /// receipt_transport_connections_total{outcome=}, responses_* are
+  /// receipt_transport_responses_total{class=}, the rest are
+  /// receipt_transport_<field>_total.
   struct Stats {
     uint64_t connections_accepted = 0;
     uint64_t connections_rejected = 0;  ///< pending-queue overflow → 503
     uint64_t requests = 0;              ///< requests parsed and dispatched
     uint64_t keepalive_reuses = 0;      ///< requests beyond a connection's 1st
     uint64_t responses_2xx = 0;
+    uint64_t responses_3xx = 0;
     uint64_t responses_4xx = 0;
     uint64_t responses_5xx = 0;
     uint64_t parse_failures = 0;        ///< malformed/oversized/timed out
@@ -142,8 +158,9 @@ class HttpServer {
   /// pipelined bytes between requests). Returns true when the connection
   /// should be kept open for another request.
   bool ServeOneRequest(int fd, std::string* buffer, size_t served_so_far);
+  /// Counts the response by status class, then writes it: counted first,
+  /// so a client that has read a response also sees it in the counters.
   void WriteResponse(int fd, const HttpResponse& response, bool keep_alive);
-  void CountResponse(int status);
 
   const HttpServerOptions options_;
   std::map<std::string, std::map<std::string, HttpHandler>> routes_;
@@ -154,11 +171,19 @@ class HttpServer {
   uint16_t port_ = 0;
   bool started_ = false;
 
-  mutable std::mutex mu_;
+  mutable std::mutex mu_;  ///< guards pending_ and stopping_
   std::condition_variable pending_cv_;
   std::deque<int> pending_;  ///< accepted fds awaiting a handler thread
   bool stopping_ = false;
-  Stats stats_;
+
+  obs::MetricsRegistry metrics_;
+  obs::Counter* const connections_accepted_;
+  obs::Counter* const connections_rejected_;
+  obs::Counter* const requests_;
+  obs::Counter* const keepalive_reuses_;
+  /// By status class: 2xx, 3xx, 4xx, 5xx.
+  std::array<obs::Counter*, 4> responses_;
+  obs::Counter* const parse_failures_;
 
   std::thread accept_thread_;
   std::vector<std::thread> handler_threads_;

@@ -4,12 +4,6 @@
 #include <utility>
 
 #include "graph/graph_io.h"
-#include "tip/bup.h"
-#include "tip/parb.h"
-#include "tip/receipt.h"
-#include "tip/tip_common.h"
-#include "wing/receipt_wing.h"
-#include "wing/wing_decomposition.h"
 
 namespace receipt::service {
 
@@ -39,7 +33,6 @@ DecompositionService::DecompositionService(GraphRegistry& registry,
   LiveOptions live_options;
   live_options.max_pending_edges =
       std::max<size_t>(1, options_.live_max_pending_edges);
-  live_options.max_staleness_ms = options_.live_max_staleness_ms;
   live_ = std::make_unique<LiveGraphManager>(*registry_, cache_, live_options,
                                              obs_.metrics);
 
@@ -408,59 +401,17 @@ Response DecompositionService::RunEngine(Task& task,
   Response response;
   response.graph_epoch = task.cache_key.epoch;
   const BipartiteGraph& graph = task.handle.graph();
-  const int threads = task.request.threads;
 
   // Pre-size this worker's scratch to the largest resident graph, not just
   // the request's: whatever graph the next batch targets, the buffers are
   // already big enough — steady-state serving never allocates.
   const GraphRegistry::Shape shape = registry_->MaxShape();
-  pool.Prepare(threads,
+  pool.Prepare(task.request.threads,
                std::max(shape.max_vertices, graph.num_vertices()),
                std::max(shape.max_v, graph.num_v()));
 
-  auto payload = std::make_shared<Payload>();
-  switch (task.request.algorithm) {
-    case Algorithm::kBup:
-    case Algorithm::kParb:
-    case Algorithm::kReceipt: {
-      TipOptions options;
-      options.side =
-          task.request.kind == RequestKind::kTipV ? Side::kV : Side::kU;
-      options.num_threads = threads;
-      options.num_partitions = task.request.partitions;
-      options.workspace_pool = &pool;
-      options.control = &task.control;
-      options.trace = task.request.trace;
-      TipResult result =
-          task.request.algorithm == Algorithm::kBup ? BupDecompose(graph, options)
-          : task.request.algorithm == Algorithm::kParb
-              ? ParbDecompose(graph, options)
-              : ReceiptDecompose(graph, options);
-      payload->numbers = std::move(result.tip_numbers);
-      payload->stats = result.stats;
-      break;
-    }
-    case Algorithm::kWingBup: {
-      WingResult result = WingDecompose(graph, threads, &pool, &task.control,
-                                        task.request.trace);
-      payload->numbers = std::move(result.wing_numbers);
-      payload->stats = result.stats;
-      break;
-    }
-    case Algorithm::kReceiptWing: {
-      ReceiptWingOptions options;
-      options.num_threads = threads;
-      options.num_partitions = task.request.partitions;
-      options.workspace_pool = &pool;
-      options.control = &task.control;
-      options.trace = task.request.trace;
-      WingResult result = ReceiptWingDecompose(graph, options);
-      payload->numbers = std::move(result.wing_numbers);
-      payload->stats = result.stats;
-      break;
-    }
-  }
-
+  std::shared_ptr<Payload> payload = RunDecomposition(
+      graph, task.request, pool, /*use_huc=*/true, &task.control);
   if (task.control.Cancelled()) {
     response.status = Status::kCancelled;
     response.error = "cancelled mid-run";

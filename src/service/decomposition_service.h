@@ -40,11 +40,8 @@ struct ServiceOptions {
   size_t cache_bytes = size_t{64} << 20;
 
   /// Live-update seal policy (see LiveOptions): buffered edge updates per
-  /// graph before a seal is forced, …
+  /// graph before a seal is forced.
   size_t live_max_pending_edges = 4096;
-  /// … and the maximum age of the oldest buffered update before the next
-  /// ApplyEdges call seals (0 disables age-based sealing).
-  uint64_t live_max_staleness_ms = 0;
 
   /// Root directory for crash-safe durability: a write-ahead journal of
   /// registrations and accepted edge batches plus per-graph snapshots.

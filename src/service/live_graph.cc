@@ -3,11 +3,7 @@
 #include <algorithm>
 #include <utility>
 
-#include "obs/trace.h"
-#include "tip/receipt.h"
-#include "tip/tip_common.h"
 #include "util/timer.h"
-#include "wing/receipt_wing.h"
 
 namespace receipt::service {
 
@@ -100,29 +96,16 @@ Status LiveGraphManager::TrackLocked(LiveGraphState& state,
 std::shared_ptr<Payload> LiveGraphManager::Decompose(
     LiveGraphState& state, const LiveConfig& config,
     const BipartiteGraph& graph, int threads) {
-  auto payload = std::make_shared<Payload>();
-  if (config.kind == RequestKind::kWing) {
-    ReceiptWingOptions options;
-    options.num_threads = threads;
-    options.num_partitions = static_cast<int>(config.partitions);
-    options.workspace_pool = &state.pool;
-    WingResult result = ReceiptWingDecompose(graph, options);
-    payload->numbers = std::move(result.wing_numbers);
-    payload->stats = result.stats;
-  } else {
-    TipOptions options;
-    options.side = config.kind == RequestKind::kTipV ? Side::kV : Side::kU;
-    options.num_threads = threads;
-    options.num_partitions = static_cast<int>(config.partitions);
-    // HUC never changes results, and on live seals it costs: with it on,
-    // routed_mixed's seal latency (side_p50_ms) rose from about 51 ms to
-    // 72.8 ms (median of 3 runs on a 4-vCPU VM).
-    options.use_huc = false;
-    options.workspace_pool = &state.pool;
-    TipResult result = ReceiptDecompose(graph, options);
-    payload->numbers = std::move(result.tip_numbers);
-    payload->stats = result.stats;
-  }
+  Request request;
+  request.kind = config.kind;
+  request.algorithm = AlgorithmFor(config.kind);
+  request.partitions = static_cast<int>(config.partitions);
+  request.threads = threads;
+  // HUC never changes results, and on live seals it costs: with it on,
+  // routed_mixed's seal latency (side_p50_ms) rose from about 51 ms to
+  // 72.8 ms (median of 3 runs on a 4-vCPU VM).
+  std::shared_ptr<Payload> payload =
+      RunDecomposition(graph, request, state.pool, /*use_huc=*/false);
   state.tracked[config] = payload->numbers;
   return payload;
 }
@@ -243,9 +226,6 @@ bool LiveGraphManager::ApplyLocked(LiveGraphState& state,
       break;
     case JournalRecord::Type::kEdgeBatch: {
       const size_t count = record.updates.size();
-      if (state.pending.empty() && count > 0) {
-        state.first_pending_ns = obs::TraceRecorder::NowNs();
-      }
       state.pending.insert(state.pending.end(), record.updates.begin(),
                            record.updates.end());
       batches_total_->Increment();
@@ -271,7 +251,6 @@ void LiveGraphManager::ResetLocked(LiveGraphState& state, GraphHandle handle) {
 void LiveGraphManager::ClearPendingLocked(LiveGraphState& state) {
   pending_edges_->Add(-static_cast<int64_t>(state.pending.size()));
   state.pending.clear();
-  state.first_pending_ns = 0;
 }
 
 ApplyResult LiveGraphManager::ApplyEdges(const std::string& name,
@@ -310,13 +289,8 @@ ApplyResult LiveGraphManager::ApplyEdges(const std::string& name,
     result.accepted = updates.size();
   }
 
-  bool seal = force_seal;
-  if (state->pending.size() >= options_.max_pending_edges) seal = true;
-  if (options_.max_staleness_ms > 0 && state->first_pending_ns != 0) {
-    const uint64_t age_ns =
-        obs::TraceRecorder::NowNs() - state->first_pending_ns;
-    if (age_ns / 1'000'000 >= options_.max_staleness_ms) seal = true;
-  }
+  const bool seal =
+      force_seal || state->pending.size() >= options_.max_pending_edges;
   if (seal && !state->pending.empty()) {
     JournalRecord seal_record;
     seal_record.type = JournalRecord::Type::kSeal;
@@ -501,10 +475,7 @@ Status LiveGraphManager::RestoreSnapshot(const durability::SnapshotData& data,
   registry_->RegisterAtEpoch(data.graph, std::move(graph), data.epoch);
   ResetLocked(*state, registry_->Acquire(data.graph));
   state->pending = data.pending;
-  if (!state->pending.empty()) {
-    state->first_pending_ns = obs::TraceRecorder::NowNs();
-    pending_edges_->Add(static_cast<int64_t>(state->pending.size()));
-  }
+  pending_edges_->Add(static_cast<int64_t>(state->pending.size()));
 
   for (const auto& config : data.configs) {
     const LiveConfig live{static_cast<RequestKind>(config.kind),

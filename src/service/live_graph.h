@@ -30,11 +30,6 @@ struct LiveOptions {
   /// Seal (fold the pending batch into a new epoch) once this many updates
   /// are buffered.
   size_t max_pending_edges = 4096;
-
-  /// Seal once the oldest pending update is this old. Checked lazily on
-  /// the next ApplyEdges call — the manager has no timer thread. 0
-  /// disables age-based sealing.
-  uint64_t max_staleness_ms = 0;
 };
 
 /// A decomposition configuration kept up to date across seals. kTipU/kTipV
@@ -127,8 +122,8 @@ class LiveGraphManager {
   ApplyResult Apply(const durability::JournalRecord& record, int threads = 0);
 
   /// Buffers `updates` against `name`, then seals when the policy says so
-  /// (`force_seal`, buffer ≥ max_pending_edges, or the oldest pending
-  /// update exceeded max_staleness_ms), as a kEdgeBatch and a kSeal record
+  /// (`force_seal` or buffer ≥ max_pending_edges), as a kEdgeBatch and a
+  /// kSeal record
   /// through Apply; the seal's epoch is allocated here. `track` configs not
   /// yet tracked are tracked first, on the pre-batch graph (Track() always
   /// re-runs). Updates whose endpoints fall outside the
@@ -192,7 +187,6 @@ class LiveGraphManager {
     std::string name;
     GraphHandle handle;  ///< the current registration; empty once evicted
     std::vector<EdgeUpdate> pending;
-    uint64_t first_pending_ns = 0;
     /// Sealed numbers per tracked config (side-local ids for tip, edge ids
     /// for wing); snapshots persist them.
     std::map<LiveConfig, std::vector<Count>> tracked;

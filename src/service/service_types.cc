@@ -3,7 +3,13 @@
 #include <algorithm>
 #include <cctype>
 
+#include "tip/bup.h"
+#include "tip/parb.h"
+#include "tip/receipt.h"
+#include "tip/tip_common.h"
 #include "util/json.h"
+#include "wing/receipt_wing.h"
+#include "wing/wing_decomposition.h"
 
 namespace receipt::service {
 
@@ -18,6 +24,56 @@ bool EqualsIgnoreCase(std::string_view a, std::string_view b) {
 }
 
 }  // namespace
+
+std::shared_ptr<Payload> RunDecomposition(const BipartiteGraph& graph,
+                                          const Request& request,
+                                          engine::WorkspacePool& pool,
+                                          bool use_huc,
+                                          engine::PeelControl* control) {
+  auto payload = std::make_shared<Payload>();
+  switch (request.algorithm) {
+    case Algorithm::kBup:
+    case Algorithm::kParb:
+    case Algorithm::kReceipt: {
+      TipOptions options;
+      options.side = request.kind == RequestKind::kTipV ? Side::kV : Side::kU;
+      options.num_threads = request.threads;
+      options.num_partitions = request.partitions;
+      options.use_huc = use_huc;
+      options.workspace_pool = &pool;
+      options.control = control;
+      options.trace = request.trace;
+      TipResult result =
+          request.algorithm == Algorithm::kBup ? BupDecompose(graph, options)
+          : request.algorithm == Algorithm::kParb
+              ? ParbDecompose(graph, options)
+              : ReceiptDecompose(graph, options);
+      payload->numbers = std::move(result.tip_numbers);
+      payload->stats = result.stats;
+      break;
+    }
+    case Algorithm::kWingBup: {
+      WingResult result = WingDecompose(graph, request.threads, &pool,
+                                        control, request.trace);
+      payload->numbers = std::move(result.wing_numbers);
+      payload->stats = result.stats;
+      break;
+    }
+    case Algorithm::kReceiptWing: {
+      ReceiptWingOptions options;
+      options.num_threads = request.threads;
+      options.num_partitions = request.partitions;
+      options.workspace_pool = &pool;
+      options.control = control;
+      options.trace = request.trace;
+      WingResult result = ReceiptWingDecompose(graph, options);
+      payload->numbers = std::move(result.wing_numbers);
+      payload->stats = result.stats;
+      break;
+    }
+  }
+  return payload;
+}
 
 bool RequestKindFromName(std::string_view name, RequestKind* kind) {
   for (const RequestKind candidate :

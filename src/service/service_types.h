@@ -11,6 +11,15 @@
 #include "util/stats.h"
 #include "util/types.h"
 
+namespace receipt {
+class BipartiteGraph;
+}  // namespace receipt
+
+namespace receipt::engine {
+class PeelControl;
+class WorkspacePool;
+}  // namespace receipt::engine
+
 namespace receipt::util {
 class JsonWriter;
 class JsonValue;
@@ -111,6 +120,18 @@ struct Payload {
     return sizeof(Payload) + numbers.capacity() * sizeof(Count);
   }
 };
+
+/// The service tier's one engine call: runs `request.algorithm` over
+/// `request.kind` of `graph` with the request's partitions, threads and
+/// trace on `pool`, and packs the numbers and PeelStats. `use_huc` reaches
+/// RECEIPT tip runs only (queue misses keep it on, live seals turn it
+/// off); `control`, when set, can cancel the run, leaving the numbers
+/// incomplete.
+std::shared_ptr<Payload> RunDecomposition(const BipartiteGraph& graph,
+                                          const Request& request,
+                                          engine::WorkspacePool& pool,
+                                          bool use_huc,
+                                          engine::PeelControl* control = nullptr);
 
 /// What a submitter gets back.
 struct Response {

@@ -457,6 +457,28 @@ class ClusterFixture : public ::testing::Test {
 constexpr const char* kDecomposeBody =
     "{\"graph\":\"g\",\"kind\":\"tip-U\",\"partitions\":6}";
 
+/// The value of the unlabelled-or-exactly-labelled sample `name` in a
+/// Prometheus exposition; fails the test when it is missing.
+uint64_t MetricSample(const std::string& text, const std::string& name) {
+  const size_t pos = text.find("\n" + name + " ");
+  EXPECT_NE(pos, std::string::npos) << "missing sample: " << name;
+  if (pos == std::string::npos) return 0;
+  return std::strtoull(text.c_str() + pos + name.size() + 2, nullptr, 10);
+}
+
+/// Number of families declared more than once in an exposition.
+size_t DuplicateFamilies(const std::string& text) {
+  std::set<std::string> seen;
+  size_t duplicates = 0;
+  for (size_t pos = text.find("# TYPE "); pos != std::string::npos;
+       pos = text.find("# TYPE ", pos + 1)) {
+    if (!seen.insert(text.substr(pos, text.find('\n', pos) - pos)).second) {
+      ++duplicates;
+    }
+  }
+  return duplicates;
+}
+
 TEST_F(ClusterFixture, RegisterReplicatesToExactlyTheHolders) {
   StartCluster();
   RegisterGraph(replicas_["a"]->port(), "g");
@@ -521,12 +543,18 @@ TEST_F(ClusterFixture, NonHolderRedirectsWhenProxyingIsOff) {
   const std::set<std::string> holder_set(holders.begin(), holders.end());
   for (const std::string& id : ids_) {
     if (holder_set.count(id)) continue;
+    const server::HttpServer::Stats before = replicas_[id]->server->stats();
     const auto response =
         Post(replicas_[id]->port(), "/v1/decompose", kDecomposeBody);
     EXPECT_EQ(response.status, 307) << id << ": " << response.body;
     const auto location = response.headers.find("location");
     ASSERT_NE(location, response.headers.end());
     EXPECT_NE(location->second.find("/v1/decompose"), std::string::npos);
+    // A redirect is a 3xx, not a client error.
+    const server::HttpServer::Stats after = replicas_[id]->server->stats();
+    EXPECT_EQ(after.responses_3xx, before.responses_3xx + 1) << id;
+    EXPECT_EQ(after.responses_4xx, before.responses_4xx) << id;
+    EXPECT_EQ(replicas_[id]->node->stats().redirected, 1u) << id;
   }
 }
 
@@ -577,6 +605,18 @@ TEST_F(ClusterFixture, RouterSpreadsReadsAndFailsOverWhenAHolderDies) {
   const Router::Stats stats = router.stats();
   EXPECT_GE(stats.reads_routed, 7u);
   EXPECT_EQ(stats.no_replica, 0u);
+  // The router's counters are its /metrics samples.
+  const auto metrics = Get(router.port(), "/metrics");
+  ASSERT_EQ(metrics.status, 200);
+  EXPECT_EQ(stats.reads_routed,
+            MetricSample(metrics.body, "receipt_router_reads_routed_total"));
+  EXPECT_EQ(stats.writes_routed,
+            MetricSample(metrics.body, "receipt_router_writes_routed_total"));
+  EXPECT_EQ(stats.failovers,
+            MetricSample(metrics.body, "receipt_router_failovers_total"));
+  EXPECT_EQ(stats.no_replica,
+            MetricSample(metrics.body, "receipt_router_no_replica_total"));
+  EXPECT_EQ(DuplicateFamilies(metrics.body), 0u);
   router.Stop();
 
   // The trace the router wrote is parseable and PRAM-consistent.
@@ -702,7 +742,19 @@ TEST_F(ClusterFixture, CrashedFollowerRejoinsFromItsOwnDataDir) {
            "{\"edges\":[{\"op\":\"insert\",\"u\":9,\"v\":5}],\"seal\":true}");
   ASSERT_EQ(converge.status, 200) << converge.body;
   EXPECT_EQ(UintField(converge.body, "epoch"), 4u);
-  EXPECT_GE(Owner("g").node->stats().chain_syncs, 1u);
+  // The owner counts both sides of the recovery, on its /metrics too: the
+  // fan-out that died against the stopped follower, and the sync after.
+  const ClusterNode::Stats owner_stats = Owner("g").node->stats();
+  EXPECT_GE(owner_stats.chain_syncs, 1u);
+  EXPECT_GE(owner_stats.replication_failures, 1u);
+  const auto metrics = Get(Owner("g").port(), "/metrics");
+  ASSERT_EQ(metrics.status, 200);
+  EXPECT_EQ(owner_stats.chain_syncs,
+            MetricSample(metrics.body, "receipt_cluster_chain_syncs_total"));
+  EXPECT_EQ(owner_stats.replication_failures,
+            MetricSample(metrics.body,
+                         "receipt_cluster_replication_failures_total"));
+  EXPECT_EQ(DuplicateFamilies(metrics.body), 0u);
 
   const auto from_owner =
       Post(Owner("g").port(), "/v1/decompose", kDecomposeBody);

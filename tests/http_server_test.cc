@@ -19,6 +19,7 @@
 #include <functional>
 #include <initializer_list>
 #include <optional>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -488,10 +489,10 @@ void WaitFor(const std::function<bool()>& done, const char* what) {
   }
 }
 
-// Each serving event is counted once, in the registry: every stats() field
-// of the service, the cache, the live manager, the durability layer and the
-// HTTP front-end equals its /metrics sample and its /statz key after a run
-// that takes every counted path.
+// Each serving event is counted once, in a registry: every stats() field
+// of the service, the cache, the live manager, the durability layer, the
+// HTTP front-end and the HTTP server equals its /metrics sample and its
+// /statz key after a run that takes every counted path.
 TEST(HttpServerTest, StatsMetricsAndStatzAgree) {
   char dir_template[] = "/tmp/receipt_http_agree_XXXXXX";
   ASSERT_NE(::mkdtemp(dir_template), nullptr);
@@ -560,6 +561,25 @@ TEST(HttpServerTest, StatsMetricsAndStatzAgree) {
               200);
     ASSERT_EQ(Fetch(ts.port(), "POST", "/v1/admin/snapshot", "").status,
               200);
+
+    // Transport-only paths: a malformed request, an unknown path, and a
+    // kept-alive connection that serves two requests.
+    const int malformed = ConnectLoopback(ts.port());
+    const std::string garbage = "BOGUS\r\n\r\n";
+    ASSERT_EQ(::send(malformed, garbage.data(), garbage.size(), 0),
+              static_cast<ssize_t>(garbage.size()));
+    EXPECT_EQ(ReadResponse(malformed).status, 400);
+    ::close(malformed);
+    EXPECT_EQ(Fetch(ts.port(), "GET", "/nope").status, 404);
+    const int kept = ConnectLoopback(ts.port());
+    for (int i = 0; i < 2; ++i) {
+      SendOnSocket(kept, "GET", "/healthz", "");
+      EXPECT_EQ(ReadFramedResponse(kept).status, 200);
+    }
+    ::close(kept);
+    // The vanished client's 499 is written after its ticket is abandoned.
+    WaitFor([&] { return ts.server->stats().responses_4xx == 4; },
+            "499, 429, 400 and 404 never all counted");
 
     const ClientResult metrics = Fetch(ts.port(), "GET", "/metrics");
     ASSERT_EQ(metrics.status, 200);
@@ -693,6 +713,64 @@ TEST(HttpServerTest, StatsMetricsAndStatzAgree) {
     EXPECT_EQ(http.graphs_registered, 1u);
     EXPECT_EQ(http.edge_batches, 2u);
     EXPECT_EQ(http.snapshots_taken, 1u);
+
+    // The two reads are transport traffic themselves. A response is
+    // counted before it is sent, so /metrics renders after its own accept
+    // and dispatch but before its own response, and /statz one exchange
+    // later; `transport` is read after both.
+    const HttpServer::Stats transport = ts.server->stats();
+    const auto agree_lagging = [&](uint64_t field, const std::string& sample,
+                                   const char* statz_key,
+                                   uint64_t metrics_lag, uint64_t statz_lag) {
+      SCOPED_TRACE(sample);
+      EXPECT_EQ(field - metrics_lag, MetricSample(metrics.body, sample));
+      EXPECT_EQ(field - statz_lag, statz_uint({"http", statz_key}));
+    };
+    agree_lagging(transport.connections_accepted,
+                  "receipt_transport_connections_total{outcome=\"accepted\"}",
+                  "connections_accepted", 1, 0);
+    agree_lagging(transport.connections_rejected,
+                  "receipt_transport_connections_total{outcome=\"rejected\"}",
+                  "connections_rejected", 0, 0);
+    agree_lagging(transport.requests, "receipt_transport_requests_total",
+                  "requests", 1, 0);
+    agree_lagging(transport.keepalive_reuses,
+                  "receipt_transport_keepalive_reuses_total",
+                  "keepalive_reuses", 0, 0);
+    agree_lagging(transport.responses_2xx,
+                  "receipt_transport_responses_total{class=\"2xx\"}",
+                  "responses_2xx", 2, 1);
+    agree_lagging(transport.responses_3xx,
+                  "receipt_transport_responses_total{class=\"3xx\"}",
+                  "responses_3xx", 0, 0);
+    agree_lagging(transport.responses_4xx,
+                  "receipt_transport_responses_total{class=\"4xx\"}",
+                  "responses_4xx", 0, 0);
+    agree_lagging(transport.responses_5xx,
+                  "receipt_transport_responses_total{class=\"5xx\"}",
+                  "responses_5xx", 0, 0);
+    agree_lagging(transport.parse_failures,
+                  "receipt_transport_parse_failures_total", "parse_failures",
+                  0, 0);
+    // 12 connections before the two reads: registration, miss, twin, hit,
+    // vanishing, 429, two batches, snapshot, malformed, 404, kept-alive.
+    EXPECT_EQ(transport.connections_accepted, 14u);
+    EXPECT_EQ(transport.requests, 13u);  // all but the malformed and 404
+    EXPECT_EQ(transport.keepalive_reuses, 1u);
+    EXPECT_EQ(transport.responses_2xx, 11u);
+    EXPECT_EQ(transport.responses_4xx, 4u);
+    EXPECT_EQ(transport.parse_failures, 1u);
+
+    // The service's and the server's families are disjoint.
+    std::set<std::string> types;
+    size_t type_lines = 0;
+    for (size_t pos = metrics.body.find("# TYPE "); pos != std::string::npos;
+         pos = metrics.body.find("# TYPE ", pos + 1)) {
+      types.insert(
+          metrics.body.substr(pos, metrics.body.find('\n', pos) - pos));
+      ++type_lines;
+    }
+    EXPECT_EQ(types.size(), type_lines);
   }
   std::filesystem::remove_all(dir);
 }

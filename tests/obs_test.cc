@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cctype>
 #include <memory>
 #include <set>
@@ -225,6 +226,20 @@ TEST(TraceTest, ForTraceFiltersAndOrdersOldestFirst) {
 TEST(TraceTest, ConcurrentRecordersNeverTearSpans) {
   TraceRecorder recorder(64);
   constexpr int kThreads = 8;
+  // A span is whole when every field comes from one Record call: writer t
+  // records trace_id t+1, arg t and start_ns t*10^6 + duration_ns. A torn
+  // read would mix fields from different writers.
+  const auto expect_whole = [](const TraceSpan& span) {
+    EXPECT_EQ(span.arg + 1, span.trace_id);
+    EXPECT_EQ(span.start_ns, span.arg * 1000000ull + span.duration_ns);
+    EXPECT_EQ(span.Name(), "worker");
+  };
+  std::atomic<bool> writing{true};
+  std::thread reader([&] {
+    while (writing.load(std::memory_order_relaxed)) {
+      for (const TraceSpan& span : recorder.Snapshot()) expect_whole(span);
+    }
+  });
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
@@ -237,12 +252,9 @@ TEST(TraceTest, ConcurrentRecordersNeverTearSpans) {
     });
   }
   for (std::thread& t : threads) t.join();
-  // Every readable span is internally consistent (arg matches trace_id - 1);
-  // a torn read would mix fields from different writers.
-  for (const TraceSpan& span : recorder.Snapshot()) {
-    EXPECT_EQ(span.arg + 1, span.trace_id);
-    EXPECT_EQ(span.Name(), "worker");
-  }
+  writing.store(false, std::memory_order_relaxed);
+  reader.join();
+  for (const TraceSpan& span : recorder.Snapshot()) expect_whole(span);
   EXPECT_EQ(recorder.recorded(), kThreads * 5000u);
 }
 
