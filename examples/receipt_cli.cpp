@@ -1,22 +1,13 @@
 // receipt_cli — command-line driver for the library: generate datasets,
-// inspect statistics, run any decomposition algorithm and export results.
+// inspect statistics, run any decomposition algorithm and export results,
+// serve decompositions over HTTP/JSON (alone, or as a cluster member behind
+// `router`), and post live edge updates to a server. `receipt_cli help`
+// lists every command with every flag it accepts.
 //
-//   receipt_cli generate --type chunglu --nu 10000 --nv 5000 --edges 50000 \
-//                        --alpha-u 0.5 --alpha-v 0.8 --seed 1 --output g.konect
-//   receipt_cli stats    --dataset tr
-//   receipt_cli decompose --input g.konect --algo receipt --side U \
-//                        --threads 8 --partitions 150 --output tips.txt
-//   receipt_cli wing     --dataset it --parallel --partitions 8
-//   receipt_cli serve    --graphs g1=a.konect,g2=b.bin --workers 2 \
-//                        --clients 4 --requests 24 --threads 2
-//   receipt_cli serve    --http-port 8080 --datasets it,de --workers 2
-//   receipt_cli update   --port 8080 --graph g1 --batch updates.txt --seal
-//
-// With --http-port, serve exposes the service as HTTP/JSON endpoints
-// (POST /v1/decompose, GET/POST /v1/graphs, POST /v1/graphs/{name}/edges,
-// /healthz, /statz) and runs until SIGINT/SIGTERM, then drains gracefully.
-// `update` posts an edge-update batch (lines "+ u v" / "- u v", from a file
-// or stdin) to a running server's live-update endpoint.
+// Each command declares its flags in one table below, checked before any
+// graph loads or any thread starts: an unknown flag, a stray argument, or a
+// malformed or out-of-range value exits 1 with a message naming it. help is
+// printed from the same tables.
 //
 // Exit code 0 on success, 1 on usage errors, 2 on IO failures.
 
@@ -24,10 +15,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <iterator>
@@ -35,11 +27,12 @@
 #include <mutex>
 #include <random>
 #include <set>
+#include <span>
+#include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
-
-#include <sstream>
 
 #include "cluster/http_client.h"
 #include "cluster/node.h"
@@ -54,145 +47,203 @@ namespace {
 
 using namespace receipt;
 
-/// Minimal --flag value parser: flags() returns "" for missing keys;
-/// boolean switches store "1". Accepts both `--flag value` and
-/// `--flag=value` spellings.
-class Args {
- public:
-  Args(int argc, char** argv) {
-    for (int i = 2; i < argc; ++i) {
-      std::string key = argv[i];
-      if (key.rfind("--", 0) != 0) continue;
-      key = key.substr(2);
-      if (const size_t eq = key.find('='); eq != std::string::npos) {
-        values_[key.substr(0, eq)] = key.substr(eq + 1);
-        continue;
-      }
-      if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0) {
-        values_[key] = argv[++i];
-      } else {
-        values_[key] = "1";
-      }
-    }
-  }
-
-  std::string Get(const std::string& key,
-                  const std::string& fallback = "") const {
-    const auto it = values_.find(key);
-    return it == values_.end() ? fallback : it->second;
-  }
-
-  int64_t GetInt(const std::string& key, int64_t fallback) const {
-    const auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::atoll(it->second.c_str());
-  }
-
-  double GetDouble(const std::string& key, double fallback) const {
-    const auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::atof(it->second.c_str());
-  }
-
-  bool Has(const std::string& key) const { return values_.count(key) > 0; }
-
- private:
-  std::map<std::string, std::string> values_;
+/// One flag of one command: its name, what its value may be, and what it
+/// reads as when absent.
+struct Flag {
+  enum Kind { kString, kInt, kReal, kSwitch, kOnOff, kEnum };
+  const char* name;
+  Kind kind;
+  /// An absent flag's value as typed; "" = none (the command asks Given()).
+  const char* fallback;
+  const char* placeholder;  ///< for help; kEnum: the values, '|'-separated
+  int64_t min = 0;          ///< inclusive bounds of a kInt or kReal value
+  int64_t max = 0;
 };
 
-/// Validated on/off switch: absent → `fallback`; bare flag / on / 1 / true
-/// → true; off / 0 / false → false; anything else is a usage error.
-bool ParseOnOff(const Args& args, const char* flag, bool fallback,
-                bool* out) {
-  if (!args.Has(flag)) {
-    *out = fallback;
-    return true;
+/// The request parser's bound on partitions (service_types.cc).
+constexpr int64_t kMaxPartitions = int64_t{1} << 20;
+constexpr int64_t kMaxThreads = 1024;
+constexpr int64_t kMaxPoolThreads = 256;  ///< workers, HTTP handlers, clients
+constexpr int64_t kMaxTimeoutMs = 600000;
+
+/// On/off words: on, 1, true / off, 0, false.
+bool ParseOnOffWord(std::string_view word, bool* out) {
+  *out = word == "on" || word == "1" || word == "true";
+  return *out || word == "off" || word == "0" || word == "false";
+}
+
+template <typename T>
+bool ParseNumber(std::string_view text, T* out) {
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, *out);
+  return !text.empty() && ec == std::errc() && ptr == end;
+}
+
+std::string Range(const Flag& flag) {
+  return "in [" + std::to_string(flag.min) + ", " + std::to_string(flag.max) +
+         "]";
+}
+
+/// Why `value` is not a valid value of `flag`, or "" when it is.
+std::string CheckValue(const Flag& flag, const std::string& value) {
+  bool on = false;
+  int64_t integer = 0;
+  double real = 0.0;
+  switch (flag.kind) {
+    case Flag::kString:
+      return "";
+    case Flag::kSwitch:
+      return value.empty() ? "" : "takes no value";
+    case Flag::kOnOff:
+      return ParseOnOffWord(value, &on) ? "" : "takes on or off";
+    case Flag::kEnum:
+      return ("|" + std::string(flag.placeholder) + "|")
+                         .find("|" + value + "|") != std::string::npos
+                 ? ""
+                 : std::string("takes one of ") + flag.placeholder;
+    case Flag::kInt:
+      return ParseNumber(value, &integer) && integer >= flag.min &&
+                     integer <= flag.max
+                 ? ""
+                 : "takes an integer " + Range(flag);
+    case Flag::kReal:
+      return ParseNumber(value, &real) &&
+                     real >= static_cast<double>(flag.min) &&
+                     real <= static_cast<double>(flag.max)
+                 ? ""
+                 : "takes a number " + Range(flag);
   }
-  const std::string value = args.Get(flag);
-  if (value == "1" || value == "on" || value == "true") {
-    *out = true;
-    return true;
+  return "";
+}
+
+/// A command's flags, parsed and checked against its table.
+class Flags {
+ public:
+  explicit Flags(std::span<const Flag> table) : table_(table) {}
+
+  /// Reads `args` as `--name value` / `--name=value` (a switch takes no
+  /// value; an on/off flag alone means on). Prints one line per mistake —
+  /// unknown flag, stray argument, missing, malformed or out-of-range
+  /// value — and returns false if there was any.
+  bool Parse(const char* command, std::span<char*> args) {
+    bool ok = true;
+    const auto fail = [&](const std::string& message) {
+      std::fprintf(stderr, "receipt_cli %s: %s\n", command, message.c_str());
+      ok = false;
+    };
+    for (size_t i = 0; i < args.size(); ++i) {
+      std::string_view arg = args[i];
+      if (arg.substr(0, 2) != "--") {
+        fail("stray argument '" + std::string(arg) +
+             "' (arguments after the command are --flag VALUE pairs)");
+        continue;
+      }
+      arg.remove_prefix(2);
+      const size_t eq = arg.find('=');
+      const std::string name(arg.substr(0, eq));
+      const Flag* flag = Find(name);
+      const bool next_is_value =
+          i + 1 < args.size() &&
+          std::string_view(args[i + 1]).substr(0, 2) != "--";
+      if (flag == nullptr) {
+        fail("unknown flag --" + name + " (receipt_cli help lists them)");
+        // Its value, if any, is not a stray argument of its own.
+        if (eq == std::string_view::npos && next_is_value) ++i;
+        continue;
+      }
+      const bool takes_value = flag->kind != Flag::kSwitch;
+      std::string value = flag->kind == Flag::kOnOff ? "on" : "";  // alone
+      if (eq != std::string_view::npos) {
+        value = arg.substr(eq + 1);
+      } else if (takes_value && next_is_value) {
+        value = args[++i];
+      } else if (takes_value && flag->kind != Flag::kOnOff) {
+        fail("--" + name + " needs a value");
+        continue;
+      }
+      if (const std::string why = CheckValue(*flag, value); !why.empty()) {
+        fail("--" + name + " " + why + ", got '" + value + "'");
+        continue;
+      }
+      given_[name] = std::move(value);
+    }
+    return ok;
   }
-  if (value == "0" || value == "off" || value == "false") {
-    *out = false;
-    return true;
+
+  bool Given(std::string_view name) const {
+    Row(name);
+    return given_.find(name) != given_.end();
   }
-  std::fprintf(stderr, "--%s takes on or off, got '%s'\n", flag,
-               value.c_str());
+
+  std::string Str(std::string_view name) const {
+    return std::string(Value(name));
+  }
+
+  int64_t Int(std::string_view name) const {
+    int64_t value = 0;
+    ParseNumber(Value(name), &value);
+    return value;
+  }
+
+  double Real(std::string_view name) const {
+    double value = 0.0;
+    ParseNumber(Value(name), &value);
+    return value;
+  }
+
+  /// A switch is on when given; an on/off flag reads its value.
+  bool On(std::string_view name) const {
+    bool on = Given(name);
+    if (Row(name).kind == Flag::kOnOff) ParseOnOffWord(Value(name), &on);
+    return on;
+  }
+
+ private:
+  const Flag* Find(std::string_view name) const {
+    for (const Flag& flag : table_) {
+      if (name == flag.name) return &flag;
+    }
+    return nullptr;
+  }
+
+  /// Reading a flag the table does not declare is a bug.
+  const Flag& Row(std::string_view name) const {
+    const Flag* flag = Find(name);
+    if (flag == nullptr) {
+      std::fprintf(stderr, "receipt_cli: --%.*s is not declared\n",
+                   static_cast<int>(name.size()), name.data());
+      std::abort();
+    }
+    return *flag;
+  }
+
+  /// The given value, else the fallback.
+  std::string_view Value(std::string_view name) const {
+    const auto it = given_.find(name);
+    return it != given_.end() ? std::string_view(it->second)
+                              : std::string_view(Row(name).fallback);
+  }
+
+  std::span<const Flag> table_;
+  std::map<std::string, std::string, std::less<>> given_;
+};
+
+/// False, with a message, unless `name` is a paper analogue.
+bool KnownDataset(const std::string& name) {
+  const std::vector<std::string>& names = PaperAnalogueNames();
+  if (std::find(names.begin(), names.end(), name) != names.end()) return true;
+  std::fprintf(stderr, "unknown dataset '%s'\n", name.c_str());
   return false;
 }
 
-/// Validated --threads: absent → `fallback`; outside [1, 1024] is a usage
-/// error, checked before any graph is loaded or engine work starts.
-bool ParseThreads(const Args& args, int fallback, int* out) {
-  const int64_t threads = args.GetInt("threads", fallback);
-  if (threads < 1 || threads > 1024) {
-    std::fprintf(stderr, "--threads must be in [1, 1024], got %lld\n",
-                 static_cast<long long>(threads));
-    return false;
+bool LoadGraph(const Flags& flags, BipartiteGraph* graph) {
+  if (flags.Given("dataset")) {
+    const std::string name = flags.Str("dataset");
+    if (!KnownDataset(name)) return false;
+    *graph = MakePaperAnalogue(name);
+    return true;
   }
-  *out = static_cast<int>(threads);
-  return true;
-}
-
-int Usage() {
-  std::fprintf(
-      stderr,
-      "usage: receipt_cli <command> [flags]\n"
-      "commands:\n"
-      "  generate  --type chunglu|random|complete --nu N --nv N --edges M\n"
-      "            [--alpha-u A --alpha-v A] [--seed S] --output FILE\n"
-      "  stats     --input FILE | --dataset it|de|or|lj|en|tr\n"
-      "            [--approx-samples N]\n"
-      "  decompose --input FILE | --dataset NAME  [--algo receipt|bup|parb]\n"
-      "            [--side U|V] [--threads T] [--partitions P]\n"
-      "            [--no-huc] [--no-dgm] [--output FILE]\n"
-      "  wing      --input FILE | --dataset NAME  [--parallel]\n"
-      "            [--threads T] [--partitions P] [--output FILE]\n"
-      "  serve     --graphs NAME=FILE[,NAME=FILE...] | --datasets it,de,...\n"
-      "            [--workers W] [--clients C] [--requests N] [--threads T]\n"
-      "            [--partitions P] [--cache-mb MB] [--queue-capacity N]\n"
-      "            [--http-port PORT] [--http-threads N]\n"
-      "            [--max-pending-edges N]\n"
-      "            [--live-track tip-U:150,wing:8]\n"
-      "            [--data-dir DIR] [--fsync always|batch|off]\n"
-      "            [--journal-segment-mb MB] [--snapshot-on-seal[=off]]\n"
-      "            [--cluster-id ID --cluster-members a=H:P,b=H:P,...]\n"
-      "            [--replication R] [--cluster-proxy[=off]]\n"
-      "            [--peer-timeout-ms MS]\n"
-      "            (--http-port serves HTTP/JSON until SIGINT/SIGTERM;\n"
-      "             port 0 binds an ephemeral port, printed on startup;\n"
-      "             graphs may also be registered later via POST /v1/graphs;\n"
-      "             --data-dir journals every change and recovers on start;\n"
-      "             --cluster-id joins the replicated tier as that member)\n"
-      "  router    --members a=H:P,b=H:P,... [--http-port PORT]\n"
-      "            [--http-threads N] [--replication R] [--trace-log FILE]\n"
-      "            [--health-interval-ms MS] [--peer-timeout-ms MS]\n"
-      "            (front-end for a replica set: spreads reads over healthy\n"
-      "             holders, steers writes to the shard owner, fails over,\n"
-      "             and appends one JSONL client-trace record per acked op\n"
-      "             for tools/consistency_check; GET /statz and GET /metrics\n"
-      "             report its counters)\n"
-      "  update    --graph NAME --batch FILE|-  [--host H] [--port P]\n"
-      "            [--seal] [--threads T] [--track tip-U:150,wing:8]\n"
-      "            [--retries N] [--retry-base-ms MS]\n"
-      "            (batch lines: '+ u v' inserts, '- u v' deletes; posts to\n"
-      "             a running serve --http-port instance; retries 429/503\n"
-      "             and transport failures with jittered backoff)\n");
-  return 1;
-}
-
-bool LoadGraph(const Args& args, BipartiteGraph* graph) {
-  if (args.Has("dataset")) {
-    const std::string name = args.Get("dataset");
-    for (const std::string& known : PaperAnalogueNames()) {
-      if (name == known) {
-        *graph = MakePaperAnalogue(name);
-        return true;
-      }
-    }
-    std::fprintf(stderr, "unknown dataset '%s'\n", name.c_str());
-    return false;
-  }
-  const std::string path = args.Get("input");
+  const std::string path = flags.Str("input");
   if (path.empty()) {
     std::fprintf(stderr, "need --input FILE or --dataset NAME\n");
     return false;
@@ -208,35 +259,41 @@ bool LoadGraph(const Args& args, BipartiteGraph* graph) {
   return true;
 }
 
-int CmdGenerate(const Args& args) {
-  const std::string type = args.Get("type", "chunglu");
-  const VertexId nu = static_cast<VertexId>(args.GetInt("nu", 1000));
-  const VertexId nv = static_cast<VertexId>(args.GetInt("nv", 1000));
-  const uint64_t edges = static_cast<uint64_t>(args.GetInt("edges", 5000));
-  const uint64_t seed = static_cast<uint64_t>(args.GetInt("seed", 1));
+constexpr Flag kGenerateFlags[] = {
+    {"type", Flag::kEnum, "chunglu", "chunglu|random|complete"},
+    {"nu", Flag::kInt, "1000", "N", 1, int64_t{1} << 26},
+    {"nv", Flag::kInt, "1000", "N", 1, int64_t{1} << 26},
+    {"edges", Flag::kInt, "5000", "M", 0, int64_t{1} << 32},
+    {"alpha-u", Flag::kReal, "0.5", "A", 0, 16},
+    {"alpha-v", Flag::kReal, "0.5", "A", 0, 16},
+    {"seed", Flag::kInt, "1", "S", 0, INT64_MAX},
+    {"output", Flag::kString, "", "FILE"},
+};
 
-  BipartiteGraph graph;
-  if (type == "chunglu") {
-    graph = ChungLuBipartite(nu, nv, edges, args.GetDouble("alpha-u", 0.5),
-                             args.GetDouble("alpha-v", 0.5), seed);
-  } else if (type == "random") {
-    graph = RandomBipartite(nu, nv, edges, seed);
-  } else if (type == "complete") {
-    graph = CompleteBipartite(nu, nv);
-  } else {
-    std::fprintf(stderr, "unknown --type '%s'\n", type.c_str());
-    return 1;
-  }
-
-  const std::string output = args.Get("output");
+int CmdGenerate(const Flags& flags) {
+  const std::string output = flags.Str("output");
   if (output.empty()) {
     std::fprintf(stderr, "need --output FILE\n");
     return 1;
   }
-  const bool ok =
-      output.size() > 4 && output.substr(output.size() - 4) == ".bin"
-          ? SaveBinary(graph, output)
-          : SaveKonect(graph, output);
+  const std::string type = flags.Str("type");
+  const VertexId nu = static_cast<VertexId>(flags.Int("nu"));
+  const VertexId nv = static_cast<VertexId>(flags.Int("nv"));
+  const uint64_t edges = static_cast<uint64_t>(flags.Int("edges"));
+  const uint64_t seed = static_cast<uint64_t>(flags.Int("seed"));
+
+  BipartiteGraph graph;
+  if (type == "chunglu") {
+    graph = ChungLuBipartite(nu, nv, edges, flags.Real("alpha-u"),
+                             flags.Real("alpha-v"), seed);
+  } else if (type == "random") {
+    graph = RandomBipartite(nu, nv, edges, seed);
+  } else {
+    graph = CompleteBipartite(nu, nv);
+  }
+
+  const bool ok = output.ends_with(".bin") ? SaveBinary(graph, output)
+                                           : SaveKonect(graph, output);
   if (!ok) {
     std::fprintf(stderr, "failed to write '%s'\n", output.c_str());
     return 2;
@@ -247,9 +304,15 @@ int CmdGenerate(const Args& args) {
   return 0;
 }
 
-int CmdStats(const Args& args) {
+constexpr Flag kStatsFlags[] = {
+    {"input", Flag::kString, "", "FILE"},
+    {"dataset", Flag::kString, "", "NAME"},
+    {"approx-samples", Flag::kInt, "0", "N", 0, int64_t{1} << 32},
+};
+
+int CmdStats(const Flags& flags) {
   BipartiteGraph graph;
-  if (!LoadGraph(args, &graph)) return 2;
+  if (!LoadGraph(flags, &graph)) return 2;
   std::printf("|U|=%u |V|=%u |E|=%llu dU=%.2f dV=%.2f\n", graph.num_u(),
               graph.num_v(),
               static_cast<unsigned long long>(graph.num_edges()),
@@ -258,7 +321,7 @@ int CmdStats(const Args& args) {
               static_cast<unsigned long long>(graph.TotalWedges(Side::kU)),
               static_cast<unsigned long long>(graph.TotalWedges(Side::kV)),
               static_cast<unsigned long long>(graph.CountingCostBound()));
-  const int64_t samples = args.GetInt("approx-samples", 0);
+  const int64_t samples = flags.Int("approx-samples");
   if (samples > 0) {
     const ApproxCountResult approx = ApproxTotalButterflies(
         graph, static_cast<uint64_t>(samples), /*seed=*/17);
@@ -273,65 +336,76 @@ int CmdStats(const Args& args) {
   return 0;
 }
 
-bool WriteCounts(const std::string& path, const std::vector<Count>& values) {
+/// Writes "i value" lines to --output, if given; 2 if that fails.
+int WriteOutput(const Flags& flags, const std::vector<Count>& values,
+                const char* what) {
+  const std::string path = flags.Str("output");
+  if (path.empty()) return 0;
   std::ofstream out(path);
   for (size_t i = 0; i < values.size(); ++i) {
     out << i << " " << values[i] << "\n";
   }
-  return static_cast<bool>(out);
+  if (!out) {
+    std::fprintf(stderr, "failed to write '%s'\n", path.c_str());
+    return 2;
+  }
+  std::printf("%s numbers written to %s\n", what, path.c_str());
+  return 0;
 }
 
-int CmdDecompose(const Args& args) {
-  TipOptions options;
-  if (!ParseThreads(args, 4, &options.num_threads)) return 1;
+constexpr Flag kDecomposeFlags[] = {
+    {"input", Flag::kString, "", "FILE"},
+    {"dataset", Flag::kString, "", "NAME"},
+    {"algo", Flag::kEnum, "receipt", "receipt|bup|parb"},
+    {"side", Flag::kEnum, "U", "U|V"},
+    {"threads", Flag::kInt, "4", "T", 1, kMaxThreads},
+    {"partitions", Flag::kInt, "150", "P", 1, kMaxPartitions},
+    {"no-huc", Flag::kSwitch, "", ""},
+    {"no-dgm", Flag::kSwitch, "", ""},
+    {"output", Flag::kString, "", "FILE"},
+};
+
+int CmdDecompose(const Flags& flags) {
   BipartiteGraph graph;
-  if (!LoadGraph(args, &graph)) return 2;
+  if (!LoadGraph(flags, &graph)) return 2;
 
-  options.side = args.Get("side", "U") == "V" ? Side::kV : Side::kU;
-  options.num_partitions =
-      static_cast<int>(args.GetInt("partitions", 150));
-  options.use_huc = !args.Has("no-huc");
-  options.use_dgm = !args.Has("no-dgm");
+  TipOptions options;
+  options.num_threads = static_cast<int>(flags.Int("threads"));
+  options.side = flags.Str("side") == "V" ? Side::kV : Side::kU;
+  options.num_partitions = static_cast<int>(flags.Int("partitions"));
+  options.use_huc = !flags.On("no-huc");
+  options.use_dgm = !flags.On("no-dgm");
 
-  const std::string algo = args.Get("algo", "receipt");
-  TipResult result;
-  if (algo == "receipt") {
-    result = ReceiptDecompose(graph, options);
-  } else if (algo == "bup") {
-    result = BupDecompose(graph, options);
-  } else if (algo == "parb") {
-    result = ParbDecompose(graph, options);
-  } else {
-    std::fprintf(stderr, "unknown --algo '%s'\n", algo.c_str());
-    return 1;
-  }
+  const std::string algo = flags.Str("algo");
+  const TipResult result = algo == "bup"    ? BupDecompose(graph, options)
+                           : algo == "parb" ? ParbDecompose(graph, options)
+                                            : ReceiptDecompose(graph, options);
 
   std::printf("%s on side %s: theta_max=%llu\n%s\n", algo.c_str(),
               SideName(options.side),
               static_cast<unsigned long long>(result.MaxTipNumber()),
               result.stats.ToString().c_str());
-  const std::string output = args.Get("output");
-  if (!output.empty()) {
-    if (!WriteCounts(output, result.tip_numbers)) {
-      std::fprintf(stderr, "failed to write '%s'\n", output.c_str());
-      return 2;
-    }
-    std::printf("tip numbers written to %s\n", output.c_str());
-  }
-  return 0;
+  return WriteOutput(flags, result.tip_numbers, "tip");
 }
 
-int CmdWing(const Args& args) {
-  int threads = 0;
-  if (!ParseThreads(args, 4, &threads)) return 1;
+constexpr Flag kWingFlags[] = {
+    {"input", Flag::kString, "", "FILE"},
+    {"dataset", Flag::kString, "", "NAME"},
+    {"parallel", Flag::kSwitch, "", ""},
+    {"threads", Flag::kInt, "4", "T", 1, kMaxThreads},
+    {"partitions", Flag::kInt, "8", "P", 1, kMaxPartitions},
+    {"output", Flag::kString, "", "FILE"},
+};
+
+int CmdWing(const Flags& flags) {
   BipartiteGraph graph;
-  if (!LoadGraph(args, &graph)) return 2;
+  if (!LoadGraph(flags, &graph)) return 2;
+  const int threads = static_cast<int>(flags.Int("threads"));
   WingResult result;
-  if (args.Has("parallel")) {
+  if (flags.On("parallel")) {
     ReceiptWingOptions options;
     options.num_threads = threads;
-    options.num_partitions =
-        static_cast<int>(args.GetInt("partitions", 8));
+    options.num_partitions = static_cast<int>(flags.Int("partitions"));
     result = ReceiptWingDecompose(graph, options);
   } else {
     result = WingDecompose(graph, threads);
@@ -339,15 +413,7 @@ int CmdWing(const Args& args) {
   std::printf("wing decomposition: max_wing=%llu\n%s\n",
               static_cast<unsigned long long>(result.MaxWingNumber()),
               result.stats.ToString().c_str());
-  const std::string output = args.Get("output");
-  if (!output.empty()) {
-    if (!WriteCounts(output, result.wing_numbers)) {
-      std::fprintf(stderr, "failed to write '%s'\n", output.c_str());
-      return 2;
-    }
-    std::printf("wing numbers written to %s\n", output.c_str());
-  }
-  return 0;
+  return WriteOutput(flags, result.wing_numbers, "wing");
 }
 
 std::vector<std::string> SplitCommaList(const std::string& list) {
@@ -369,18 +435,15 @@ bool ParseTrackSpecs(const std::string& list,
                      std::vector<service::LiveConfig>* out) {
   for (const std::string& spec : SplitCommaList(list)) {
     service::LiveConfig config;
-    std::string kind = spec;
-    if (const size_t colon = spec.find(':'); colon != std::string::npos) {
-      kind = spec.substr(0, colon);
-      const std::string partitions = spec.substr(colon + 1);
-      if (partitions.empty() ||
-          partitions.find_first_not_of("0123456789") != std::string::npos) {
-        std::fprintf(stderr, "bad partition count in track spec '%s'\n",
-                     spec.c_str());
-        return false;
-      }
-      config.partitions =
-          static_cast<uint32_t>(std::atoll(partitions.c_str()));
+    const size_t colon = spec.find(':');
+    const std::string kind = spec.substr(0, colon);
+    if (colon != std::string::npos &&
+        (!ParseNumber(std::string_view(spec).substr(colon + 1),
+                      &config.partitions) ||
+         config.partitions < 1 || config.partitions > kMaxPartitions)) {
+      std::fprintf(stderr, "track spec '%s': partitions must be in [1, %lld]\n",
+                   spec.c_str(), static_cast<long long>(kMaxPartitions));
+      return false;
     }
     if (!service::RequestKindFromName(kind, &config.kind)) {
       std::fprintf(stderr,
@@ -478,14 +541,27 @@ int HttpPostJsonWithRetry(const std::string& host, uint16_t port,
   }
 }
 
+constexpr Flag kUpdateFlags[] = {
+    {"graph", Flag::kString, "", "NAME"},
+    {"batch", Flag::kString, "", "FILE|-"},
+    {"host", Flag::kString, "127.0.0.1", "H"},
+    {"port", Flag::kInt, "8080", "P", 1, 65535},
+    {"seal", Flag::kSwitch, "", ""},
+    // 0 leaves the count to the server.
+    {"threads", Flag::kInt, "0", "T", 0, kMaxThreads},
+    {"track", Flag::kString, "", "tip-U:150,wing:8"},
+    {"retries", Flag::kInt, "3", "N", 0, 100},
+    {"retry-base-ms", Flag::kInt, "100", "MS", 1, 60000},
+};
+
 // update: post an edge batch to a running server's live-update endpoint.
-int CmdUpdate(const Args& args) {
-  const std::string graph = args.Get("graph");
+int CmdUpdate(const Flags& flags) {
+  const std::string graph = flags.Str("graph");
   if (graph.empty()) {
     std::fprintf(stderr, "need --graph NAME\n");
     return 1;
   }
-  const std::string batch_path = args.Get("batch");
+  const std::string batch_path = flags.Str("batch");
   if (batch_path.empty()) {
     std::fprintf(stderr, "need --batch FILE (or - for stdin)\n");
     return 1;
@@ -502,7 +578,7 @@ int CmdUpdate(const Args& args) {
     if (!ReadUpdateBatch(in, &updates)) return 1;
   }
   std::vector<service::LiveConfig> track;
-  if (!ParseTrackSpecs(args.Get("track"), &track)) return 1;
+  if (!ParseTrackSpecs(flags.Str("track"), &track)) return 1;
 
   util::JsonWriter writer;
   writer.BeginObject().Key("edges").BeginArray();
@@ -514,8 +590,8 @@ int CmdUpdate(const Args& args) {
         .EndObject();
   }
   writer.EndArray();
-  if (args.Has("seal")) writer.Key("seal").Bool(true);
-  if (const int64_t threads = args.GetInt("threads", 0); threads > 0) {
+  if (flags.On("seal")) writer.Key("seal").Bool(true);
+  if (const int64_t threads = flags.Int("threads"); threads > 0) {
     writer.Key("threads").Int(threads);
   }
   if (!track.empty()) {
@@ -530,27 +606,13 @@ int CmdUpdate(const Args& args) {
   }
   writer.EndObject();
 
-  const std::string host = args.Get("host", "127.0.0.1");
-  const int64_t port = args.GetInt("port", 8080);
-  if (port < 1 || port > 65535) {
-    std::fprintf(stderr, "--port must be in [1, 65535]\n");
-    return 1;
-  }
-  const int64_t retries = args.GetInt("retries", 3);
-  const int64_t retry_base_ms = args.GetInt("retry-base-ms", 100);
-  if (retries < 0 || retries > 100 || retry_base_ms < 1 ||
-      retry_base_ms > 60000) {
-    std::fprintf(stderr,
-                 "--retries must be in [0, 100] and --retry-base-ms in "
-                 "[1, 60000]\n");
-    return 1;
-  }
   std::string response_body;
   std::string error;
   const int status = HttpPostJsonWithRetry(
-      host, static_cast<uint16_t>(port), "/v1/graphs/" + graph + "/edges",
-      writer.Take(), static_cast<int>(retries),
-      static_cast<int>(retry_base_ms), &response_body, &error);
+      flags.Str("host"), static_cast<uint16_t>(flags.Int("port")),
+      "/v1/graphs/" + graph + "/edges", writer.Take(),
+      static_cast<int>(flags.Int("retries")),
+      static_cast<int>(flags.Int("retry-base-ms")), &response_body, &error);
   if (status == 0) {
     std::fprintf(stderr, "%s\n", error.c_str());
     return 2;
@@ -567,48 +629,62 @@ volatile std::sig_atomic_t g_stop_requested = 0;
 
 void OnStopSignal(int) { g_stop_requested = 1; }
 
+void WaitForStopSignal() {
+  std::signal(SIGINT, OnStopSignal);
+  std::signal(SIGTERM, OnStopSignal);
+  while (g_stop_requested == 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  }
+  std::printf("signal received: draining\n");
+}
+
+/// Parses a member list and checks `replication` against its size.
+bool ParseMembers(const char* flag, const std::string& spec,
+                  int64_t replication,
+                  std::vector<cluster::ClusterMember>* members) {
+  std::string error;
+  if (!cluster::ParseClusterMembers(spec, members, &error)) {
+    std::fprintf(stderr, "--%s: %s\n", flag, error.c_str());
+    return false;
+  }
+  if (members->empty()) {
+    std::fprintf(stderr, "need --%s a=HOST:PORT,b=HOST:PORT,...\n", flag);
+    return false;
+  }
+  if (replication > static_cast<int64_t>(members->size())) {
+    std::fprintf(stderr, "--replication %lld exceeds the %zu members\n",
+                 static_cast<long long>(replication), members->size());
+    return false;
+  }
+  return true;
+}
+
+constexpr Flag kRouterFlags[] = {
+    {"members", Flag::kString, "", "a=H:P,b=H:P,..."},
+    {"http-port", Flag::kInt, "0", "PORT", 0, 65535},
+    {"http-threads", Flag::kInt, "4", "N", 1, kMaxPoolThreads},
+    {"replication", Flag::kInt, "2", "R", 1, 64},
+    {"trace-log", Flag::kString, "", "FILE"},
+    {"health-interval-ms", Flag::kInt, "250", "MS", 0, kMaxTimeoutMs},
+    {"peer-timeout-ms", Flag::kInt, "5000", "MS", 1, kMaxTimeoutMs},
+};
+
 // router: thin front-end over a replica set (see cluster::Router). Runs
-// until SIGINT/SIGTERM, then prints routing stats.
-int CmdRouter(const Args& args) {
+// until SIGINT/SIGTERM, then prints its /statz.
+int CmdRouter(const Flags& flags) {
   std::vector<cluster::ClusterMember> members;
-  std::string member_error;
-  if (!cluster::ParseClusterMembers(args.Get("members"), &members,
-                                    &member_error)) {
-    std::fprintf(stderr, "--members: %s\n", member_error.c_str());
-    return 1;
-  }
-  if (members.empty()) {
-    std::fprintf(stderr, "need --members a=HOST:PORT,b=HOST:PORT,...\n");
-    return 1;
-  }
-  const int64_t port = args.GetInt("http-port", 0);
-  if (port < 0 || port > 65535) {
-    std::fprintf(stderr, "--http-port must be in [0, 65535], got %lld\n",
-                 static_cast<long long>(port));
+  if (!ParseMembers("members", flags.Str("members"),
+                    flags.Int("replication"), &members)) {
     return 1;
   }
   cluster::RouterOptions options;
-  options.http.port = static_cast<uint16_t>(port);
-  options.http.num_threads = static_cast<int>(args.GetInt("http-threads", 4));
-  const int64_t replication = args.GetInt("replication", 2);
-  if (replication < 1 || replication > static_cast<int64_t>(members.size())) {
-    std::fprintf(stderr,
-                 "--replication must be in [1, %zu] (the member count)\n",
-                 members.size());
-    return 1;
-  }
-  options.replication_factor = static_cast<size_t>(replication);
-  const int64_t peer_timeout = args.GetInt("peer-timeout-ms", 5000);
-  const int64_t health_interval = args.GetInt("health-interval-ms", 250);
-  if (peer_timeout < 1 || peer_timeout > 600000 || health_interval < 0 ||
-      health_interval > 600000) {
-    std::fprintf(stderr, "--peer-timeout-ms must be in [1, 600000] and "
-                         "--health-interval-ms in [0, 600000]\n");
-    return 1;
-  }
-  options.peer_timeout_ms = static_cast<int>(peer_timeout);
-  options.health_interval_ms = static_cast<int>(health_interval);
-  options.trace_log_path = args.Get("trace-log");
+  options.http.port = static_cast<uint16_t>(flags.Int("http-port"));
+  options.http.num_threads = static_cast<int>(flags.Int("http-threads"));
+  options.replication_factor = static_cast<size_t>(flags.Int("replication"));
+  options.peer_timeout_ms = static_cast<int>(flags.Int("peer-timeout-ms"));
+  options.health_interval_ms =
+      static_cast<int>(flags.Int("health-interval-ms"));
+  options.trace_log_path = flags.Str("trace-log");
 
   cluster::Router router(members, options);
   std::string error;
@@ -625,24 +701,9 @@ int CmdRouter(const Args& args) {
                   : (", trace-log " + options.trace_log_path).c_str());
   std::fflush(stdout);
 
-  std::signal(SIGINT, OnStopSignal);
-  std::signal(SIGTERM, OnStopSignal);
-  while (g_stop_requested == 0) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  }
-  std::printf("signal received: draining\n");
+  WaitForStopSignal();
   router.Stop();
-
-  const cluster::Router::Stats stats = router.stats();
-  std::printf(
-      "router: reads_routed=%llu writes_routed=%llu failovers=%llu "
-      "no_replica=%llu trace_records=%llu healthy_replicas=%zu\n",
-      static_cast<unsigned long long>(stats.reads_routed),
-      static_cast<unsigned long long>(stats.writes_routed),
-      static_cast<unsigned long long>(stats.failovers),
-      static_cast<unsigned long long>(stats.no_replica),
-      static_cast<unsigned long long>(stats.trace_records),
-      stats.healthy_replicas);
+  std::printf("/statz %s\n", router.StatzJson().c_str());
   return 0;
 }
 
@@ -650,26 +711,19 @@ int CmdRouter(const Args& args) {
 // SIGINT/SIGTERM. Shutdown order matters: the HTTP server drains first
 // (handlers can still resolve futures against a live service), then the
 // service drains its own queue.
-int ServeHttp(const Args& args, service::GraphRegistry& registry,
+int ServeHttp(const Flags& flags, service::GraphRegistry& registry,
               service::DecompositionService& service) {
+  server::HttpServerOptions http_options;
   // Port 0 asks the kernel for an ephemeral port; the bound port is
   // printed on the "listening on" line below.
-  const int64_t port = args.GetInt("http-port", 8080);
-  if (port < 0 || port > 65535) {
-    std::fprintf(stderr, "--http-port must be in [0, 65535], got %lld\n",
-                 static_cast<long long>(port));
-    return 1;
-  }
-  server::HttpServerOptions http_options;
-  http_options.port = static_cast<uint16_t>(port);
-  http_options.num_threads =
-      static_cast<int>(args.GetInt("http-threads", 4));
+  http_options.port = static_cast<uint16_t>(flags.Int("http-port"));
+  http_options.num_threads = static_cast<int>(flags.Int("http-threads"));
   server::HttpServer http_server(http_options);
 
   // With --cluster-id the frontend registers no routes of its own: the
   // ClusterNode wraps every endpoint with ownership-aware routing and
   // delegates the local work back to the frontend's handlers.
-  const std::string cluster_id = args.Get("cluster-id");
+  const std::string cluster_id = flags.Str("cluster-id");
   server::DecompositionHttpFrontend frontend(
       registry, service, http_server, /*register_routes=*/cluster_id.empty());
 
@@ -677,42 +731,23 @@ int ServeHttp(const Args& args, service::GraphRegistry& registry,
   if (!cluster_id.empty()) {
     cluster::ClusterNodeOptions cluster_options;
     cluster_options.self_id = cluster_id;
-    std::string member_error;
-    if (!cluster::ParseClusterMembers(args.Get("cluster-members"),
-                                      &cluster_options.members,
-                                      &member_error)) {
-      std::fprintf(stderr, "--cluster-members: %s\n", member_error.c_str());
+    if (!ParseMembers("cluster-members", flags.Str("cluster-members"),
+                      flags.Int("replication"), &cluster_options.members)) {
       return 1;
     }
-    bool self_listed = false;
-    for (const cluster::ClusterMember& member : cluster_options.members) {
-      self_listed = self_listed || member.id == cluster_id;
-    }
-    if (!self_listed) {
+    const auto& members = cluster_options.members;
+    if (std::none_of(members.begin(), members.end(), [&](const auto& m) {
+          return m.id == cluster_id;
+        })) {
       std::fprintf(stderr, "--cluster-id '%s' is not in --cluster-members\n",
                    cluster_id.c_str());
       return 1;
     }
-    const int64_t replication =
-        args.GetInt("replication", cluster_options.replication_factor);
-    if (replication < 1 ||
-        replication > static_cast<int64_t>(cluster_options.members.size())) {
-      std::fprintf(stderr,
-                   "--replication must be in [1, %zu] (the member count)\n",
-                   cluster_options.members.size());
-      return 1;
-    }
-    cluster_options.replication_factor = static_cast<size_t>(replication);
-    if (!ParseOnOff(args, "cluster-proxy", cluster_options.proxy,
-                    &cluster_options.proxy)) {
-      return 1;
-    }
-    const int64_t peer_timeout = args.GetInt("peer-timeout-ms", 5000);
-    if (peer_timeout < 1 || peer_timeout > 600000) {
-      std::fprintf(stderr, "--peer-timeout-ms must be in [1, 600000]\n");
-      return 1;
-    }
-    cluster_options.peer_timeout_ms = static_cast<int>(peer_timeout);
+    cluster_options.replication_factor =
+        static_cast<size_t>(flags.Int("replication"));
+    cluster_options.proxy = flags.On("cluster-proxy");
+    cluster_options.peer_timeout_ms =
+        static_cast<int>(flags.Int("peer-timeout-ms"));
     node = std::make_unique<cluster::ClusterNode>(cluster_options, registry,
                                                   service, frontend,
                                                   http_server);
@@ -730,9 +765,8 @@ int ServeHttp(const Args& args, service::GraphRegistry& registry,
                             http_server.port());
     std::printf("cluster member '%s' (replication=%lld, %s)\n",
                 cluster_id.c_str(),
-                static_cast<long long>(args.GetInt("replication", 2)),
-                args.Get("cluster-proxy", "on") != "off" ? "proxying"
-                                                         : "redirecting");
+                static_cast<long long>(flags.Int("replication")),
+                flags.On("cluster-proxy") ? "proxying" : "redirecting");
   }
   std::printf("listening on http://%s:%u (POST /v1/decompose, "
               "GET|POST /v1/graphs, POST /v1/graphs/{name}/edges, "
@@ -741,119 +775,54 @@ int ServeHttp(const Args& args, service::GraphRegistry& registry,
               http_options.bind_address.c_str(), http_server.port());
   std::fflush(stdout);
 
-  std::signal(SIGINT, OnStopSignal);
-  std::signal(SIGTERM, OnStopSignal);
-  while (g_stop_requested == 0) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  }
-  std::printf("signal received: draining\n");
-
+  WaitForStopSignal();
   http_server.Stop();
   service.Shutdown(/*drain=*/true);
-
-  const server::HttpServer::Stats http = http_server.stats();
-  const server::DecompositionHttpFrontend::Stats fe = frontend.stats();
-  const service::DecompositionService::Stats stats = service.stats();
-  std::printf(
-      "http: connections=%llu requests=%llu 2xx=%llu 4xx=%llu 5xx=%llu "
-      "busy_429=%llu disconnect_cancels=%llu\n",
-      static_cast<unsigned long long>(http.connections_accepted),
-      static_cast<unsigned long long>(http.requests),
-      static_cast<unsigned long long>(http.responses_2xx),
-      static_cast<unsigned long long>(http.responses_4xx),
-      static_cast<unsigned long long>(http.responses_5xx),
-      static_cast<unsigned long long>(fe.rejected_busy),
-      static_cast<unsigned long long>(fe.disconnect_cancels));
+  // The final counters, as the endpoints would serve them.
+  std::printf("/statz %s\n", frontend.StatzJson().c_str());
   if (node != nullptr) {
-    const cluster::ClusterNode::Stats cs = node->stats();
-    std::printf(
-        "cluster: local_reads=%llu proxied=%llu redirected=%llu "
-        "stale_rejects=%llu replicated_out=%llu replication_failures=%llu "
-        "chain_syncs=%llu replicated_applies=%llu\n",
-        static_cast<unsigned long long>(cs.local_reads),
-        static_cast<unsigned long long>(cs.proxied),
-        static_cast<unsigned long long>(cs.redirected),
-        static_cast<unsigned long long>(cs.stale_rejects),
-        static_cast<unsigned long long>(cs.replicated_out),
-        static_cast<unsigned long long>(cs.replication_failures),
-        static_cast<unsigned long long>(cs.chain_syncs),
-        static_cast<unsigned long long>(cs.replicated_applies));
+    std::printf("/v1/cluster/info %s\n", node->InfoJson().c_str());
   }
-  std::printf(
-      "service: submitted=%llu engine_runs=%llu cache_hits=%llu "
-      "coalesced=%llu cancelled=%llu\n",
-      static_cast<unsigned long long>(stats.submitted),
-      static_cast<unsigned long long>(stats.engine_runs),
-      static_cast<unsigned long long>(stats.cache_hits),
-      static_cast<unsigned long long>(stats.coalesced),
-      static_cast<unsigned long long>(stats.cancelled));
-  const service::LiveGraphManager::Stats live = service.live().stats();
-  std::printf(
-      "live updates: batches=%llu updates=%llu seals=%llu "
-      "runs=%llu pending=%llu\n",
-      static_cast<unsigned long long>(live.batches_total),
-      static_cast<unsigned long long>(live.updates_total),
-      static_cast<unsigned long long>(live.seals_total),
-      static_cast<unsigned long long>(live.runs_full),
-      static_cast<unsigned long long>(live.pending_edges));
-  if (service.durable()) {
-    const durability::DurabilityStats durable = service.durability()->stats();
-    std::printf(
-        "durability: appends=%llu bytes=%llu fsyncs=%llu rotations=%llu "
-        "snapshots=%llu append_failures=%llu snapshot_failures=%llu "
-        "broken=%s\n",
-        static_cast<unsigned long long>(durable.journal.appends),
-        static_cast<unsigned long long>(durable.journal.bytes_written),
-        static_cast<unsigned long long>(durable.journal.fsyncs),
-        static_cast<unsigned long long>(durable.journal.rotations),
-        static_cast<unsigned long long>(durable.snapshots_written),
-        static_cast<unsigned long long>(durable.journal.append_failures),
-        static_cast<unsigned long long>(durable.snapshot_failures),
-        durable.journal.broken ? "yes" : "no");
-  }
-  std::printf("workspace growths (all worker pools): %llu\n",
-              static_cast<unsigned long long>(service.WorkspaceGrowths()));
-  // Final metrics snapshot: the same quantiles /statz serves, printed so a
-  // drained run leaves its latency profile in the log.
-  const auto print_quantiles = [](const char* label,
-                                  const obs::Histogram& histogram) {
-    std::printf("%s: count=%llu p50=%.6fs p95=%.6fs p99=%.6fs\n", label,
-                static_cast<unsigned long long>(histogram.Count()),
-                histogram.Quantile(0.50), histogram.Quantile(0.95),
-                histogram.Quantile(0.99));
-  };
-  std::printf("requests by outcome:");
-  for (const service::Status status :
-       {service::Status::kOk, service::Status::kNotFound,
-        service::Status::kBadRequest, service::Status::kCancelled,
-        service::Status::kShutdown}) {
-    std::printf(" %s=%llu", service::StatusName(status),
-                static_cast<unsigned long long>(
-                    service.RequestsWithOutcome(status)));
-  }
-  std::printf("\n");
-  print_quantiles("latency (request)", *service.request_latency_histogram());
-  print_quantiles("latency (queue wait)", *service.queue_wait_histogram());
-  print_quantiles("latency (engine run)", *service.engine_run_histogram());
-  std::printf("traces recorded: %llu (ring capacity %llu)\n",
-              static_cast<unsigned long long>(
-                  service.observability().traces.recorded()),
-              static_cast<unsigned long long>(
-                  service.observability().traces.capacity()));
   return 0;
 }
+
+constexpr Flag kServeFlags[] = {
+    {"graphs", Flag::kString, "", "NAME=FILE,..."},
+    {"datasets", Flag::kString, "", "NAME,..."},
+    {"threads", Flag::kInt, "2", "T", 1, kMaxThreads},
+    {"workers", Flag::kInt, "2", "W", 1, kMaxPoolThreads},
+    {"cache-mb", Flag::kInt, "64", "MB", 0, int64_t{1} << 20},
+    {"queue-capacity", Flag::kInt, "256", "N", 1, int64_t{1} << 20},
+    {"max-pending-edges", Flag::kInt, "4096", "N", 1, int64_t{1} << 30},
+    {"live-track", Flag::kString, "", "tip-U:150,wing:8"},
+    // Without --http-port: the in-process clients.
+    {"clients", Flag::kInt, "2", "C", 1, kMaxPoolThreads},
+    {"requests", Flag::kInt, "12", "N", 0, int64_t{1} << 20},
+    {"partitions", Flag::kInt, "8", "P", 1, kMaxPartitions},
+    // With it: the HTTP server.
+    {"http-port", Flag::kInt, "", "PORT", 0, 65535},
+    {"http-threads", Flag::kInt, "4", "N", 1, kMaxPoolThreads},
+    {"data-dir", Flag::kString, "", "DIR"},
+    {"fsync", Flag::kEnum, "always", "always|batch|off"},
+    {"journal-segment-mb", Flag::kInt, "64", "MB", 1, 4096},
+    {"snapshot-on-seal", Flag::kOnOff, "on", "on|off"},
+    {"cluster-id", Flag::kString, "", "ID"},
+    {"cluster-members", Flag::kString, "", "a=H:P,b=H:P,..."},
+    {"replication", Flag::kInt, "2", "R", 1, 64},
+    {"cluster-proxy", Flag::kOnOff, "on", "on|off"},
+    {"peer-timeout-ms", Flag::kInt, "5000", "MS", 1, kMaxTimeoutMs},
+};
 
 // serve: register graphs in a GraphRegistry and drive a DecompositionService
 // with a mixed tip/wing workload from concurrent clients. Each unique request
 // that reaches the engine prints the same PeelStats block as the one-shot
 // `decompose` / `wing` commands, so per-phase timings and wedge counters are
 // directly comparable between service mode and one-shot runs.
-int CmdServe(const Args& args) {
-  int threads = 0;
-  if (!ParseThreads(args, 2, &threads)) return 1;
+int CmdServe(const Flags& flags) {
+  const int threads = static_cast<int>(flags.Int("threads"));
   service::GraphRegistry registry;
   std::vector<std::pair<std::string, std::string>> graph_files;
-  for (const std::string& spec : SplitCommaList(args.Get("graphs"))) {
+  for (const std::string& spec : SplitCommaList(flags.Str("graphs"))) {
     const size_t eq = spec.find('=');
     if (eq == std::string::npos || eq == 0 || eq + 1 >= spec.size()) {
       std::fprintf(stderr, "--graphs entries must be NAME=FILE, got '%s'\n",
@@ -863,78 +832,39 @@ int CmdServe(const Args& args) {
     graph_files.emplace_back(spec.substr(0, eq), spec.substr(eq + 1));
   }
   const std::vector<std::string> datasets =
-      SplitCommaList(args.Get("datasets"));
+      SplitCommaList(flags.Str("datasets"));
   for (const std::string& name : datasets) {
-    bool known = false;
-    for (const std::string& candidate : PaperAnalogueNames()) {
-      known = known || candidate == name;
-    }
-    if (!known) {
-      std::fprintf(stderr, "unknown dataset '%s'\n", name.c_str());
-      return 1;
-    }
+    if (!KnownDataset(name)) return 1;
   }
 
-  service::ServiceOptions service_options;
-  service_options.num_workers = static_cast<int>(args.GetInt("workers", 2));
-  // HTTP handlers wait on request futures; with no service workers nothing
-  // would ever resolve them (no RunQueuedInline caller exists in serve
-  // mode) and every decompose would hang until client disconnect.
-  if (args.Has("http-port") && service_options.num_workers < 1) {
-    std::fprintf(stderr, "--http-port requires --workers >= 1; using 1\n");
-    service_options.num_workers = 1;
-  }
-  if (args.Has("cluster-id") && !args.Has("http-port")) {
+  const bool http = flags.Given("http-port");
+  if (flags.Given("cluster-id") && !http) {
     std::fprintf(stderr, "--cluster-id requires --http-port\n");
     return 1;
   }
-  service_options.cache_bytes =
-      static_cast<size_t>(args.GetInt("cache-mb", 64)) << 20;
-  const int64_t queue_capacity = args.GetInt(
-      "queue-capacity", static_cast<int64_t>(service_options.queue_capacity));
-  if (queue_capacity < 1 || queue_capacity > (int64_t{1} << 20)) {
-    std::fprintf(stderr, "--queue-capacity must be in [1, %lld], got %lld\n",
-                 static_cast<long long>(int64_t{1} << 20),
-                 static_cast<long long>(queue_capacity));
-    return 1;
-  }
-  service_options.queue_capacity = static_cast<size_t>(queue_capacity);
-  const int64_t max_pending = args.GetInt(
-      "max-pending-edges",
-      static_cast<int64_t>(service_options.live_max_pending_edges));
-  if (max_pending < 1) {
-    std::fprintf(stderr, "--max-pending-edges must be >= 1\n");
-    return 1;
-  }
-  service_options.live_max_pending_edges = static_cast<size_t>(max_pending);
+  service::ServiceOptions service_options;
+  service_options.num_workers = static_cast<int>(flags.Int("workers"));
+  service_options.cache_bytes = static_cast<size_t>(flags.Int("cache-mb"))
+                                << 20;
+  service_options.queue_capacity =
+      static_cast<size_t>(flags.Int("queue-capacity"));
+  service_options.live_max_pending_edges =
+      static_cast<size_t>(flags.Int("max-pending-edges"));
   std::vector<service::LiveConfig> live_track;
-  if (!ParseTrackSpecs(args.Get("live-track"), &live_track)) return 1;
+  if (!ParseTrackSpecs(flags.Str("live-track"), &live_track)) return 1;
 
   // Durability: with --data-dir the service journals every state change and
   // replays snapshot + journal on startup before serving anything.
-  service_options.data_dir = args.Get("data-dir");
+  service_options.data_dir = flags.Str("data-dir");
   if (!service_options.data_dir.empty()) {
-    const std::string fsync = args.Get("fsync", "always");
-    if (!durability::FsyncPolicyFromName(fsync,
-                                         &service_options.durability_fsync)) {
-      std::fprintf(stderr, "--fsync takes always, batch or off, got '%s'\n",
-                   fsync.c_str());
-      return 1;
-    }
-    const int64_t segment_mb = args.GetInt("journal-segment-mb", 64);
-    if (segment_mb < 1 || segment_mb > 4096) {
-      std::fprintf(stderr, "--journal-segment-mb must be in [1, 4096]\n");
-      return 1;
-    }
+    // The table admits only policy names, so this cannot fail.
+    durability::FsyncPolicyFromName(flags.Str("fsync"),
+                                    &service_options.durability_fsync);
     service_options.journal_segment_bytes =
-        static_cast<uint64_t>(segment_mb) << 20;
-    if (!ParseOnOff(args, "snapshot-on-seal",
-                    service_options.snapshot_on_seal,
-                    &service_options.snapshot_on_seal)) {
-      return 1;
-    }
-  } else if (args.Has("fsync") || args.Has("journal-segment-mb") ||
-             args.Has("snapshot-on-seal")) {
+        static_cast<uint64_t>(flags.Int("journal-segment-mb")) << 20;
+    service_options.snapshot_on_seal = flags.On("snapshot-on-seal");
+  } else if (flags.Given("fsync") || flags.Given("journal-segment-mb") ||
+             flags.Given("snapshot-on-seal")) {
     std::fprintf(stderr, "--fsync/--journal-segment-mb/--snapshot-on-seal "
                          "need --data-dir\n");
     return 1;
@@ -985,7 +915,7 @@ int CmdServe(const Args& args) {
     }
   }
   const std::vector<std::string> names = registry.Names();
-  if (names.empty() && !args.Has("http-port")) {
+  if (names.empty() && !http) {
     std::fprintf(stderr, "need --graphs NAME=FILE,... or --datasets A,B\n");
     return 1;
   }
@@ -1015,11 +945,11 @@ int CmdServe(const Args& args) {
     }
   }
 
-  if (args.Has("http-port")) return ServeHttp(args, registry, service);
+  if (http) return ServeHttp(flags, registry, service);
 
-  const int clients = static_cast<int>(args.GetInt("clients", 2));
-  const int total_requests = static_cast<int>(args.GetInt("requests", 12));
-  const int partitions = static_cast<int>(args.GetInt("partitions", 8));
+  const int clients = static_cast<int>(flags.Int("clients"));
+  const int total_requests = static_cast<int>(flags.Int("requests"));
+  const int partitions = static_cast<int>(flags.Int("partitions"));
 
   // The request mix: cycle (graph × kind/algorithm) so repeats exercise the
   // cache and concurrent duplicates exercise coalescing.
@@ -1049,10 +979,10 @@ int CmdServe(const Args& args) {
   std::atomic<int> failed_requests{0};
   const WallTimer serve_timer;
   std::vector<std::thread> client_threads;
-  for (int c = 0; c < std::max(1, clients); ++c) {
+  for (int c = 0; c < clients; ++c) {
     client_threads.emplace_back([&, c] {
       for (size_t i = static_cast<size_t>(c); i < schedule.size();
-           i += static_cast<size_t>(std::max(1, clients))) {
+           i += static_cast<size_t>(clients)) {
         const service::Request& request = schedule[i];
         const service::Response response = service.Execute(request);
         std::lock_guard<std::mutex> lock(print_mutex);
@@ -1114,22 +1044,87 @@ int CmdServe(const Args& args) {
   return 0;
 }
 
+struct Command {
+  const char* name;
+  const char* summary;
+  std::span<const Flag> flags;
+  int (*run)(const Flags&);
+};
+
+constexpr Command kCommands[] = {
+    {"generate", "write a synthetic graph (a .bin --output is binary, else "
+     "KONECT)", kGenerateFlags, CmdGenerate},
+    {"stats", "sizes, wedge and butterfly counts of --input or --dataset",
+     kStatsFlags, CmdStats},
+    {"decompose", "tip decomposition of --input or --dataset",
+     kDecomposeFlags, CmdDecompose},
+    {"wing", "wing decomposition of --input or --dataset (--parallel: "
+     "RECEIPT-W)", kWingFlags, CmdWing},
+    {"serve",
+     "a DecompositionService over --graphs and --datasets: --clients send\n"
+     "  --requests and it exits, or with --http-port (0: ephemeral) it serves\n"
+     "  HTTP/JSON until SIGINT/SIGTERM, then drains and prints /statz",
+     kServeFlags, CmdServe},
+    {"router",
+     "front-end for the replica set --members, one --trace-log JSONL record\n"
+     "  per acked op; runs until SIGINT/SIGTERM, then prints /statz",
+     kRouterFlags, CmdRouter},
+    {"update",
+     "post a batch of '+ u v' / '- u v' lines (--batch - is stdin) to a\n"
+     "  running serve --http-port; retries 429/503 with jittered backoff",
+     kUpdateFlags, CmdUpdate},
+};
+
+void PrintHelp(std::FILE* out) {
+  std::fprintf(out,
+               "usage: receipt_cli <command> [--flag VALUE | --flag=VALUE]...\n"
+               "An unknown flag, a stray argument, or a malformed or "
+               "out-of-range value exits 1.\nDataset names:");
+  for (const std::string& name : PaperAnalogueNames()) {
+    std::fprintf(out, " %s", name.c_str());
+  }
+  std::fprintf(out, "\n");
+  for (const Command& command : kCommands) {
+    std::fprintf(out, "\n%s: %s\n", command.name, command.summary);
+    for (const Flag& flag : command.flags) {
+      std::string line = std::string("  --") + flag.name + " " +
+                         flag.placeholder;
+      std::string note = flag.kind == Flag::kSwitch ? "switch" : "";
+      if (flag.kind == Flag::kInt || flag.kind == Flag::kReal) {
+        note = Range(flag) + (*flag.fallback != '\0' ? ", " : "");
+      }
+      if (*flag.fallback != '\0') {
+        note += std::string("default ") + flag.fallback;
+      }
+      if (!note.empty()) {
+        line.resize(std::max<size_t>(37, line.size() + 1), ' ');
+        line += note;
+      }
+      std::fprintf(out, "%s\n", line.c_str());
+    }
+  }
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 2) return Usage();
-  const std::string command = argv[1];
-  if (command == "help" || command == "--help") {
-    Usage();
+  const std::string_view name = argc < 2 ? "" : argv[1];
+  if (name == "help" || name == "--help") {
+    PrintHelp(stdout);
     return 0;
   }
-  const Args args(argc, argv);
-  if (command == "generate") return CmdGenerate(args);
-  if (command == "stats") return CmdStats(args);
-  if (command == "decompose") return CmdDecompose(args);
-  if (command == "wing") return CmdWing(args);
-  if (command == "serve") return CmdServe(args);
-  if (command == "router") return CmdRouter(args);
-  if (command == "update") return CmdUpdate(args);
-  return Usage();
+  for (const Command& command : kCommands) {
+    if (name != command.name) continue;
+    Flags flags(command.flags);
+    if (!flags.Parse(command.name, std::span<char*>(argv + 2, argc - 2))) {
+      return 1;
+    }
+    return command.run(flags);
+  }
+  if (!name.empty()) {
+    std::fprintf(stderr, "unknown command '%.*s'\n",
+                 static_cast<int>(name.size()), name.data());
+  }
+  PrintHelp(stderr);
+  return 1;
 }

@@ -426,6 +426,12 @@ HttpResponse ClusterNode::HandleClusterApply(const HttpRequest& request) {
 }
 
 HttpResponse ClusterNode::HandleInfo(const HttpRequest&) {
+  HttpResponse response;
+  response.body = InfoJson();
+  return response;
+}
+
+std::string ClusterNode::InfoJson() const {
   util::JsonWriter json;
   json.BeginObject()
       .Key("id").String(options_.self_id)
@@ -465,9 +471,7 @@ HttpResponse ClusterNode::HandleInfo(const HttpRequest&) {
       .Key("replicated_applies").Uint(s.replicated_applies)
       .EndObject();
   json.EndObject();
-  HttpResponse response;
-  response.body = json.Take();
-  return response;
+  return json.Take();
 }
 
 HttpResponse ClusterNode::HandleRoute(const HttpRequest& request) {

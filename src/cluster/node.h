@@ -112,6 +112,10 @@ class ClusterNode {
   };
   Stats stats() const;
 
+  /// The GET /v1/cluster/info document: identity, members, resident graphs
+  /// and stats(). HandleInfo serves it; the CLI's drain prints it.
+  std::string InfoJson() const;
+
  private:
   server::HttpResponse HandleDecompose(const server::HttpRequest& request);
   server::HttpResponse HandleRegister(const server::HttpRequest& request);

@@ -350,6 +350,12 @@ HttpResponse Router::HandleHealthz(const HttpRequest&) {
 }
 
 HttpResponse Router::HandleStatz(const HttpRequest&) {
+  HttpResponse response;
+  response.body = StatzJson();
+  return response;
+}
+
+std::string Router::StatzJson() const {
   const Stats s = stats();
   util::JsonWriter json;
   json.BeginObject()
@@ -378,9 +384,7 @@ HttpResponse Router::HandleStatz(const HttpRequest&) {
     }
   }
   json.EndObject().EndObject();
-  HttpResponse response;
-  response.body = json.Take();
-  return response;
+  return json.Take();
 }
 
 HttpResponse Router::HandleMetrics(const HttpRequest&) {

@@ -81,6 +81,11 @@ class Router {
   };
   Stats stats() const;
 
+  /// The GET /statz document: stats(), members with their health, and the
+  /// per-graph epoch floors. HandleStatz serves it; the CLI's drain prints
+  /// it.
+  std::string StatzJson() const;
+
  private:
   struct Member {
     ClusterMember endpoint;

@@ -542,6 +542,12 @@ HttpResponse DecompositionHttpFrontend::HandleHealthz(const HttpRequest&) {
 
 HttpResponse DecompositionHttpFrontend::HandleStatz(const HttpRequest&) {
   CountHttpRequest(kStatz);
+  HttpResponse response;
+  response.body = StatzJson();
+  return response;
+}
+
+std::string DecompositionHttpFrontend::StatzJson() const {
   const service::DecompositionService::Stats service_stats =
       service_->stats();
   const service::ResultCache::Stats cache = service_->cache_stats();
@@ -574,7 +580,16 @@ HttpResponse DecompositionHttpFrontend::HandleStatz(const HttpRequest&) {
       .Key("batched_follow_ons").Uint(service_stats.batched_follow_ons)
       .Key("cancelled").Uint(service_stats.cancelled)
       .Key("abandoned").Uint(service_stats.abandoned)
-      .EndObject();
+      .Key("by_outcome")
+      .BeginObject();
+  for (const service::Status status :
+       {service::Status::kOk, service::Status::kNotFound,
+        service::Status::kBadRequest, service::Status::kCancelled,
+        service::Status::kShutdown}) {
+    writer.Key(service::StatusName(status))
+        .Uint(service_->RequestsWithOutcome(status));
+  }
+  writer.EndObject().EndObject();
   writer.Key("cache")
       .BeginObject()
       .Key("entries").Uint(cache.entries)
@@ -662,11 +677,13 @@ HttpResponse DecompositionHttpFrontend::HandleStatz(const HttpRequest&) {
   WriteQuantiles("queue_wait", *service_->queue_wait_histogram(), &writer);
   WriteQuantiles("engine_run", *service_->engine_run_histogram(), &writer);
   writer.EndObject();
+  writer.Key("traces")
+      .BeginObject()
+      .Key("recorded").Uint(obs_->traces.recorded())
+      .Key("capacity").Uint(obs_->traces.capacity())
+      .EndObject();
   writer.EndObject();
-
-  HttpResponse response;
-  response.body = writer.Take();
-  return response;
+  return writer.Take();
 }
 
 DecompositionHttpFrontend::Stats DecompositionHttpFrontend::stats() const {

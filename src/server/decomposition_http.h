@@ -3,6 +3,7 @@
 
 #include <array>
 #include <cstdint>
+#include <string>
 
 #include "obs/observability.h"
 #include "server/http_server.h"
@@ -67,6 +68,10 @@ class DecompositionHttpFrontend {
   HttpResponse HandleMetrics(const HttpRequest& request);
   HttpResponse HandleTraces(const HttpRequest& request);
   HttpResponse HandleTraceById(const HttpRequest& request);
+
+  /// The /statz document. HandleStatz serves it; a caller that renders it
+  /// directly (the CLI's drain summary) counts no HTTP request.
+  std::string StatzJson() const;
 
   /// Reads of the frontend's registry instruments: decompose_requests is
   /// receipt_http_requests_total{path="/v1/decompose"}, the rest are

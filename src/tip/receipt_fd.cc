@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cassert>
 #include <numeric>
 #include <vector>
 
@@ -118,14 +119,10 @@ void ReceiptFd(const BipartiteGraph& graph, const CdResult& cd,
   pool.Prepare(num_threads, graph.num_vertices());
 
   // Per-partition cost prediction: the coarse histogram's range prediction
-  // rides along in cd.predicted_costs; legacy callers without it fall back
-  // to the O(m) induced wedge-count pass (§3.2.1's original proxy).
-  const std::vector<Count> costs =
-      cd.predicted_costs.size() == num_subsets
-          ? cd.predicted_costs
-          : ComputeSubsetWedgeCounts(graph, cd.subset_of, num_subsets,
-                                     num_threads);
-  const std::vector<uint32_t> order = FdPopOrder(costs, options.fd_order);
+  // rides along in cd.predicted_costs.
+  assert(cd.predicted_costs.size() == num_subsets);
+  const std::vector<uint32_t> order =
+      FdPopOrder(cd.predicted_costs, options.fd_order);
 
   // Dynamic task allocation (Alg. 4 lines 2-4): each idle thread takes the
   // next subset in pop order. Threads only synchronize at the terminal join.

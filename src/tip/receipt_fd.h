@@ -14,8 +14,9 @@
 namespace receipt {
 
 /// Number of wedges with both endpoints in each subset — Σ_v C(c_{v,i}, 2)
-/// where c_{v,i} = |N(v) ∩ U_i|. This is the induced-subgraph workload proxy
-/// used to order the FD task queue (Longest-Processing-Time rule, §3.2.1).
+/// where c_{v,i} = |N(v) ∩ U_i|. This is §3.2.1's original induced-subgraph
+/// workload proxy. FD orders by the coarse step's predicted costs instead;
+/// bench_fig3_scheduling feeds these counts to its makespan model.
 std::vector<Count> ComputeSubsetWedgeCounts(const BipartiteGraph& graph,
                                             std::span<const uint32_t> subset_of,
                                             uint32_t num_subsets,
@@ -35,8 +36,8 @@ std::vector<uint32_t> FdPopOrder(std::span<const Count> costs, FdOrder order);
 /// final join, so FD adds 0 to sync_rounds. The pop order never changes
 /// results — subsets are independent — only the load balance.
 ///
-/// Falls back to the legacy induced wedge-count pass
-/// (ComputeSubsetWedgeCounts) when `cd` carries no predicted costs.
+/// Requires cd.predicted_costs to hold one cost per subset, as ReceiptCd
+/// always fills it.
 ///
 /// Honours options.use_huc (re-count within the induced subgraph plus the
 /// fixed external contribution ⊲⊳init − ⊲⊳in_G_i, §4.1) and options.use_dgm.

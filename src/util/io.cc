@@ -8,7 +8,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <mutex>
@@ -83,16 +82,6 @@ int PlanErrno() {
   return g_state.plan.fail_errno;
 }
 
-bool ParseU64(const std::string& text, uint64_t* out) {
-  if (text.empty()) return false;
-  char* end = nullptr;
-  errno = 0;
-  unsigned long long value = std::strtoull(text.c_str(), &end, 10);
-  if (errno != 0 || end == nullptr || *end != '\0') return false;
-  *out = value;
-  return true;
-}
-
 }  // namespace
 
 void SetFaultPlan(const FaultPlan& plan) {
@@ -108,68 +97,6 @@ void ClearFaultPlan() {
   g_state = InjectionState{};
   g_armed.store(false, std::memory_order_relaxed);
   g_halted.store(false, std::memory_order_relaxed);
-}
-
-bool LoadFaultPlanFromEnv() {
-  const char* raw = std::getenv("RECEIPT_FAULT_PLAN");
-  if (raw == nullptr || raw[0] == '\0') {
-    ClearFaultPlan();
-    return true;
-  }
-  FaultPlan plan;
-  std::string spec(raw);
-  size_t start = 0;
-  while (start <= spec.size()) {
-    size_t comma = spec.find(',', start);
-    if (comma == std::string::npos) comma = spec.size();
-    std::string directive = spec.substr(start, comma - start);
-    start = comma + 1;
-    if (directive.empty()) continue;
-    size_t eq = directive.find('=');
-    if (eq == std::string::npos) return false;
-    std::string key = directive.substr(0, eq);
-    std::string value = directive.substr(eq + 1);
-    if (key == "crash-exit" || key == "crash-halt") {
-      size_t colon = value.rfind(':');
-      plan.crash_at = 1;
-      if (colon != std::string::npos &&
-          ParseU64(value.substr(colon + 1), &plan.crash_at)) {
-        value = value.substr(0, colon);
-      }
-      if (value.empty() || plan.crash_at == 0) return false;
-      plan.crash_site = value;
-      plan.crash_exit = (key == "crash-exit");
-    } else if (key == "fail-write") {
-      // fail-write=<n>[:<short>[:halt]]
-      size_t c1 = value.find(':');
-      std::string n = value.substr(0, c1);
-      if (!ParseU64(n, &plan.fail_write_at) || plan.fail_write_at == 0) {
-        return false;
-      }
-      if (c1 != std::string::npos) {
-        std::string rest = value.substr(c1 + 1);
-        size_t c2 = rest.find(':');
-        std::string short_part = rest.substr(0, c2);
-        if (!ParseU64(short_part, &plan.short_write_bytes)) return false;
-        if (c2 != std::string::npos) {
-          if (rest.substr(c2 + 1) != "halt") return false;
-          plan.halt_on_write_failure = true;
-        }
-      }
-    } else if (key == "fail-sync") {
-      if (!ParseU64(value, &plan.fail_sync_at) || plan.fail_sync_at == 0) {
-        return false;
-      }
-    } else if (key == "fail-rename") {
-      if (!ParseU64(value, &plan.fail_rename_at) || plan.fail_rename_at == 0) {
-        return false;
-      }
-    } else {
-      return false;
-    }
-  }
-  SetFaultPlan(plan);
-  return true;
 }
 
 bool Halted() { return g_halted.load(std::memory_order_relaxed); }

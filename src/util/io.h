@@ -13,9 +13,7 @@ namespace receipt::util::io {
 // Fault injection. Every filesystem primitive below consults one global
 // plan, so the durability layer's failure handling can be *proven* against
 // injected EIO, torn writes, and crashes at named sites instead of hoped
-// correct. The plan is armed either programmatically (tests) or through the
-// RECEIPT_FAULT_PLAN environment variable (child-process harnesses, the CI
-// crash smoke).
+// correct. Tests arm the plan with SetFaultPlan.
 // ---------------------------------------------------------------------------
 
 /// A deterministic fault-injection plan. Counters are 1-based and global
@@ -55,16 +53,6 @@ void SetFaultPlan(const FaultPlan& plan);
 
 /// Disarms injection (including a halted shim) and resets counters.
 void ClearFaultPlan();
-
-/// Arms the plan described by the RECEIPT_FAULT_PLAN environment variable,
-/// a comma-separated list of directives:
-///   crash-exit=<site>:<n>   _exit(137) at the nth hit of <site>
-///   crash-halt=<site>:<n>   halt the shim at the nth hit of <site>
-///   fail-write=<n>[:<short>[:halt]]   fail the nth write (torn by <short>)
-///   fail-sync=<n>           fail the nth fsync
-///   fail-rename=<n>         fail the nth rename
-/// Unset or empty disarms. Returns false on a malformed value.
-bool LoadFaultPlanFromEnv();
 
 /// True once a crash-halt site (or halting write failure) has tripped:
 /// every shim primitive now fails with EIO.

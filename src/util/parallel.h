@@ -87,16 +87,6 @@ inline T AtomicClampedSub(T* target, T delta, T floor) {
   }
 }
 
-/// Atomically sets `*target = max(*target, value)`.
-template <typename T>
-inline void AtomicMax(T* target, T value) {
-  auto* a = reinterpret_cast<std::atomic<T>*>(target);
-  T cur = a->load(std::memory_order_relaxed);
-  while (cur < value &&
-         !a->compare_exchange_weak(cur, value, std::memory_order_relaxed)) {
-  }
-}
-
 /// Exclusive prefix sum over `values`, returning the total. values[i] becomes
 /// the sum of the original values[0..i).
 template <typename T>
@@ -218,35 +208,6 @@ T ParallelReduceMax(size_t n, int num_threads, Make&& make, T identity = T{}) {
   for (const T& candidate : partials) best = std::max<T>(best, candidate);
   return best;
 }
-
-/// A cache-line padded counter; one per thread, folded at the end of a phase.
-/// Avoids false sharing on the hot wedge-traversal counters.
-struct alignas(64) PaddedCounter {
-  uint64_t value = 0;
-};
-
-/// A fixed-size set of per-thread counters with a fold operation.
-class PerThreadCounters {
- public:
-  explicit PerThreadCounters(int num_threads)
-      : counters_(static_cast<size_t>(num_threads)) {}
-
-  /// Adds `delta` to the calling thread's slice. Must be called with a thread
-  /// id < num_threads used at construction.
-  void Add(int tid, uint64_t delta) {
-    counters_[static_cast<size_t>(tid)].value += delta;
-  }
-
-  /// Sums all per-thread slices.
-  uint64_t Total() const {
-    uint64_t total = 0;
-    for (const auto& c : counters_) total += c.value;
-    return total;
-  }
-
- private:
-  std::vector<PaddedCounter> counters_;
-};
 
 }  // namespace receipt
 

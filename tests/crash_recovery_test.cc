@@ -118,12 +118,13 @@ TEST(FaultInjection, CrashPointExitsChildProcess) {
   const pid_t pid = ::fork();
   ASSERT_GE(pid, 0);
   if (pid == 0) {
-    // Child: arm the same plan the CI smoke uses via the environment, then
-    // append — the pre-fsync crash point must _exit(137) with the record
-    // bytes already written.
-    ::setenv("RECEIPT_FAULT_PLAN",
-             "crash-exit=journal.append.pre-fsync:1", 1);
-    if (!io::LoadFaultPlanFromEnv()) ::_exit(3);
+    // Child: arm a crash-exit at the journal's pre-fsync point, then
+    // append — the crash point must _exit(137) with the record bytes
+    // already written.
+    io::FaultPlan plan;
+    plan.crash_site = "journal.append.pre-fsync";
+    plan.crash_exit = true;
+    io::SetFaultPlan(plan);
     JournalOptions options;
     options.dir = dir.path();
     std::string error;
@@ -152,25 +153,6 @@ TEST(FaultInjection, CrashPointExitsChildProcess) {
       << error;
   EXPECT_EQ(records, 1u);
   EXPECT_FALSE(scan.torn_tail);
-}
-
-TEST(FaultInjection, EnvPlanParsing) {
-  FaultGuard guard;
-  ::setenv("RECEIPT_FAULT_PLAN", "fail-write=3:16:halt,fail-sync=2", 1);
-  EXPECT_TRUE(io::LoadFaultPlanFromEnv());
-  ::setenv("RECEIPT_FAULT_PLAN", "crash-halt=snapshot.rename:2", 1);
-  EXPECT_TRUE(io::LoadFaultPlanFromEnv());
-  ::setenv("RECEIPT_FAULT_PLAN", "flip-bits=7", 1);
-  EXPECT_FALSE(io::LoadFaultPlanFromEnv());
-  // A bare site is fine (the count defaults to 1), but a zero count or an
-  // empty site is malformed.
-  ::setenv("RECEIPT_FAULT_PLAN", "crash-exit=journal.rotate", 1);
-  EXPECT_TRUE(io::LoadFaultPlanFromEnv());
-  ::setenv("RECEIPT_FAULT_PLAN", "crash-exit=journal.rotate:0", 1);
-  EXPECT_FALSE(io::LoadFaultPlanFromEnv());
-  ::unsetenv("RECEIPT_FAULT_PLAN");
-  EXPECT_TRUE(io::LoadFaultPlanFromEnv());  // unset disarms
-  EXPECT_FALSE(io::Halted());
 }
 
 // ---------------------------------------------------------------------------

@@ -628,6 +628,34 @@ TEST(HttpServerTest, StatsMetricsAndStatzAgree) {
     EXPECT_EQ(service.engine_runs, 1u);
     EXPECT_EQ(service.cancelled, 1u);
     EXPECT_EQ(service.abandoned, 1u);
+    for (const service::Status status :
+         {service::Status::kOk, service::Status::kNotFound,
+          service::Status::kBadRequest, service::Status::kCancelled,
+          service::Status::kShutdown}) {
+      const char* name = service::StatusName(status);
+      agree(ts.service.RequestsWithOutcome(status),
+            std::string("receipt_requests_total{outcome=\"") + name + "\"}",
+            {"requests", "by_outcome", name});
+    }
+    // The miss's run (its coalesced twin shares it) and the hit.
+    EXPECT_EQ(ts.service.RequestsWithOutcome(service::Status::kOk), 2u);
+    EXPECT_EQ(statz_uint({"traces", "capacity"}),
+              ts.service.observability().traces.capacity());
+    EXPECT_GE(statz_uint({"traces", "recorded"}), 1u);
+
+    // Rendering the document directly (the CLI's drain) is no request.
+    const std::string statz_requests =
+        "receipt_http_requests_total{path=\"/statz\"}";
+    const uint64_t served = MetricSample(
+        ts.service.observability().metrics.RenderPrometheus(),
+        statz_requests);
+    std::string error;
+    EXPECT_TRUE(util::JsonValue::Parse(ts.frontend->StatzJson(), &error))
+        << error;
+    EXPECT_EQ(MetricSample(
+                  ts.service.observability().metrics.RenderPrometheus(),
+                  statz_requests),
+              served);
 
     const service::ResultCache::Stats cache = ts.service.cache_stats();
     agree(cache.hits, "receipt_cache_hits_total", {"cache", "hits"});

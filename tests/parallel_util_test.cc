@@ -73,16 +73,6 @@ TEST(ParallelUtilTest, AtomicClampedSubConcurrentExactSum) {
   EXPECT_EQ(v, 10000u - 700u);  // no decrement may be lost (Lemma 2)
 }
 
-TEST(ParallelUtilTest, AtomicMax) {
-  Count v = 5;
-  AtomicMax(&v, Count{3});
-  EXPECT_EQ(v, 5u);
-  AtomicMax(&v, Count{9});
-  EXPECT_EQ(v, 9u);
-  ParallelFor(1000, 4, [&v](size_t i) { AtomicMax(&v, Count{i}); });
-  EXPECT_EQ(v, 999u);
-}
-
 TEST(ParallelUtilTest, ExclusivePrefixSum) {
   std::vector<uint64_t> values = {3, 1, 4, 1, 5};
   const uint64_t total = ExclusivePrefixSum(values);
@@ -90,14 +80,6 @@ TEST(ParallelUtilTest, ExclusivePrefixSum) {
   EXPECT_EQ(values, (std::vector<uint64_t>{0, 3, 4, 8, 9}));
   std::vector<uint64_t> empty;
   EXPECT_EQ(ExclusivePrefixSum(empty), 0u);
-}
-
-TEST(ParallelUtilTest, PerThreadCountersFold) {
-  PerThreadCounters counters(4);
-  ParallelFor(4, 4, [&counters](size_t i) {
-    counters.Add(ThreadId(), i + 1);
-  });
-  EXPECT_EQ(counters.Total(), 1u + 2 + 3 + 4);
 }
 
 TEST(ParallelUtilTest, PeelStatsMergeAndToString) {

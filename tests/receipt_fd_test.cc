@@ -1,5 +1,5 @@
 // Tests for RECEIPT FD (Alg. 4): exactness given a CD partition, the pop
-// order and its invariance, the no-predicted-costs fallback, subset
+// order and its invariance, the predicted costs FD requires of CD, subset
 // wedge-count proxy correctness, and FD-side HUC/DGM.
 
 #include "tip/receipt_fd.h"
@@ -237,19 +237,20 @@ TEST(ReceiptFdTest, MoreThreadsThanSubsetsMatchesBup) {
   EXPECT_EQ(tips, BupDecompose(g, bup_options).tip_numbers);
 }
 
-TEST(ReceiptFdTest, MissingPredictedCostsFallBackToWedgeCounts) {
-  // A CdResult without predicted costs orders FD by the induced wedge-count
-  // pass instead, and still yields the reference tip numbers.
+TEST(ReceiptFdTest, CdFillsOnePredictedCostPerSubset) {
+  // ReceiptFd orders its task list by cd.predicted_costs and has no
+  // fallback when they are missing, so ReceiptCd must fill one cost per
+  // subset for every partition count, including P larger than |U|.
   const BipartiteGraph g = ChungLuBipartite(400, 260, 3000, 0.8, 0.8, 777);
-  const TipOptions options = Options(8, 4);
-  PeelStats stats;
-  CdResult cd = ReceiptCd(g, options, &stats);
-  ASSERT_EQ(cd.predicted_costs.size(), cd.subsets.size());
-  cd.predicted_costs.clear();
-  std::vector<Count> tips(g.num_u(), 0);
-  ReceiptFd(g, cd, options, tips, &stats);
-  TipOptions bup_options;
-  EXPECT_EQ(tips, BupDecompose(g, bup_options).tip_numbers);
+  for (const int partitions : {1, 8, 150, 1000}) {
+    for (const int threads : {1, 3}) {
+      PeelStats stats;
+      const CdResult cd = ReceiptCd(g, Options(partitions, threads), &stats);
+      ASSERT_FALSE(cd.subsets.empty()) << "P=" << partitions;
+      EXPECT_EQ(cd.predicted_costs.size(), cd.subsets.size())
+          << "P=" << partitions << " T=" << threads;
+    }
+  }
 }
 
 TEST(ReceiptFdTest, OptimizationFlagsDoNotChangeResults) {
