@@ -47,7 +47,7 @@ class TipPeelGraph {
 
   uint64_t num_entities() const { return live_->num_u(); }
   /// Workspace shape this entity's kernels need (dense wedge array over
-  /// the combined vertex space; no V-side mark array).
+  /// the combined vertex space; no mark array).
   VertexId WorkspaceVertexCapacity() const { return live_->num_vertices(); }
   VertexId WorkspaceMarkCapacity() const { return 0; }
   bool IsAlive(Id u) const { return live_->IsAlive(u); }
@@ -104,9 +104,10 @@ class WingPeelGraph {
       : graph_(&graph), topo_(&topo), state_(&state), support_(support) {}
 
   uint64_t num_entities() const { return graph_->num_edges(); }
-  /// Workspace shape this entity's kernels need (V-side mark array only).
+  /// Workspace shape this entity's kernels need (a mark array over the
+  /// combined vertex space only).
   VertexId WorkspaceVertexCapacity() const { return 0; }
-  VertexId WorkspaceMarkCapacity() const { return graph_->num_v(); }
+  VertexId WorkspaceMarkCapacity() const { return graph_->num_vertices(); }
   bool IsAlive(Id e) const { return (*state_)[e] == kEdgeAlive; }
   Count Support(Id e) const { return support_[e]; }
   /// Edges stay enumerable while peeling (all four edges of a butterfly
@@ -198,7 +199,7 @@ class RangeDecomposer {
   using Id = typename PeelGraph::Id;
 
   /// `static_cost[e]` is the static peel-cost proxy of entity e (wedge
-  /// count for vertices, mark + scan cost for edges) driving range
+  /// count for vertices, the V-side mark + walk for edges) driving range
   /// determination and predicted_costs. For vertices it is also HUC's
   /// first filter: a round re-counts only if its static cost exceeds
   /// C_rcnt and then its live wedge count does too.
@@ -722,7 +723,7 @@ WingPeelOutcome SequentialWingPeel(const BipartiteGraph& graph,
                                    Updatable&& updatable, OnAssign&& assign,
                                    PeelControl* control = nullptr) {
   WingPeelOutcome out;
-  ws.EnsureMarkCapacity(graph.num_v());
+  ws.EnsureMarkCapacity(graph.num_vertices());
   Count theta = floor0;
   const auto peelable = [&](VertexId k) {
     return state[k] == kEdgeAlive && updatable(static_cast<EdgeOffset>(k));

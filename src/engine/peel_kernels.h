@@ -68,13 +68,33 @@ uint64_t PeelVertex(const DynamicGraph& graph, VertexId u, Count floor,
   return wedges;
 }
 
+/// The walk-direction rule of the wing peel kernel for edge e = (u, v):
+/// true walks via V (mark N(u), scan N(u2) for every u2 ∈ N(v)), false
+/// walks via U (mark N(v), scan N(v2) for every v2 ∈ N(u)). Each side's
+/// static cost is its mark pass plus its walk, d(u) + walk[v] against
+/// d(v) + walk[u]; ties walk via V.
+inline bool PeelWalksViaV(const BipartiteGraph& graph,
+                          const EdgeTopology& topo, EdgeOffset e) {
+  const VertexId u = topo.source[e];
+  const VertexId gv = graph.adjacency()[e];
+  return graph.Degree(u) + topo.walk[gv] <= graph.Degree(gv) + topo.walk[u];
+}
+
 /// The wing (edge) peel kernel: enumerates every butterfly of `e` whose
 /// four edges are all not-dead and for which `e` is the applier (the
 /// minimum-id kEdgePeeling edge in the butterfly), invoking `apply(x)` for
 /// each of the butterfly's other edges x that are still kEdgeAlive.
 /// Returns wedges traversed.
 ///
-/// Uses the workspace's V-side mark array (zero before and after).
+/// Each butterfly {e = (u, v), f = (u2, v), g2 = (u2, v2), h = (u, v2)} is
+/// found from whichever end of e walks less (PeelWalksViaV): via V, N(u)
+/// is marked with h and each live f's U end u2 is scanned for g2; via U,
+/// N(v) is marked with f and each live h's V end v2 is scanned for g2.
+/// Both directions find the same butterflies and hand them to one body,
+/// so the updates do not depend on the direction taken.
+///
+/// Uses the workspace's mark array, indexed by global vertex id (zero
+/// before and after).
 template <typename Apply>
 uint64_t PeelEdgeButterflies(const BipartiteGraph& graph,
                              const EdgeTopology& topo,
@@ -84,46 +104,72 @@ uint64_t PeelEdgeButterflies(const BipartiteGraph& graph,
   std::vector<EdgeOffset>& mark = ws.edge_mark;
   const VertexId u = topo.source[e];
   const VertexId gv = graph.adjacency()[e];
-
   const EdgeOffset u_base = graph.NeighborOffset(u);
   const auto u_nbrs = graph.Neighbors(u);
-  for (size_t j = 0; j < u_nbrs.size(); ++j) {
-    const EdgeOffset h = u_base + j;
-    if (state[h] != kEdgeDead) mark[u_nbrs[j] - graph.num_u()] = h + 1;
-  }
-  mark[gv - graph.num_u()] = 0;  // exclude e itself
-
   const EdgeOffset v_base = graph.NeighborOffset(gv);
   const auto v_nbrs = graph.Neighbors(gv);
-  for (size_t s = 0; s < v_nbrs.size(); ++s) {
-    const VertexId u2 = v_nbrs[s];
-    const EdgeOffset f = topo.v_slot_edge[v_base + s - topo.v_region];
-    if (f == e || state[f] == kEdgeDead) continue;
-    const EdgeOffset u2_base = graph.NeighborOffset(u2);
-    const auto u2_nbrs = graph.Neighbors(u2);
-    for (size_t t = 0; t < u2_nbrs.size(); ++t) {
-      ++wedges;
-      const VertexId gv2 = u2_nbrs[t];
-      if (gv2 == gv) continue;
-      const EdgeOffset g2 = u2_base + t;
-      if (state[g2] == kEdgeDead) continue;
-      const EdgeOffset h_plus1 = mark[gv2 - graph.num_u()];
-      if (h_plus1 == 0) continue;
-      const EdgeOffset h = h_plus1 - 1;
-      // Butterfly {e, f, g2, h}. Priority rule: the minimum-id peeling
-      // edge applies the update; everyone else skips.
-      if ((state[f] == kEdgePeeling && f < e) ||
-          (state[g2] == kEdgePeeling && g2 < e) ||
-          (state[h] == kEdgePeeling && h < e)) {
-        continue;
-      }
-      if (state[f] == kEdgeAlive) apply(f);
-      if (state[g2] == kEdgeAlive) apply(g2);
-      if (state[h] == kEdgeAlive) apply(h);
-    }
-  }
+  const auto v_slot_edge = [&](EdgeOffset slot) {
+    return topo.v_slot_edge[slot - topo.v_region];
+  };
 
-  for (const VertexId nbr : u_nbrs) mark[nbr - graph.num_u()] = 0;
+  // Butterfly {e, f, g2, h}. Priority rule: the minimum-id peeling edge
+  // applies the update; everyone else skips.
+  const auto butterfly = [&](EdgeOffset f, EdgeOffset g2, EdgeOffset h) {
+    if ((state[f] == kEdgePeeling && f < e) ||
+        (state[g2] == kEdgePeeling && g2 < e) ||
+        (state[h] == kEdgePeeling && h < e)) {
+      return;
+    }
+    if (state[f] == kEdgeAlive) apply(f);
+    if (state[g2] == kEdgeAlive) apply(g2);
+    if (state[h] == kEdgeAlive) apply(h);
+  };
+
+  if (PeelWalksViaV(graph, topo, e)) {
+    for (size_t j = 0; j < u_nbrs.size(); ++j) {
+      const EdgeOffset h = u_base + j;
+      if (state[h] != kEdgeDead) mark[u_nbrs[j]] = h + 1;
+    }
+    for (size_t s = 0; s < v_nbrs.size(); ++s) {
+      const VertexId u2 = v_nbrs[s];
+      const EdgeOffset f = v_slot_edge(v_base + s);
+      if (f == e || state[f] == kEdgeDead) continue;
+      const EdgeOffset u2_base = graph.NeighborOffset(u2);
+      const auto u2_nbrs = graph.Neighbors(u2);
+      for (size_t t = 0; t < u2_nbrs.size(); ++t) {
+        ++wedges;
+        const VertexId gv2 = u2_nbrs[t];
+        if (gv2 == gv) continue;  // g2 = f; mark[gv] holds e itself
+        const EdgeOffset g2 = u2_base + t;
+        if (state[g2] == kEdgeDead) continue;
+        const EdgeOffset h_plus1 = mark[gv2];
+        if (h_plus1 != 0) butterfly(f, g2, h_plus1 - 1);
+      }
+    }
+    for (const VertexId nbr : u_nbrs) mark[nbr] = 0;
+  } else {
+    for (size_t s = 0; s < v_nbrs.size(); ++s) {
+      const EdgeOffset f = v_slot_edge(v_base + s);
+      if (state[f] != kEdgeDead) mark[v_nbrs[s]] = f + 1;
+    }
+    for (size_t j = 0; j < u_nbrs.size(); ++j) {
+      const EdgeOffset h = u_base + j;
+      if (h == e || state[h] == kEdgeDead) continue;
+      const VertexId gv2 = u_nbrs[j];
+      const EdgeOffset v2_base = graph.NeighborOffset(gv2);
+      const auto v2_nbrs = graph.Neighbors(gv2);
+      for (size_t t = 0; t < v2_nbrs.size(); ++t) {
+        ++wedges;
+        const VertexId u2 = v2_nbrs[t];
+        if (u2 == u) continue;  // g2 = h; mark[u] holds e itself
+        const EdgeOffset g2 = v_slot_edge(v2_base + t);
+        if (state[g2] == kEdgeDead) continue;
+        const EdgeOffset f_plus1 = mark[u2];
+        if (f_plus1 != 0) butterfly(f_plus1 - 1, g2, h);
+      }
+    }
+    for (const VertexId nbr : v_nbrs) mark[nbr] = 0;
+  }
   return wedges;
 }
 

@@ -46,8 +46,9 @@ struct alignas(64) PeelWorkspace {
   /// Wedge list (mid, end) for the counting kernel's opposite-side pass
   /// (nzw of Alg. 1).
   std::vector<std::pair<VertexId, VertexId>> wedge_pairs;
-  /// V-side mark array for edge (wing) peeling: stores edge id + 1 while a
-  /// peel is in flight, 0 = unmarked.
+  /// Mark array for edge (wing) peeling, indexed by global vertex id so one
+  /// array serves whichever side the kernel marks: stores edge id + 1 while
+  /// a peel is in flight, 0 = unmarked.
   std::vector<EdgeOffset> edge_mark;
   /// Frontier buffer: entity ids this thread's peel kernels pushed into the
   /// next round's candidate set (deduplicated via the shared FrontierEpochs
@@ -112,10 +113,10 @@ struct alignas(64) PeelWorkspace {
     }
   }
 
-  /// Grows edge_mark to cover V-side ids [0, num_v), zero-filled.
-  void EnsureMarkCapacity(VertexId num_v) {
-    if (edge_mark.size() < static_cast<size_t>(num_v)) {
-      edge_mark.resize(num_v, 0);
+  /// Grows edge_mark to cover global vertex ids [0, n), zero-filled.
+  void EnsureMarkCapacity(VertexId n) {
+    if (edge_mark.size() < static_cast<size_t>(n)) {
+      edge_mark.resize(n, 0);
       ++growths;
     }
   }
@@ -136,8 +137,8 @@ class WorkspacePool {
   WorkspacePool& operator=(const WorkspacePool&) = delete;
 
   /// Ensures at least `num_threads` workspaces, each covering vertex ids
-  /// [0, vertex_capacity) and, when mark_capacity > 0, V-side ids
-  /// [0, mark_capacity).
+  /// [0, vertex_capacity) in wedge_count and, when mark_capacity > 0,
+  /// global vertex ids [0, mark_capacity) in edge_mark.
   void Prepare(int num_threads, VertexId vertex_capacity,
                VertexId mark_capacity = 0);
 

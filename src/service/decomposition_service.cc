@@ -332,7 +332,10 @@ void DecompositionService::WorkerMain(Worker& worker) {
       queue_not_empty_.wait(
           lock, [this] { return stopping_ || !queue_.empty(); });
       --waiting_workers_;
-      if (queue_.empty()) return;  // stopping and drained
+      if (queue_.empty()) {  // stopping and drained
+        ++exited_workers_;
+        return;
+      }
       batch = PopBatchLocked();
       queue_not_full_.notify_all();
     }
@@ -405,10 +408,9 @@ Response DecompositionService::RunEngine(Task& task,
   // Pre-size this worker's scratch to the largest resident graph, not just
   // the request's: whatever graph the next batch targets, the buffers are
   // already big enough — steady-state serving never allocates.
-  const GraphRegistry::Shape shape = registry_->MaxShape();
-  pool.Prepare(task.request.threads,
-               std::max(shape.max_vertices, graph.num_vertices()),
-               std::max(shape.max_v, graph.num_v()));
+  const VertexId capacity =
+      std::max(registry_->MaxVertices(), graph.num_vertices());
+  pool.Prepare(task.request.threads, capacity, capacity);
 
   std::shared_ptr<Payload> payload = RunDecomposition(
       graph, task.request, pool, /*use_huc=*/true, &task.control);
@@ -423,7 +425,6 @@ Response DecompositionService::RunEngine(Task& task,
 
 void DecompositionService::FinishTask(const std::shared_ptr<Task>& task,
                                       Response response) {
-  OutcomeCounter(response.status)->Increment();
   completed_total_->Increment();
   if (task->enqueue_ns != 0) {
     const uint64_t now = obs::TraceRecorder::NowNs();
@@ -439,6 +440,9 @@ void DecompositionService::FinishTask(const std::shared_ptr<Task>& task,
       const auto current = it->second.lock();
       if (current == nullptr || current == task) inflight_.erase(it);
     }
+    // Once out of inflight_ no submitter can join, so this counts every
+    // request the task resolves: the ticketed one and each coalesced twin.
+    OutcomeCounter(response.status)->Increment(1 + task->extra_submitters);
   }
   task->promise.set_value(std::move(response));
 }
@@ -506,7 +510,7 @@ size_t DecompositionService::QueueDepth() const {
 
 size_t DecompositionService::IdleWorkers() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return waiting_workers_;
+  return waiting_workers_ + exited_workers_;
 }
 
 uint64_t DecompositionService::WorkspaceGrowths() const {

@@ -173,7 +173,8 @@ class DecompositionService {
   size_t QueueDepth() const;
   size_t queue_capacity() const { return options_.queue_capacity; }
   int num_workers() const { return static_cast<int>(workers_.size()); }
-  /// Workers currently parked on the empty queue (busy = total − idle).
+  /// Workers not running a task: parked on the empty queue, or returned
+  /// after Shutdown (busy = total − idle).
   size_t IdleWorkers() const;
 
   /// Sum of buffer-growth events across all service-owned workspace pools.
@@ -352,6 +353,7 @@ class DecompositionService {
   std::unordered_map<CoalesceKey, std::weak_ptr<Task>, CoalesceKeyHash>
       inflight_;
   size_t waiting_workers_ = 0;  ///< workers blocked on queue_not_empty_
+  size_t exited_workers_ = 0;   ///< workers whose loop returned (Shutdown)
   bool stopping_ = false;
   bool joined_ = false;
 

@@ -71,15 +71,13 @@ size_t GraphRegistry::size() const {
   return graphs_.size();
 }
 
-GraphRegistry::Shape GraphRegistry::MaxShape() const {
+VertexId GraphRegistry::MaxVertices() const {
   std::lock_guard<std::mutex> lock(mu_);
-  Shape shape;
+  VertexId max_vertices = 0;
   for (const auto& [name, entry] : graphs_) {
-    shape.max_vertices =
-        std::max(shape.max_vertices, entry->graph.num_vertices());
-    shape.max_v = std::max(shape.max_v, entry->graph.num_v());
+    max_vertices = std::max(max_vertices, entry->graph.num_vertices());
   }
-  return shape;
+  return max_vertices;
 }
 
 }  // namespace receipt::service

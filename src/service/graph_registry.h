@@ -87,15 +87,11 @@ class GraphRegistry {
   std::vector<std::string> Names() const;
   size_t size() const;
 
-  /// Largest workspace shape any resident graph needs: (max combined
-  /// vertex count, max V-side size). The service pre-sizes worker scratch
-  /// to this so steady-state execution is allocation-free regardless of
-  /// which graph a request targets.
-  struct Shape {
-    VertexId max_vertices = 0;
-    VertexId max_v = 0;
-  };
-  Shape MaxShape() const;
+  /// Largest combined vertex count of any resident graph — the workspace
+  /// shape every kernel needs. The service pre-sizes worker scratch to
+  /// this so steady-state execution is allocation-free regardless of which
+  /// graph a request targets.
+  VertexId MaxVertices() const;
 
  private:
   mutable std::mutex mu_;

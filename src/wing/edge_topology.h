@@ -19,6 +19,9 @@ struct EdgeTopology {
   std::vector<EdgeOffset> v_slot_edge;
   /// First V-side slot = offsets[num_u].
   EdgeOffset v_region = 0;
+  /// Per global vertex id w: Σ_{x∈N(w)} d(x), the length of the 2-hop walk
+  /// out of w. The wing peel kernel compares the two ends of an edge by it.
+  std::vector<Count> walk;
 };
 
 /// Builds the maps for `graph`. O(m).

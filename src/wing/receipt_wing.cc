@@ -32,19 +32,14 @@ CoarseWingResult CoarseWingDecompose(const BipartiteGraph& graph,
   const uint32_t max_partitions =
       static_cast<uint32_t>(std::max(1, options.num_partitions));
 
-  // Static peel-cost proxy for edge (u, v): marking N(u) plus scanning the
-  // neighborhoods of N(v). The V part depends on v alone, so it is computed
-  // once per V vertex and indexed per edge: O(m), not O(Σ_v d_v²).
-  std::vector<Count> v_cost(graph.num_v());
-  ParallelFor(graph.num_v(), num_threads, [&](size_t v) {
-    const VertexId gv = graph.VGlobal(static_cast<VertexId>(v));
-    v_cost[v] = graph.WedgeCount(gv) + graph.Degree(gv);
-  });
+  // Static peel-cost proxy for edge (u, v): the V-side walk, marking N(u)
+  // plus scanning the neighborhoods of N(v), d(u) + walk[v]. The kernel
+  // walks whichever side is cheaper, so this is an upper bound on its work.
+  // Range bounds, subsets and ⊲⊳init are cut by this proxy.
   std::vector<Count> cost_static(num_edges);
   ParallelFor(num_edges, num_threads, [&](size_t e) {
-    const VertexId u = topo.source[e];
-    const VertexId gv = graph.adjacency()[e];
-    cost_static[e] = graph.Degree(u) + v_cost[graph.Local(gv)];
+    cost_static[e] =
+        graph.Degree(topo.source[e]) + topo.walk[graph.adjacency()[e]];
   });
 
   std::vector<uint8_t> state(num_edges, engine::kEdgeAlive);
@@ -130,7 +125,7 @@ engine::RangeResult<EdgeOffset> ReceiptWingCoarse(
   engine::WorkspacePool& pool =
       engine::ResolvePool(options.workspace_pool, local_pool);
   pool.Prepare(std::max(1, options.num_threads), graph.num_u(),
-               graph.num_v());
+               graph.num_vertices());
 
   const uint64_t count_start_ns =
       options.trace.enabled() ? obs::TraceRecorder::NowNs() : 0;
@@ -160,7 +155,7 @@ void ReceiptWingFine(const BipartiteGraph& graph,
   engine::WorkspacePool& pool =
       engine::ResolvePool(options.workspace_pool, local_pool);
   const int num_threads = std::max(1, options.num_threads);
-  pool.Prepare(num_threads, graph.num_u(), graph.num_v());
+  pool.Prepare(num_threads, graph.num_u(), graph.num_vertices());
 
   const WallTimer fd_timer;
   const uint64_t fd_start_ns =

@@ -76,7 +76,8 @@ WingResult WingDecompose(const BipartiteGraph& graph, int num_threads,
 
   engine::WorkspacePool local_pool;
   engine::WorkspacePool& pool = engine::ResolvePool(workspace_pool, local_pool);
-  pool.Prepare(std::max(1, num_threads), graph.num_u(), graph.num_v());
+  pool.Prepare(std::max(1, num_threads), graph.num_u(),
+               graph.num_vertices());
 
   const uint64_t count_start_ns =
       trace.enabled() ? obs::TraceRecorder::NowNs() : 0;

@@ -54,5 +54,16 @@ TEST(EdgeTopologyTest, MatchesEdgeSourceU) {
   }
 }
 
+TEST(EdgeTopologyTest, WalkSumsNeighborDegrees) {
+  const BipartiteGraph g = ChungLuBipartite(40, 30, 200, 0.7, 0.4, 709);
+  const EdgeTopology topo = BuildEdgeTopology(g);
+  ASSERT_EQ(topo.walk.size(), g.num_vertices());
+  for (VertexId w = 0; w < g.num_vertices(); ++w) {
+    Count expected = 0;
+    for (const VertexId x : g.Neighbors(w)) expected += g.Degree(x);
+    EXPECT_EQ(topo.walk[w], expected) << "vertex " << w;
+  }
+}
+
 }  // namespace
 }  // namespace receipt

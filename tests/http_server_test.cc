@@ -471,6 +471,28 @@ TEST(HttpServerTest, HealthzAndStatzReportServingState) {
   EXPECT_EQ(workers->Find("total")->AsUint(), 2u);
 }
 
+// Once Shutdown has joined the workers none of them is busy: the drained
+// /statz (the document `serve` prints on exit) reads idle == total.
+TEST(HttpServerTest, StatzAfterShutdownReportsNoBusyWorker) {
+  TestServer ts;
+  ts.registry.Register("g1", G1());
+  ASSERT_EQ(Fetch(ts.port(), "POST", "/v1/decompose",
+                  R"({"graph": "g1", "kind": "tip-U", "algo": "RECEIPT"})")
+                .status,
+            200);
+  ts.server->Stop();
+  ts.service.Shutdown(/*drain=*/true);
+
+  std::string error;
+  const auto statz = util::JsonValue::Parse(ts.frontend->StatzJson(), &error);
+  ASSERT_TRUE(statz.has_value()) << error;
+  const util::JsonValue* workers = statz->Find("workers");
+  ASSERT_NE(workers, nullptr);
+  EXPECT_EQ(workers->Find("total")->AsUint(), 2u);
+  EXPECT_EQ(workers->Find("idle")->AsUint(), 2u);
+  EXPECT_EQ(workers->Find("busy")->AsUint(), 0u);
+}
+
 /// The value of one `name` sample in a Prometheus exposition.
 uint64_t MetricSample(const std::string& text, const std::string& name) {
   const size_t pos = text.find("\n" + name + " ");
@@ -637,8 +659,9 @@ TEST(HttpServerTest, StatsMetricsAndStatzAgree) {
             std::string("receipt_requests_total{outcome=\"") + name + "\"}",
             {"requests", "by_outcome", name});
     }
-    // The miss's run (its coalesced twin shares it) and the hit.
-    EXPECT_EQ(ts.service.RequestsWithOutcome(service::Status::kOk), 2u);
+    // The miss, its coalesced twin (one run, two requests) and the hit:
+    // the outcomes sum to the submits.
+    EXPECT_EQ(ts.service.RequestsWithOutcome(service::Status::kOk), 3u);
     EXPECT_EQ(statz_uint({"traces", "capacity"}),
               ts.service.observability().traces.capacity());
     EXPECT_GE(statz_uint({"traces", "recorded"}), 1u);

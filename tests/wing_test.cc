@@ -6,10 +6,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <random>
 #include <tuple>
 #include <vector>
 
+#include "engine/peel_kernels.h"
+#include "engine/workspace.h"
 #include "graph/generators.h"
+#include "wing/edge_topology.h"
 
 namespace receipt {
 namespace {
@@ -128,6 +132,110 @@ INSTANTIATE_TEST_SUITE_P(
                     CountSweepParam{10, 8, 35, 0.5, 0.5, 12},
                     CountSweepParam{12, 6, 40, 0.8, 0.2, 13},
                     CountSweepParam{9, 9, 45, 0.3, 0.3, 14}));
+
+/// Brute-force reference for one PeelEdgeButterflies(e) call: every
+/// butterfly {e = (u, v), f = (u2, v), g2 = (u2, v2), h = (u, v2)} with no
+/// dead edge, skipped when a peeling edge of lower id than e is in it, and
+/// otherwise applied to each of f, g2, h that is still alive.
+std::vector<EdgeOffset> BruteForceApplied(const BipartiteGraph& g,
+                                          const std::vector<uint8_t>& state,
+                                          EdgeOffset e) {
+  const auto edge_id = [&g](VertexId u, VertexId gv) -> int64_t {
+    const auto nbrs = g.Neighbors(u);
+    const auto it = std::lower_bound(nbrs.begin(), nbrs.end(), gv);
+    if (it == nbrs.end() || *it != gv) return -1;
+    return static_cast<int64_t>(g.NeighborOffset(u) + (it - nbrs.begin()));
+  };
+  const VertexId u = EdgeSourceU(g, e);
+  const VertexId gv = g.adjacency()[e];
+  std::vector<EdgeOffset> applied;
+  for (const VertexId gv2 : g.Neighbors(u)) {
+    if (gv2 == gv) continue;
+    for (const VertexId u2 : g.Neighbors(gv)) {
+      if (u2 == u) continue;
+      const int64_t g2 = edge_id(u2, gv2);
+      if (g2 < 0) continue;
+      const EdgeOffset others[3] = {static_cast<EdgeOffset>(edge_id(u2, gv)),
+                                    static_cast<EdgeOffset>(g2),
+                                    static_cast<EdgeOffset>(edge_id(u, gv2))};
+      bool counted = true;
+      for (const EdgeOffset x : others) {
+        if (state[x] == engine::kEdgeDead ||
+            (state[x] == engine::kEdgePeeling && x < e)) {
+          counted = false;
+        }
+      }
+      if (!counted) continue;
+      for (const EdgeOffset x : others) {
+        if (state[x] == engine::kEdgeAlive) applied.push_back(x);
+      }
+    }
+  }
+  std::sort(applied.begin(), applied.end());
+  return applied;
+}
+
+// The wing peel kernel walks from whichever end of the edge is cheaper.
+// Both walks must apply exactly the butterflies the priority rule assigns
+// to the edge, once each, and leave the mark array zeroed. With every edge
+// alive the wedges it reports are the chosen side's whole walk.
+TEST(WingKernelTest, EitherWalkAppliesEveryButterflyOnce) {
+  const std::vector<BipartiteGraph> graphs = {
+      RandomBipartite(30, 25, 220, 11),
+      RandomBipartite(20, 40, 260, 12),
+      ChungLuBipartite(60, 40, 400, 0.9, 0.2, 13),  // hubs in U
+      ChungLuBipartite(40, 60, 400, 0.2, 0.9, 14),  // hubs in V
+      ChungLuBipartite(50, 50, 450, 0.8, 0.8, 15),
+  };
+  uint64_t via_v = 0;
+  uint64_t via_u = 0;
+  std::mt19937_64 rng(17);
+  for (size_t gi = 0; gi < graphs.size(); ++gi) {
+    const BipartiteGraph& g = graphs[gi];
+    const EdgeTopology topo = BuildEdgeTopology(g);
+    engine::PeelWorkspace ws;
+    ws.EnsureMarkCapacity(g.num_vertices());
+    for (const bool all_alive : {true, false}) {
+      std::vector<uint8_t> state(g.num_edges(), engine::kEdgeAlive);
+      if (!all_alive) {
+        for (uint8_t& s : state) {
+          const uint64_t roll = rng() % 10;
+          s = roll < 3   ? engine::kEdgeDead
+              : roll < 5 ? engine::kEdgePeeling
+                         : engine::kEdgeAlive;
+        }
+      }
+      for (EdgeOffset e = 0; e < g.num_edges(); ++e) {
+        if (state[e] == engine::kEdgeDead) continue;
+        SCOPED_TRACE(::testing::Message()
+                     << "graph " << gi << " edge " << e
+                     << (all_alive ? " all alive" : " mixed states"));
+        const uint8_t saved = state[e];
+        state[e] = engine::kEdgePeeling;  // as every caller does
+        std::vector<EdgeOffset> applied;
+        const uint64_t wedges = engine::PeelEdgeButterflies(
+            g, topo, state, e, ws,
+            [&applied](EdgeOffset x) { applied.push_back(x); });
+        std::sort(applied.begin(), applied.end());
+        EXPECT_EQ(applied, BruteForceApplied(g, state, e));
+        state[e] = saved;
+
+        const VertexId u = topo.source[e];
+        const VertexId gv = g.adjacency()[e];
+        const bool v_walk = engine::PeelWalksViaV(g, topo, e);
+        ++(v_walk ? via_v : via_u);
+        if (all_alive) {
+          EXPECT_EQ(wedges, v_walk ? topo.walk[gv] - g.Degree(u)
+                                   : topo.walk[u] - g.Degree(gv));
+        }
+        ASSERT_TRUE(std::all_of(ws.edge_mark.begin(), ws.edge_mark.end(),
+                                [](EdgeOffset m) { return m == 0; }));
+      }
+    }
+  }
+  EXPECT_GT(via_v, 0u);
+  EXPECT_GT(via_u, 0u);
+}
 
 }  // namespace
 }  // namespace receipt
