@@ -146,17 +146,12 @@ void AppendPeelStats(const PeelStats& stats, JsonRecord* record) {
   record->counters.emplace_back("huc_recounts", stats.huc_recounts);
   record->counters.emplace_back("dgm_compactions", stats.dgm_compactions);
   record->counters.emplace_back("frontier_rounds", stats.frontier_rounds);
-  record->counters.emplace_back("scan_rounds", stats.scan_rounds);
   record->counters.emplace_back("index_build_rounds",
                                 stats.index_build_rounds);
-  record->counters.emplace_back("scan_build_elements",
-                                stats.scan_build_elements);
   record->counters.emplace_back("frontier_build_elements",
                                 stats.frontier_build_elements);
   record->counters.emplace_back("index_active_elements",
                                 stats.index_active_elements);
-  record->counters.emplace_back("active_scan_elements",
-                                stats.active_scan_elements);
   record->counters.emplace_back("bound_walk_buckets",
                                 stats.bound_walk_buckets);
   record->counters.emplace_back("histogram_refines", stats.histogram_refines);

@@ -106,7 +106,7 @@ struct JsonRecord {
 };
 
 /// Appends the per-phase timings and counters of `stats` to `record` —
-/// wedges by phase, sync rounds, frontier-vs-scan direction counters and
+/// wedges by phase, sync rounds, active-set build counters and
 /// the per-phase seconds.
 void AppendPeelStats(const PeelStats& stats, JsonRecord* record);
 

@@ -147,18 +147,15 @@ class WingPeelGraph {
 // changed, and each range's first active set is collected from the
 // histogram's member lists.
 //
-// Later active sets are frontier-driven (Julienne-style direction
-// optimization): peel kernels emit newly-in-range entities into per-thread
-// workspace frontier buffers, deduplicated through the pool's per-round
-// epoch bitmap, and the next active set is the order-preserving merge of
-// those buffers — unless the frontier holds at least kScanDensity of the
-// surviving population, in which case one full parallel scan is cheaper.
-// Both directions produce the same active set: every entity alive and in
-// range at the start of round r+1 must have received its below-`hi` update
-// during round r (all of round r's active set was peeled), so the claimed
-// set equals the scan set, and sorting the merge restores the scan's
-// ascending-id order. The rule depends only on set sizes, so the direction
-// counters are deterministic across runs and thread counts.
+// Later active sets are frontier-driven: peel kernels emit newly-in-range
+// entities into per-thread workspace frontier buffers, deduplicated through
+// the pool's per-round epoch bitmap, and the next active set is the merge
+// of those buffers, sorted by id. Every entity alive and in range at the
+// start of round r+1 must have received its below-`hi` update during round
+// r (all of round r's active set was peeled), so the merged frontier holds
+// the whole next active set, and a round's build costs its frontier, not
+// n. Each entity enters a frontier at most once: it is alive and in range
+// when it does, so the next round peels it.
 // ===========================================================================
 
 /// Wall time above which a coarse round emits an "engine.cd.round" span
@@ -381,42 +378,13 @@ class RangeDecomposer {
     index_->ClearChanged();
   }
 
-  /// Frontier density (merged frontier / alive entities) at and above which
-  /// the next active set is rebuilt by one contiguous parallel scan instead
-  /// of sorting the frontier: dense rounds, where the scan beats
-  /// sparse-list handling.
-  static constexpr double kScanDensity = 0.2;
-
-  /// True when the next active set should be rebuilt by a full scan instead
-  /// of a frontier merge. A set property, not a schedule property, so the
-  /// direction taken is the same across runs and thread counts.
-  static bool UseScan(uint64_t frontier_size, uint64_t alive) {
-    return static_cast<double>(frontier_size) >=
-           kScanDensity * static_cast<double>(alive);
-  }
-
-  /// Full-scan active-set rebuild for dense frontiers: the order-preserving
-  /// parallel filter over all n entities for the alive ones below `hi`.
-  void RebuildByScan(uint64_t n, Count hi, PeelStats* stats) {
-    ParallelFilterInto(
-        n, num_threads_, active_,
-        [&](size_t e) {
-          return pg_->IsAlive(static_cast<Id>(e)) &&
-                 pg_->Support(static_cast<Id>(e)) < hi;
-        },
-        [](size_t e) { return static_cast<Id>(e); }, &filter_offsets_);
-    ++stats->scan_rounds;
-    stats->scan_build_elements += n;
-    stats->active_scan_elements += n;
-  }
-
   /// Index-built full rebuild: collects the in-range entities from the
   /// histogram's member lists — cost proportional to the range population,
-  /// not n — then sorts by id to restore ascending order (member-list
-  /// order is schedule-dependent; the sorted set is the one a scan would
-  /// produce). Only called while bucket membership is reconciled: the
-  /// initial build of each range (right after the boundary patch) and the
-  /// post-re-count rebuild (right after RebuildIndex).
+  /// not n — then sorts by id (member-list order is schedule-dependent;
+  /// the sorted set is the same at every thread count). Only called while
+  /// bucket membership is reconciled: the initial build of each range
+  /// (right after the boundary patch) and the post-re-count rebuild (right
+  /// after RebuildIndex).
   void RebuildByIndex(Count hi, PeelStats* stats) {
     active_.clear();
     index_->ForEachAliveBelow(
@@ -507,9 +475,9 @@ class RangeDecomposer {
         // wedges were traversed since the last compaction.
         if (maintenance_ != nullptr) maintenance_->OnPeelWedges(round_wedges);
         // Drain the per-thread frontier and support-delta buffers every
-        // round (the workspace invariant), whichever direction rebuilds
-        // the active set. Bucket moves stay deferred until the next range
-        // boundary — the only point the histogram is queried.
+        // round (the workspace invariant). Bucket moves stay deferred until
+        // the next range boundary — the only point the histogram is
+        // queried.
         merged_frontier_.clear();
         for (PeelWorkspace& ws : pool_->workspaces()) {
           for (const uint64_t x : ws.frontier) {
@@ -527,27 +495,21 @@ class RangeDecomposer {
         if (control_->Cancelled()) break;
       }
 
-      // Next active set (Alg. 3 line 14): merge the frontier when it is
-      // sparse; re-scan when it is dense. Identical output either way (see
-      // class comment).
+      // Next active set (Alg. 3 line 14): the merged frontier (see class
+      // comment), or the index after a re-count.
       if (recounted) {
         // A re-count invalidated the frontier tracking but just rebuilt
         // the index, so its membership is exact: rebuild from member lists.
         RebuildByIndex(hi, stats);
       } else if (merged_frontier_.empty()) {
         // No entity dropped into range this round, so the range is
-        // exhausted (the claimed set equals the scan set) — a terminal
-        // check, not a rebuild; counts toward neither direction.
+        // exhausted — a terminal check, not a build.
         active_.clear();
-      } else if (UseScan(merged_frontier_.size(), alive_count)) {
-        RebuildByScan(n, hi, stats);
       } else {
-        // Order-preserving merge: per-thread buffers arrive in arbitrary
-        // interleavings, so sort by id to restore the scan order (this
-        // also makes subset member order independent of thread count).
+        // Per-thread buffers arrive in arbitrary interleavings, so sort by
+        // id: subset member order is then independent of thread count.
         std::sort(merged_frontier_.begin(), merged_frontier_.end());
         stats->frontier_build_elements += merged_frontier_.size();
-        stats->active_scan_elements += merged_frontier_.size();
         ++stats->frontier_rounds;
         active_.clear();
         for (const Id e : merged_frontier_) {
@@ -578,8 +540,7 @@ class RangeDecomposer {
   bool full_patch_needed_ = false;
 
   // Round-loop scratch, reused across ranges within one Run().
-  std::vector<size_t> filter_offsets_;  // ParallelFilterInto scratch
-  std::vector<Count> reduce_scratch_;   // ParallelReduceSum scratch
+  std::vector<Count> reduce_scratch_;  // ParallelReduceSum scratch
   std::vector<Id> active_;
   std::vector<Id> merged_frontier_;
 };

@@ -110,8 +110,6 @@ void DecompositionService::RegisterInstruments() {
                               {{"kind", "sync"}});
   rounds_frontier_ = m.GetCounter("receipt_engine_rounds_total", rounds_help,
                                   {{"kind", "frontier"}});
-  rounds_scan_ = m.GetCounter("receipt_engine_rounds_total", rounds_help,
-                              {{"kind", "scan"}});
   rounds_index_ = m.GetCounter("receipt_engine_rounds_total", rounds_help,
                                {{"kind", "index_build"}});
   huc_recounts_total_ =
@@ -129,7 +127,6 @@ void DecompositionService::BridgePeelStats(const PeelStats& stats) {
   wedges_other_->Increment(stats.wedges_other);
   rounds_sync_->Increment(stats.sync_rounds);
   rounds_frontier_->Increment(stats.frontier_rounds);
-  rounds_scan_->Increment(stats.scan_rounds);
   rounds_index_->Increment(stats.index_build_rounds);
   huc_recounts_total_->Increment(stats.huc_recounts);
   dgm_compactions_total_->Increment(stats.dgm_compactions);

@@ -340,7 +340,6 @@ class DecompositionService {
   obs::Counter* wedges_other_ = nullptr;
   obs::Counter* rounds_sync_ = nullptr;
   obs::Counter* rounds_frontier_ = nullptr;
-  obs::Counter* rounds_scan_ = nullptr;
   obs::Counter* rounds_index_ = nullptr;
   obs::Counter* huc_recounts_total_ = nullptr;
   obs::Counter* dgm_compactions_total_ = nullptr;

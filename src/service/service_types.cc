@@ -153,12 +153,9 @@ void WritePeelStatsJson(const PeelStats& stats, util::JsonWriter* writer) {
       .Key("huc_recounts").Uint(stats.huc_recounts)
       .Key("dgm_compactions").Uint(stats.dgm_compactions)
       .Key("frontier_rounds").Uint(stats.frontier_rounds)
-      .Key("scan_rounds").Uint(stats.scan_rounds)
       .Key("index_build_rounds").Uint(stats.index_build_rounds)
-      .Key("scan_build_elements").Uint(stats.scan_build_elements)
       .Key("frontier_build_elements").Uint(stats.frontier_build_elements)
       .Key("index_active_elements").Uint(stats.index_active_elements)
-      .Key("active_scan_elements").Uint(stats.active_scan_elements)
       .Key("bound_walk_buckets").Uint(stats.bound_walk_buckets)
       .Key("histogram_refines").Uint(stats.histogram_refines)
       .Key("init_patch_elements").Uint(stats.init_patch_elements)

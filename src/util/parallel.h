@@ -87,66 +87,6 @@ inline T AtomicClampedSub(T* target, T delta, T floor) {
   }
 }
 
-/// Exclusive prefix sum over `values`, returning the total. values[i] becomes
-/// the sum of the original values[0..i).
-template <typename T>
-T ExclusivePrefixSum(std::vector<T>& values) {
-  T running = 0;
-  for (auto& v : values) {
-    T next = running + v;
-    v = running;
-    running = next;
-  }
-  return running;
-}
-
-/// Order-preserving parallel filter: fills `out` with make(i) for every
-/// i ∈ [0, n) satisfying pred(i), in ascending i — bit-identical to the
-/// sequential loop. Two passes over contiguous blocks (count, prefix-sum,
-/// fill), so `pred` must be pure between the passes; every caller in this
-/// library evaluates it on state that is frozen between peeling rounds
-/// (liveness + support snapshots). Small inputs fall back to the sequential
-/// loop: the fork/join overhead dwarfs the scan below a few thousand ids.
-/// `offsets_scratch` (optional) supplies the per-block counter buffer so
-/// repeated calls in a peeling loop stay allocation-free once warm.
-template <typename T, typename Pred, typename Make>
-void ParallelFilterInto(size_t n, int num_threads, std::vector<T>& out,
-                        Pred&& pred, Make&& make,
-                        std::vector<size_t>* offsets_scratch = nullptr) {
-  out.clear();
-  if (num_threads <= 1 || n < kParallelCutoff) {
-    for (size_t i = 0; i < n; ++i) {
-      if (pred(i)) out.push_back(make(i));
-    }
-    return;
-  }
-  const size_t num_blocks = static_cast<size_t>(num_threads) * 4;
-  const size_t block = (n + num_blocks - 1) / num_blocks;
-  std::vector<size_t> local_offsets;
-  std::vector<size_t>& offsets =
-      offsets_scratch != nullptr ? *offsets_scratch : local_offsets;
-  offsets.assign(num_blocks, 0);
-#pragma omp parallel for schedule(static) num_threads(num_threads)
-  for (size_t b = 0; b < num_blocks; ++b) {
-    const size_t lo = b * block;
-    const size_t hi = lo + block < n ? lo + block : n;
-    size_t count = 0;
-    for (size_t i = lo; i < hi; ++i) count += pred(i) ? 1 : 0;
-    offsets[b] = count;
-  }
-  const size_t total = ExclusivePrefixSum(offsets);
-  out.resize(total);
-#pragma omp parallel for schedule(static) num_threads(num_threads)
-  for (size_t b = 0; b < num_blocks; ++b) {
-    const size_t lo = b * block;
-    const size_t hi = lo + block < n ? lo + block : n;
-    size_t pos = offsets[b];
-    for (size_t i = lo; i < hi; ++i) {
-      if (pred(i)) out[pos++] = make(i);
-    }
-  }
-}
-
 /// Deterministic parallel reduction: sums make(i) over i ∈ [0, n) with
 /// per-block partial sums (static blocks) folded sequentially in block
 /// order, so for associative element types (the engine sums integer peel

@@ -14,12 +14,9 @@ void PeelStats::Merge(const PeelStats& other) {
   huc_recounts += other.huc_recounts;
   dgm_compactions += other.dgm_compactions;
   frontier_rounds += other.frontier_rounds;
-  scan_rounds += other.scan_rounds;
   index_build_rounds += other.index_build_rounds;
-  scan_build_elements += other.scan_build_elements;
   frontier_build_elements += other.frontier_build_elements;
   index_active_elements += other.index_active_elements;
-  active_scan_elements += other.active_scan_elements;
   bound_walk_buckets += other.bound_walk_buckets;
   histogram_refines += other.histogram_refines;
   init_patch_elements += other.init_patch_elements;
@@ -43,12 +40,9 @@ std::string PeelStats::ToString() const {
      << " dgm_compactions=" << dgm_compactions
      << " num_subsets=" << num_subsets << "\n"
      << "  frontier_rounds=" << frontier_rounds
-     << " scan_rounds=" << scan_rounds
      << " index_build_rounds=" << index_build_rounds << "\n"
-     << "  scan_build_elements=" << scan_build_elements
-     << " frontier_build_elements=" << frontier_build_elements
-     << " index_active_elements=" << index_active_elements
-     << " active_scan_elements=" << active_scan_elements << "\n"
+     << "  frontier_build_elements=" << frontier_build_elements
+     << " index_active_elements=" << index_active_elements << "\n"
      << "  bound_walk_buckets=" << bound_walk_buckets
      << " histogram_refines=" << histogram_refines
      << " init_patch_elements=" << init_patch_elements

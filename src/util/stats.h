@@ -38,29 +38,20 @@ struct PeelStats {
   uint64_t dgm_compactions = 0;   ///< # dynamic-graph compaction passes.
 
   // -- frontier scheduling: what ran ---------------------------------------
-  // Per-direction build counts and elements examined. The direction rule
-  // depends only on set sizes, so these are deterministic across runs and
-  // thread counts.
+  // Active-set build counts and elements examined; deterministic across
+  // runs and thread counts.
   /// Active-set builds served by merging the workspace frontier buffers
-  /// (sparse direction: cost proportional to the frontier, not to n).
+  /// (cost proportional to the frontier, not to n).
   uint64_t frontier_rounds = 0;
-  /// Active-set builds that ran as full parallel scans (dense frontiers).
-  uint64_t scan_rounds = 0;
   /// Active-set builds collected from SupportIndex member lists instead of
   /// an O(n) scan — the first build of every range and every post-re-count
   /// rebuild.
   uint64_t index_build_rounds = 0;
-  /// Entities examined by full-scan builds (n per scan round).
-  uint64_t scan_build_elements = 0;
   /// Entities examined by frontier-merge builds (merged frontier sizes).
   uint64_t frontier_build_elements = 0;
   /// Entities examined by index-built builds (in-range histogram members,
   /// including the crossing bucket's filtered members).
   uint64_t index_active_elements = 0;
-  /// Total entities examined across scan and frontier builds — the
-  /// quantity the direction optimization minimizes. Always
-  /// scan_build_elements + frontier_build_elements.
-  uint64_t active_scan_elements = 0;
 
   // -- output-sensitive coarse index (SupportIndex) ------------------------
   /// Histogram buckets (summary groups + leaf buckets) examined by the

@@ -3,7 +3,7 @@
 // active set through a frontier-fed support histogram. These suites check
 // the index against a brute-force model, the coarse step's output against
 // the BUP / sequential wing oracles for every algorithm, generator shape
-// and thread count, that the coarse results and direction counters do not
+// and thread count, that the coarse results and build counters do not
 // depend on the thread count, and that the pool-resident index allocates
 // nothing once warm.
 
@@ -53,11 +53,9 @@ void ExpectSameRanges(const engine::RangeResult<Id>& a,
   EXPECT_EQ(a.predicted_costs, b.predicted_costs);
 }
 
-// The direction rule depends only on set sizes, so how each active set was
-// built is as deterministic as what it contains.
-void ExpectSameDirections(const PeelStats& a, const PeelStats& b) {
+// How each active set was built is as deterministic as what it contains.
+void ExpectSameBuilds(const PeelStats& a, const PeelStats& b) {
   EXPECT_EQ(a.frontier_rounds, b.frontier_rounds);
-  EXPECT_EQ(a.scan_rounds, b.scan_rounds);
   EXPECT_EQ(a.index_build_rounds, b.index_build_rounds);
 }
 
@@ -251,7 +249,7 @@ TEST(CoarseIndexTipTest, IndexedPathIsThreadCountInvariant) {
     PeelStats st;
     const CdResult many = ReceiptCd(g, options, &st);
     ExpectSameRanges(one, many);
-    ExpectSameDirections(s1, st);
+    ExpectSameBuilds(s1, st);
   }
 }
 
@@ -299,7 +297,7 @@ TEST(CoarseIndexWingTest, CoarseStepIsThreadCountInvariant) {
     PeelStats st;
     const auto many = ReceiptWingCoarse(g, options, &st);
     ExpectSameRanges(one, many);
-    ExpectSameDirections(s1, st);
+    ExpectSameBuilds(s1, st);
     EXPECT_EQ(s1.sync_rounds, st.sync_rounds);
   }
 }

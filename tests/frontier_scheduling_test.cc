@@ -1,11 +1,9 @@
-// Frontier-driven peel scheduling (Julienne-style direction optimization):
-// the engine rebuilds each round's active set either by merging the
-// per-thread workspace frontiers or, when the frontier is dense, by a full
-// parallel scan. These suites check default runs against the BUP and
-// sequential wing oracles, that the sweeps take both directions, that the
-// direction counters report what ran and do not depend on the thread
-// count, and that the epoch bitmap dedups multi-neighbor decrements (the
-// candidate-duplication regression).
+// Frontier-driven peel scheduling: the engine builds each mid-range active
+// set by merging the per-thread workspace frontiers. These suites check
+// default runs against the BUP and sequential wing oracles, that the build
+// counters report what ran and do not depend on the thread count, that a
+// dense frontier is merged like a sparse one, and that the epoch bitmap
+// dedups multi-neighbor decrements (the candidate-duplication regression).
 
 #include <gtest/gtest.h>
 
@@ -40,27 +38,13 @@ TEST(FrontierEpochsTest, ClaimsOncePerRound) {
   EXPECT_TRUE(epochs.Claim(3));
 }
 
-// Sums the direction counters of every run in a sweep, which must take
-// both directions somewhere so each keeps its coverage without forcing.
-struct DirectionTally {
-  uint64_t frontier_rounds = 0;
-  uint64_t scan_rounds = 0;
-
-  void Add(const PeelStats& stats) {
-    frontier_rounds += stats.frontier_rounds;
-    scan_rounds += stats.scan_rounds;
-  }
-  void ExpectBothDirections() const {
-    EXPECT_GT(frontier_rounds, 0u);
-    EXPECT_GT(scan_rounds, 0u);
-  }
-};
-
-// What every coarse run's counters must satisfy, whichever directions it
-// took.
-void ExpectConsistentBuildCounters(const PeelStats& stats) {
-  EXPECT_EQ(stats.active_scan_elements,
-            stats.scan_build_elements + stats.frontier_build_elements);
+// What every coarse run's counters must satisfy, for a run over
+// `num_entities` peel entities.
+void ExpectConsistentBuildCounters(const PeelStats& stats,
+                                   uint64_t num_entities) {
+  // An entity enters a frontier only while alive and in range, and the
+  // next round peels it, so each one enters at most once.
+  EXPECT_LE(stats.frontier_build_elements, num_entities);
   // One index build per range, plus one per CD re-count (huc_recounts
   // also counts the FD phase's re-counts, so it only bounds from above).
   EXPECT_GE(stats.index_build_rounds, stats.num_subsets);
@@ -70,13 +54,12 @@ void ExpectConsistentBuildCounters(const PeelStats& stats) {
 class FrontierTipSweep
     : public ::testing::TestWithParam<std::tuple<int, int, int, uint32_t>> {};
 
-TEST_P(FrontierTipSweep, DefaultRunsMatchBupAndTakeBothDirections) {
+TEST_P(FrontierTipSweep, DefaultRunsMatchBup) {
   const auto [num_u, num_v, num_edges, seed] = GetParam();
   const BipartiteGraph g = ChungLuBipartite(
       static_cast<VertexId>(num_u), static_cast<VertexId>(num_v),
       static_cast<uint64_t>(num_edges), 0.6, 0.6, seed);
 
-  DirectionTally tally;
   for (const Side side : {Side::kU, Side::kV}) {
     TipOptions bup_options;
     bup_options.side = side;
@@ -101,19 +84,17 @@ TEST_P(FrontierTipSweep, DefaultRunsMatchBupAndTakeBothDirections) {
         EXPECT_EQ(many.range_bounds, one.range_bounds);
         EXPECT_EQ(many.subset_of, one.subset_of);
 
-        // The direction rule is a set-size rule: the same rounds rebuild
-        // the same way at every thread count.
+        // The same rounds build the same active sets at every thread
+        // count.
         EXPECT_EQ(many.stats.sync_rounds, one.stats.sync_rounds);
         EXPECT_EQ(many.stats.frontier_rounds, one.stats.frontier_rounds);
-        EXPECT_EQ(many.stats.scan_rounds, one.stats.scan_rounds);
-        EXPECT_EQ(many.stats.active_scan_elements,
-                  one.stats.active_scan_elements);
-        ExpectConsistentBuildCounters(one.stats);
-        tally.Add(one.stats);
+        EXPECT_EQ(many.stats.frontier_build_elements,
+                  one.stats.frontier_build_elements);
+        ExpectConsistentBuildCounters(
+            one.stats, side == Side::kU ? g.num_u() : g.num_v());
       }
     }
   }
-  tally.ExpectBothDirections();
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -125,7 +106,7 @@ INSTANTIATE_TEST_SUITE_P(
 class FrontierWingSweep
     : public ::testing::TestWithParam<std::tuple<int, int, int, uint32_t>> {};
 
-TEST_P(FrontierWingSweep, DefaultRunsMatchSequentialAndTakeBothDirections) {
+TEST_P(FrontierWingSweep, DefaultRunsMatchSequential) {
   const auto [num_u, num_v, num_edges, seed] = GetParam();
   const BipartiteGraph g = ChungLuBipartite(
       static_cast<VertexId>(num_u), static_cast<VertexId>(num_v),
@@ -133,7 +114,6 @@ TEST_P(FrontierWingSweep, DefaultRunsMatchSequentialAndTakeBothDirections) {
 
   const WingResult sequential = WingDecompose(g, /*num_threads=*/1);
 
-  DirectionTally tally;
   for (const int partitions : {2, 5}) {
     ReceiptWingOptions options;
     options.num_partitions = partitions;
@@ -148,11 +128,8 @@ TEST_P(FrontierWingSweep, DefaultRunsMatchSequentialAndTakeBothDirections) {
     EXPECT_EQ(many.stats.sync_rounds, one.stats.sync_rounds);
     EXPECT_EQ(many.stats.num_subsets, one.stats.num_subsets);
     EXPECT_EQ(many.stats.frontier_rounds, one.stats.frontier_rounds);
-    EXPECT_EQ(many.stats.scan_rounds, one.stats.scan_rounds);
-    ExpectConsistentBuildCounters(one.stats);
-    tally.Add(one.stats);
+    ExpectConsistentBuildCounters(one.stats, g.num_edges());
   }
-  tally.ExpectBothDirections();
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -166,8 +143,7 @@ INSTANTIATE_TEST_SUITE_P(
 // u5/u6 block), so without the epoch-bitmap dedup it would enter the next
 // active set — and therefore its subset — more than once. Three disjoint
 // K_{2,4} blocks (support 6, above the first range) keep enough vertices
-// alive that the one-vertex frontier is sparse, so the next active set is
-// a frontier merge — the direction the dedup guards.
+// alive that the one-vertex frontier is sparse.
 TEST(FrontierRegressionTest, MultiDecrementVertexEntersActiveSetOnce) {
   std::vector<BipartiteGraph::Edge> edges;
   for (VertexId u = 0; u < 5; ++u) {
@@ -211,14 +187,12 @@ TEST(FrontierRegressionTest, MultiDecrementVertexEntersActiveSetOnce) {
   }
 }
 
-// The other side of the direction rule, on the unpadded core of the graph
-// above: the first round peels every vertex but u4, so the one-vertex
-// frontier is the whole surviving population, well above the scan density,
-// and the next active set must come from a full scan — on this graph the
-// rule never merges. The scan set must still be the claimed set: same tip
-// numbers as BUP, every vertex peeled exactly once, and the same direction
-// counters at every thread count.
-TEST(FrontierRegressionTest, DenseFrontierIsRebuiltByScan) {
+// A dense frontier, on the unpadded core of the graph above: the first
+// round peels every vertex but u4, so the one-vertex frontier is the whole
+// surviving population. The merge must still build the next active set:
+// same tip numbers as BUP, every vertex peeled exactly once, and the same
+// merge count at every thread count.
+TEST(FrontierRegressionTest, DenseFrontierIsMerged) {
   std::vector<BipartiteGraph::Edge> edges;
   for (VertexId u = 0; u < 5; ++u) {
     for (VertexId v = 0; v < 2; ++v) edges.push_back({u, v});
@@ -231,7 +205,6 @@ TEST(FrontierRegressionTest, DenseFrontierIsRebuiltByScan) {
   TipOptions bup_options;
   const TipResult bup = BupDecompose(g, bup_options);
 
-  std::vector<uint64_t> scan_rounds;
   std::vector<uint64_t> frontier_rounds;
   for (const int threads : {1, 3}) {
     TipOptions options;
@@ -240,9 +213,7 @@ TEST(FrontierRegressionTest, DenseFrontierIsRebuiltByScan) {
     options.use_huc = false;
     options.use_dgm = false;
     const TipResult r = ReceiptDecompose(g, options);
-    EXPECT_GT(r.stats.scan_rounds, 0u) << "threads " << threads;
-    EXPECT_EQ(r.stats.frontier_rounds, 0u) << "threads " << threads;
-    scan_rounds.push_back(r.stats.scan_rounds);
+    EXPECT_GT(r.stats.frontier_rounds, 0u) << "threads " << threads;
     frontier_rounds.push_back(r.stats.frontier_rounds);
 
     std::vector<VertexId> peeled;
@@ -256,7 +227,6 @@ TEST(FrontierRegressionTest, DenseFrontierIsRebuiltByScan) {
     EXPECT_EQ(peeled, expected) << "threads " << threads;
     EXPECT_EQ(r.tip_numbers, bup.tip_numbers);
   }
-  EXPECT_EQ(scan_rounds[0], scan_rounds[1]);
   EXPECT_EQ(frontier_rounds[0], frontier_rounds[1]);
 }
 

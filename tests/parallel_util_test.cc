@@ -73,13 +73,38 @@ TEST(ParallelUtilTest, AtomicClampedSubConcurrentExactSum) {
   EXPECT_EQ(v, 10000u - 700u);  // no decrement may be lost (Lemma 2)
 }
 
-TEST(ParallelUtilTest, ExclusivePrefixSum) {
-  std::vector<uint64_t> values = {3, 1, 4, 1, 5};
-  const uint64_t total = ExclusivePrefixSum(values);
-  EXPECT_EQ(total, 14u);
-  EXPECT_EQ(values, (std::vector<uint64_t>{0, 3, 4, 8, 9}));
-  std::vector<uint64_t> empty;
-  EXPECT_EQ(ExclusivePrefixSum(empty), 0u);
+// Sizes on both sides of kParallelCutoff, including one that the block
+// count does not divide, so the inline loop, the block partials and the
+// short last block are all checked against the sequential sum.
+TEST(ParallelUtilTest, ParallelReduceSumMatchesSequential) {
+  std::vector<uint64_t> scratch;
+  for (const size_t n : {size_t{0}, size_t{1}, size_t{1000}, size_t{10007}}) {
+    const auto make = [](size_t i) { return static_cast<uint64_t>(i % 97); };
+    uint64_t expected = 0;
+    for (size_t i = 0; i < n; ++i) expected += make(i);
+    for (const int threads : {1, 3, 4}) {
+      EXPECT_EQ(ParallelReduceSum<uint64_t>(n, threads, make), expected)
+          << "n " << n << " threads " << threads;
+      // A reused scratch buffer must not carry partials between calls.
+      EXPECT_EQ(ParallelReduceSum<uint64_t>(n, threads, make, &scratch),
+                expected)
+          << "n " << n << " threads " << threads << " with scratch";
+    }
+  }
+}
+
+TEST(ParallelUtilTest, ParallelReduceMaxMatchesSequential) {
+  for (const size_t n : {size_t{0}, size_t{1000}, size_t{10007}}) {
+    // One peak in the last, short block; everything else is small.
+    const auto make = [n](size_t i) {
+      return i + 1 == n ? uint64_t{1} << 40 : static_cast<uint64_t>(i % 13);
+    };
+    const uint64_t expected = n == 0 ? 7 : uint64_t{1} << 40;
+    for (const int threads : {1, 3, 4}) {
+      EXPECT_EQ(ParallelReduceMax<uint64_t>(n, threads, make, 7), expected)
+          << "n " << n << " threads " << threads;
+    }
+  }
 }
 
 TEST(ParallelUtilTest, PeelStatsMergeAndToString) {
