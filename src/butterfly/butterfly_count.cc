@@ -17,7 +17,7 @@ void PerVertexButterflyCount(const DynamicGraph& graph, int num_threads,
   // hot paths call engine::CountVertexButterflies with their own pool.
   engine::WorkspacePool pool;
   const uint64_t wedges =
-      engine::CountVertexButterflies(graph, pool, num_threads, support);
+      engine::CountVertexButterflies(graph, pool.Team(num_threads), support);
   if (wedges_traversed != nullptr) *wedges_traversed += wedges;
 }
 

@@ -78,33 +78,25 @@ void CountFromStartPoint(const DynamicGraph& graph, PeelWorkspace& ws,
 
 }  // namespace
 
-uint64_t CountVertexButterflies(const DynamicGraph& graph, WorkspacePool& pool,
-                                int num_threads, std::span<Count> support,
-                                CountScope scope) {
+uint64_t CountVertexButterflies(const DynamicGraph& graph,
+                                std::span<PeelWorkspace> team,
+                                std::span<Count> support, CountScope scope) {
   const VertexId n = graph.num_vertices();
-  pool.Prepare(std::max(1, num_threads), n);
+  const int num_threads = static_cast<int>(team.size());
+  uint64_t wedges_before = 0;
+  for (PeelWorkspace& ws : team) {
+    ws.EnsureVertexCapacity(n);
+    wedges_before += ws.wedges_traversed;
+  }
   ParallelFor(n, num_threads, [&support](size_t w) { support[w] = 0; });
-  const uint64_t wedges_before = pool.TotalWedges();
   ParallelForWithContext(
-      n, num_threads, pool.workspaces(), [&](PeelWorkspace& ws, size_t sp) {
+      n, num_threads, team, [&](PeelWorkspace& ws, size_t sp) {
         CountFromStartPoint(graph, ws, static_cast<VertexId>(sp), scope,
                             support);
       });
-  return pool.TotalWedges() - wedges_before;
-}
-
-uint64_t CountVertexButterfliesSeq(const DynamicGraph& graph,
-                                   PeelWorkspace& ws,
-                                   std::span<Count> support,
-                                   CountScope scope) {
-  const VertexId n = graph.num_vertices();
-  ws.EnsureVertexCapacity(n);
-  const uint64_t wedges_before = ws.wedges_traversed;
-  for (VertexId w = 0; w < n; ++w) support[w] = 0;
-  for (VertexId sp = 0; sp < n; ++sp) {
-    CountFromStartPoint(graph, ws, sp, scope, support);
-  }
-  return ws.wedges_traversed - wedges_before;
+  uint64_t wedges_after = 0;
+  for (const PeelWorkspace& ws : team) wedges_after += ws.wedges_traversed;
+  return wedges_after - wedges_before;
 }
 
 uint64_t CountEdgeButterflies(const BipartiteGraph& graph, WorkspacePool& pool,
@@ -112,7 +104,7 @@ uint64_t CountEdgeButterflies(const BipartiteGraph& graph, WorkspacePool& pool,
   pool.Prepare(std::max(1, num_threads), graph.num_u());
   const uint64_t wedges_before = pool.TotalWedges();
   ParallelForWithContext(
-      graph.num_u(), num_threads, pool.workspaces(),
+      graph.num_u(), num_threads, pool.Team(num_threads),
       [&](PeelWorkspace& ws, size_t ui) {
         const VertexId u = static_cast<VertexId>(ui);
         ws.touched.clear();

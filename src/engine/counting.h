@@ -21,24 +21,19 @@ enum class CountScope : uint8_t {
   kUOnly,
 };
 
-/// Parallel per-vertex butterfly counting (Alg. 1, pvBcnt) over the live
-/// vertices of `graph`, using the pool's per-thread workspaces for the
-/// dense wedge-aggregation arrays — no allocation when the pool is warm.
+/// Per-vertex butterfly counting (Alg. 1, pvBcnt) over the live vertices
+/// of `graph`, on one thread per workspace of `team` (each thread's dense
+/// wedge-aggregation array — no allocation once warm). Decompositions pass
+/// WorkspacePool::Team(T); an FD task re-counting its own induced subgraph
+/// for HUC passes its one workspace.
 ///
 /// Writes the number of butterflies incident on every vertex w in `scope`
 /// to `support[w]` (size num_vertices; dead and out-of-scope vertices get
-/// 0) and returns the number of wedges traversed. Prepare()s the pool
-/// defensively.
-uint64_t CountVertexButterflies(const DynamicGraph& graph, WorkspacePool& pool,
-                                int num_threads, std::span<Count> support,
+/// 0) and returns the number of wedges traversed.
+uint64_t CountVertexButterflies(const DynamicGraph& graph,
+                                std::span<PeelWorkspace> team,
+                                std::span<Count> support,
                                 CountScope scope = CountScope::kBothSides);
-
-/// Single-workspace variant used inside RECEIPT FD tasks (each task is
-/// sequential; its thread re-counts its own induced subgraph for HUC).
-uint64_t CountVertexButterfliesSeq(const DynamicGraph& graph,
-                                   PeelWorkspace& ws,
-                                   std::span<Count> support,
-                                   CountScope scope = CountScope::kBothSides);
 
 /// Parallel per-edge butterfly counting for wing decomposition:
 /// bcnt(u,v) = Σ_{u'∈N(v)\{u}} (|N(u) ∩ N(u')| − 1), written to

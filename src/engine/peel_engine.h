@@ -75,8 +75,8 @@ class TipPeelGraph {
       ++scratch.growths;
     }
     std::span<Count> fresh(scratch.count_buffer.data(), n);
-    const uint64_t wedges = CountVertexButterflies(*live_, pool, num_threads,
-                                                   fresh, CountScope::kUOnly);
+    const uint64_t wedges = CountVertexButterflies(
+        *live_, pool.Team(num_threads), fresh, CountScope::kUOnly);
     const VertexId num_u = live_->num_u();
     ParallelFor(num_u, num_threads, [&](size_t u) {
       if (live_->IsAlive(static_cast<VertexId>(u))) {
@@ -455,7 +455,7 @@ class RangeDecomposer {
         // per-entity wedge work is heavily skewed, so a coarser grain would
         // leave all but one thread waiting at the barrier.
         ParallelForWithContext(
-            active_.size(), num_threads_, pool_->workspaces(),
+            active_.size(), num_threads_, pool_->Team(num_threads_),
             [&](PeelWorkspace& ws, size_t i) {
               ws.wedges_traversed += pg_->PeelOneAtomic(
                   active_[i], lo, ws, [&](Id x, Count new_support) {
@@ -479,7 +479,7 @@ class RangeDecomposer {
         // the next range boundary — the only point the histogram is
         // queried.
         merged_frontier_.clear();
-        for (PeelWorkspace& ws : pool_->workspaces()) {
+        for (PeelWorkspace& ws : pool_->Team(num_threads_)) {
           for (const uint64_t x : ws.frontier) {
             merged_frontier_.push_back(static_cast<Id>(x));
           }
@@ -604,8 +604,8 @@ SequentialPeelOutcome SequentialTipPeel(const BipartiteGraph& graph,
       ++ws.growths;
     }
     fresh = std::span<Count>(ws.count_buffer.data(), n);
-    out.wedges +=
-        CountVertexButterfliesSeq(live, ws, fresh, CountScope::kUOnly);
+    out.wedges += CountVertexButterflies(live, {&ws, 1}, fresh,
+                                         CountScope::kUOnly);
     ws.external.assign(num_peel, 0);
     ws.static_cost.assign(num_peel, 0);
     for (VertexId lu = 0; lu < num_peel; ++lu) {
@@ -639,8 +639,8 @@ SequentialPeelOutcome SequentialTipPeel(const BipartiteGraph& graph,
       // the peeled vertex's live wedges.
       ++out.huc_recounts;
       maintenance.BeginRecount();
-      out.wedges +=
-          CountVertexButterfliesSeq(live, ws, fresh, CountScope::kUOnly);
+      out.wedges += CountVertexButterflies(live, {&ws, 1}, fresh,
+                                           CountScope::kUOnly);
       for (VertexId lu = 0; lu < num_peel; ++lu) {
         if (!live.IsAlive(lu)) continue;
         support[lu] = std::max(theta, fresh[lu] + ws.external[lu]);
@@ -714,6 +714,33 @@ WingPeelOutcome SequentialWingPeel(const BipartiteGraph& graph,
   return out;
 }
 
+/// The fine step's dynamic task allocation (Alg. 4 lines 2-4), shared by
+/// RECEIPT FD and RECEIPT-W: each idle thread takes the next of
+/// `num_tasks` tasks, in index order, and runs `task(k, ws, local_stats)`
+/// on its own workspace of `pool` (already Prepare()d for `num_threads`).
+/// Threads meet only at the final join, where their stats fold into
+/// `stats`. Once `control` is cancelled, no further task starts.
+template <typename Task>
+void RunFineTasks(uint32_t num_tasks, int num_threads, WorkspacePool& pool,
+                  PeelControl* control, PeelStats* stats, Task&& task) {
+  struct Lane {
+    PeelWorkspace* ws = nullptr;
+    PeelStats stats;
+  };
+  std::vector<Lane> lanes(static_cast<size_t>(std::max(1, num_threads)));
+  for (size_t t = 0; t < lanes.size(); ++t) {
+    lanes[t].ws = &pool.Get(static_cast<int>(t));
+  }
+  ParallelForWithContext(
+      num_tasks, num_threads, lanes,
+      [&](Lane& lane, size_t k) {
+        if (control != nullptr && control->Cancelled()) return;
+        task(static_cast<uint32_t>(k), *lane.ws, &lane.stats);
+      },
+      /*chunk=*/1);
+  for (const Lane& lane : lanes) stats->Merge(lane.stats);
+}
+
 // ===========================================================================
 // Round peeling (ParB): one concurrent batch with atomic clamped updates.
 // ===========================================================================
@@ -731,7 +758,7 @@ uint64_t ParallelPeelRound(const DynamicGraph& live,
   pool.Prepare(std::max(1, num_threads), live.num_vertices());
   const uint64_t wedges_before = pool.TotalWedges();
   ParallelForWithContext(
-      peel_set.size(), num_threads, pool.workspaces(),
+      peel_set.size(), num_threads, pool.Team(num_threads),
       [&](PeelWorkspace& ws, size_t i) {
         ws.wedges_traversed += PeelVertex</*kAtomic=*/true>(
             live, peel_set[i], floor, support, ws,

@@ -5,6 +5,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -126,7 +127,7 @@ struct alignas(64) PeelWorkspace {
 // engine/frontier_epochs.h so the SupportIndex can own an instance of its
 // own without an include cycle through this header.
 
-/// The per-decomposition set of workspaces, one per OpenMP thread.
+/// The per-decomposition set of workspaces, one per thread.
 /// Prepare() is idempotent: repeated calls with the same (or smaller) shape
 /// do not allocate, which is what lets RECEIPT share one pool between
 /// counting, CD rounds and every FD partition.
@@ -144,8 +145,13 @@ class WorkspacePool {
 
   int num_workspaces() const { return static_cast<int>(workspaces_.size()); }
   PeelWorkspace& Get(int tid) { return workspaces_[static_cast<size_t>(tid)]; }
-  /// Direct container access for ParallelForWithContext.
-  std::vector<PeelWorkspace>& workspaces() { return workspaces_; }
+  /// The first max(1, num_threads) workspaces, one per thread of a
+  /// ParallelForWithContext team (created if missing).
+  std::span<PeelWorkspace> Team(int num_threads) {
+    const size_t size = static_cast<size_t>(std::max(1, num_threads));
+    if (workspaces_.size() < size) workspaces_.resize(size);
+    return {workspaces_.data(), size};
+  }
 
   /// The pool-wide frontier claim bitmap (one decomposition runs per pool
   /// at a time, so a single shared instance suffices and its stamp array is

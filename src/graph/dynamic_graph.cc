@@ -7,28 +7,6 @@
 
 namespace receipt {
 
-namespace {
-
-// Sums fn(w) over `ids`, inline or on `num_threads` threads. Per-vertex work
-// is a list walk and list lengths are skewed, hence the small dynamic grain.
-// Integer sums are exact in any order, so the result does not depend on the
-// thread count or the schedule.
-template <typename Fn>
-Count SumOver(const std::vector<VertexId>& ids, int num_threads,
-              bool parallel, Fn&& fn) {
-  Count total = 0;
-  if (!parallel) {
-    for (const VertexId w : ids) total += fn(w);
-    return total;
-  }
-#pragma omp parallel for schedule(dynamic, 16) num_threads(num_threads) \
-    reduction(+ : total)
-  for (size_t i = 0; i < ids.size(); ++i) total += fn(ids[i]);
-  return total;
-}
-
-}  // namespace
-
 void DynamicGraph::Reset(const BipartiteGraph& graph,
                          std::span<const VertexId> rank) {
   num_u_ = graph.num_u();
@@ -63,69 +41,50 @@ void DynamicGraph::Reset(const BipartiteGraph& graph,
   for (VertexId w = 0; w < n; ++w) degree_[w] = offsets_[w + 1] - offsets_[w];
 }
 
-uint64_t DynamicGraph::GatherDirty(int num_threads, bool parallel,
-                                   Count* killed_terms) {
-  dirty_.clear();
-  const bool track = killed_terms != nullptr;
-  uint64_t work = 0;
-  Count terms = 0;
-  if (!parallel) {
-    for (const VertexId k : killed_) {
-      const uint64_t dk = degree_[k];
-      const bool count = track && IsU(k);
-      for (const VertexId x : Neighbors(k)) {
-        if (count) terms += std::min<Count>(dk, degree_[x]);
-        if (alive_[x] == 0 || mark_[x] != 0) continue;
-        mark_[x] = 1;
-        dirty_.push_back(x);
-        work += degree_[x];
-      }
-    }
-  } else {
-    // Threads claim each neighbour by an atomic exchange on its mark, so
-    // every dirty vertex lands in exactly one per-thread buffer. The
-    // buffers' order depends on the schedule; nothing downstream does.
-    gather_.resize(static_cast<size_t>(num_threads));
-#pragma omp parallel num_threads(num_threads) reduction(+ : work, terms)
-    {
-      std::vector<VertexId>& local = gather_[static_cast<size_t>(ThreadId())];
-      local.clear();
-#pragma omp for schedule(dynamic, 16)
-      for (size_t i = 0; i < killed_.size(); ++i) {
+uint64_t DynamicGraph::GatherDirty(int num_threads, bool track) {
+  // Threads claim each neighbour by an atomic exchange on its mark, so
+  // every dirty vertex lands in exactly one lane. The lanes' order depends
+  // on the schedule; nothing downstream does.
+  ParallelForWithContext(
+      killed_.size(), num_threads, lanes_,
+      [this, track](Lane& lane, size_t i) {
         const VertexId k = killed_[i];
         const uint64_t dk = degree_[k];
         const bool count = track && IsU(k);
         for (const VertexId x : Neighbors(k)) {
-          if (count) terms += std::min<Count>(dk, degree_[x]);
+          if (count) lane.removed += std::min<Count>(dk, degree_[x]);
           if (alive_[x] == 0) continue;
           std::atomic_ref<uint8_t> mark(mark_[x]);
           if (mark.load(std::memory_order_relaxed) != 0 ||
               mark.exchange(1, std::memory_order_relaxed) != 0) {
             continue;
           }
-          local.push_back(x);
-          work += degree_[x];
+          lane.dirty.push_back(x);
+          lane.work += degree_[x];
         }
-      }
-    }
-    for (const std::vector<VertexId>& local : gather_) {
-      dirty_.insert(dirty_.end(), local.begin(), local.end());
-    }
+      },
+      /*chunk=*/16);
+  dirty_.swap(lanes_[0].dirty);
+  uint64_t work = lanes_[0].work;
+  for (size_t t = 1; t < lanes_.size(); ++t) {
+    dirty_.insert(dirty_.end(), lanes_[t].dirty.begin(), lanes_[t].dirty.end());
+    work += lanes_[t].work;
   }
-  if (track) *killed_terms += terms;
   return work;
 }
 
-Count DynamicGraph::DirtyPairTerms(int num_threads, bool parallel) const {
-  return SumOver(dirty_, num_threads, parallel, [this](VertexId w) {
-    Count total = 0;
-    if (!IsU(w)) return total;
-    const uint64_t dw = degree_[w];
-    for (const VertexId x : Neighbors(w)) {
-      if (mark_[x] != 0) total += std::min<Count>(dw, degree_[x]);
-    }
-    return total;
-  });
+void DynamicGraph::AddDirtyPairTerms(int num_threads, Count Lane::*sum) {
+  ParallelForWithContext(
+      dirty_.size(), num_threads, lanes_,
+      [this, sum](Lane& lane, size_t i) {
+        const VertexId w = dirty_[i];
+        if (!IsU(w)) return;
+        const uint64_t dw = degree_[w];
+        for (const VertexId x : Neighbors(w)) {
+          if (mark_[x] != 0) lane.*sum += std::min<Count>(dw, degree_[x]);
+        }
+      },
+      /*chunk=*/16);
 }
 
 void DynamicGraph::FilterList(VertexId w, bool track, Count& removed,
@@ -149,8 +108,19 @@ void DynamicGraph::FilterList(VertexId w, bool track, Count& removed,
 
 void DynamicGraph::Compact(int num_threads, Count* recount_bound) {
   if (killed_.empty()) return;
-  const bool threaded = num_threads > 1;
   const bool track = recount_bound != nullptr;
+  const size_t num_lanes = static_cast<size_t>(std::max(1, num_threads));
+  if (lanes_.size() < num_lanes) lanes_.resize(num_lanes);
+  for (Lane& lane : lanes_) {
+    lane.dirty.clear();
+    lane.work = 0;
+    lane.removed = 0;
+    lane.added = 0;
+  }
+  // A loop over lists of `work` total length forks only when it is long.
+  const auto threads_for = [num_threads](uint64_t work) {
+    return work >= kParallelCutoff ? num_threads : 1;
+  };
   uint64_t killed_work = 0;
   for (const VertexId k : killed_) killed_work += degree_[k];
 
@@ -159,31 +129,30 @@ void DynamicGraph::Compact(int num_threads, Count* recount_bound) {
   // the previous Compact(), so it was counted then. Each such edge is
   // priced once, where both its degrees are at hand:
   //   * killed U end: in the gather, before any degree moves (removed);
-  //   * dirty U end, marked V end: DirtyPairTerms before the filter
+  //   * dirty U end, marked V end: AddDirtyPairTerms before the filter
   //     (removed) and after it (added, the dirty-dirty survivors);
   //   * a dirty end and a clean one: in the dirty end's filter, since a
   //     clean degree never moves (removed with the old degree, added with
   //     the new).
   // A clean live vertex cannot neighbour a killed one, so that is all.
-  Count removed = 0;
-  Count added = 0;
-  const uint64_t dirty_work =
-      GatherDirty(num_threads, threaded && killed_work >= kParallelCutoff,
-                  track ? &removed : nullptr);
-  const bool parallel = threaded && dirty_work >= kParallelCutoff;
-  if (track) removed += DirtyPairTerms(num_threads, parallel);
+  const int filter_threads =
+      threads_for(GatherDirty(threads_for(killed_work), track));
+  if (track) AddDirtyPairTerms(filter_threads, &Lane::removed);
   for (const VertexId k : killed_) degree_[k] = 0;
-  if (parallel) {
-#pragma omp parallel for schedule(dynamic, 16) num_threads(num_threads) \
-    reduction(+ : removed, added)
-    for (size_t i = 0; i < dirty_.size(); ++i) {
-      FilterList(dirty_[i], track, removed, added);
-    }
-  } else {
-    for (const VertexId w : dirty_) FilterList(w, track, removed, added);
-  }
+  ParallelForWithContext(
+      dirty_.size(), filter_threads, lanes_,
+      [this, track](Lane& lane, size_t i) {
+        FilterList(dirty_[i], track, lane.removed, lane.added);
+      },
+      /*chunk=*/16);
   if (track) {
-    added += DirtyPairTerms(num_threads, parallel);
+    AddDirtyPairTerms(filter_threads, &Lane::added);
+    Count removed = 0;
+    Count added = 0;
+    for (const Lane& lane : lanes_) {
+      removed += lane.removed;
+      added += lane.added;
+    }
     *recount_bound = *recount_bound - removed + added;
   }
 

@@ -49,7 +49,7 @@ class DynamicGraph {
   size_t CapacityFootprint() const {
     return offsets_.capacity() + adjacency_.capacity() + degree_.capacity() +
            alive_.capacity() + rank_.capacity() + mark_.capacity() +
-           killed_.capacity() + dirty_.capacity();
+           killed_.capacity() + DirtyCapacity();
   }
 
   VertexId num_u() const { return num_u_; }
@@ -85,7 +85,7 @@ class DynamicGraph {
   /// Compact(). Only the live neighbours of those vertices are filtered, so
   /// the cost is the total length of the touched lists, not the graph's
   /// size. Runs inline when that total is small, and on `num_threads`
-  /// OpenMP threads otherwise.
+  /// threads otherwise.
   ///
   /// If `recount_bound` is non-null it must hold RecountCostBound() as of
   /// the previous Compact() (or Reset()); it is moved to the value after
@@ -112,20 +112,38 @@ class DynamicGraph {
   VertexId NumAlive(Side side) const;
 
  private:
+  /// One thread's share of a Compact() loop: the dirty vertices it claimed
+  /// and its partial sums, folded after the join. Integer sums are exact in
+  /// any order, so nothing depends on the thread count or the schedule.
+  struct Lane {
+    std::vector<VertexId> dirty;
+    uint64_t work = 0;
+    Count removed = 0;
+    Count added = 0;
+  };
+
   /// Collects into dirty_ the live neighbours of the killed vertices,
   /// marking them, and returns the total length of their lists. If
-  /// `killed_terms` is non-null, adds to it the min(d_k, d_x) terms of the
+  /// `track`, adds to the lanes' `removed` the min(d_k, d_x) terms of the
   /// edges of every killed U vertex k.
-  uint64_t GatherDirty(int num_threads, bool parallel, Count* killed_terms);
+  uint64_t GatherDirty(int num_threads, bool track);
 
-  /// Σ min(d_w, d_x) with current degrees over the edges from a dirty U
-  /// vertex w to a marked x.
-  Count DirtyPairTerms(int num_threads, bool parallel) const;
+  /// Adds to the lanes' `sum` the terms min(d_w, d_x), with current
+  /// degrees, of the edges from a dirty U vertex w to a marked x.
+  void AddDirtyPairTerms(int num_threads, Count Lane::*sum);
 
   /// Drops the dead entries of w's list. If `track`, adds the min terms of
   /// w's edges to unmarked vertices to `removed` (old degree of w) and
   /// `added` (new degree).
   void FilterList(VertexId w, bool track, Count& removed, Count& added);
+
+  /// Capacity of dirty_ and of every lane's buffer: GatherDirty swaps
+  /// buffers between them.
+  size_t DirtyCapacity() const {
+    size_t total = dirty_.capacity();
+    for (const Lane& lane : lanes_) total += lane.dirty.capacity();
+    return total;
+  }
 
   VertexId num_u_ = 0;
   VertexId num_v_ = 0;
@@ -138,7 +156,7 @@ class DynamicGraph {
   std::vector<uint8_t> mark_;       // 1 for killed_ and dirty_ members
   std::vector<VertexId> killed_;    // killed since the last Compact()
   std::vector<VertexId> dirty_;     // their live neighbours (Compact scratch)
-  std::vector<std::vector<VertexId>> gather_;  // per-thread GatherDirty out
+  std::vector<Lane> lanes_;         // per-thread Compact scratch
 };
 
 }  // namespace receipt

@@ -77,7 +77,7 @@ struct Request {
   Algorithm algorithm = Algorithm::kReceipt;
   /// RECEIPT / RECEIPT-W range count (P); ignored by the baselines.
   int partitions = 150;
-  /// OpenMP threads the executing worker devotes to this request.
+  /// Threads the executing worker devotes to this request.
   int threads = 1;
   /// Span sink + per-request identity, minted (or accepted from
   /// X-Request-Id) at the front-end. Null by default; not part of the

@@ -31,7 +31,7 @@ TipResult BupDecompose(const BipartiteGraph& graph,
   WallTimer count_timer;
   std::vector<Count> support(g.num_vertices(), 0);
   result.stats.wedges_counting = engine::CountVertexButterflies(
-      live, pool, options.num_threads, support);
+      live, pool.Team(options.num_threads), support);
   result.stats.seconds_counting = count_timer.Seconds();
 
   // The sequential peel extracts through the workspace-resident

@@ -34,7 +34,7 @@ TipResult ParbDecompose(const BipartiteGraph& graph,
   WallTimer count_timer;
   std::vector<Count> support(g.num_vertices(), 0);
   result.stats.wedges_counting =
-      engine::CountVertexButterflies(live, pool, num_threads, support);
+      engine::CountVertexButterflies(live, pool.Team(num_threads), support);
   result.stats.seconds_counting = count_timer.Seconds();
 
   std::vector<VertexId> all_u(g.num_u());
@@ -65,7 +65,7 @@ TipResult ParbDecompose(const BipartiteGraph& graph,
 
     // Re-bucket touched vertices (sequential; BucketQueue::Update dedups
     // repeated updates that landed on the same key).
-    for (engine::PeelWorkspace& ws : pool.workspaces()) {
+    for (engine::PeelWorkspace& ws : pool.Team(num_threads)) {
       for (const auto& [vertex, ignored] : ws.updates) {
         const VertexId v = static_cast<VertexId>(vertex);
         if (live.IsAlive(v)) queue.Update(v, support[v]);

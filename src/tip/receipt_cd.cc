@@ -38,7 +38,7 @@ CdResult ReceiptCd(const BipartiteGraph& graph, const TipOptions& options,
   // CD and FD read U supports only (the engine peels U), so the count
   // credits U alone; BUP and ParB keep the both-sides kernel.
   stats->wedges_counting += engine::CountVertexButterflies(
-      live, pool, num_threads, support, engine::CountScope::kUOnly);
+      live, pool.Team(num_threads), support, engine::CountScope::kUOnly);
   stats->seconds_counting = count_timer.Seconds();
   options.trace.EmitSince("engine.count", count_start_ns,
                           stats->wedges_counting);

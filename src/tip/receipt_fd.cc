@@ -1,7 +1,6 @@
 #include "tip/receipt_fd.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
 #include <numeric>
 #include <vector>
@@ -124,27 +123,11 @@ void ReceiptFd(const BipartiteGraph& graph, const CdResult& cd,
   const std::vector<uint32_t> order =
       FdPopOrder(cd.predicted_costs, options.fd_order);
 
-  // Dynamic task allocation (Alg. 4 lines 2-4): each idle thread takes the
-  // next subset in pop order. Threads only synchronize at the terminal join.
-  std::atomic<uint32_t> next_task{0};
-  std::vector<PeelStats> local_stats(static_cast<size_t>(num_threads));
-#pragma omp parallel num_threads(num_threads)
-  {
-    const int tid = ThreadId();
-    PeelStats& local = local_stats[static_cast<size_t>(tid)];
-    engine::PeelWorkspace& ws = pool.Get(tid);
-    while (true) {
-      if (options.control != nullptr && options.control->Cancelled()) break;
-      const uint32_t k = next_task.fetch_add(1, std::memory_order_relaxed);
-      if (k >= num_subsets) break;
-      PeelSubset(graph, cd, order[k], options, ws, tip_numbers, &local);
-    }
-  }
-  for (const PeelStats& local : local_stats) {
-    stats->wedges_fd += local.wedges_fd;
-    stats->huc_recounts += local.huc_recounts;
-    stats->dgm_compactions += local.dgm_compactions;
-  }
+  engine::RunFineTasks(
+      num_subsets, num_threads, pool, options.control, stats,
+      [&](uint32_t k, engine::PeelWorkspace& ws, PeelStats* local) {
+        PeelSubset(graph, cd, order[k], options, ws, tip_numbers, local);
+      });
   stats->seconds_fd = fd_timer.Seconds();
   options.trace.EmitSince("engine.fd", fd_start_ns, num_subsets);
 }

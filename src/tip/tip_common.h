@@ -33,7 +33,7 @@ struct TipOptions {
   /// Side::kV, so algorithms always peel "U".
   Side side = Side::kU;
 
-  /// Number of OpenMP threads (T in the paper).
+  /// Number of threads (T in the paper).
   int num_threads = 1;
 
   /// RECEIPT only: number of vertex subsets / tip-number ranges (P). The

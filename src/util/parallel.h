@@ -7,59 +7,98 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 namespace receipt {
 
-/// Returns the number of OpenMP threads the next parallel region will use.
+/// Returns the number of threads the next parallel region will use.
 inline int MaxThreads() { return omp_get_max_threads(); }
 
-/// Returns the calling thread's id inside a parallel region (0 outside).
-inline int ThreadId() { return omp_get_thread_num(); }
-
-/// Item count below which the index-range helpers here run inline: under
+/// Item count below which ParallelFor and the reducers run inline: under
 /// a few thousand cheap items, forking and joining a team costs more than
 /// the loop itself.
 inline constexpr size_t kParallelCutoff = 4096;
 
-/// Runs `fn(i)` for i in [0, n) across `num_threads` OpenMP threads with
-/// dynamic scheduling (the workloads in this library are highly skewed, e.g.
-/// wedge exploration per vertex, so static chunking load-balances poorly).
-/// Inputs below kParallelCutoff run inline: every caller does little work
-/// per index. Few heavy items belong in ParallelForWithContext, which
-/// always forks.
+namespace detail {
+
+/// The one place a team of threads is forked: runs `body(tid, i)` for i in
+/// [0, n) on `num_threads` threads with dynamic scheduling at grain `chunk`
+/// (the workloads here are highly skewed, e.g. wedge exploration per
+/// vertex, so static chunking load-balances poorly). `tid` is the calling
+/// thread's index in the team, in [0, num_threads).
+template <typename Body>
+void RunOnTeam(size_t n, int num_threads, int chunk, Body&& body) {
+#pragma omp parallel num_threads(num_threads)
+  {
+    const int tid = omp_get_thread_num();
+#pragma omp for schedule(dynamic, chunk)
+    for (size_t i = 0; i < n; ++i) body(tid, i);
+  }
+}
+
+/// Folds make(i) over i in [0, n) with `fold`, starting from `identity`.
+/// Inputs of kParallelCutoff items or more are cut into 4 fixed blocks per
+/// thread whose partials are folded in block order, so for an associative
+/// fold (integer sums, max) the result does not depend on the thread count
+/// or the schedule. `partials_scratch` (optional) keeps the per-block
+/// buffer across calls.
+template <typename T, typename Make, typename Fold>
+T ParallelReduce(size_t n, int num_threads, Make&& make, T identity,
+                 Fold&& fold, std::vector<T>* partials_scratch) {
+  const auto fold_range = [&](size_t lo, size_t hi) {
+    T acc = identity;
+    for (size_t i = lo; i < hi; ++i) acc = fold(acc, make(i));
+    return acc;
+  };
+  if (num_threads <= 1 || n < kParallelCutoff) return fold_range(0, n);
+  const size_t num_blocks = static_cast<size_t>(num_threads) * 4;
+  const size_t block = (n + num_blocks - 1) / num_blocks;
+  std::vector<T> local_partials;
+  std::vector<T>& partials =
+      partials_scratch != nullptr ? *partials_scratch : local_partials;
+  partials.assign(num_blocks, identity);
+  RunOnTeam(num_blocks, num_threads, 1, [&](int, size_t b) {
+    partials[b] = fold_range(std::min(n, b * block),
+                             std::min(n, (b + 1) * block));
+  });
+  T total = identity;
+  for (const T& partial : partials) total = fold(total, partial);
+  return total;
+}
+
+}  // namespace detail
+
+/// Runs `fn(i)` for i in [0, n) across `num_threads` threads. Inputs below
+/// kParallelCutoff run inline: every caller does little work per index.
+/// Few heavy items belong in ParallelForWithContext, which always forks.
 template <typename Fn>
 void ParallelFor(size_t n, int num_threads, Fn&& fn) {
   if (num_threads <= 1 || n < kParallelCutoff) {
     for (size_t i = 0; i < n; ++i) fn(i);
     return;
   }
-#pragma omp parallel for schedule(dynamic, 64) num_threads(num_threads)
-  for (size_t i = 0; i < n; ++i) {
-    fn(i);
-  }
+  detail::RunOnTeam(n, num_threads, 64, [&fn](int, size_t i) { fn(i); });
 }
 
-/// ParallelFor with a per-thread context object: `fn(ctx[tid], i)`. Used to
-/// hand each thread its own wedge-aggregation scratch array (Alg. 1 line 5).
-/// `chunk` is the dynamic-schedule grain: 64 amortizes the dispatch over
-/// many cheap items; 1 spreads a few heavy, skewed items (a coarse peel
-/// round's vertices) over every thread.
-template <typename Ctx, typename Fn>
-void ParallelForWithContext(size_t n, int num_threads, std::vector<Ctx>& ctxs,
-                            Fn&& fn, int chunk = 64) {
+/// ParallelFor with a per-thread context: `fn(ctxs[t], i)`, where t is the
+/// running thread's index, so `ctxs` (a vector or span) needs at least
+/// `num_threads` entries. Used to hand each thread its own scratch (Alg. 1
+/// line 5) or partial sums. One thread runs inline on ctxs[0]; more always
+/// fork. `chunk` is the dynamic-schedule grain: 64 amortizes the dispatch
+/// over many cheap items; 1 spreads a few heavy, skewed items (a coarse
+/// peel round's vertices, FD's subsets) over every thread, handing them
+/// out in index order.
+template <typename Ctxs, typename Fn>
+void ParallelForWithContext(size_t n, int num_threads, Ctxs&& ctxs, Fn&& fn,
+                            int chunk = 64) {
   if (num_threads <= 1) {
     for (size_t i = 0; i < n; ++i) fn(ctxs[0], i);
     return;
   }
-#pragma omp parallel num_threads(num_threads)
-  {
-    Ctx& ctx = ctxs[omp_get_thread_num()];
-#pragma omp for schedule(dynamic, chunk)
-    for (size_t i = 0; i < n; ++i) {
-      fn(ctx, i);
-    }
-  }
+  detail::RunOnTeam(n, num_threads, chunk, [&](int tid, size_t i) {
+    fn(ctxs[static_cast<size_t>(tid)], i);
+  });
 }
 
 /// Atomically adds `delta` to `*target` (relaxed ordering; all support
@@ -87,66 +126,26 @@ inline T AtomicClampedSub(T* target, T delta, T floor) {
   }
 }
 
-/// Deterministic parallel reduction: sums make(i) over i ∈ [0, n) with
-/// per-block partial sums (static blocks) folded sequentially in block
-/// order, so for associative element types (the engine sums integer peel
-/// costs) the result is independent of thread count and schedule — the
-/// property the coarse decomposer's bit-identicality guarantees rest on.
-/// Small inputs run sequentially (fork/join overhead dwarfs the sum).
-/// `partials_scratch` (optional) supplies the per-block buffer so repeated
-/// calls in a peeling loop stay allocation-free once warm.
+/// Deterministic parallel sum of make(i) over i in [0, n): for associative
+/// element types (the engine sums integer peel costs) the result is
+/// independent of thread count and schedule — the property the coarse
+/// decomposer's bit-identicality guarantees rest on. `partials_scratch`
+/// (optional) keeps repeated calls in a peeling loop allocation-free once
+/// warm.
 template <typename T, typename Make>
 T ParallelReduceSum(size_t n, int num_threads, Make&& make,
                     std::vector<T>* partials_scratch = nullptr) {
-  if (num_threads <= 1 || n < kParallelCutoff) {
-    T total{};
-    for (size_t i = 0; i < n; ++i) total += make(i);
-    return total;
-  }
-  const size_t num_blocks = static_cast<size_t>(num_threads) * 4;
-  const size_t block = (n + num_blocks - 1) / num_blocks;
-  std::vector<T> local_partials;
-  std::vector<T>& partials =
-      partials_scratch != nullptr ? *partials_scratch : local_partials;
-  partials.assign(num_blocks, T{});
-#pragma omp parallel for schedule(static) num_threads(num_threads)
-  for (size_t b = 0; b < num_blocks; ++b) {
-    const size_t lo = b * block;
-    const size_t hi = lo + block < n ? lo + block : n;
-    T sum{};
-    for (size_t i = lo; i < hi; ++i) sum += make(i);
-    partials[b] = sum;
-  }
-  T total{};
-  for (const T& sum : partials) total += sum;
-  return total;
+  return detail::ParallelReduce<T>(n, num_threads, make, T{}, std::plus<T>{},
+                                   partials_scratch);
 }
 
-/// Deterministic parallel maximum of make(i) over i ∈ [0, n): same
-/// block-partial scheme as ParallelReduceSum (max is associative and
-/// commutative, so the fold order never matters). Small inputs run
-/// sequentially.
+/// Deterministic parallel maximum of make(i) over i in [0, n), `identity`
+/// on an empty range.
 template <typename T, typename Make>
 T ParallelReduceMax(size_t n, int num_threads, Make&& make, T identity = T{}) {
-  if (num_threads <= 1 || n < kParallelCutoff) {
-    T best = identity;
-    for (size_t i = 0; i < n; ++i) best = std::max<T>(best, make(i));
-    return best;
-  }
-  const size_t num_blocks = static_cast<size_t>(num_threads) * 4;
-  const size_t block = (n + num_blocks - 1) / num_blocks;
-  std::vector<T> partials(num_blocks, identity);
-#pragma omp parallel for schedule(static) num_threads(num_threads)
-  for (size_t b = 0; b < num_blocks; ++b) {
-    const size_t lo = b * block;
-    const size_t hi = lo + block < n ? lo + block : n;
-    T best = identity;
-    for (size_t i = lo; i < hi; ++i) best = std::max<T>(best, make(i));
-    partials[b] = best;
-  }
-  T best = identity;
-  for (const T& candidate : partials) best = std::max<T>(best, candidate);
-  return best;
+  return detail::ParallelReduce<T>(
+      n, num_threads, make, identity,
+      [](const T& a, const T& b) { return std::max<T>(a, b); }, nullptr);
 }
 
 }  // namespace receipt

@@ -1,7 +1,6 @@
 #include "wing/receipt_wing.h"
 
 #include <algorithm>
-#include <atomic>
 #include <numeric>
 #include <utility>
 #include <vector>
@@ -168,30 +167,18 @@ void ReceiptWingFine(const BipartiteGraph& graph,
   std::stable_sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
     return coarse.subsets[a].size() > coarse.subsets[b].size();
   });
-  std::atomic<uint32_t> next_task{0};
-  std::vector<PeelStats> local_stats(static_cast<size_t>(num_threads));
-#pragma omp parallel num_threads(num_threads)
-  {
-    const int tid = ThreadId();
-    PeelStats& local = local_stats[static_cast<size_t>(tid)];
-    engine::PeelWorkspace& ws = pool.Get(tid);
-    while (true) {
-      if (options.control != nullptr && options.control->Cancelled()) break;
-      const uint32_t k = next_task.fetch_add(1, std::memory_order_relaxed);
-      if (k >= num_subsets) break;
-      const uint32_t sid = order[k];
-      // Unselected subsets keep whatever wing_numbers already holds.
-      if (!only_subsets.empty() &&
-          (sid >= only_subsets.size() || only_subsets[sid] == 0)) {
-        continue;
-      }
-      FineWingSubset(graph, coarse, sid, all_edges, ws, wing_numbers,
-                     options.control, &local);
-    }
-  }
-  for (const PeelStats& local : local_stats) {
-    stats->wedges_fd += local.wedges_fd;
-  }
+  engine::RunFineTasks(
+      num_subsets, num_threads, pool, options.control, stats,
+      [&](uint32_t k, engine::PeelWorkspace& ws, PeelStats* local) {
+        const uint32_t sid = order[k];
+        // Unselected subsets keep whatever wing_numbers already holds.
+        if (!only_subsets.empty() &&
+            (sid >= only_subsets.size() || only_subsets[sid] == 0)) {
+          return;
+        }
+        FineWingSubset(graph, coarse, sid, all_edges, ws, wing_numbers,
+                       options.control, local);
+      });
   stats->seconds_fd += fd_timer.Seconds();
   options.trace.EmitSince("engine.fd", fd_start_ns, num_subsets);
 }

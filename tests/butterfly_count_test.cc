@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -125,8 +126,8 @@ TEST(ButterflyCountTest, SharedButterfliesReference) {
 
 // -- U-only scope ------------------------------------------------------------
 
-/// Counts the live view of `g` in both scopes with the parallel kernel on
-/// `threads` threads and with the Seq variant, and checks that the U-only
+/// Counts the live view of `g` in both scopes on `threads` threads and on
+/// one workspace (an FD task's HUC count), and checks that the U-only
 /// supports equal the both-sides kernel's U part, that V entries stay 0,
 /// and that every variant traverses the same wedges. A non-null `brute`
 /// is the reference both-sides answer.
@@ -138,13 +139,14 @@ void ExpectUOnlyMatches(const BipartiteGraph& g,
   engine::PeelWorkspace ws;
   std::vector<Count> both(n), u_only(n), seq_both(n), seq_u_only(n);
   const uint64_t wedges =
-      engine::CountVertexButterflies(live, pool, threads, both);
-  EXPECT_EQ(engine::CountVertexButterflies(live, pool, threads, u_only,
+      engine::CountVertexButterflies(live, pool.Team(threads), both);
+  EXPECT_EQ(engine::CountVertexButterflies(live, pool.Team(threads), u_only,
                                            engine::CountScope::kUOnly),
             wedges);
-  EXPECT_EQ(engine::CountVertexButterfliesSeq(live, ws, seq_both), wedges);
-  EXPECT_EQ(engine::CountVertexButterfliesSeq(live, ws, seq_u_only,
-                                              engine::CountScope::kUOnly),
+  const std::span<engine::PeelWorkspace> one(&ws, 1);
+  EXPECT_EQ(engine::CountVertexButterflies(live, one, seq_both), wedges);
+  EXPECT_EQ(engine::CountVertexButterflies(live, one, seq_u_only,
+                                           engine::CountScope::kUOnly),
             wedges);
   if (brute != nullptr) EXPECT_EQ(both, *brute);
   EXPECT_EQ(seq_both, both);
@@ -217,7 +219,7 @@ TEST(ButterflyCountTest, FoldedMidPointCreditsSkipDeadEndPoints) {
   for (const auto scope :
        {engine::CountScope::kBothSides, engine::CountScope::kUOnly}) {
     std::vector<Count> support(g.num_vertices());
-    engine::CountVertexButterflies(live, pool, 3, support, scope);
+    engine::CountVertexButterflies(live, pool.Team(3), support, scope);
     for (VertexId w = 0; w < g.num_vertices(); ++w) {
       if (!live.IsAlive(w)) continue;
       const bool credited = scope == engine::CountScope::kBothSides || g.IsU(w);

@@ -56,12 +56,13 @@ TEST(WorkspaceTest, CountingReusesWorkspacesAcrossRuns) {
 
   engine::WorkspacePool pool;
   const uint64_t w1 =
-      engine::CountVertexButterflies(live, pool, 2, support);
+      engine::CountVertexButterflies(live, pool.Team(2), support);
   const std::vector<Count> first = support;
   const uint64_t growths_warm = pool.TotalGrowths();
 
   for (int run = 0; run < 3; ++run) {
-    const uint64_t w = engine::CountVertexButterflies(live, pool, 2, support);
+    const uint64_t w =
+        engine::CountVertexButterflies(live, pool.Team(2), support);
     EXPECT_EQ(w, w1);
     EXPECT_EQ(support, first);
   }

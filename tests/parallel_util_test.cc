@@ -36,6 +36,46 @@ TEST(ParallelUtilTest, ParallelForWithContextUsesDistinctContexts) {
   EXPECT_EQ(total, 10000ull * 9999 / 2);
 }
 
+// The FD task loop's shape: grain 1, few items, possibly fewer than
+// threads, with a skewed cost per item. Every index must run exactly once
+// and the per-context tallies must account for all of them.
+TEST(ParallelUtilTest, ParallelForWithContextAtGrainOneRunsEachIndexOnce) {
+  struct Ctx {
+    uint64_t items = 0;
+    uint64_t work = 0;
+  };
+  for (const size_t n : {size_t{0}, size_t{1}, size_t{3}, size_t{64}}) {
+    std::vector<std::atomic<int>> hits(n);
+    std::vector<Ctx> ctxs(4);
+    // Item 0 is heavy, the rest cost almost nothing.
+    const auto cost = [](size_t i) { return i == 0 ? 200000u : 1u + i % 3; };
+    ParallelForWithContext(
+        n, 4, ctxs,
+        [&](Ctx& ctx, size_t i) {
+          hits[i].fetch_add(1, std::memory_order_relaxed);
+          ++ctx.items;
+          // One add per unit, so the heavy item really takes longer.
+          for (uint64_t k = 0; k < cost(i); ++k) {
+            AtomicAdd(&ctx.work, uint64_t{1});
+          }
+        },
+        /*chunk=*/1);
+    uint64_t items = 0;
+    uint64_t work = 0;
+    uint64_t expected_work = 0;
+    for (const Ctx& ctx : ctxs) {
+      items += ctx.items;
+      work += ctx.work;
+    }
+    for (size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(hits[i].load(), 1) << "n " << n << " i " << i;
+      expected_work += cost(i);
+    }
+    EXPECT_EQ(items, n);
+    EXPECT_EQ(work, expected_work) << "n " << n;
+  }
+}
+
 TEST(ParallelUtilTest, AtomicAddConcurrent) {
   uint64_t value = 0;
   ParallelFor(10000, 4, [&value](size_t) { AtomicAdd(&value, uint64_t{1}); });

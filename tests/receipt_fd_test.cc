@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "engine/peel_control.h"
 #include "engine/workspace.h"
 #include "graph/generators.h"
 #include "tip/bup.h"
@@ -42,7 +43,7 @@ std::vector<Count> RunFd(const BipartiteGraph& g, const TipOptions& options,
 }
 
 // Makespan of greedy list scheduling over `order`: each of `threads` workers
-// takes the next task as soon as it is free, the FD cursor loop with the
+// takes the next task as soon as it is free, the FD task loop with the
 // costs standing in for peel times. Ties go to the lower worker.
 Count ListScheduleMakespan(const std::vector<Count>& costs,
                            const std::vector<uint32_t>& order, int threads) {
@@ -225,7 +226,7 @@ TEST(ReceiptFdTest, FdCountersInvariantAcrossOrderAndThreads) {
 }
 
 TEST(ReceiptFdTest, MoreThreadsThanSubsetsMatchesBup) {
-  // Idle threads find the cursor past the end at once and join.
+  // Idle threads find no task left at once and join.
   const BipartiteGraph g = ChungLuBipartite(180, 120, 800, 0.6, 0.6, 157);
   PeelStats stats;
   const TipOptions options = Options(2, 6);
@@ -235,6 +236,34 @@ TEST(ReceiptFdTest, MoreThreadsThanSubsetsMatchesBup) {
   ReceiptFd(g, cd, options, tips, &stats);
   TipOptions bup_options;
   EXPECT_EQ(tips, BupDecompose(g, bup_options).tip_numbers);
+}
+
+TEST(ReceiptFdTest, CancelledFdPeelsNoSubset) {
+  // ReceiptDecompose skips FD once CD is cancelled, so FD is driven here
+  // directly: an uncancelled CD, then FD under an already-cancelled
+  // control. No task may start, so no number is written and no wedge is
+  // counted.
+  const BipartiteGraph g = ChungLuBipartite(250, 150, 1100, 0.6, 0.6, 111);
+  PeelStats cd_stats;
+  const CdResult cd = ReceiptCd(g, Options(8, 2), &cd_stats);
+  ASSERT_GT(cd.subsets.size(), 1u);
+  constexpr Count kUntouched = std::numeric_limits<Count>::max();
+  for (const int threads : {1, 4}) {
+    engine::PeelControl control;
+    control.RequestCancel();
+    TipOptions options = Options(8, threads);
+    options.control = &control;
+    PeelStats stats;
+    stats.wedges_fd = 17;
+    std::vector<Count> tips(g.num_u(), kUntouched);
+    ReceiptFd(g, cd, options, tips, &stats);
+    EXPECT_EQ(stats.wedges_fd, 17u) << "threads " << threads;
+    EXPECT_EQ(stats.huc_recounts, 0u) << "threads " << threads;
+    EXPECT_EQ(control.peeled(), 0u) << "threads " << threads;
+    for (VertexId u = 0; u < g.num_u(); ++u) {
+      ASSERT_EQ(tips[u], kUntouched) << "threads " << threads << " u " << u;
+    }
+  }
 }
 
 TEST(ReceiptFdTest, CdFillsOnePredictedCostPerSubset) {

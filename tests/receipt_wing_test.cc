@@ -13,6 +13,7 @@
 #include <tuple>
 #include <vector>
 
+#include "engine/peel_control.h"
 #include "graph/generators.h"
 #include "wing/wing_decomposition.h"
 
@@ -77,6 +78,32 @@ TEST(ReceiptWingTest, SelectiveFinePeelsOnlyChosenSubsets) {
       EXPECT_EQ(wings[e], reference[e]) << "e=" << e;
     } else {
       EXPECT_EQ(wings[e], kUntouched) << "e=" << e;
+    }
+  }
+}
+
+TEST(ReceiptWingTest, CancelledFineStepPeelsNoSubset) {
+  // An uncancelled coarse step, then the fine step under an
+  // already-cancelled control: no subset may be peeled.
+  const BipartiteGraph g = ChungLuBipartite(80, 60, 400, 0.5, 0.5, 307);
+  PeelStats coarse_stats;
+  const engine::RangeResult<EdgeOffset> coarse =
+      ReceiptWingCoarse(g, Options(6, 2), &coarse_stats);
+  ASSERT_GT(coarse.subsets.size(), 1u);
+  constexpr Count kUntouched = std::numeric_limits<Count>::max();
+  for (const int threads : {1, 4}) {
+    engine::PeelControl control;
+    control.RequestCancel();
+    ReceiptWingOptions options = Options(6, threads);
+    options.control = &control;
+    PeelStats stats;
+    stats.wedges_fd = 17;
+    std::vector<Count> wings(g.num_edges(), kUntouched);
+    ReceiptWingFine(g, coarse, options, wings, &stats, {});
+    EXPECT_EQ(stats.wedges_fd, 17u) << "threads " << threads;
+    EXPECT_EQ(control.peeled(), 0u) << "threads " << threads;
+    for (EdgeOffset e = 0; e < g.num_edges(); ++e) {
+      ASSERT_EQ(wings[e], kUntouched) << "threads " << threads << " e " << e;
     }
   }
 }
