@@ -76,6 +76,19 @@ void CountFromStartPoint(const DynamicGraph& graph, PeelWorkspace& ws,
   ws.wedge_pairs.clear();
 }
 
+/// True when per-edge counting starts from U: every start point walks
+/// Σ_{x∈N(a)} d(x) wedges twice, so starting from U costs 2·Σ_v d(v)² and
+/// starting from V costs 2·Σ_u d(u)². Ties start from U.
+bool EdgeCountStartsFromU(const EdgeTopology& topo) {
+  Count squares_u = 0;
+  Count squares_v = 0;
+  for (VertexId w = 0; w < topo.num_vertices(); ++w) {
+    const Count d = topo.Degree(w);
+    (w < topo.num_u ? squares_u : squares_v) += d * d;
+  }
+  return squares_v <= squares_u;
+}
+
 }  // namespace
 
 uint64_t CountVertexButterflies(const DynamicGraph& graph,
@@ -99,36 +112,38 @@ uint64_t CountVertexButterflies(const DynamicGraph& graph,
   return wedges_after - wedges_before;
 }
 
-uint64_t CountEdgeButterflies(const BipartiteGraph& graph, WorkspacePool& pool,
+uint64_t CountEdgeButterflies(const EdgeTopology& topo, WorkspacePool& pool,
                               int num_threads, std::span<Count> support) {
-  pool.Prepare(std::max(1, num_threads), graph.num_u());
+  const bool from_u = EdgeCountStartsFromU(topo);
+  const VertexId first = from_u ? 0 : topo.num_u;
+  const VertexId num_starts =
+      from_u ? topo.num_u : topo.num_vertices() - topo.num_u;
+  pool.Prepare(std::max(1, num_threads), topo.num_vertices());
   const uint64_t wedges_before = pool.TotalWedges();
   ParallelForWithContext(
-      graph.num_u(), num_threads, pool.Team(num_threads),
-      [&](PeelWorkspace& ws, size_t ui) {
-        const VertexId u = static_cast<VertexId>(ui);
+      num_starts, num_threads, pool.Team(num_threads),
+      [&](PeelWorkspace& ws, size_t i) {
+        const VertexId a = first + static_cast<VertexId>(i);
         ws.touched.clear();
-        for (const VertexId gv : graph.Neighbors(u)) {
-          for (const VertexId u2 : graph.Neighbors(gv)) {
+        for (const EdgeTopology::Entry& mid : topo.Run(a)) {
+          for (const EdgeTopology::Entry& end : topo.Run(mid.nbr)) {
             ++ws.wedges_traversed;
-            if (u2 == u) continue;
-            if (ws.wedge_count[u2]++ == 0) ws.touched.push_back(u2);
+            if (end.nbr == a) continue;
+            if (ws.wedge_count[end.nbr]++ == 0) ws.touched.push_back(end.nbr);
           }
         }
-        // bcnt(u, v) = Σ_{u2 ∈ N(v)\{u}} (common(u, u2) − 1).
-        const EdgeOffset base = graph.NeighborOffset(u);
-        const auto nbrs = graph.Neighbors(u);
-        for (size_t j = 0; j < nbrs.size(); ++j) {
+        // bcnt(a, b) = Σ_{c ∈ N(b)\{a}} (common(a, c) − 1).
+        for (const EdgeTopology::Entry& mid : topo.Run(a)) {
           Count bcnt = 0;
-          for (const VertexId u2 : graph.Neighbors(nbrs[j])) {
+          for (const EdgeTopology::Entry& end : topo.Run(mid.nbr)) {
             ++ws.wedges_traversed;
-            if (u2 == u) continue;
-            const uint64_t common = ws.wedge_count[u2];
+            if (end.nbr == a) continue;
+            const uint64_t common = ws.wedge_count[end.nbr];
             if (common >= 2) bcnt += common - 1;
           }
-          support[base + j] = bcnt;
+          support[mid.edge] = bcnt;
         }
-        for (const VertexId u2 : ws.touched) ws.wedge_count[u2] = 0;
+        for (const VertexId c : ws.touched) ws.wedge_count[c] = 0;
         ws.touched.clear();
       });
   return pool.TotalWedges() - wedges_before;

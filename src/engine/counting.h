@@ -5,9 +5,9 @@
 #include <span>
 
 #include "engine/workspace.h"
-#include "graph/bipartite_graph.h"
 #include "graph/dynamic_graph.h"
 #include "util/types.h"
+#include "wing/edge_topology.h"
 
 namespace receipt::engine {
 
@@ -35,11 +35,13 @@ uint64_t CountVertexButterflies(const DynamicGraph& graph,
                                 std::span<Count> support,
                                 CountScope scope = CountScope::kBothSides);
 
-/// Parallel per-edge butterfly counting for wing decomposition:
-/// bcnt(u,v) = Σ_{u'∈N(v)\{u}} (|N(u) ∩ N(u')| − 1), written to
-/// `support[e]` for every U-side CSR slot e (size num_edges). Returns
-/// wedges traversed.
-uint64_t CountEdgeButterflies(const BipartiteGraph& graph, WorkspacePool& pool,
+/// Parallel per-edge butterfly counting for wing decomposition, over the
+/// live runs of `topo` from the side whose start points walk fewer wedges
+/// (ties start from U): bcnt(a,b) = Σ_{c∈N(b)\{a}} (|N(a) ∩ N(c)| − 1) for start point a,
+/// written to `support[k]` for every edge k (size num_edges). Each edge has
+/// one end on the start side, so each entry is written once. Returns
+/// wedges traversed, 2·min(Σ_u d(u)², Σ_v d(v)²) on fresh runs.
+uint64_t CountEdgeButterflies(const EdgeTopology& topo, WorkspacePool& pool,
                               int num_threads, std::span<Count> support);
 
 }  // namespace receipt::engine

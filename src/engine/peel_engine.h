@@ -91,46 +91,71 @@ class TipPeelGraph {
   std::span<Count> support_;
 };
 
-/// Edge (wing) peel entity: U-side CSR slots of a BipartiteGraph with an
-/// explicit EdgeState array, support updated one butterfly at a time by the
-/// §7 enumeration kernel under the minimum-id priority rule.
+/// Edge (wing) peel entity: the edges of an EdgeTopology with an explicit
+/// EdgeState array, support updated one butterfly at a time by the §7
+/// enumeration kernel under the minimum-id priority rule. Each round's
+/// peeled edges leave the live runs when the round ends.
 class WingPeelGraph {
  public:
   using Id = EdgeOffset;
   static constexpr bool kSupportsRecount = false;
 
-  WingPeelGraph(const BipartiteGraph& graph, const EdgeTopology& topo,
-                std::vector<uint8_t>& state, std::span<Count> support)
-      : graph_(&graph), topo_(&topo), state_(&state), support_(support) {}
+  WingPeelGraph(EdgeTopology& topo, std::vector<uint8_t>& state,
+                std::span<Count> support, int num_threads)
+      : topo_(&topo),
+        state_(&state),
+        support_(support),
+        num_threads_(num_threads),
+        dirty_flag_(topo.num_vertices(), 0) {}
 
-  uint64_t num_entities() const { return graph_->num_edges(); }
+  uint64_t num_entities() const { return topo_->num_edges(); }
   /// Workspace shape this entity's kernels need (a mark array over the
   /// combined vertex space only).
   VertexId WorkspaceVertexCapacity() const { return 0; }
-  VertexId WorkspaceMarkCapacity() const { return graph_->num_vertices(); }
+  VertexId WorkspaceMarkCapacity() const { return topo_->num_vertices(); }
   bool IsAlive(Id e) const { return (*state_)[e] == kEdgeAlive; }
   Count Support(Id e) const { return support_[e]; }
   /// Edges stay enumerable while peeling (all four edges of a butterfly
   /// must be not-dead for it to count); the priority rule arbitrates.
   void BeginPeel(Id e) { (*state_)[e] = kEdgePeeling; }
+  /// Kills the round's edges and compacts them out of the runs of their
+  /// ends, each run once, so later rounds never walk them.
   void EndRound(std::span<const Id> round) {
-    for (const Id e : round) (*state_)[e] = kEdgeDead;
+    std::vector<uint8_t>& state = *state_;
+    dirty_.clear();
+    for (const Id e : round) {
+      state[e] = kEdgeDead;
+      for (const VertexId w : {topo_->source[e], topo_->target[e]}) {
+        if (dirty_flag_[w] == 0) {
+          dirty_flag_[w] = 1;
+          dirty_.push_back(w);
+        }
+      }
+    }
+    ParallelFor(dirty_.size(), num_threads_, [&](size_t i) {
+      const VertexId w = dirty_[i];
+      topo_->CompactRun(
+          w, [&state](uint32_t x) { return state[x] == kEdgeDead; });
+      dirty_flag_[w] = 0;
+    });
   }
 
   template <typename OnUpdated>
   uint64_t PeelOneAtomic(Id e, Count floor, PeelWorkspace& ws,
                          OnUpdated&& on_updated) {
-    return PeelEdgeButterflies(
-        *graph_, *topo_, *state_, e, ws, [&](EdgeOffset x) {
-          on_updated(x, AtomicClampedSub(&support_[x], Count{1}, floor));
-        });
+    return PeelEdgeButterflies(*topo_, *state_, e, ws, [&](EdgeOffset x) {
+      on_updated(x, AtomicClampedSub(&support_[x], Count{1}, floor));
+    });
   }
 
  private:
-  const BipartiteGraph* graph_;
-  const EdgeTopology* topo_;
+  EdgeTopology* topo_;
   std::vector<uint8_t>* state_;
   std::span<Count> support_;
+  int num_threads_;
+  /// Vertices whose runs the ending round must compact, deduplicated.
+  std::vector<uint8_t> dirty_flag_;
+  std::vector<VertexId> dirty_;
 };
 
 // ===========================================================================
@@ -669,14 +694,14 @@ struct WingPeelOutcome {
 
 /// Sequential bottom-up wing (edge) peeling — the unified kernel behind
 /// WingDecompose (whole graph) and every RECEIPT-W fine task (environment
-/// graph of a subset). The heap must be pre-seeded with the peelable edges;
+/// of a subset). The heap must be pre-seeded with the peelable edges;
 /// `updatable(x)` filters both extraction and updates (environment edges of
 /// higher subsets are enumerated but never updated); `assign(e, θ)` fires
-/// once per peeled edge. `remaining` = number of peelable edges (0 = peel
-/// until the heap runs dry). `control` (optional) is polled per iteration.
+/// once per peeled edge, which then leaves the runs of `topo`. `remaining`
+/// = number of peelable edges (0 = peel until the heap runs dry).
+/// `control` (optional) is polled per iteration.
 template <typename Updatable, typename OnAssign>
-WingPeelOutcome SequentialWingPeel(const BipartiteGraph& graph,
-                                   const EdgeTopology& topo,
+WingPeelOutcome SequentialWingPeel(EdgeTopology& topo,
                                    std::vector<uint8_t>& state,
                                    std::span<Count> support,
                                    LazyMinHeap<4>& heap, uint64_t remaining,
@@ -684,7 +709,7 @@ WingPeelOutcome SequentialWingPeel(const BipartiteGraph& graph,
                                    Updatable&& updatable, OnAssign&& assign,
                                    PeelControl* control = nullptr) {
   WingPeelOutcome out;
-  ws.EnsureMarkCapacity(graph.num_vertices());
+  ws.EnsureMarkCapacity(topo.num_vertices());
   Count theta = floor0;
   const auto peelable = [&](VertexId k) {
     return state[k] == kEdgeAlive && updatable(static_cast<EdgeOffset>(k));
@@ -698,17 +723,17 @@ WingPeelOutcome SequentialWingPeel(const BipartiteGraph& graph,
     if (control != nullptr) control->ReportPeeled(1);
     state[k] = kEdgePeeling;  // sole peeling edge: priority rule is trivial
     ++out.iterations;
-    out.wedges += PeelEdgeButterflies(
-        graph, topo, state, k, ws, [&](EdgeOffset x) {
-          if (!updatable(x)) return;  // higher subsets are never updated
-          const Count cur = support[x];
-          const Count next = cur > theta + 1 ? cur - 1 : theta;
-          if (next != cur) {
-            support[x] = next;
-            heap.Push(next, static_cast<VertexId>(x));
-          }
-        });
+    out.wedges += PeelEdgeButterflies(topo, state, k, ws, [&](EdgeOffset x) {
+      if (!updatable(x)) return;  // higher subsets are never updated
+      const Count cur = support[x];
+      const Count next = cur > theta + 1 ? cur - 1 : theta;
+      if (next != cur) {
+        support[x] = next;
+        heap.Push(next, static_cast<VertexId>(x));
+      }
+    });
     state[k] = kEdgeDead;
+    topo.RemoveEdge(k);
     if (remaining > 0 && --remaining == 0) break;
   }
   return out;

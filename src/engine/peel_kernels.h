@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "engine/workspace.h"
-#include "graph/bipartite_graph.h"
 #include "graph/dynamic_graph.h"
 #include "util/parallel.h"
 #include "util/types.h"
@@ -19,7 +18,8 @@ namespace receipt::engine {
 /// Edge life-cycle during wing (edge) peeling. kEdgePeeling marks the
 /// current round's extraction set: still part of butterflies for
 /// enumeration purposes, but already claimed — the §7 priority rule
-/// arbitrates which peeling edge applies each butterfly's update.
+/// arbitrates which peeling edge applies each butterfly's update. A
+/// kEdgeDead edge is no longer in the live runs.
 enum EdgeState : uint8_t { kEdgeDead = 0, kEdgeAlive = 1, kEdgePeeling = 2 };
 
 /// The tip support-update kernel of Alg. 2 (lines 6-13), shared by BUP,
@@ -71,47 +71,38 @@ uint64_t PeelVertex(const DynamicGraph& graph, VertexId u, Count floor,
 /// The walk-direction rule of the wing peel kernel for edge e = (u, v):
 /// true walks via V (mark N(u), scan N(u2) for every u2 ∈ N(v)), false
 /// walks via U (mark N(v), scan N(v2) for every v2 ∈ N(u)). Each side's
-/// static cost is its mark pass plus its walk, d(u) + walk[v] against
-/// d(v) + walk[u]; ties walk via V.
-inline bool PeelWalksViaV(const BipartiteGraph& graph,
-                          const EdgeTopology& topo, EdgeOffset e) {
+/// cost when the runs were built is its mark pass plus its walk,
+/// d(u) + walk[v] against d(v) + walk[u]; ties walk via V.
+inline bool PeelWalksViaV(const EdgeTopology& topo, EdgeOffset e) {
   const VertexId u = topo.source[e];
-  const VertexId gv = graph.adjacency()[e];
-  return graph.Degree(u) + topo.walk[gv] <= graph.Degree(gv) + topo.walk[u];
+  const VertexId gv = topo.target[e];
+  return topo.Degree(u) + topo.walk[gv] <= topo.Degree(gv) + topo.walk[u];
 }
 
-/// The wing (edge) peel kernel: enumerates every butterfly of `e` whose
-/// four edges are all not-dead and for which `e` is the applier (the
-/// minimum-id kEdgePeeling edge in the butterfly), invoking `apply(x)` for
-/// each of the butterfly's other edges x that are still kEdgeAlive.
-/// Returns wedges traversed.
+/// The wing (edge) peel kernel: enumerates every butterfly of `e` in the
+/// live runs of `topo` for which `e` is the applier (the minimum-id
+/// kEdgePeeling edge in the butterfly), invoking `apply(x)` for each of
+/// the butterfly's other edges x that are still kEdgeAlive. Returns wedges
+/// traversed.
+///
+/// Precondition: no run holds a dead edge (the peel loops remove each edge
+/// from its runs once it is dead), so every butterfly met is live. Edges
+/// being peeled stay in the runs until their round ends, and the §7
+/// priority rule arbitrates between them.
 ///
 /// Each butterfly {e = (u, v), f = (u2, v), g2 = (u2, v2), h = (u, v2)} is
 /// found from whichever end of e walks less (PeelWalksViaV): via V, N(u)
-/// is marked with h and each live f's U end u2 is scanned for g2; via U,
-/// N(v) is marked with f and each live h's V end v2 is scanned for g2.
-/// Both directions find the same butterflies and hand them to one body,
-/// so the updates do not depend on the direction taken.
+/// is marked with h and each f's U end u2 is scanned for g2; via U, N(v)
+/// is marked with f and each h's V end v2 is scanned for g2. One loop body
+/// serves both directions and hands each butterfly to one body, so the
+/// updates do not depend on the direction taken.
 ///
 /// Uses the workspace's mark array, indexed by global vertex id (zero
 /// before and after).
 template <typename Apply>
-uint64_t PeelEdgeButterflies(const BipartiteGraph& graph,
-                             const EdgeTopology& topo,
+uint64_t PeelEdgeButterflies(const EdgeTopology& topo,
                              const std::vector<uint8_t>& state, EdgeOffset e,
                              PeelWorkspace& ws, Apply&& apply) {
-  uint64_t wedges = 0;
-  std::vector<EdgeOffset>& mark = ws.edge_mark;
-  const VertexId u = topo.source[e];
-  const VertexId gv = graph.adjacency()[e];
-  const EdgeOffset u_base = graph.NeighborOffset(u);
-  const auto u_nbrs = graph.Neighbors(u);
-  const EdgeOffset v_base = graph.NeighborOffset(gv);
-  const auto v_nbrs = graph.Neighbors(gv);
-  const auto v_slot_edge = [&](EdgeOffset slot) {
-    return topo.v_slot_edge[slot - topo.v_region];
-  };
-
   // Butterfly {e, f, g2, h}. Priority rule: the minimum-id peeling edge
   // applies the update; everyone else skips.
   const auto butterfly = [&](EdgeOffset f, EdgeOffset g2, EdgeOffset h) {
@@ -125,50 +116,34 @@ uint64_t PeelEdgeButterflies(const BipartiteGraph& graph,
     if (state[h] == kEdgeAlive) apply(h);
   };
 
-  if (PeelWalksViaV(graph, topo, e)) {
-    for (size_t j = 0; j < u_nbrs.size(); ++j) {
-      const EdgeOffset h = u_base + j;
-      if (state[h] != kEdgeDead) mark[u_nbrs[j]] = h + 1;
-    }
-    for (size_t s = 0; s < v_nbrs.size(); ++s) {
-      const VertexId u2 = v_nbrs[s];
-      const EdgeOffset f = v_slot_edge(v_base + s);
-      if (f == e || state[f] == kEdgeDead) continue;
-      const EdgeOffset u2_base = graph.NeighborOffset(u2);
-      const auto u2_nbrs = graph.Neighbors(u2);
-      for (size_t t = 0; t < u2_nbrs.size(); ++t) {
-        ++wedges;
-        const VertexId gv2 = u2_nbrs[t];
-        if (gv2 == gv) continue;  // g2 = f; mark[gv] holds e itself
-        const EdgeOffset g2 = u2_base + t;
-        if (state[g2] == kEdgeDead) continue;
-        const EdgeOffset h_plus1 = mark[gv2];
-        if (h_plus1 != 0) butterfly(f, g2, h_plus1 - 1);
+  // Via V the marked end is u and the walked end v, so a walked edge p is
+  // f and a marked edge q is h; via U the roles swap.
+  const bool via_v = PeelWalksViaV(topo, e);
+  const VertexId marked = via_v ? topo.source[e] : topo.target[e];
+  const VertexId walked = via_v ? topo.target[e] : topo.source[e];
+  std::vector<uint32_t>& mark = ws.edge_mark;
+  for (const EdgeTopology::Entry& entry : topo.Run(marked)) {
+    mark[entry.nbr] = entry.edge + 1;
+  }
+  uint64_t wedges = 0;
+  for (const EdgeTopology::Entry& mid : topo.Run(walked)) {
+    const EdgeOffset p = mid.edge;
+    if (p == e) continue;
+    for (const EdgeTopology::Entry& end : topo.Run(mid.nbr)) {
+      ++wedges;
+      if (end.nbr == walked) continue;  // the entry is p; mark[walked] is e
+      const uint32_t q_plus1 = mark[end.nbr];
+      if (q_plus1 == 0) continue;
+      const EdgeOffset q = q_plus1 - 1;
+      if (via_v) {
+        butterfly(p, end.edge, q);
+      } else {
+        butterfly(q, end.edge, p);
       }
     }
-    for (const VertexId nbr : u_nbrs) mark[nbr] = 0;
-  } else {
-    for (size_t s = 0; s < v_nbrs.size(); ++s) {
-      const EdgeOffset f = v_slot_edge(v_base + s);
-      if (state[f] != kEdgeDead) mark[v_nbrs[s]] = f + 1;
-    }
-    for (size_t j = 0; j < u_nbrs.size(); ++j) {
-      const EdgeOffset h = u_base + j;
-      if (h == e || state[h] == kEdgeDead) continue;
-      const VertexId gv2 = u_nbrs[j];
-      const EdgeOffset v2_base = graph.NeighborOffset(gv2);
-      const auto v2_nbrs = graph.Neighbors(gv2);
-      for (size_t t = 0; t < v2_nbrs.size(); ++t) {
-        ++wedges;
-        const VertexId u2 = v2_nbrs[t];
-        if (u2 == u) continue;  // g2 = h; mark[u] holds e itself
-        const EdgeOffset g2 = v_slot_edge(v2_base + t);
-        if (state[g2] == kEdgeDead) continue;
-        const EdgeOffset f_plus1 = mark[u2];
-        if (f_plus1 != 0) butterfly(f_plus1 - 1, g2, h);
-      }
-    }
-    for (const VertexId nbr : v_nbrs) mark[nbr] = 0;
+  }
+  for (const EdgeTopology::Entry& entry : topo.Run(marked)) {
+    mark[entry.nbr] = 0;
   }
   return wedges;
 }

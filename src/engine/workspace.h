@@ -49,8 +49,8 @@ struct alignas(64) PeelWorkspace {
   std::vector<std::pair<VertexId, VertexId>> wedge_pairs;
   /// Mark array for edge (wing) peeling, indexed by global vertex id so one
   /// array serves whichever side the kernel marks: stores edge id + 1 while
-  /// a peel is in flight, 0 = unmarked.
-  std::vector<EdgeOffset> edge_mark;
+  /// a peel is in flight, 0 = unmarked (wing edge ids are < 2^32 − 1).
+  std::vector<uint32_t> edge_mark;
   /// Frontier buffer: entity ids this thread's peel kernels pushed into the
   /// next round's candidate set (deduplicated via the shared FrontierEpochs
   /// bitmap). EdgeOffset-wide so it serves both vertex and edge peeling.
@@ -80,7 +80,7 @@ struct alignas(64) PeelWorkspace {
   /// Workspace-resident lazy heap for sequential wing (edge) peeling.
   LazyMinHeap<4> edge_heap;
   /// Arena for per-partition induced subgraphs and their DynamicGraph view
-  /// (RECEIPT FD) and environment edge lists (RECEIPT-W fine step).
+  /// (RECEIPT FD).
   InducedSubgraphArena subgraph_arena;
   /// Per-partition edge life-cycle states (wing fine step).
   std::vector<uint8_t> state_buffer;
@@ -88,11 +88,9 @@ struct alignas(64) PeelWorkspace {
   std::vector<uint8_t> flag_buffer;
   /// Per-partition entity id scratch (wing fine step: environment ids).
   std::vector<EdgeOffset> id_buffer;
-  /// Per-partition edge-id maps over the environment graph (wing fine
-  /// step), rebuilt in place via BuildEdgeTopologyInto.
-  EdgeTopology env_topo;
-  /// Cursor scratch for BuildEdgeTopologyInto.
-  std::vector<EdgeOffset> topo_cursor;
+  /// Live runs of the environment edges (wing fine step), rebuilt in place
+  /// via BuildEnvironmentInto.
+  EdgeTopology env_runs;
 
   /// Wedges traversed by kernels running on this workspace; folded by
   /// WorkspacePool::TotalWedges.

@@ -20,29 +20,28 @@ using CoarseWingResult = engine::RangeResult<EdgeOffset>;
 /// Coarse-grained edge decomposition: the engine's range decomposer
 /// instantiated for edges, with the §7 priority rule for same-round
 /// butterfly conflicts handled inside the edge peel kernel.
-CoarseWingResult CoarseWingDecompose(const BipartiteGraph& graph,
-                                     const EdgeTopology& topo,
+CoarseWingResult CoarseWingDecompose(EdgeTopology& topo,
                                      const ReceiptWingOptions& options,
                                      std::vector<Count>& support,
                                      engine::WorkspacePool& pool,
                                      PeelStats* stats) {
-  const uint64_t num_edges = graph.num_edges();
+  const uint64_t num_edges = topo.num_edges();
   const int num_threads = options.num_threads;
   const uint32_t max_partitions =
       static_cast<uint32_t>(std::max(1, options.num_partitions));
 
   // Static peel-cost proxy for edge (u, v): the V-side walk, marking N(u)
   // plus scanning the neighborhoods of N(v), d(u) + walk[v]. The kernel
-  // walks whichever side is cheaper, so this is an upper bound on its work.
-  // Range bounds, subsets and ⊲⊳init are cut by this proxy.
+  // walks whichever side is cheaper over runs that only shrink, so this is
+  // an upper bound on its work. Range bounds, subsets and ⊲⊳init are cut
+  // by this proxy.
   std::vector<Count> cost_static(num_edges);
   ParallelFor(num_edges, num_threads, [&](size_t e) {
-    cost_static[e] =
-        graph.Degree(topo.source[e]) + topo.walk[graph.adjacency()[e]];
+    cost_static[e] = topo.Degree(topo.source[e]) + topo.walk[topo.target[e]];
   });
 
   std::vector<uint8_t> state(num_edges, engine::kEdgeAlive);
-  engine::WingPeelGraph peel_graph(graph, topo, state, support);
+  engine::WingPeelGraph peel_graph(topo, state, support, num_threads);
   engine::RangeDecomposer<engine::WingPeelGraph> decomposer(
       peel_graph, cost_static,
       engine::MakeCoarseOptions(options, max_partitions), pool,
@@ -51,35 +50,21 @@ CoarseWingResult CoarseWingDecompose(const BipartiteGraph& graph,
 }
 
 /// Fine-grained step for one edge subset: sequential bottom-up edge peeling
-/// against the environment graph of all equal-or-higher subsets. Every
-/// per-partition structure (environment graph, edge topology, states, heap)
-/// lives in the workspace and is rebuilt in place, so steady-state FD tasks
-/// allocate nothing.
-void FineWingSubset(const BipartiteGraph& graph,
-                    const CoarseWingResult& coarse, uint32_t sid,
-                    const std::vector<BipartiteGraph::Edge>& all_edges,
-                    engine::PeelWorkspace& ws, std::span<Count> wing_numbers,
+/// against the environment of all equal-or-higher subsets. Every
+/// per-partition structure (environment runs, states, heap) lives in the
+/// workspace and is rebuilt in place, so steady-state FD tasks allocate
+/// nothing.
+void FineWingSubset(const EdgeTopology& topo, const CoarseWingResult& coarse,
+                    uint32_t sid, engine::PeelWorkspace& ws,
+                    std::span<Count> wing_numbers,
                     engine::PeelControl* control, PeelStats* local_stats) {
   if (coarse.subsets[sid].empty()) return;
-  const uint64_t num_edges = graph.num_edges();
 
-  // Environment: edges of subsets ≥ sid, in global edge-id order so the
-  // environment graph's edge ids map back positionally (all_edges is in
-  // (u, v) order — the same order AssignFromEdges sorts into).
+  // Environment: edges of subsets ≥ sid, with local ids in global-id order
+  // (env_ids maps them back).
   std::vector<EdgeOffset>& env_ids = ws.id_buffer;
-  std::vector<BipartiteGraph::Edge>& env_edges = ws.subgraph_arena.edges;
-  env_ids.clear();
-  env_edges.clear();
-  for (EdgeOffset e = 0; e < num_edges; ++e) {
-    if (coarse.subset_of[e] >= sid) {
-      env_ids.push_back(e);
-      env_edges.push_back(all_edges[e]);
-    }
-  }
-  BipartiteGraph& env = ws.subgraph_arena.subgraph.graph;
-  env.AssignFromEdges(graph.num_u(), graph.num_v(), env_edges);
-  EdgeTopology& topo = ws.env_topo;
-  BuildEdgeTopologyInto(env, topo, ws.topo_cursor);
+  EdgeTopology& env = ws.env_runs;
+  BuildEnvironmentInto(topo, coarse.subset_of, sid, env, env_ids);
   const uint64_t env_size = env.num_edges();
 
   std::vector<uint8_t>& state = ws.state_buffer;
@@ -101,8 +86,8 @@ void FineWingSubset(const BipartiteGraph& graph,
   }
 
   const engine::WingPeelOutcome outcome = engine::SequentialWingPeel(
-      env, topo, state, std::span<Count>(ws.support_buffer.data(), env_size),
-      heap, remaining, /*floor0=*/coarse.bounds[sid], ws,
+      env, state, std::span<Count>(ws.support_buffer.data(), env_size), heap,
+      remaining, /*floor0=*/coarse.bounds[sid], ws,
       [&in_subset](EdgeOffset x) { return in_subset[x] != 0; },
       [&](EdgeOffset k, Count theta) { wing_numbers[env_ids[k]] = theta; },
       control);
@@ -119,11 +104,11 @@ engine::RangeResult<EdgeOffset> ReceiptWingCoarse(
   coarse.bounds = {0};
   if (num_edges == 0) return coarse;
 
-  const EdgeTopology topo = BuildEdgeTopology(graph);
+  EdgeTopology topo = BuildEdgeTopology(graph);
   engine::WorkspacePool local_pool;
   engine::WorkspacePool& pool =
       engine::ResolvePool(options.workspace_pool, local_pool);
-  pool.Prepare(std::max(1, options.num_threads), graph.num_u(),
+  pool.Prepare(std::max(1, options.num_threads), graph.num_vertices(),
                graph.num_vertices());
 
   const uint64_t count_start_ns =
@@ -131,7 +116,7 @@ engine::RangeResult<EdgeOffset> ReceiptWingCoarse(
   WallTimer count_timer;
   std::vector<Count> support(num_edges, 0);
   stats->wedges_counting +=
-      engine::CountEdgeButterflies(graph, pool, options.num_threads, support);
+      engine::CountEdgeButterflies(topo, pool, options.num_threads, support);
   stats->seconds_counting += count_timer.Seconds();
   options.trace.EmitSince("engine.count", count_start_ns,
                           stats->wedges_counting);
@@ -139,7 +124,7 @@ engine::RangeResult<EdgeOffset> ReceiptWingCoarse(
   const uint64_t cd_start_ns =
       options.trace.enabled() ? obs::TraceRecorder::NowNs() : 0;
   const WallTimer cd_timer;
-  coarse = CoarseWingDecompose(graph, topo, options, support, pool, stats);
+  coarse = CoarseWingDecompose(topo, options, support, pool, stats);
   stats->seconds_cd += cd_timer.Seconds();
   options.trace.EmitSince("engine.cd", cd_start_ns, coarse.subsets.size());
   return coarse;
@@ -154,12 +139,13 @@ void ReceiptWingFine(const BipartiteGraph& graph,
   engine::WorkspacePool& pool =
       engine::ResolvePool(options.workspace_pool, local_pool);
   const int num_threads = std::max(1, options.num_threads);
-  pool.Prepare(num_threads, graph.num_u(), graph.num_vertices());
+  pool.Prepare(num_threads, /*vertex_capacity=*/0, graph.num_vertices());
 
   const WallTimer fd_timer;
   const uint64_t fd_start_ns =
       options.trace.enabled() ? obs::TraceRecorder::NowNs() : 0;
-  const std::vector<BipartiteGraph::Edge> all_edges = graph.ToEdges();
+  // Every environment is cut from the whole graph's runs.
+  const EdgeTopology topo = BuildEdgeTopology(graph);
   const uint32_t num_subsets = static_cast<uint32_t>(coarse.subsets.size());
   // Workload-aware order: big subsets first (cost ≈ member count here).
   std::vector<uint32_t> order(num_subsets);
@@ -176,8 +162,8 @@ void ReceiptWingFine(const BipartiteGraph& graph,
             (sid >= only_subsets.size() || only_subsets[sid] == 0)) {
           return;
         }
-        FineWingSubset(graph, coarse, sid, all_edges, ws, wing_numbers,
-                       options.control, local);
+        FineWingSubset(topo, coarse, sid, ws, wing_numbers, options.control,
+                       local);
       });
   stats->seconds_fd += fd_timer.Seconds();
   options.trace.EmitSince("engine.fd", fd_start_ns, num_subsets);

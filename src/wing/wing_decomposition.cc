@@ -27,8 +27,8 @@ std::vector<Count> PerEdgeButterflyCount(const BipartiteGraph& graph,
   // hot paths call engine::CountEdgeButterflies with their own pool.
   std::vector<Count> support(graph.num_edges(), 0);
   engine::WorkspacePool pool;
-  const uint64_t wedges =
-      engine::CountEdgeButterflies(graph, pool, num_threads, support);
+  const uint64_t wedges = engine::CountEdgeButterflies(
+      BuildEdgeTopology(graph), pool, num_threads, support);
   if (wedges_traversed != nullptr) *wedges_traversed += wedges;
   return support;
 }
@@ -76,35 +76,35 @@ WingResult WingDecompose(const BipartiteGraph& graph, int num_threads,
 
   engine::WorkspacePool local_pool;
   engine::WorkspacePool& pool = engine::ResolvePool(workspace_pool, local_pool);
-  pool.Prepare(std::max(1, num_threads), graph.num_u(),
+  pool.Prepare(std::max(1, num_threads), graph.num_vertices(),
                graph.num_vertices());
 
   const uint64_t count_start_ns =
       trace.enabled() ? obs::TraceRecorder::NowNs() : 0;
   WallTimer count_timer;
+  EdgeTopology topo = BuildEdgeTopology(graph);
   std::vector<Count> support(m, 0);
   result.stats.wedges_counting =
-      engine::CountEdgeButterflies(graph, pool, num_threads, support);
+      engine::CountEdgeButterflies(topo, pool, num_threads, support);
   result.stats.seconds_counting = count_timer.Seconds();
   trace.EmitSince("engine.count", count_start_ns,
                   result.stats.wedges_counting);
 
   const uint64_t peel_start_ns =
       trace.enabled() ? obs::TraceRecorder::NowNs() : 0;
-  const EdgeTopology topo = BuildEdgeTopology(graph);
-
   std::vector<uint8_t> state(m, engine::kEdgeAlive);
   // Workspace-resident heap: Clear() keeps the backing store, so repeated
   // decompositions on a caller-owned pool are allocation-free once warm.
   engine::LazyMinHeap<4>& heap = pool.Get(0).edge_heap;
   heap.Clear();
   heap.Reserve(m);
+  // Edge ids fit the heap's 32 bits: BuildEdgeTopology checked m.
   for (EdgeOffset e = 0; e < m; ++e) {
     heap.Push(support[e], static_cast<VertexId>(e));
   }
 
   const engine::WingPeelOutcome outcome = engine::SequentialWingPeel(
-      graph, topo, state, support, heap, /*remaining=*/m, /*floor0=*/0,
+      topo, state, support, heap, /*remaining=*/m, /*floor0=*/0,
       pool.Get(0), [](EdgeOffset) { return true; },
       [&result](EdgeOffset e, Count theta) {
         result.wing_numbers[e] = theta;

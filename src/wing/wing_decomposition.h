@@ -24,8 +24,9 @@ VertexId EdgeSourceU(const BipartiteGraph& graph, EdgeOffset edge_id);
 
 /// Per-edge butterfly counts: bcnt(u,v) = # butterflies containing edge
 /// (u,v) = Σ_{u'∈N(v)\{u}} (|N(u) ∩ N(u')| − 1). O(Σ wedges) via the
-/// Chiba–Nishizeki triple traversal; parallel over U vertices (each owns its
-/// edges, so no atomics are needed).
+/// Chiba–Nishizeki triple traversal; parallel over the vertices of the side
+/// whose wedges are fewer (each owns one end of every edge, so no atomics
+/// are needed).
 std::vector<Count> PerEdgeButterflyCount(const BipartiteGraph& graph,
                                          int num_threads,
                                          uint64_t* wedges_traversed = nullptr);
@@ -33,6 +34,9 @@ std::vector<Count> PerEdgeButterflyCount(const BipartiteGraph& graph,
 /// O(butterflies)-style reference per-edge counter for tests (explicit
 /// butterfly enumeration per vertex pair).
 std::vector<Count> BruteForcePerEdgeCount(const BipartiteGraph& graph);
+
+/// Every wing entry point addresses edges by 32-bit ids and aborts with a
+/// message on a graph of 2^32 edges or more (CheckWingEdgeCount).
 
 /// Result of a wing decomposition (edge peeling).
 struct WingResult {

@@ -185,10 +185,10 @@ TEST(WorkspaceTest, FdArenaAndExtractorAreAllocationFreeWhenWarm) {
 }
 
 TEST(WorkspaceTest, WingFineStepBuffersStableWhenWarm) {
-  // The wing fine step rebuilds its environment graph, edge topology,
-  // state/flag/id buffers and heap inside the workspace. Those buffers
-  // carry no growth counters, so pin their capacity footprints directly:
-  // a second identical decomposition must not grow any of them.
+  // The wing fine step rebuilds its environment runs, state/flag/id
+  // buffers and heap inside the workspace. Those buffers carry no growth
+  // counters, so pin their capacity footprints directly: a second
+  // identical decomposition must not grow any of them.
   const BipartiteGraph g = ChungLuBipartite(120, 80, 600, 0.6, 0.6, 917);
   ReceiptWingOptions options;
   options.num_threads = 1;  // deterministic task → workspace assignment
@@ -202,27 +202,19 @@ TEST(WorkspaceTest, WingFineStepBuffersStableWhenWarm) {
   engine::PeelWorkspace& ws = pool.Get(0);
   const auto wing_footprint = [&ws] {
     return ws.state_buffer.capacity() + ws.flag_buffer.capacity() +
-           ws.id_buffer.capacity() + ws.env_topo.source.capacity() +
-           ws.env_topo.v_slot_edge.capacity() + ws.topo_cursor.capacity() +
+           ws.id_buffer.capacity() + ws.env_runs.CapacityFootprint() +
            ws.edge_heap.Capacity() + ws.support_buffer.capacity() +
            ws.subgraph_arena.CapacityFootprint();
   };
   const size_t footprint_warm = wing_footprint();
   EXPECT_GT(footprint_warm, 0u);
-  // The environment graph is rebuilt by AssignFromEdges, whose edge sort
-  // runs through the graph's own CSR arrays: pin them and the edge list.
-  const BipartiteGraph& env = ws.subgraph_arena.subgraph.graph;
-  const size_t env_csr_warm = env.CapacityFootprint();
-  const size_t env_edges_warm = ws.subgraph_arena.edges.capacity();
-  EXPECT_GT(env_csr_warm, 0u);
+  EXPECT_GT(ws.env_runs.entries.capacity(), 0u);
 
   for (int repeat = 0; repeat < 2; ++repeat) {
     const WingResult r = ReceiptWingDecompose(g, options);
     EXPECT_EQ(r.wing_numbers, warm.wing_numbers);
   }
   EXPECT_EQ(wing_footprint(), footprint_warm);
-  EXPECT_EQ(env.CapacityFootprint(), env_csr_warm);
-  EXPECT_EQ(ws.subgraph_arena.edges.capacity(), env_edges_warm);
   EXPECT_EQ(pool.TotalGrowths(), growths_warm);
 }
 

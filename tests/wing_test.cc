@@ -91,26 +91,63 @@ TEST(WingTest, WingNumberNeverExceedsInitialCount) {
 using CountSweepParam =
     std::tuple<VertexId, VertexId, uint64_t, double, double, uint64_t>;
 
-class WingCountSweep : public testing::TestWithParam<CountSweepParam> {};
+/// Σ d(w)² over one side of g.
+Count SideSquares(const BipartiteGraph& g, bool u_side) {
+  Count total = 0;
+  const VertexId first = u_side ? 0 : g.num_u();
+  const VertexId last = u_side ? g.num_u() : g.num_vertices();
+  for (VertexId w = first; w < last; ++w) {
+    total += static_cast<Count>(g.Degree(w)) * g.Degree(w);
+  }
+  return total;
+}
+
+// Graphs on which the count starts from V (seeds 1, 2, 3 and 5: their
+// larger U side has the smaller Σ d²) and from U (seeds 4, 6, 7 and 8).
+const CountSweepParam kCountGraphs[] = {
+    {20, 15, 80, 0.0, 0.0, 1},  {30, 20, 150, 0.6, 0.6, 2},
+    {40, 10, 150, 0.9, 0.3, 3}, {25, 25, 200, 0.4, 0.4, 4},
+    {60, 40, 300, 0.7, 0.7, 5}, {10, 40, 150, 0.3, 0.9, 6},
+    {15, 45, 200, 0.2, 0.8, 7}, {12, 30, 180, 0.0, 0.6, 8}};
+
+class WingCountSweep
+    : public testing::TestWithParam<std::tuple<CountSweepParam, int>> {};
 
 TEST_P(WingCountSweep, PerEdgeCountMatchesBruteForce) {
-  const auto [nu, nv, m, au, av, seed] = GetParam();
+  const auto [graph_param, threads] = GetParam();
+  const auto [nu, nv, m, au, av, seed] = graph_param;
   const BipartiteGraph g = ChungLuBipartite(nu, nv, m, au, av, seed);
-  const std::vector<Count> fast = PerEdgeButterflyCount(g, 2);
+  uint64_t wedges = 0;
+  const std::vector<Count> fast = PerEdgeButterflyCount(g, threads, &wedges);
   const std::vector<Count> slow = BruteForcePerEdgeCount(g);
   ASSERT_EQ(fast.size(), slow.size());
   for (uint64_t e = 0; e < fast.size(); ++e) {
     ASSERT_EQ(fast[e], slow[e]) << "edge " << e;
   }
+  // Each start point walks its 2-hop neighbourhood twice, so the cheaper
+  // side costs twice the other side's Σ d².
+  EXPECT_EQ(wedges, 2 * std::min(SideSquares(g, /*u_side=*/true),
+                                 SideSquares(g, /*u_side=*/false)));
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Sweep, WingCountSweep,
-    testing::Values(CountSweepParam{20, 15, 80, 0.0, 0.0, 1},
-                    CountSweepParam{30, 20, 150, 0.6, 0.6, 2},
-                    CountSweepParam{40, 10, 150, 0.9, 0.3, 3},
-                    CountSweepParam{25, 25, 200, 0.4, 0.4, 4},
-                    CountSweepParam{60, 40, 300, 0.7, 0.7, 5}));
+INSTANTIATE_TEST_SUITE_P(Sweep, WingCountSweep,
+                         testing::Combine(testing::ValuesIn(kCountGraphs),
+                                          testing::Values(1, 4)));
+
+// The sweep above must take both start sides: its wedge check pins the
+// side each graph starts from.
+TEST(WingCountSideTest, SweepStartsFromBothSides) {
+  int from_u = 0;
+  int from_v = 0;
+  for (const auto& [nu, nv, m, au, av, seed] : kCountGraphs) {
+    const BipartiteGraph g = ChungLuBipartite(nu, nv, m, au, av, seed);
+    ++(SideSquares(g, /*u_side=*/false) <= SideSquares(g, /*u_side=*/true)
+           ? from_u
+           : from_v);
+  }
+  EXPECT_GT(from_u, 0);
+  EXPECT_GT(from_v, 0);
+}
 
 class WingPeelSweep : public testing::TestWithParam<CountSweepParam> {};
 
@@ -192,10 +229,10 @@ TEST(WingKernelTest, EitherWalkAppliesEveryButterflyOnce) {
   std::mt19937_64 rng(17);
   for (size_t gi = 0; gi < graphs.size(); ++gi) {
     const BipartiteGraph& g = graphs[gi];
-    const EdgeTopology topo = BuildEdgeTopology(g);
     engine::PeelWorkspace ws;
     ws.EnsureMarkCapacity(g.num_vertices());
     for (const bool all_alive : {true, false}) {
+      EdgeTopology topo = BuildEdgeTopology(g);
       std::vector<uint8_t> state(g.num_edges(), engine::kEdgeAlive);
       if (!all_alive) {
         for (uint8_t& s : state) {
@@ -203,6 +240,13 @@ TEST(WingKernelTest, EitherWalkAppliesEveryButterflyOnce) {
           s = roll < 3   ? engine::kEdgeDead
               : roll < 5 ? engine::kEdgePeeling
                          : engine::kEdgeAlive;
+        }
+        // The kernel's precondition, kept by every caller: dead edges are
+        // out of the runs.
+        for (VertexId w = 0; w < topo.num_vertices(); ++w) {
+          topo.CompactRun(w, [&state](uint32_t x) {
+            return state[x] == engine::kEdgeDead;
+          });
         }
       }
       for (EdgeOffset e = 0; e < g.num_edges(); ++e) {
@@ -214,22 +258,22 @@ TEST(WingKernelTest, EitherWalkAppliesEveryButterflyOnce) {
         state[e] = engine::kEdgePeeling;  // as every caller does
         std::vector<EdgeOffset> applied;
         const uint64_t wedges = engine::PeelEdgeButterflies(
-            g, topo, state, e, ws,
+            topo, state, e, ws,
             [&applied](EdgeOffset x) { applied.push_back(x); });
         std::sort(applied.begin(), applied.end());
         EXPECT_EQ(applied, BruteForceApplied(g, state, e));
         state[e] = saved;
 
         const VertexId u = topo.source[e];
-        const VertexId gv = g.adjacency()[e];
-        const bool v_walk = engine::PeelWalksViaV(g, topo, e);
+        const VertexId gv = topo.target[e];
+        const bool v_walk = engine::PeelWalksViaV(topo, e);
         ++(v_walk ? via_v : via_u);
         if (all_alive) {
           EXPECT_EQ(wedges, v_walk ? topo.walk[gv] - g.Degree(u)
                                    : topo.walk[u] - g.Degree(gv));
         }
         ASSERT_TRUE(std::all_of(ws.edge_mark.begin(), ws.edge_mark.end(),
-                                [](EdgeOffset m) { return m == 0; }));
+                                [](uint32_t m) { return m == 0; }));
       }
     }
   }
