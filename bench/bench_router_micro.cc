@@ -5,9 +5,12 @@
 // fronts — this bench keeps that visible and gated.
 //
 // Gate (exit non-zero on violation): mean routed latency may exceed mean
-// direct latency by at most a fixed 5ms budget, and the routed responses
+// direct latency by at most a fixed 1ms budget, and the routed responses
 // must be byte-identical in their decomposition numbers to the direct
-// ones (the router relays, never rewrites).
+// ones (the router relays, never rewrites). The graph has 8,000 U
+// vertices, so each answer carries 8,000 tip numbers: a router that
+// parsed the relayed body to learn its epoch would spend about that
+// budget on the parse alone.
 //
 // `--json <path>` emits both latency profiles as a BENCH_router_micro
 // trajectory file. Plain executable: wall-clock means over hundreds of
@@ -37,7 +40,7 @@ namespace {
 
 constexpr size_t kWarmup = 20;
 constexpr size_t kRequests = 300;
-constexpr double kOverheadBudgetSeconds = 5e-3;
+constexpr double kOverheadBudgetSeconds = 1e-3;
 
 constexpr const char* kDecomposeBody =
     "{\"graph\":\"g\",\"kind\":\"tip-U\",\"partitions\":8}";
@@ -104,7 +107,7 @@ int Main(int argc, char** argv) {
   }
   node.SetMemberEndpoint("a", "127.0.0.1", http_server.port());
 
-  if (service.RegisterGraph("g", RandomBipartite(500, 500, 6000, /*seed=*/3),
+  if (service.RegisterGraph("g", RandomBipartite(8000, 500, 48000, /*seed=*/3),
                             nullptr, &error) != service::Status::kOk) {
     std::fprintf(stderr, "register: %s\n", error.c_str());
     return 1;

@@ -11,6 +11,8 @@
 #include <cstring>
 #include <utility>
 
+#include "server/http_helpers.h"
+
 namespace receipt::cluster {
 
 namespace {
@@ -150,9 +152,12 @@ server::HttpResponse RelayUpstream(HttpClientResponse* upstream,
       it != upstream->headers.end()) {
     response.content_type = it->second;
   }
-  if (const auto it = upstream->headers.find("retry-after");
-      it != upstream->headers.end()) {
-    response.extra_headers.emplace_back("Retry-After", it->second);
+  for (const std::string_view name :
+       {std::string_view("Retry-After"), server::kGraphEpochHeader}) {
+    if (const auto it = upstream->headers.find(ToLower(std::string(name)));
+        it != upstream->headers.end()) {
+      response.extra_headers.emplace_back(std::string(name), it->second);
+    }
   }
   if (!request_id.empty()) {
     response.extra_headers.emplace_back("X-Request-Id", request_id);

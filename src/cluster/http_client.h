@@ -54,8 +54,8 @@ class HttpClient {
 };
 
 /// The response a proxying hop sends back for `upstream`: its status, body
-/// (moved out), content type and Retry-After, plus `request_id` as
-/// X-Request-Id unless it is empty.
+/// (moved out), content type, Retry-After and X-Graph-Epoch, plus
+/// `request_id` as X-Request-Id unless it is empty.
 server::HttpResponse RelayUpstream(HttpClientResponse* upstream,
                                    std::string_view request_id);
 

@@ -31,11 +31,14 @@ std::string RequestId(const HttpRequest& request) {
   return obs::FormatTraceId(obs::MintTraceId());
 }
 
-uint64_t EpochFromResponse(const std::string& body, std::string_view field) {
-  const auto json = util::JsonValue::Parse(body);
-  if (!json.has_value() || !json->IsObject()) return 0;
-  const util::JsonValue* epoch = json->Find(std::string(field));
-  return epoch != nullptr && epoch->IsInt() ? epoch->AsUint() : 0;
+/// The epoch a replica's 200 carries in its X-Graph-Epoch header; 0 (no
+/// epoch observed) when the header is missing or malformed. The relayed
+/// body is never parsed.
+uint64_t EpochFromHeader(const HttpClientResponse& upstream) {
+  const auto it = upstream.headers.find("x-graph-epoch");
+  return it == upstream.headers.end()
+             ? 0
+             : server::ParseGraphEpochHeader(it->second);
 }
 
 /// Statuses worth trying another replica for: the replica is down,
@@ -211,9 +214,9 @@ HttpResponse Router::HandleDecompose(const HttpRequest& request) {
   std::optional<HttpResponse> last_response;
   for (const bool healthy_only : {true, false}) {
     for (size_t i = 0; i < holders.size(); ++i) {
-      Member* member =
-          members_[holders[(start + i) % holders.size()]].get();
-      if (member == nullptr || member->endpoint.port == 0) continue;
+      const auto it = members_.find(holders[(start + i) % holders.size()]);
+      if (it == members_.end() || it->second->endpoint.port == 0) continue;
+      Member* member = it->second.get();
       if (healthy_only !=
           member->healthy.load(std::memory_order_relaxed)) {
         continue;
@@ -227,8 +230,7 @@ HttpResponse Router::HandleDecompose(const HttpRequest& request) {
       }
       reads_routed_->Increment();
       if (upstream.status == 200) {
-        const uint64_t epoch =
-            EpochFromResponse(upstream.body, "graph_epoch");
+        const uint64_t epoch = EpochFromHeader(upstream);
         ObserveEpoch(graph, epoch);
         RecordTrace(request, request_id, /*read=*/true, graph, epoch);
       }
@@ -270,7 +272,7 @@ HttpResponse Router::HandleWrite(const HttpRequest& request) {
   }
   writes_routed_->Increment();
   if (upstream.status == 200) {
-    const uint64_t epoch = EpochFromResponse(upstream.body, "epoch");
+    const uint64_t epoch = EpochFromHeader(upstream);
     ObserveEpoch(graph, epoch);
     RecordTrace(request, request_id, /*read=*/false, graph, epoch);
   }

@@ -40,6 +40,9 @@ struct RouterOptions {
 ///           any response has reported for that graph — so a lagging
 ///           replica answers 412 and the read fails over instead of
 ///           going backwards in time (monotonic reads by construction).
+///   epochs  a replica's 200 names its epoch in X-Graph-Epoch; the router
+///           reads that header and relays read and write bodies without
+///           parsing them (a missing or malformed header observes none).
 ///   writes  POST /v1/graphs and /v1/graphs/{name}/edges go to the shard
 ///           owner; the owner replicates (see ClusterNode).
 ///   list    GET /v1/graphs asks every member and merges the lists by

@@ -216,6 +216,9 @@ HttpResponse DecompositionHttpFrontend::HandleDecompose(
   HttpResponse http_response;
   http_response.status = HttpStatusFor(response.status);
   http_response.body = writer.Take();
+  if (http_response.status == 200) {
+    SetGraphEpochHeader(response.graph_epoch, &http_response);
+  }
   trace.EmitSince("response.serialize", serialize_start_ns,
                   http_response.body.size());
   return finish(std::move(http_response));
@@ -352,6 +355,7 @@ HttpResponse DecompositionHttpFrontend::HandleRegisterGraph(
   writer.EndObject();
   HttpResponse response;
   response.body = writer.Take();
+  SetGraphEpochHeader(handle.epoch(), &response);
   return response;
 }
 
@@ -483,6 +487,7 @@ HttpResponse DecompositionHttpFrontend::HandleGraphEdges(
   writer.EndObject();
   HttpResponse response;
   response.body = writer.Take();
+  SetGraphEpochHeader(result.epoch, &response);
   return finish(std::move(response));
 }
 

@@ -1,5 +1,6 @@
 #include "server/http_helpers.h"
 
+#include <charconv>
 #include <utility>
 
 #include "util/json.h"
@@ -60,6 +61,18 @@ std::string GraphNameFromEdgesPath(const std::string& path) {
       kPrefix.size(), path.size() - kPrefix.size() - kSuffix.size());
   if (name.find('/') != std::string::npos) return "";
   return name;
+}
+
+void SetGraphEpochHeader(uint64_t epoch, HttpResponse* response) {
+  response->extra_headers.emplace_back(std::string(kGraphEpochHeader),
+                                       std::to_string(epoch));
+}
+
+uint64_t ParseGraphEpochHeader(std::string_view value) {
+  uint64_t epoch = 0;
+  const char* end = value.data() + value.size();
+  const auto [ptr, ec] = std::from_chars(value.data(), end, epoch);
+  return ec == std::errc() && ptr == end ? epoch : 0;
 }
 
 std::string QueryParam(const std::string& query, std::string_view key) {

@@ -1,6 +1,7 @@
 #ifndef RECEIPT_SERVER_HTTP_HELPERS_H_
 #define RECEIPT_SERVER_HTTP_HELPERS_H_
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 
@@ -30,6 +31,19 @@ std::string GraphNameFromBody(const std::string& body, std::string_view field);
 /// (empty name, or a name holding '/'). The caller's route guarantees the
 /// /v1/graphs/ prefix.
 std::string GraphNameFromEdgesPath(const std::string& path);
+
+/// Every 200 whose body carries a graph epoch (a decompose's
+/// `graph_epoch`, a register or edge-batch ack's `epoch`) repeats it in
+/// this response header, so a relaying hop learns the epoch without
+/// parsing the body.
+inline constexpr std::string_view kGraphEpochHeader = "X-Graph-Epoch";
+
+/// Adds `kGraphEpochHeader: epoch` to `response`.
+void SetGraphEpochHeader(uint64_t epoch, HttpResponse* response);
+
+/// The epoch a kGraphEpochHeader value names: the whole value must be a
+/// decimal uint64, else 0 (no epoch observed).
+uint64_t ParseGraphEpochHeader(std::string_view value);
 
 /// The value of `key` in a raw `a=1&b=2` query string; "" when absent.
 /// Keys match whole: "graph" does not match "subgraph=x".

@@ -6,12 +6,15 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <map>
 #include <memory>
+#include <mutex>
+#include <optional>
 #include <set>
 #include <string>
 #include <tuple>
@@ -439,6 +442,12 @@ class ClusterFixture : public ::testing::Test {
     return field != nullptr && field->IsInt() ? field->AsUint() : 0;
   }
 
+  /// The X-Graph-Epoch a response carries; "" when it carries none.
+  static std::string EpochHeader(const HttpClientResponse& response) {
+    const auto it = response.headers.find("x-graph-epoch");
+    return it == response.headers.end() ? std::string() : it->second;
+  }
+
   TestReplica& Owner(const std::string& graph) {
     const HashRing ring(ids_);
     return *replicas_[ring.Owner(graph)];
@@ -505,6 +514,7 @@ TEST_F(ClusterFixture, SealedBatchesReplicateBitIdentically) {
            "{\"op\":\"insert\",\"u\":3,\"v\":4}],\"seal\":true}");
   ASSERT_EQ(sealed.status, 200) << sealed.body;
   EXPECT_EQ(UintField(sealed.body, "epoch"), 2u);
+  EXPECT_EQ(EpochHeader(sealed), "2");
 
   std::vector<std::vector<uint64_t>> per_holder;
   for (const std::string& id : Holders("g")) {
@@ -512,6 +522,7 @@ TEST_F(ClusterFixture, SealedBatchesReplicateBitIdentically) {
         Post(replicas_[id]->port(), "/v1/decompose", kDecomposeBody);
     ASSERT_EQ(response.status, 200) << id << ": " << response.body;
     EXPECT_EQ(UintField(response.body, "graph_epoch"), 2u) << id;
+    EXPECT_EQ(EpochHeader(response), "2") << id;
     per_holder.push_back(Numbers(response.body));
     ASSERT_FALSE(per_holder.back().empty()) << id;
   }
@@ -647,6 +658,157 @@ TEST_F(ClusterFixture, RouterEchoesTheCallersRequestId) {
   EXPECT_EQ(echoed->second, "00000000deadbeef");
   EXPECT_EQ(UintField(response.body, "graph_epoch"), 1u);
   router.Stop();
+}
+
+// The router learns epochs from X-Graph-Epoch alone, so every hop must
+// carry it: a direct holder, and a non-holder that proxies to the owner.
+// The router here spreads reads over all three members (the nodes hold
+// each graph on two), so one read of three enters through the non-holder.
+TEST_F(ClusterFixture, RouterTracesHeaderEpochsThroughAProxyingNonHolder) {
+  StartCluster();
+  std::vector<ClusterMember> members;
+  for (const std::string& id : ids_) {
+    members.push_back(ClusterMember{id, "127.0.0.1", replicas_[id]->port()});
+  }
+  RouterOptions options;
+  options.replication_factor = ids_.size();
+  options.health_interval_ms = 0;
+  options.trace_log_path = dir_.path() + "/trace.jsonl";
+  Router router(members, options);
+  std::string error;
+  ASSERT_TRUE(router.Start(&error)) << error;
+  const std::vector<std::pair<std::string, std::string>> as_c1 = {
+      {"X-Client-Id", "c1"}};
+
+  const std::string file = dir_.path() + "/g.konect";
+  ASSERT_TRUE(SaveKonect(RandomBipartite(60, 60, 400, /*seed=*/11), file));
+  const auto registered =
+      Post(router.port(), "/v1/graphs",
+           "{\"name\":\"g\",\"path\":\"" + file + "\"}", as_c1);
+  ASSERT_EQ(registered.status, 200) << registered.body;
+  EXPECT_EQ(EpochHeader(registered), "1");
+  const auto sealed = Post(router.port(), "/v1/graphs/g/edges",
+                           "{\"edges\":[{\"op\":\"insert\",\"u\":1,"
+                           "\"v\":2}],\"seal\":true}",
+                           as_c1);
+  ASSERT_EQ(sealed.status, 200) << sealed.body;
+  EXPECT_EQ(EpochHeader(sealed), "2");
+
+  std::vector<uint64_t> read_epochs;
+  for (size_t i = 0; i < ids_.size(); ++i) {
+    const auto read =
+        Post(router.port(), "/v1/decompose", kDecomposeBody, as_c1);
+    ASSERT_EQ(read.status, 200) << i << ": " << read.body;
+    read_epochs.push_back(UintField(read.body, "graph_epoch"));
+    EXPECT_EQ(EpochHeader(read), std::to_string(read_epochs.back())) << i;
+  }
+  EXPECT_EQ(read_epochs, std::vector<uint64_t>(ids_.size(), 2u));
+  const std::vector<std::string> holders = Holders("g");
+  for (const std::string& id : ids_) {
+    const bool holder =
+        std::find(holders.begin(), holders.end(), id) != holders.end();
+    EXPECT_EQ(replicas_[id]->node->stats().proxied, holder ? 0u : 1u) << id;
+  }
+  router.Stop();
+
+  // The trace holds the epochs the bodies named, and passes PRAM.
+  std::vector<TraceOp> ops;
+  ASSERT_TRUE(ParseTraceFile(options.trace_log_path, &ops, &error)) << error;
+  ASSERT_EQ(ops.size(), 2 + ids_.size());
+  EXPECT_FALSE(ops[0].read);
+  EXPECT_EQ(ops[0].epoch, UintField(registered.body, "epoch"));
+  EXPECT_FALSE(ops[1].read);
+  EXPECT_EQ(ops[1].epoch, UintField(sealed.body, "epoch"));
+  for (size_t i = 0; i < read_epochs.size(); ++i) {
+    EXPECT_TRUE(ops[2 + i].read) << i;
+    EXPECT_EQ(ops[2 + i].epoch, read_epochs[i]) << i;
+  }
+  EXPECT_FALSE(CheckPramConsistency(ops).has_value());
+}
+
+// An upstream whose X-Graph-Epoch is missing or malformed is relayed
+// unchanged and teaches the router nothing — the router reads no body,
+// so the stub's body epoch of 7 never counts either. A well-formed
+// header is observed: the next read carries it as the min epoch.
+TEST_F(ClusterFixture, RouterObservesNoEpochWithoutAWellFormedHeader) {
+  std::mutex mu;
+  std::optional<std::string> epoch_header;  // what the stub answers with
+  std::vector<std::string> min_epochs;      // X-Cluster-Min-Epoch it saw
+  const auto stub_answer = [&](const server::HttpRequest& request,
+                               const char* body) {
+    std::lock_guard<std::mutex> lock(mu);
+    const auto it = request.headers.find("x-cluster-min-epoch");
+    min_epochs.push_back(it == request.headers.end() ? "" : it->second);
+    server::HttpResponse response;
+    response.body = body;
+    if (epoch_header.has_value()) {
+      response.extra_headers.emplace_back("X-Graph-Epoch", *epoch_header);
+    }
+    return response;
+  };
+  constexpr const char* kReadBody =
+      "{\"status\":\"ok\",\"graph_epoch\":7,\"numbers\":[1,2]}";
+  constexpr const char* kWriteBody = "{\"status\":\"ok\",\"epoch\":7}";
+  server::HttpServerOptions http_options;
+  http_options.port = 0;
+  server::HttpServer stub(http_options);
+  stub.Handle("POST", "/v1/decompose", [&](const server::HttpRequest& r) {
+    return stub_answer(r, kReadBody);
+  });
+  stub.HandlePrefix("POST", "/v1/graphs/", [&](const server::HttpRequest& r) {
+    return stub_answer(r, kWriteBody);
+  });
+  std::string error;
+  ASSERT_TRUE(stub.Start(&error)) << error;
+
+  RouterOptions options;
+  options.replication_factor = 1;
+  options.health_interval_ms = 0;
+  options.trace_log_path = dir_.path() + "/trace.jsonl";
+  Router router({{"s", "127.0.0.1", stub.port()}}, options);
+  ASSERT_TRUE(router.Start(&error)) << error;
+
+  const std::string batch = "{\"edges\":[{\"op\":\"insert\",\"u\":1,\"v\":2}]}";
+  for (const std::optional<std::string>& header :
+       {std::optional<std::string>(), std::optional<std::string>("12x")}) {
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      epoch_header = header;
+    }
+    const auto read = Post(router.port(), "/v1/decompose", kDecomposeBody);
+    const auto write = Post(router.port(), "/v1/graphs/g/edges", batch);
+    ASSERT_EQ(read.status, 200) << read.body;
+    ASSERT_EQ(write.status, 200) << write.body;
+    EXPECT_EQ(read.body, kReadBody);
+    EXPECT_EQ(write.body, kWriteBody);
+    EXPECT_EQ(EpochHeader(read), header.value_or(""));
+    EXPECT_EQ(EpochHeader(write), header.value_or(""));
+  }
+  const auto statz = Get(router.port(), "/statz");
+  EXPECT_NE(statz.body.find("\"epochs\":{}"), std::string::npos)
+      << statz.body;
+
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    epoch_header = "5";
+  }
+  EXPECT_EQ(EpochHeader(Post(router.port(), "/v1/decompose", kDecomposeBody)),
+            "5");
+  EXPECT_EQ(Post(router.port(), "/v1/decompose", kDecomposeBody).status, 200);
+  router.Stop();
+  stub.Stop();
+
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    EXPECT_EQ(min_epochs,
+              (std::vector<std::string>{"", "", "", "", "", "5"}));
+  }
+  std::vector<TraceOp> ops;
+  ASSERT_TRUE(ParseTraceFile(options.trace_log_path, &ops, &error)) << error;
+  ASSERT_EQ(ops.size(), 6u);
+  for (size_t i = 0; i < 4; ++i) EXPECT_EQ(ops[i].epoch, 0u) << i;
+  EXPECT_EQ(ops[4].epoch, 5u);
+  EXPECT_EQ(ops[5].epoch, 5u);
 }
 
 TEST_F(ClusterFixture, RouterListsEveryGraphInTheCluster) {

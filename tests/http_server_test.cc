@@ -47,8 +47,18 @@ BipartiteGraph G2() { return ChungLuBipartite(220, 260, 1200, 0.5, 0.8, 202); }
 
 struct ClientResult {
   int status = 0;
+  std::string headers;  ///< raw header block, names as the server wrote them
   std::string body;
 };
+
+/// The value of header `name` in a raw header block; "" when absent.
+std::string HeaderValue(const std::string& headers, const std::string& name) {
+  const std::string key = "\r\n" + name + ": ";
+  const size_t at = headers.find(key);
+  if (at == std::string::npos) return "";
+  const size_t start = at + key.size();
+  return headers.substr(start, headers.find("\r\n", start) - start);
+}
 
 int ConnectLoopback(uint16_t port) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
@@ -98,7 +108,10 @@ ClientResult ReadResponse(int fd) {
   // "HTTP/1.1 NNN Reason\r\n..."
   if (raw.size() > 12) result.status = std::atoi(raw.c_str() + 9);
   const size_t body_start = raw.find("\r\n\r\n");
-  if (body_start != std::string::npos) result.body = raw.substr(body_start + 4);
+  if (body_start != std::string::npos) {
+    result.headers = raw.substr(0, body_start);
+    result.body = raw.substr(body_start + 4);
+  }
   return result;
 }
 
@@ -826,6 +839,98 @@ TEST(HttpServerTest, StatsMetricsAndStatzAgree) {
   std::filesystem::remove_all(dir);
 }
 
+// Every 200 that carries a graph epoch in its body repeats it in
+// X-Graph-Epoch, so a relaying hop never has to parse the body: decompose
+// answers (a miss, its coalesced twin, a hit, and a hit after a seal) and
+// the register and edge-batch acks.
+TEST(HttpServerTest, EpochHeaderRepeatsTheBodysEpoch) {
+  char dir_template[] = "/tmp/receipt_http_epoch_XXXXXX";
+  ASSERT_NE(::mkdtemp(dir_template), nullptr);
+  const std::string dir = dir_template;
+  const std::string graph_file = dir + "/g.konect";
+  ASSERT_TRUE(SaveKonect(G1(), graph_file));
+
+  const auto body_epoch = [](const ClientResult& result, const char* key) {
+    const util::JsonValue json = ParseBody(result);
+    const util::JsonValue* epoch = json.Find(key);
+    EXPECT_NE(epoch, nullptr) << result.body;
+    return epoch == nullptr ? std::string() : std::to_string(epoch->AsUint());
+  };
+  const auto flag = [](const ClientResult& result, const char* key) {
+    bool value = false;
+    EXPECT_TRUE(ParseBody(result).GetBool(key, &value)) << result.body;
+    return value;
+  };
+
+  ServiceOptions options;
+  options.num_workers = 0;  // the test decides when queued work runs
+  {
+    TestServer ts(options);
+    const ClientResult registered =
+        Fetch(ts.port(), "POST", "/v1/graphs",
+              R"({"name": "g", "path": ")" + graph_file + R"("})");
+    ASSERT_EQ(registered.status, 200) << registered.body;
+    EXPECT_EQ(body_epoch(registered, "epoch"), "1");
+    EXPECT_EQ(HeaderValue(registered.headers, "X-Graph-Epoch"), "1");
+
+    const std::string tip_u = R"({"graph": "g", "kind": "tip-U", )"
+                              R"("algo": "RECEIPT", "partitions": 6})";
+    ClientResult miss;
+    ClientResult twin;
+    std::thread miss_thread(
+        [&] { miss = Fetch(ts.port(), "POST", "/v1/decompose", tip_u); });
+    WaitFor([&] { return ts.service.QueueDepth() == 1; }, "miss never queued");
+    std::thread twin_thread(
+        [&] { twin = Fetch(ts.port(), "POST", "/v1/decompose", tip_u); });
+    WaitFor([&] { return ts.service.stats().coalesced == 1; },
+            "twin never coalesced");
+    ts.service.RunQueuedInline();
+    miss_thread.join();
+    twin_thread.join();
+    ClientResult hit = Fetch(ts.port(), "POST", "/v1/decompose", tip_u);
+
+    ASSERT_EQ(miss.status, 200) << miss.body;
+    ASSERT_EQ(twin.status, 200) << twin.body;
+    ASSERT_EQ(hit.status, 200) << hit.body;
+    // The miss and its twin share one run's response.
+    EXPECT_FALSE(flag(miss, "cache_hit"));
+    EXPECT_TRUE(flag(twin, "coalesced"));
+    EXPECT_TRUE(flag(hit, "cache_hit"));
+    for (const ClientResult* read : {&miss, &twin, &hit}) {
+      EXPECT_EQ(body_epoch(*read, "graph_epoch"), "1");
+      EXPECT_EQ(HeaderValue(read->headers, "X-Graph-Epoch"), "1");
+    }
+
+    // A sealed batch moves both to epoch 2; its tracked configuration
+    // primes the cache, so the read after it is a hit at the new epoch.
+    const ClientResult sealed =
+        Fetch(ts.port(), "POST", "/v1/graphs/g/edges",
+              R"({"edges": [{"op": "insert", "u": 1, "v": 2}], "seal": true,
+                  "track": [{"kind": "tip-U", "partitions": 6}]})");
+    ASSERT_EQ(sealed.status, 200) << sealed.body;
+    EXPECT_EQ(body_epoch(sealed, "epoch"), "2");
+    EXPECT_EQ(HeaderValue(sealed.headers, "X-Graph-Epoch"), "2");
+    const ClientResult pending =
+        Fetch(ts.port(), "POST", "/v1/graphs/g/edges",
+              R"({"edges": [{"op": "insert", "u": 3, "v": 4}]})");
+    ASSERT_EQ(pending.status, 200) << pending.body;
+    EXPECT_EQ(body_epoch(pending, "epoch"), "2");
+    EXPECT_EQ(HeaderValue(pending.headers, "X-Graph-Epoch"), "2");
+    const ClientResult after = Fetch(ts.port(), "POST", "/v1/decompose", tip_u);
+    ASSERT_EQ(after.status, 200) << after.body;
+    EXPECT_TRUE(flag(after, "cache_hit"));
+    EXPECT_EQ(body_epoch(after, "graph_epoch"), "2");
+    EXPECT_EQ(HeaderValue(after.headers, "X-Graph-Epoch"), "2");
+
+    // An answer that is not a 200 names no epoch.
+    const ClientResult missing = Fetch(
+        ts.port(), "POST", "/v1/decompose", R"({"graph": "nope"})");
+    EXPECT_EQ(missing.status, 404) << missing.body;
+    EXPECT_EQ(HeaderValue(missing.headers, "X-Graph-Epoch"), "");
+  }
+  std::filesystem::remove_all(dir);
+}
+
 TEST(HttpServerTest, EdgeUpdateSealMatchesDirectDecomposeOfFinalGraph) {
   ServiceOptions options;
   options.num_workers = 1;
@@ -1130,6 +1235,20 @@ TEST(HttpHelpersTest, HttpStatusForCoversEveryServiceStatus) {
   EXPECT_EQ(HttpStatusFor(service::Status::kBadRequest), 400);
   EXPECT_EQ(HttpStatusFor(service::Status::kCancelled), 499);
   EXPECT_EQ(HttpStatusFor(service::Status::kShutdown), 503);
+}
+
+TEST(HttpHelpersTest, GraphEpochHeaderRoundTripsAndRejectsMalformedValues) {
+  HttpResponse response;
+  SetGraphEpochHeader(42, &response);
+  ASSERT_EQ(response.extra_headers.size(), 1u);
+  EXPECT_EQ(response.extra_headers[0].first, "X-Graph-Epoch");
+  EXPECT_EQ(response.extra_headers[0].second, "42");
+  EXPECT_EQ(ParseGraphEpochHeader("42"), 42u);
+  EXPECT_EQ(ParseGraphEpochHeader("18446744073709551615"), UINT64_MAX);
+  for (const char* bad : {"", "12x", "x12", " 7", "7 ", "-1", "+1", "1.5",
+                          "18446744073709551616"}) {
+    EXPECT_EQ(ParseGraphEpochHeader(bad), 0u) << "'" << bad << "'";
+  }
 }
 
 TEST(HttpHelpersTest, GraphNameFromBodyReadsOneStringField) {
